@@ -50,12 +50,13 @@ from .metrics import (
     SinglesResult,
     compute_metrics,
     heralding_efficiency,
+    heralding_rates,
     mode_function_nm,
     pair_rate,
     rate_prefactor,
     singles_rate,
 )
-from .schmidt import SchmidtSpectrum, schmidt_purity
+from .schmidt import SchmidtSpectrum, purity, schmidt_purity
 from .sweep import (
     OptimizationResult,
     SweepResult,
@@ -65,8 +66,7 @@ from .sweep import (
     optimize,
     rate_vs_pump_waist,
 )
-from .config import RunConfig, load_config
-from .cli import shipped_config_path
+from .config import RunConfig, load_config, shipped_config_path
 
 __version__ = "0.1.0"
 

@@ -14,9 +14,9 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
-from .config import load_config
+# shipped_config_path is re-exported for callers that locate configs via the CLI
+from .config import load_config, shipped_config_path
 from .dispersion import (
     effective_nonlinearity,
     external_angle,
@@ -27,7 +27,6 @@ from .dispersion import (
 from .errors import SpdcLabError
 from .jsa import jsa_grid, write_jsa_csv, write_jsa_json
 from .metrics import compute_metrics
-from .schmidt import schmidt_purity, write_schmidt_csv  # noqa: F401
 from .sweep import (
     metrics_vs_waist_ratio,
     optimize,
@@ -46,12 +45,6 @@ COMMANDS = (
 )
 
 _ALPHA_MAP = {"paper": "paper_literal", "consistent": "consistent"}
-
-
-def shipped_config_path(name):
-    """Absolute path of a packaged example configuration."""
-    fname = name if name.endswith(".json") else name + ".json"
-    return str(resources.files("spdc_lab").joinpath("data", "configs", fname))
 
 
 def _write_json(doc, path):
@@ -148,9 +141,9 @@ def _run(args):
         _write_json({"config": resolved}, os.path.join(out, "resolved_config.json"))
 
     elif args.command == "sweep-rate":
-        lo = (args.sweep_min or 50.0) * 1e-6
-        hi = (args.sweep_max or 800.0) * 1e-6
-        steps = args.steps or 76
+        lo = (50.0 if args.sweep_min is None else args.sweep_min) * 1e-6
+        hi = (800.0 if args.sweep_max is None else args.sweep_max) * 1e-6
+        steps = 76 if args.steps is None else args.steps
         result = rate_vs_pump_waist(
             (lo, hi),
             steps,
@@ -174,9 +167,9 @@ def _run(args):
         )
 
     elif args.command == "sweep-ratio":
-        lo = args.sweep_min or 0.3
-        hi = args.sweep_max or 1.1
-        steps = args.steps or 17
+        lo = 0.3 if args.sweep_min is None else args.sweep_min
+        hi = 1.1 if args.sweep_max is None else args.sweep_max
+        steps = 17 if args.steps is None else args.steps
         result = metrics_vs_waist_ratio(
             (lo, hi),
             steps,

@@ -9,6 +9,7 @@ every output for auditability.
 import json
 import math
 from dataclasses import dataclass, replace
+from importlib import resources
 
 from .dispersion import (
     OpticalMode,
@@ -58,6 +59,12 @@ class RunConfig:
     filters: FilterBank
     numerics: dict
     resolved: dict
+
+
+def shipped_config_path(name):
+    """Absolute path of a packaged example configuration."""
+    fname = name if name.endswith(".json") else name + ".json"
+    return str(resources.files("spdc_lab").joinpath("data", "configs", fname))
 
 
 def _require(section, key, path):

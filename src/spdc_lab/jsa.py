@@ -162,7 +162,7 @@ class JsaGrid:
             self.omega_i_samples.size,
         ):
             raise ValueError("amplitude shape does not match sample arrays")
-        if not np.all(np.isfinite(self.amplitude.view(float))):
+        if not np.all(np.isfinite(self.amplitude)):
             raise ValueError("amplitude contains non-finite entries")
         if np.max(np.abs(self.amplitude)) <= 0:
             raise ValueError("vanishing joint amplitude")

@@ -26,7 +26,7 @@ from .dispersion import (
     index_ordinary,
 )
 from .errors import ConsistencyError, ConvergenceError
-from .filters import FilterBank, FilterSpec, filter_transmission  # noqa: F401
+from .filters import filter_transmission
 from .jsa import (
     check_rayleigh,
     geometry_factors,
@@ -34,7 +34,7 @@ from .jsa import (
     mode_function,
     phase_mismatch_exact,
 )
-from .schmidt import schmidt_purity
+from .schmidt import purity
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,15 @@ def _hermite_phys(order, u):
     return hermval(u, coeff)
 
 
+def _arm(geom, which):
+    """(theta, sign, collection waist) of the arm carrying the mode ladder."""
+    if which == "signal":
+        return geom.theta_s, +1.0, geom.W0s
+    if which == "idler":
+        return geom.theta_i, -1.0, geom.W0i
+    raise ValueError("which must be 'signal' or 'idler'")
+
+
 class _ModeSumKernel:
     """Shared quadrature state for the Hermite-Gauss projections.
 
@@ -242,6 +251,8 @@ class _ModeSumKernel:
     z integral (Gauss-Legendre over the crystal length). The pump spectral
     envelope multiplies the result. With walk-off disabled the residual
     exp(-H z^2) envelope is omitted, matching the closed-form amplitude.
+    A, C, D and H combine both collection waists, so one kernel serves both
+    arms; the arm (see ``_arm``) enters only through the mode arguments.
     """
 
     def __init__(
@@ -250,16 +261,13 @@ class _ModeSumKernel:
         crystal,
         Om_s,
         Om_i,
-        which,
         walk_off,
         n_x=64,
         n_y=40,
         n_z=48,
     ):
         self.geom = geom
-        self.which = which
         g = geometry_factors(geom)
-        self.g = g
         OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
         dky, dkz = phase_mismatch_exact(OS, OI, geom, crystal)
         self.shape = OS.shape
@@ -268,19 +276,13 @@ class _ModeSumKernel:
         self.gp = np.exp(
             -((OS + OI).ravel()) ** 2 / (4.0 * geom.pump_bandwidth_Bp**2)
         )
-        if which == "signal":
-            self.theta, self.sign, self.Wc = geom.theta_s, +1.0, geom.W0s
-        elif which == "idler":
-            self.theta, self.sign, self.Wc = geom.theta_i, -1.0, geom.W0i
-        else:
-            raise ValueError("which must be 'signal' or 'idler'")
         tx, wx = hermgauss(n_x)
         self.x_nodes = tx / math.sqrt(g.A)
         self.x_weights = wx / math.sqrt(g.A)
         tz, wz = leggauss(n_z)
         L = crystal.length_L
         self.z_nodes = tz * L / 2.0
-        self.z_weights = wz * L / 2.0
+        z_weights = wz * L / 2.0
         ty, wy = hermgauss(n_y)
         # completed-square y nodes depend on z through the D coupling
         self.y_nodes = ty[None, :] / math.sqrt(g.C) - g.D * self.z_nodes[:, None] / (
@@ -291,28 +293,27 @@ class _ModeSumKernel:
         self.Y = np.exp(1j * np.outer(dky, ty / math.sqrt(g.C)))
         zshift = dkz[:, None] - dky[:, None] * g.D / (2.0 * g.C)
         self.z_phase = np.exp(1j * zshift * self.z_nodes[None, :])
-        self.z_env = self.z_weights * (
-            np.exp(-g.H * self.z_nodes**2) if walk_off else 1.0
-        )
-        self.y_rot = self.y_nodes * math.cos(self.theta) + self.sign * self.z_nodes[
-            :, None
-        ] * math.sin(self.theta)
+        self.z_env = z_weights * (np.exp(-g.H * self.z_nodes**2) if walk_off else 1.0)
 
-    def x_integral(self, n):
+    def x_integral(self, n, arm):
         return float(
-            self.x_weights @ _hermite_phys(n, math.sqrt(2.0) * self.x_nodes / self.Wc)
+            self.x_weights @ _hermite_phys(n, math.sqrt(2.0) * self.x_nodes / arm[2])
         )
 
-    def yz_integral(self, m):
-        h = _hermite_phys(m, math.sqrt(2.0) * self.y_rot / self.Wc)
-        mvec = h * self.y_weights[None, :]
-        out = np.zeros(self.Y.shape[0], dtype=complex)
-        for k in range(self.z_nodes.size):
-            out += self.z_env[k] * self.z_phase[:, k] * (self.Y @ mvec[k])
-        return out
+    def yz_integral(self, m, arm):
+        theta, sign, Wc = arm
+        y_rot = self.y_nodes * math.cos(theta) + sign * self.z_nodes[
+            :, None
+        ] * math.sin(theta)
+        mvec = _hermite_phys(m, math.sqrt(2.0) * y_rot / Wc) * self.y_weights[None, :]
+        t = self.Y @ mvec.T
+        t *= self.z_phase
+        return t @ self.z_env
 
-    def amplitude(self, n, m):
-        return (self.gp * self.x_integral(n) * self.yz_integral(m)).reshape(self.shape)
+    def amplitude(self, n, m, arm):
+        return (
+            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm)
+        ).reshape(self.shape)
 
 
 def mode_function_nm(
@@ -337,13 +338,14 @@ def mode_function_nm(
     Om_s = np.atleast_1d(np.asarray(Omega_s, dtype=float))
     Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
     n_x, n_y, n_z = quad_orders
-    kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, which, walk_off, n_x, n_y, n_z)
-    val = kern.amplitude(n, m)
+    arm = _arm(geom, which)
+    kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off, n_x, n_y, n_z)
+    val = kern.amplitude(n, m, arm)
     if check_convergence:
         kern2 = _ModeSumKernel(
-            geom, crystal, Om_s, Om_i, which, walk_off, n_x + 16, n_y + 12, n_z + 16
+            geom, crystal, Om_s, Om_i, walk_off, n_x + 16, n_y + 12, n_z + 16
         )
-        val2 = kern2.amplitude(n, m)
+        val2 = kern2.amplitude(n, m, arm)
         scale = np.max(np.abs(val2))
         if scale > 0 and np.max(np.abs(val - val2)) > 1e-6 * scale:
             raise ConvergenceError(
@@ -368,6 +370,7 @@ def singles_rate(
     quad_orders=(64, 40, 48),
     path_efficiency_s=1.0,
     path_efficiency_i=1.0,
+    kernel=None,
 ):
     """Mode-summed singles rate for one arm, in counts/(s mW).
 
@@ -375,32 +378,36 @@ def singles_rate(
     contributes less than ``shell_tol`` of the running sum; ``truncation``
     caps the per-axis order. The per-mode normalization divides the squared
     fundamental normalization by 2^(n+m) n! m!.
+
+    ``kernel`` is this geometry's mode-sum kernel on the same grid and
+    settings, shared by both arms (see ``heralding_rates``).
     """
     if truncation < 4:
         raise ValueError("truncation ceiling must be at least 4")
+    arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
     w_s, w_i, Om_s, Om_i = _filter_axes(geom, filters, resolution)
     weight = _transmission_weight(w_s, w_i, filters)
-    n_x, n_y, n_z = quad_orders
-    kern = _ModeSumKernel(
-        geom, crystal, Om_s, Om_i, which, walk_off, n_x, n_y, n_z
-    )
+    if kernel is None:
+        kernel = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off, *quad_orders)
+    elif kernel.geom != geom or kernel.shape != weight.shape:
+        raise ValueError("mode-sum kernel was built for another geometry or grid")
 
     c_n, d_m = [], []
 
     def get_cn(n):
         while len(c_n) <= n:
             k = len(c_n)
-            c_n.append(kern.x_integral(k) ** 2 / (2**k * math.factorial(k)))
+            c_n.append(kernel.x_integral(k, arm) ** 2 / (2**k * math.factorial(k)))
         return c_n[n]
 
     def get_dm(m):
         while len(d_m) <= m:
             k = len(d_m)
             density = weight * (
-                np.abs(kern.gp * kern.yz_integral(k)) ** 2
-            ).reshape(kern.shape)
+                np.abs(kernel.gp * kernel.yz_integral(k, arm)) ** 2
+            ).reshape(kernel.shape)
             val = float(np.trapezoid(np.trapezoid(density, Om_i, axis=1), Om_s))
             d_m.append(val / (2**k * math.factorial(k)))
         return d_m[m]
@@ -438,6 +445,28 @@ def heralding_efficiency(R, Rs, Ri):
     return eta
 
 
+def heralding_rates(
+    geom, crystal, filters, dispersion_mode, walk_off, truncation,
+    rate_resolution, singles_resolution,
+):
+    """(R, signal and idler SinglesResult, eta) of one geometry. The two
+    singles arms share one mode-sum kernel, which is dropped on return."""
+    R = pair_rate(
+        geom, crystal, filters, base_resolution=rate_resolution,
+        dispersion_mode=dispersion_mode, walk_off=walk_off,
+    )
+    _, _, Om_s, Om_i = _filter_axes(geom, filters, singles_resolution)
+    arm_settings = dict(
+        truncation=truncation,
+        resolution=singles_resolution,
+        walk_off=walk_off,
+        kernel=_ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off),
+    )
+    res_s = singles_rate("signal", geom, crystal, filters, **arm_settings)
+    res_i = singles_rate("idler", geom, crystal, filters, **arm_settings)
+    return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
+
+
 def compute_metrics(
     geom,
     crystal,
@@ -452,33 +481,10 @@ def compute_metrics(
     settings_snapshot=None,
 ):
     """Assemble the full report: R, Rs, Ri, eta, purity."""
-    R = pair_rate(
-        geom,
-        crystal,
-        filters,
-        base_resolution=rate_resolution,
-        dispersion_mode=dispersion_mode,
-        walk_off=walk_off,
+    R, res_s, res_i, eta = heralding_rates(
+        geom, crystal, filters, dispersion_mode, walk_off, truncation,
+        rate_resolution, singles_resolution,
     )
-    res_s = singles_rate(
-        "signal",
-        geom,
-        crystal,
-        filters,
-        truncation=truncation,
-        resolution=singles_resolution,
-        walk_off=walk_off,
-    )
-    res_i = singles_rate(
-        "idler",
-        geom,
-        crystal,
-        filters,
-        truncation=truncation,
-        resolution=singles_resolution,
-        walk_off=walk_off,
-    )
-    eta = heralding_efficiency(R, res_s.rate, res_i.rate)
     grid = jsa_grid(
         grid_resolution,
         geom,
@@ -488,13 +494,12 @@ def compute_metrics(
         dispersion_mode=dispersion_mode,
         walk_off=walk_off,
     )
-    spectrum = schmidt_purity(grid, decompose=decompose)
     return MetricsReport(
         pair_rate_R=R,
         singles_rate_s=res_s.rate,
         singles_rate_i=res_i.rate,
         heralding_eta=eta,
-        purity_P=spectrum.purity,
+        purity_P=purity(grid, decompose=decompose),
         mode_sum_truncation=(
             max(res_s.max_shell, res_i.max_shell),
             max(res_s.tail_estimate, res_i.tail_estimate),

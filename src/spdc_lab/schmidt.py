@@ -1,4 +1,4 @@
-"""Spectral purity via singular value decomposition of the sampled amplitude."""
+"""Spectral purity of the sampled amplitude, and its Schmidt spectrum by SVD."""
 
 import csv
 from dataclasses import dataclass
@@ -25,6 +25,34 @@ class SchmidtSpectrum:
             raise ValueError("purity must lie in (0, 1]")
 
 
+def _sampled_matrix(grid):
+    """The 2-D sample matrix of a JsaGrid or bare array, in double precision."""
+    matrix = np.asarray(getattr(grid, "amplitude", grid))
+    if matrix.ndim != 2 or min(matrix.shape) < 2:
+        raise ValueError("need a 2-D grid of at least 2x2 samples")
+    matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("grid contains non-finite entries")
+    return matrix
+
+
+def purity(grid, decompose="amplitude"):
+    """Purity of a sampled joint amplitude without its Schmidt spectrum.
+
+    ``amplitude`` mode returns Tr(rho^2) = ||A^H A||_F^2 / ||A||_F^4, the
+    SVD-free value of ``schmidt_purity(grid).purity``; other modes go
+    through ``schmidt_purity``.
+    """
+    if decompose != "amplitude":
+        return schmidt_purity(grid, decompose=decompose).purity
+    matrix = _sampled_matrix(grid)
+    gram = matrix.conj().T @ matrix
+    total = np.trace(gram).real
+    if total <= 0:
+        raise SpdcLabError("vanishing joint amplitude")
+    return float(np.vdot(gram, gram).real / total**2)
+
+
 def schmidt_purity(grid, decompose="amplitude"):
     """Schmidt spectrum of a sampled joint amplitude.
 
@@ -34,30 +62,19 @@ def schmidt_purity(grid, decompose="amplitude"):
     matrix instead, normalizing its singular values linearly so that they
     play the role of the weights directly.
     """
-    matrix = getattr(grid, "amplitude", grid)
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or min(matrix.shape) < 2:
-        raise ValueError("need a 2-D grid of at least 2x2 samples")
-    if not np.all(np.isfinite(matrix.view(float))):
-        raise ValueError("grid contains non-finite entries")
+    matrix = _sampled_matrix(grid)
     if decompose == "amplitude":
-        sv = np.linalg.svd(matrix, compute_uv=False)
-        total = np.sum(sv**2)
-        if total <= 0:
-            raise SpdcLabError("vanishing joint amplitude")
-        lam = np.sort(sv**2)[::-1] / total
+        weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     elif decompose == "intensity":
-        sv = np.linalg.svd(np.abs(matrix) ** 2, compute_uv=False)
-        total = np.sum(sv)
-        if total <= 0:
-            raise SpdcLabError("vanishing joint amplitude")
-        lam = np.sort(sv)[::-1] / total
+        weights = np.linalg.svd(np.abs(matrix) ** 2, compute_uv=False)
     else:
         raise ValueError("decompose must be 'amplitude' or 'intensity'")
-    purity = float(np.sum(lam**2))
-    return SchmidtSpectrum(
-        lambdas=lam, purity=purity, schmidt_number=1.0 / purity
-    )
+    total = np.sum(weights)
+    if total <= 0:
+        raise SpdcLabError("vanishing joint amplitude")
+    lam = np.sort(weights)[::-1] / total
+    p = float(np.sum(lam**2))
+    return SchmidtSpectrum(lambdas=lam, purity=p, schmidt_number=1.0 / p)
 
 
 def write_schmidt_csv(spectrum, path):

@@ -4,7 +4,7 @@ The optimization mirrors the design procedure the package exists to study:
 first maximize the pair rate over the pump waist (with the collection waist
 tied to the separability condition so the purity stays near its ceiling),
 then evaluate the closed-form collection waist, then refine it by scanning
-the SVD purity and locating the efficiency/purity crossing.
+the purity and locating the efficiency/purity crossing.
 """
 
 import csv
@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import UnsatisfiableConditionError
 from .jsa import jsa_grid, purity_waist
-from .metrics import compute_metrics, pair_rate, singles_rate, heralding_efficiency
-from .schmidt import schmidt_purity
+from .metrics import compute_metrics, heralding_rates, pair_rate
+from .schmidt import purity
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,6 @@ def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
     return x, f(x)
 
 
-def _with_waists(geom, W0p=None, W0s=None, W0i=None):
-    kwargs = {}
-    if W0p is not None:
-        kwargs["W0p"] = W0p
-    if W0s is not None:
-        kwargs["W0s"] = W0s
-    if W0i is not None:
-        kwargs["W0i"] = W0i
-    return replace(geom, **kwargs)
-
-
 def _grid_purity(geom, crystal, filters, grid_resolution, decompose, dispersion_mode, walk_off):
     grid = jsa_grid(
         grid_resolution,
@@ -103,7 +92,7 @@ def _grid_purity(geom, crystal, filters, grid_resolution, decompose, dispersion_
         dispersion_mode=dispersion_mode,
         walk_off=walk_off,
     )
-    return schmidt_purity(grid, decompose=decompose).purity
+    return purity(grid, decompose=decompose)
 
 
 def rate_vs_pump_waist(
@@ -120,7 +109,6 @@ def rate_vs_pump_waist(
     decompose="amplitude",
     dispersion_mode="exact",
     walk_off=False,
-    rate_fn=None,
 ):
     """Pair rate versus pump waist.
 
@@ -148,25 +136,22 @@ def rate_vs_pump_waist(
             W0s = geom_base.W0s * W0p / geom_base.W0p
         else:
             raise ValueError("unknown sweep policy: %r" % (policy,))
-        geom = _with_waists(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
-        if rate_fn is not None:
-            R = rate_fn(geom)
-        else:
-            R = pair_rate(
-                geom,
-                crystal,
-                filters,
-                base_resolution=rate_resolution,
-                dispersion_mode=dispersion_mode,
-                walk_off=walk_off,
-            )
-        purity = None
+        geom = replace(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
+        R = pair_rate(
+            geom,
+            crystal,
+            filters,
+            base_resolution=rate_resolution,
+            dispersion_mode=dispersion_mode,
+            walk_off=walk_off,
+        )
+        row_purity = None
         if include_purity:
-            purity = _grid_purity(
+            row_purity = _grid_purity(
                 geom, crystal, filters, grid_resolution, decompose,
                 dispersion_mode, walk_off,
             )
-        rows.append(SweepRow(swept_value=float(W0p), R=R, eta=None, purity=purity))
+        rows.append(SweepRow(swept_value=float(W0p), R=R, eta=None, purity=row_purity))
     if not rows:
         raise UnsatisfiableConditionError(
             "separability condition unsatisfiable over the whole waist range"
@@ -195,10 +180,12 @@ def metrics_vs_waist_ratio(
     lo, hi = ratio_range
     if not 0 < lo < hi:
         raise ValueError("ratio_range must satisfy 0 < lo < hi")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     rows = []
     for ratio in np.linspace(lo, hi, steps):
         W0s = ratio * W0p_fixed
-        geom = _with_waists(geom_base, W0p=W0p_fixed, W0s=W0s, W0i=W0s)
+        geom = replace(geom_base, W0p=W0p_fixed, W0s=W0s, W0i=W0s)
         report = compute_metrics(
             geom,
             crystal,
@@ -224,21 +211,6 @@ def metrics_vs_waist_ratio(
     return SweepResult(rows=tuple(rows), argmax_value=rows[idx].swept_value, argmax_index=idx)
 
 
-def _eta_at(geom, crystal, filters, rate_resolution, singles_resolution, truncation, walk_off):
-    R = pair_rate(
-        geom, crystal, filters, base_resolution=rate_resolution, walk_off=walk_off
-    )
-    rs = singles_rate(
-        "signal", geom, crystal, filters, truncation=truncation,
-        resolution=singles_resolution, walk_off=walk_off,
-    )
-    ri = singles_rate(
-        "idler", geom, crystal, filters, truncation=truncation,
-        resolution=singles_resolution, walk_off=walk_off,
-    )
-    return heralding_efficiency(R, rs.rate, ri.rate)
-
-
 def optimize(
     geom_template,
     crystal,
@@ -262,7 +234,7 @@ def optimize(
     search, tying the collection waist to the separability condition. Stage 2
     evaluates the closed-form collection waist at the optimum. Stage 3 scans
     the collection waist over [0.5, 1.2] times the closed-form value,
-    maximizing the SVD purity (with local quadratic refinement) and locating
+    maximizing the purity (with local quadratic refinement) and locating
     the efficiency/purity crossing by bisection.
     """
     lo, hi = waist_bounds
@@ -272,7 +244,7 @@ def optimize(
             W0s = purity_waist(W0p, geom_template, crystal, alpha_convention=tie_alpha)
         except UnsatisfiableConditionError:
             return -math.inf
-        geom = _with_waists(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
+        geom = replace(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
         return pair_rate(
             geom, crystal, filters, base_resolution=rate_resolution,
             dispersion_mode=dispersion_mode, walk_off=walk_off,
@@ -286,7 +258,7 @@ def optimize(
     scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, scan_points)
 
     def purity_at(W0s):
-        geom = _with_waists(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
+        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
         return _grid_purity(
             geom, crystal, filters, grid_resolution, decompose,
             dispersion_mode, walk_off,
@@ -305,15 +277,15 @@ def optimize(
         W0s_purity_star = scan[k]
 
     def eta_minus_purity(W0s):
-        geom = _with_waists(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
-        eta = _eta_at(
-            geom, crystal, filters, rate_resolution, singles_resolution,
-            truncation, walk_off,
+        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
+        _, _, _, eta = heralding_rates(
+            geom, crystal, filters, dispersion_mode, walk_off, truncation,
+            rate_resolution, singles_resolution,
         )
-        return eta - purity_at(W0s), eta
+        return eta - purity_at(W0s)
 
     coarse = np.linspace(scan[0], scan[-1], eta_coarse_points)
-    diffs = [eta_minus_purity(w)[0] for w in coarse]
+    diffs = [eta_minus_purity(w) for w in coarse]
     W0s_intersection = None
     for j in range(len(coarse) - 1):
         if diffs[j] == 0.0:
@@ -324,7 +296,7 @@ def optimize(
             fa = diffs[j]
             for _ in range(40):
                 mid = 0.5 * (a + b)
-                fm, _eta = eta_minus_purity(mid)
+                fm = eta_minus_purity(mid)
                 if abs(fm) < 1e-3 or (b - a) < 1e-8:
                     break
                 if fa * fm < 0:
@@ -335,7 +307,7 @@ def optimize(
             break
 
     def report_at(W0s):
-        geom = _with_waists(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
+        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
         return compute_metrics(
             geom,
             crystal,

@@ -256,6 +256,21 @@ class TestCliErrors:
         doc = json.loads((out / "error.json").read_text())
         assert doc["type"] == "UnsatisfiableConditionError"
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("sweep-rate", ("--sweep-min", "0"), "waist_range"),
+            ("sweep-rate", ("--steps", "0"), "steps"),
+            ("sweep-ratio", ("--steps", "0"), "steps"),
+        ],
+    )
+    def test_explicit_zero_is_not_a_default(self, tmp_path, command, extra, message):
+        config = cheap_config(tmp_path)
+        out = tmp_path / "zero"
+        assert run_cli(command, config, out, *extra) == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert message in doc["error"]
+
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         config = cheap_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -276,6 +291,8 @@ class TestConsoleScript:
         proc = subprocess.run(
             [
                 sys.executable,
+                "-W",
+                "error::RuntimeWarning",
                 "-m",
                 "spdc_lab.cli",
                 "dispersion-report",
@@ -288,4 +305,5 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         assert (out / "dispersion_report.json").exists()

@@ -3,11 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
+from scipy.special import eval_hermite
 
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import geometry_factors, mode_function, phase_mismatch_exact
 from spdc_lab.metrics import (
+    _arm,
+    _ModeSumKernel,
     compute_metrics,
     heralding_efficiency,
     mode_function_nm,
@@ -179,6 +184,75 @@ class TestModeOverlap:
         with pytest.raises(ValueError):
             mode_function_nm(
                 0, 0, 0.0, 0.0, degenerate.geom, degenerate.crystal, which="pump"
+            )
+
+
+def yz_loop_oracle(geom, crystal, Om_s, Om_i, which, walk_off, m, n_y=40, n_z=48):
+    """y-z overlap of one arm, one Gauss-Legendre z node at a time, with the
+    phase dky y + dkz z evaluated directly at the shifted y nodes."""
+    g = geometry_factors(geom)
+    OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
+    dky, dkz = (np.ravel(d) for d in phase_mismatch_exact(OS, OI, geom, crystal))
+    if which == "signal":
+        theta, sign, Wc = geom.theta_s, 1.0, geom.W0s
+    else:
+        theta, sign, Wc = geom.theta_i, -1.0, geom.W0i
+    half = crystal.length_L / 2.0
+    tz, wz = leggauss(n_z)
+    ty, wy = hermgauss(n_y)
+    out = np.zeros(dky.size, dtype=complex)
+    for z, w in zip(tz * half, wz * half):
+        y = ty / math.sqrt(g.C) - g.D * z / (2.0 * g.C)
+        y_rot = y * math.cos(theta) + sign * z * math.sin(theta)
+        h = eval_hermite(m, math.sqrt(2.0) * y_rot / Wc) * wy / math.sqrt(g.C)
+        phase = np.exp(1j * (np.outer(dky, y) + dkz[:, None] * z))
+        env = w * (math.exp(-g.H * z**2) if walk_off else 1.0)
+        out += env * (phase @ h)
+    return out
+
+
+def detuning_axes(geom, filters, n_s, n_i):
+    Om_s = np.linspace(*filters.signal.support, n_s)
+    Om_i = np.linspace(*filters.idler.support, n_i)
+    return (
+        Om_s - geom.signal.central_angular_frequency,
+        Om_i - geom.idler.central_angular_frequency,
+    )
+
+
+class TestModeSumKernel:
+    """One contracted kernel per geometry against the per-arm z-node loop."""
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_shared_kernel_matches_loop_oracle(self, which_cfg, walk_off, request):
+        cfg = request.getfixturevalue(which_cfg)
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        Om_s, Om_i = detuning_axes(geom, filters, 15, 13)
+        kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off)
+        for which in ("signal", "idler"):
+            arm = _arm(geom, which)
+            for m in range(5):
+                got = kern.yz_integral(m, arm)
+                want = yz_loop_oracle(geom, crystal, Om_s, Om_i, which, walk_off, m)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_singles_rate_on_shared_kernel(self, nondegenerate):
+        cfg = nondegenerate
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        Om_s, Om_i = detuning_axes(geom, filters, 31, 31)
+        kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, False)
+        for which in ("signal", "idler"):
+            own = singles_rate(which, geom, crystal, filters, resolution=31)
+            assert singles_rate(
+                which, geom, crystal, filters, resolution=31, kernel=kern
+            ) == own
+        with pytest.raises(ValueError, match="another geometry"):
+            singles_rate("signal", geom, crystal, filters, resolution=21, kernel=kern)
+        with pytest.raises(ValueError, match="another geometry"):
+            singles_rate(
+                "signal", replace(geom, W0p=2 * geom.W0p), crystal, filters,
+                resolution=31, kernel=kern,
             )
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc_lab.errors import SpdcLabError
-from spdc_lab.jsa import jsa_grid
-from spdc_lab.schmidt import schmidt_purity, write_schmidt_csv
+from spdc_lab.jsa import JsaGrid, jsa_grid
+from spdc_lab.schmidt import purity, schmidt_purity, write_schmidt_csv
 
 
 def gaussian_grid(ds, di, dsi, n=201, span=6.0):
@@ -102,6 +102,62 @@ class TestValidation:
             schmidt_purity(np.ones(16))
         with pytest.raises(ValueError):
             schmidt_purity(np.ones((1, 16)))
+        with pytest.raises(ValueError):
+            purity(np.ones((1, 16)))
+
+    def test_purity_zero_matrix_and_unknown_mode(self):
+        with pytest.raises(SpdcLabError, match="vanishing"):
+            purity(np.zeros((8, 8)))
+        with pytest.raises(ValueError):
+            purity(np.eye(4), decompose="other")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_narrow_and_integer_dtypes(self, dtype):
+        # the values of the matrix count, not the bits of its storage
+        m = np.eye(3, dtype=dtype)
+        assert schmidt_purity(m).purity == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert purity(m) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        rank_one = np.outer(np.arange(1, 5), np.arange(1, 4)).astype(dtype)
+        assert schmidt_purity(rank_one).purity == pytest.approx(1.0, rel=1e-12)
+        assert purity(rank_one) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_non_finite_narrow_dtypes(self, dtype):
+        m = np.ones((2, 2), dtype=dtype)
+        m[0, 1] = np.nan
+        for decompose in ("amplitude", "intensity"):
+            with pytest.raises(ValueError, match="non-finite"):
+                schmidt_purity(m, decompose=decompose)
+            with pytest.raises(ValueError, match="non-finite"):
+                purity(m, decompose=decompose)
+        axis = np.arange(2.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            JsaGrid(axis, axis, m, 1.0)
+
+
+class TestTraceRhoSquared:
+    """``purity`` against the purity of the SVD Schmidt spectrum."""
+
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_shipped_configs(self, which_cfg, request):
+        cfg = request.getfixturevalue(which_cfg)
+        grid = jsa_grid(
+            cfg.numerics["grid_resolution"], cfg.geom, cfg.crystal,
+            cfg.filters.signal, cfg.filters.idler,
+        )
+        assert purity(grid) == pytest.approx(schmidt_purity(grid).purity, rel=1e-12)
+        assert purity(grid, decompose="intensity") == (
+            schmidt_purity(grid, decompose="intensity").purity
+        )
+
+    def test_random_complex_rectangle(self):
+        rng = np.random.default_rng(20000)
+        m = rng.normal(size=(60, 40)) + 1j * rng.normal(size=(60, 40))
+        for a in (m, m.T):
+            assert purity(a) == pytest.approx(schmidt_purity(a).purity, rel=1e-12)
+            assert purity(a, decompose="intensity") == (
+                schmidt_purity(a, decompose="intensity").purity
+            )
 
 
 class TestOnSampledAmplitude:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spdc_lab import sweep
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
 from spdc_lab.sweep import (
@@ -13,6 +14,11 @@ from spdc_lab.sweep import (
     rate_vs_pump_waist,
     write_sweep_csv,
 )
+
+
+def stub_rate(monkeypatch, rate_fn):
+    """Replace the sweeps' pair-rate integral by ``rate_fn(geom)``."""
+    monkeypatch.setattr(sweep, "pair_rate", lambda geom, *args, **kwargs: rate_fn(geom))
 
 
 class TestGoldenSection:
@@ -38,8 +44,9 @@ class TestRateVsPumpWaist:
                 (1e-4, 2e-4), 5, cfg.geom, cfg.crystal, cfg.filters, policy="magic"
             )
 
-    def test_tie_break_toward_smallest(self, degenerate):
+    def test_tie_break_toward_smallest(self, degenerate, monkeypatch):
         cfg = degenerate
+        stub_rate(monkeypatch, lambda geom: 1.0)
         res = rate_vs_pump_waist(
             (1e-4, 2e-4),
             5,
@@ -48,15 +55,15 @@ class TestRateVsPumpWaist:
             cfg.filters,
             policy="fixed",
             include_purity=False,
-            rate_fn=lambda geom: 1.0,
         )
         assert res.argmax_index == 0
         assert res.argmax_value == pytest.approx(1e-4)
         assert len(res.rows) == 5
         assert all(row.eta is None and row.purity is None for row in res.rows)
 
-    def test_single_step(self, degenerate):
+    def test_single_step(self, degenerate, monkeypatch):
         cfg = degenerate
+        stub_rate(monkeypatch, lambda geom: 2.0)
         res = rate_vs_pump_waist(
             (3e-4, 4e-4),
             1,
@@ -65,12 +72,11 @@ class TestRateVsPumpWaist:
             cfg.filters,
             policy="fixed",
             include_purity=False,
-            rate_fn=lambda geom: 2.0,
         )
         assert len(res.rows) == 1
         assert res.rows[0].swept_value == pytest.approx(3e-4)
 
-    def test_policies_set_collection_waist(self, degenerate):
+    def test_policies_set_collection_waist(self, degenerate, monkeypatch):
         cfg = degenerate
         seen = {}
 
@@ -83,6 +89,7 @@ class TestRateVsPumpWaist:
             return rate_fn
 
         for policy in ("fixed", "co-scale", "separability"):
+            stub_rate(monkeypatch, spy(policy))
             rate_vs_pump_waist(
                 (4e-4, 5e-4),
                 1,
@@ -91,7 +98,6 @@ class TestRateVsPumpWaist:
                 cfg.filters,
                 policy=policy,
                 include_purity=False,
-                rate_fn=spy(policy),
             )
         assert seen["fixed"] == pytest.approx(cfg.geom.W0s)
         assert seen["co-scale"] == pytest.approx(cfg.geom.W0s * 4e-4 / cfg.geom.W0p)
@@ -99,8 +105,9 @@ class TestRateVsPumpWaist:
             purity_waist(4e-4, cfg.geom, cfg.crystal, alpha_convention="consistent")
         )
 
-    def test_unsatisfiable_rows_skipped(self, degenerate):
+    def test_unsatisfiable_rows_skipped(self, degenerate, monkeypatch):
         cfg = degenerate
+        stub_rate(monkeypatch, lambda geom: 1.0 / geom.W0p)
         # the separability condition has no solution below a threshold pump
         # waist; a range straddling it keeps only the feasible samples
         res = rate_vs_pump_waist(
@@ -110,12 +117,12 @@ class TestRateVsPumpWaist:
             cfg.crystal,
             cfg.filters,
             include_purity=False,
-            rate_fn=lambda geom: 1.0 / geom.W0p,
         )
         assert 0 < len(res.rows) < 5
 
-    def test_all_unsatisfiable_raises(self, degenerate):
+    def test_all_unsatisfiable_raises(self, degenerate, monkeypatch):
         cfg = degenerate
+        stub_rate(monkeypatch, lambda geom: 1.0)
         with pytest.raises(UnsatisfiableConditionError):
             rate_vs_pump_waist(
                 (1e-6, 3e-6),
@@ -124,7 +131,6 @@ class TestRateVsPumpWaist:
                 cfg.crystal,
                 cfg.filters,
                 include_purity=False,
-                rate_fn=lambda geom: 1.0,
             )
 
 
@@ -152,6 +158,10 @@ class TestMetricsVsWaistRatio:
         with pytest.raises(ValueError):
             metrics_vs_waist_ratio(
                 (1.0, 0.5), 3, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters
+            )
+        with pytest.raises(ValueError, match="steps"):
+            metrics_vs_waist_ratio(
+                (0.5, 1.0), 0, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters
             )
 
 
@@ -221,8 +231,9 @@ class TestOptimize:
 
 
 class TestCsv:
-    def test_blank_columns(self, tmp_path, degenerate):
+    def test_blank_columns(self, tmp_path, degenerate, monkeypatch):
         cfg = degenerate
+        stub_rate(monkeypatch, lambda geom: 1.0)
         res = rate_vs_pump_waist(
             (1e-4, 2e-4),
             3,
@@ -231,7 +242,6 @@ class TestCsv:
             cfg.filters,
             policy="fixed",
             include_purity=False,
-            rate_fn=lambda geom: 1.0,
         )
         out = tmp_path / "sweep.csv"
         write_sweep_csv(res.rows, out)
