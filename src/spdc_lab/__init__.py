@@ -66,7 +66,7 @@ from .sweep import (
     optimize,
     rate_vs_pump_waist,
 )
-from .config import RunConfig, load_config, shipped_config_path
+from .config import Numerics, RunConfig, load_config, shipped_config_path
 
 __version__ = "0.1.0"
 

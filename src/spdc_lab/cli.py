@@ -12,8 +12,10 @@ error, 3 I/O error.
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 # shipped_config_path is re-exported for callers that locate configs via the CLI
 from .config import load_config, shipped_config_path
@@ -24,9 +26,9 @@ from .dispersion import (
     walk_off_angle,
     wave_number,
 )
-from .errors import SpdcLabError
-from .jsa import jsa_grid, write_jsa_csv, write_jsa_json
-from .metrics import compute_metrics
+from .errors import ConfigError, SpdcLabError
+from .jsa import write_jsa_csv, write_jsa_json
+from .metrics import compute_metrics, filter_jsa
 from .sweep import (
     metrics_vs_waist_ratio,
     optimize,
@@ -85,32 +87,35 @@ def build_parser():
     return parser
 
 
+def _sweep_range(args, lo, hi, steps):
+    """Sweep bounds and sample count from the flags or the command's defaults."""
+    lo = lo if args.sweep_min is None else args.sweep_min
+    hi = hi if args.sweep_max is None else args.sweep_max
+    steps = steps if args.steps is None else args.steps
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError("--sweep-min/--sweep-max: need 0 < min < max")
+    if steps < 1:
+        raise ConfigError("--steps: integer >= 1 required")
+    return lo, hi, steps
+
+
 def _run(args):
     cfg = load_config(args.config)
-    numerics = dict(cfg.numerics)
+    overrides = {}
     if args.grid_resolution is not None:
-        numerics["grid_resolution"] = args.grid_resolution
+        overrides["grid_resolution"] = args.grid_resolution
     if args.walk_off:
-        numerics["walk_off_enabled"] = True
+        overrides["walk_off_enabled"] = True
     if args.alpha_convention is not None:
-        numerics["alpha_convention"] = _ALPHA_MAP[args.alpha_convention]
-    resolved = dict(cfg.resolved)
-    resolved["numerics"] = dict(numerics)
+        overrides["alpha_convention"] = _ALPHA_MAP[args.alpha_convention]
+    numerics = replace(cfg.numerics, **overrides)
+    resolved = dict(cfg.resolved, numerics=asdict(numerics))
     out = args.out
     os.makedirs(out, exist_ok=True)
-    common = dict(
-        grid_resolution=numerics["grid_resolution"],
-        decompose=numerics["decompose"],
-        dispersion_mode=numerics["dispersion_mode"],
-        walk_off=numerics["walk_off_enabled"],
-        truncation=numerics["truncation_max_order"],
-        rate_resolution=numerics["rate_resolution"],
-        singles_resolution=numerics["singles_resolution"],
-    )
 
     if args.command == "metrics":
         report = compute_metrics(
-            cfg.geom, cfg.crystal, cfg.filters, settings_snapshot=resolved, **common
+            cfg.geom, cfg.crystal, cfg.filters, numerics, settings_snapshot=resolved
         )
         _write_json(_report_to_doc(report, resolved), os.path.join(out, "metrics_report.json"))
         with open(os.path.join(out, "metrics_summary.csv"), "w") as fh:
@@ -127,34 +132,20 @@ def _run(args):
             )
 
     elif args.command == "jsa":
-        grid = jsa_grid(
-            numerics["grid_resolution"],
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters.signal,
-            cfg.filters.idler,
-            dispersion_mode=numerics["dispersion_mode"],
-            walk_off=numerics["walk_off_enabled"],
-        )
+        grid = filter_jsa(cfg.geom, cfg.crystal, cfg.filters, numerics)
         write_jsa_csv(grid, os.path.join(out, "jsa_grid.csv"))
         write_jsa_json(grid, os.path.join(out, "jsa_grid.json"))
         _write_json({"config": resolved}, os.path.join(out, "resolved_config.json"))
 
     elif args.command == "sweep-rate":
-        lo = (50.0 if args.sweep_min is None else args.sweep_min) * 1e-6
-        hi = (800.0 if args.sweep_max is None else args.sweep_max) * 1e-6
-        steps = 76 if args.steps is None else args.steps
+        lo, hi, steps = _sweep_range(args, 50.0, 800.0, 76)
         result = rate_vs_pump_waist(
-            (lo, hi),
+            (lo * 1e-6, hi * 1e-6),
             steps,
             cfg.geom,
             cfg.crystal,
             cfg.filters,
-            rate_resolution=numerics["rate_resolution"],
-            grid_resolution=numerics["grid_resolution"],
-            decompose=numerics["decompose"],
-            dispersion_mode=numerics["dispersion_mode"],
-            walk_off=numerics["walk_off_enabled"],
+            numerics=numerics,
         )
         write_sweep_csv(result.rows, os.path.join(out, "sweep_rate.csv"))
         _write_json(
@@ -167,29 +158,15 @@ def _run(args):
         )
 
     elif args.command == "sweep-ratio":
-        lo = 0.3 if args.sweep_min is None else args.sweep_min
-        hi = 1.1 if args.sweep_max is None else args.sweep_max
-        steps = 17 if args.steps is None else args.steps
+        lo, hi, steps = _sweep_range(args, 0.3, 1.1, 17)
         result = metrics_vs_waist_ratio(
-            (lo, hi),
-            steps,
-            cfg.geom.W0p,
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            **common,
+            (lo, hi), steps, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters, numerics
         )
         write_sweep_csv(result.rows, os.path.join(out, "sweep_ratio.csv"))
         _write_json({"config": resolved}, os.path.join(out, "sweep_ratio.json"))
 
     elif args.command == "optimize":
-        result = optimize(
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            alpha_convention=numerics["alpha_convention"],
-            **common,
-        )
+        result = optimize(cfg.geom, cfg.crystal, cfg.filters, numerics=numerics)
         doc = {
             "W0p_star_um": result.W0p_star * 1e6,
             "W0s_closed_form_um": result.W0s_closed_form * 1e6,

@@ -8,7 +8,7 @@ every output for auditability.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 from .dispersion import (
@@ -30,23 +30,68 @@ from .units import (
     wavelength_to_angular_frequency,
 )
 
-NUMERICS_DEFAULTS = {
-    "grid_resolution": 201,
-    "dispersion_mode": "exact",
-    "alpha_convention": "paper_literal",
-    "decompose": "amplitude",
-    "walk_off_enabled": False,
-    "frequency_convention": "angular",
-    "truncation_max_order": 20,
-    "rate_resolution": 101,
-    "singles_resolution": 101,
-}
-
 _ENUMS = {
     "dispersion_mode": ("exact", "linear"),
     "alpha_convention": ALPHA_CONVENTIONS,
     "decompose": ("amplitude", "intensity"),
     "frequency_convention": FREQUENCY_CONVENTIONS,
+}
+
+_INT_FLOORS = {
+    "grid_resolution": MIN_GRID_RESOLUTION,
+    "truncation_max_order": 4,
+    "rate_resolution": 2,
+    "singles_resolution": 2,
+}
+
+
+@dataclass(frozen=True)
+class Numerics:
+    """Numerical settings of a run. The field names are the keys of the
+    configuration's ``numerics`` section; every field is checked here."""
+
+    grid_resolution: int = 201
+    dispersion_mode: str = "exact"
+    alpha_convention: str = "paper_literal"
+    decompose: str = "amplitude"
+    walk_off_enabled: bool = False
+    frequency_convention: str = "angular"
+    truncation_max_order: int = 20
+    rate_resolution: int = 101
+    singles_resolution: int = 101
+
+    def __post_init__(self):
+        for key, allowed in _ENUMS.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(
+                    "numerics.%s: must be one of %s" % (key, ", ".join(allowed))
+                )
+        if not isinstance(self.walk_off_enabled, bool):
+            raise ConfigError("numerics.walk_off_enabled: must be true or false")
+        for key, floor in _INT_FLOORS.items():
+            value = getattr(self, key)
+            if type(value) is not int or value < floor:
+                raise ConfigError("numerics.%s: integer >= %d required" % (key, floor))
+
+
+_SECTION_KEYS = {
+    "crystal": ("name", "length_um", "azimuth_phi_deg"),
+    "pump": (
+        "wavelength_nm",
+        "bandwidth_thz",
+        "power_mW",
+        "waist_um",
+        "filter_halfwidth_thz",
+    ),
+    "collection": (
+        "signal_wavelength_nm",
+        "idler_wavelength_nm",
+        "degenerate",
+        "waist_um",
+        "cut_detuning_deg",
+    ),
+    "filters": ("signal_halfwidth_thz", "idler_halfwidth_thz", "transmission"),
+    "numerics": tuple(field.name for field in fields(Numerics)),
 }
 
 
@@ -57,7 +102,7 @@ class RunConfig:
     crystal: object
     geom: BeamGeometry
     filters: FilterBank
-    numerics: dict
+    numerics: Numerics
     resolved: dict
 
 
@@ -73,10 +118,36 @@ def _require(section, key, path):
     return section[key]
 
 
-def _positive(value, path):
-    if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+def _finite(value):
+    """True for a finite JSON number; a bool is not a number here."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _positive(section, name, key, default=None):
+    """``section[key]`` as a positive float; ``default`` when the key is
+    absent, which is an error when there is no default."""
+    path = "%s.%s" % (name, key)
+    if key not in section and default is None:
+        raise ConfigError("%s: missing required field" % path)
+    value = section.get(key, default)
+    if not _finite(value) or value <= 0:
         raise ConfigError("%s: must be a positive number" % path)
     return float(value)
+
+
+def _section(raw, key, required=True):
+    """``raw[key]`` as a JSON object holding only known fields."""
+    if key not in raw:
+        if required:
+            raise ConfigError("%s: missing required section" % key)
+        return {}
+    section = raw[key]
+    if not isinstance(section, dict):
+        raise ConfigError("%s: must be a JSON object" % key)
+    for field in section:
+        if field not in _SECTION_KEYS[key]:
+            raise ConfigError("%s.%s: unknown field" % (key, field))
+    return section
 
 
 def load_config(path):
@@ -86,54 +157,27 @@ def load_config(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("not valid JSON: %s" % exc) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration: must be a JSON object")
+    for key in raw:
+        if key not in _SECTION_KEYS:
+            raise ConfigError("%s: unknown field" % key)
+    cry, pump, coll = (_section(raw, key) for key in ("crystal", "pump", "collection"))
+    filt = _section(raw, "filters", required=False)
+    numerics = Numerics(**_section(raw, "numerics", required=False))
+    convention = numerics.frequency_convention
 
-    for section in ("crystal", "pump", "collection"):
-        if section not in raw:
-            raise ConfigError("%s: missing required section" % section)
+    lam_p = nm_to_m(_positive(pump, "pump", "wavelength_nm"))
+    B_p = thz_to_rad_per_s(_positive(pump, "pump", "bandwidth_thz"), convention)
+    power_mW = _positive(pump, "pump", "power_mW", 1.0)
+    W0p = um_to_m(_positive(pump, "pump", "waist_um"))
 
-    numerics = dict(NUMERICS_DEFAULTS)
-    numerics.update(raw.get("numerics", {}))
-    for key in numerics:
-        if key not in NUMERICS_DEFAULTS:
-            raise ConfigError("numerics.%s: unknown field" % key)
-    for key, allowed in _ENUMS.items():
-        if numerics[key] not in allowed:
-            raise ConfigError(
-                "numerics.%s: must be one of %s" % (key, ", ".join(allowed))
-            )
-    if not isinstance(numerics["grid_resolution"], int) or numerics[
-        "grid_resolution"
-    ] < MIN_GRID_RESOLUTION:
-        raise ConfigError(
-            "numerics.grid_resolution: integer >= %d required" % MIN_GRID_RESOLUTION
-        )
-    if not isinstance(numerics["truncation_max_order"], int) or numerics[
-        "truncation_max_order"
-    ] < 4:
-        raise ConfigError("numerics.truncation_max_order: integer >= 4 required")
-    convention = numerics["frequency_convention"]
-
-    pump = raw["pump"]
-    lam_p = nm_to_m(_positive(_require(pump, "wavelength_nm", "pump"), "pump.wavelength_nm"))
-    B_p = thz_to_rad_per_s(
-        _positive(_require(pump, "bandwidth_thz", "pump"), "pump.bandwidth_thz"),
-        convention,
-    )
-    power_mW = _positive(pump.get("power_mW", 1.0), "pump.power_mW")
-    W0p = um_to_m(_positive(_require(pump, "waist_um", "pump"), "pump.waist_um"))
-
-    coll = raw["collection"]
-    lam_s = nm_to_m(
-        _positive(
-            _require(coll, "signal_wavelength_nm", "collection"),
-            "collection.signal_wavelength_nm",
-        )
-    )
-    degenerate = bool(coll.get("degenerate", False))
+    lam_s = nm_to_m(_positive(coll, "collection", "signal_wavelength_nm"))
+    degenerate = coll.get("degenerate", False)
+    if not isinstance(degenerate, bool):
+        raise ConfigError("collection.degenerate: must be true or false")
     if "idler_wavelength_nm" in coll:
-        lam_i = nm_to_m(
-            _positive(coll["idler_wavelength_nm"], "collection.idler_wavelength_nm")
-        )
+        lam_i = nm_to_m(_positive(coll, "collection", "idler_wavelength_nm"))
     elif degenerate:
         lam_i = lam_s
     else:
@@ -151,17 +195,22 @@ def load_config(path):
             "collection.idler_wavelength_nm: energy conservation violated; "
             "the energy-conserving value is %.4f nm" % (suggestion * 1e9)
         )
-    W0s = um_to_m(_positive(_require(coll, "waist_um", "collection"), "collection.waist_um"))
-    cut_detuning = deg_to_rad(
-        _positive(_require(coll, "cut_detuning_deg", "collection"), "collection.cut_detuning_deg")
-    )
+    W0s = um_to_m(_positive(coll, "collection", "waist_um"))
+    cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
 
-    cry = raw["crystal"]
     name = _require(cry, "name", "crystal")
-    length_L = um_to_m(_positive(_require(cry, "length_um", "crystal"), "crystal.length_um"))
-    azimuth = deg_to_rad(float(cry.get("azimuth_phi_deg", 0.0)))
+    if not isinstance(name, str):
+        raise ConfigError("crystal.name: must be a string")
+    length_L = um_to_m(_positive(cry, "crystal", "length_um"))
+    azimuth_deg = cry.get("azimuth_phi_deg", 0.0)
+    if not _finite(azimuth_deg):
+        raise ConfigError("crystal.azimuth_phi_deg: must be a finite number")
+    azimuth = deg_to_rad(float(azimuth_deg))
     # provisional cut angle; replaced once the collinear angle is known
-    crystal = load_crystal(name, length_L, math.pi / 6.0, azimuth)
+    try:
+        crystal = load_crystal(name, length_L, math.pi / 6.0, azimuth)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("crystal.name: no crystal dataset named %r" % name) from exc
     theta_c = collinear_cut_angle(lam_p, lam_s, lam_i, crystal)
     crystal = replace(crystal, cut_angle_theta=theta_c + cut_detuning)
     theta_s, theta_i = emission_angles(cut_detuning, lam_s, lam_i, crystal)
@@ -182,21 +231,18 @@ def load_config(path):
         modes=modes,
     )
 
-    filt = raw.get("filters", {})
-    transmission = float(filt.get("transmission", 1.0))
-    hw_s = thz_to_rad_per_s(
-        _positive(filt.get("signal_halfwidth_thz", 5.0), "filters.signal_halfwidth_thz"),
-        convention,
-    )
+    transmission = filt.get("transmission", 1.0)
+    if not _finite(transmission) or not 0.0 <= transmission <= 1.0:
+        raise ConfigError("filters.transmission: must be a number in [0, 1]")
+    transmission = float(transmission)
+    hw_s_thz = _positive(filt, "filters", "signal_halfwidth_thz", 5.0)
+    hw_s = thz_to_rad_per_s(hw_s_thz, convention)
     hw_i = thz_to_rad_per_s(
-        _positive(filt.get("idler_halfwidth_thz", 5.0), "filters.idler_halfwidth_thz"),
-        convention,
+        _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
     )
-    hw_p_thz = pump.get(
-        "filter_halfwidth_thz",
-        2.0 * float(filt.get("signal_halfwidth_thz", 5.0)),
+    hw_p = thz_to_rad_per_s(
+        _positive(pump, "pump", "filter_halfwidth_thz", 2.0 * hw_s_thz), convention
     )
-    hw_p = thz_to_rad_per_s(_positive(hw_p_thz, "pump.filter_halfwidth_thz"), convention)
     filters = FilterBank(
         signal=FilterSpec(
             center=modes[1].central_angular_frequency,
@@ -245,7 +291,7 @@ def load_config(path):
             "idler_halfwidth_rad_per_s": hw_i,
             "transmission": transmission,
         },
-        "numerics": dict(numerics),
+        "numerics": asdict(numerics),
     }
     return RunConfig(
         crystal=crystal, geom=geom, filters=filters, numerics=numerics, resolved=resolved

@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.hermite import hermgauss
 from scipy.constants import c, epsilon_0
 
+from .config import Numerics
 from .dispersion import (
     effective_nonlinearity,
     index_extraordinary,
@@ -445,20 +446,18 @@ def heralding_efficiency(R, Rs, Ri):
     return eta
 
 
-def heralding_rates(
-    geom, crystal, filters, dispersion_mode, walk_off, truncation,
-    rate_resolution, singles_resolution,
-):
+def heralding_rates(geom, crystal, filters, numerics):
     """(R, signal and idler SinglesResult, eta) of one geometry. The two
     singles arms share one mode-sum kernel, which is dropped on return."""
+    walk_off = numerics.walk_off_enabled
     R = pair_rate(
-        geom, crystal, filters, base_resolution=rate_resolution,
-        dispersion_mode=dispersion_mode, walk_off=walk_off,
+        geom, crystal, filters, base_resolution=numerics.rate_resolution,
+        dispersion_mode=numerics.dispersion_mode, walk_off=walk_off,
     )
-    _, _, Om_s, Om_i = _filter_axes(geom, filters, singles_resolution)
+    _, _, Om_s, Om_i = _filter_axes(geom, filters, numerics.singles_resolution)
     arm_settings = dict(
-        truncation=truncation,
-        resolution=singles_resolution,
+        truncation=numerics.truncation_max_order,
+        resolution=numerics.singles_resolution,
         walk_off=walk_off,
         kernel=_ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off),
     )
@@ -467,39 +466,34 @@ def heralding_rates(
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
 
 
-def compute_metrics(
-    geom,
-    crystal,
-    filters,
-    grid_resolution=201,
-    decompose="amplitude",
-    dispersion_mode="exact",
-    walk_off=False,
-    truncation=20,
-    rate_resolution=101,
-    singles_resolution=101,
-    settings_snapshot=None,
-):
-    """Assemble the full report: R, Rs, Ri, eta, purity."""
-    R, res_s, res_i, eta = heralding_rates(
-        geom, crystal, filters, dispersion_mode, walk_off, truncation,
-        rate_resolution, singles_resolution,
-    )
-    grid = jsa_grid(
-        grid_resolution,
+def filter_jsa(geom, crystal, filters, numerics):
+    """The JSA sampled over the signal and idler filter windows."""
+    return jsa_grid(
+        numerics.grid_resolution,
         geom,
         crystal,
         filters.signal,
         filters.idler,
-        dispersion_mode=dispersion_mode,
-        walk_off=walk_off,
+        dispersion_mode=numerics.dispersion_mode,
+        walk_off=numerics.walk_off_enabled,
     )
+
+
+def jsa_purity(geom, crystal, filters, numerics):
+    """Purity of ``filter_jsa`` in the ``numerics.decompose`` mode."""
+    grid = filter_jsa(geom, crystal, filters, numerics)
+    return purity(grid, decompose=numerics.decompose)
+
+
+def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapshot=None):
+    """Assemble the full report: R, Rs, Ri, eta, purity."""
+    R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics)
     return MetricsReport(
         pair_rate_R=R,
         singles_rate_s=res_s.rate,
         singles_rate_i=res_i.rate,
         heralding_eta=eta,
-        purity_P=purity(grid, decompose=decompose),
+        purity_P=jsa_purity(geom, crystal, filters, numerics),
         mode_sum_truncation=(
             max(res_s.max_shell, res_i.max_shell),
             max(res_s.tail_estimate, res_i.tail_estimate),

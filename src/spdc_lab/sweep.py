@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import Numerics
 from .errors import UnsatisfiableConditionError
-from .jsa import jsa_grid, purity_waist
-from .metrics import compute_metrics, heralding_rates, pair_rate
-from .schmidt import purity
+from .jsa import purity_waist
+from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,15 @@ def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
     return x, f(x)
 
 
-def _grid_purity(geom, crystal, filters, grid_resolution, decompose, dispersion_mode, walk_off):
-    grid = jsa_grid(
-        grid_resolution,
+def _pair_rate(geom, crystal, filters, numerics):
+    return pair_rate(
         geom,
         crystal,
-        filters.signal,
-        filters.idler,
-        dispersion_mode=dispersion_mode,
-        walk_off=walk_off,
+        filters,
+        base_resolution=numerics.rate_resolution,
+        dispersion_mode=numerics.dispersion_mode,
+        walk_off=numerics.walk_off_enabled,
     )
-    return purity(grid, decompose=decompose)
 
 
 def rate_vs_pump_waist(
@@ -103,12 +101,8 @@ def rate_vs_pump_waist(
     filters,
     policy="separability",
     tie_alpha="consistent",
-    rate_resolution=101,
     include_purity=True,
-    grid_resolution=201,
-    decompose="amplitude",
-    dispersion_mode="exact",
-    walk_off=False,
+    numerics=Numerics(),
 ):
     """Pair rate versus pump waist.
 
@@ -137,20 +131,10 @@ def rate_vs_pump_waist(
         else:
             raise ValueError("unknown sweep policy: %r" % (policy,))
         geom = replace(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
-        R = pair_rate(
-            geom,
-            crystal,
-            filters,
-            base_resolution=rate_resolution,
-            dispersion_mode=dispersion_mode,
-            walk_off=walk_off,
-        )
+        R = _pair_rate(geom, crystal, filters, numerics)
         row_purity = None
         if include_purity:
-            row_purity = _grid_purity(
-                geom, crystal, filters, grid_resolution, decompose,
-                dispersion_mode, walk_off,
-            )
+            row_purity = jsa_purity(geom, crystal, filters, numerics)
         rows.append(SweepRow(swept_value=float(W0p), R=R, eta=None, purity=row_purity))
     if not rows:
         raise UnsatisfiableConditionError(
@@ -168,13 +152,7 @@ def metrics_vs_waist_ratio(
     geom_base,
     crystal,
     filters,
-    grid_resolution=201,
-    decompose="amplitude",
-    dispersion_mode="exact",
-    walk_off=False,
-    truncation=20,
-    rate_resolution=101,
-    singles_resolution=101,
+    numerics=Numerics(),
 ):
     """Full metrics versus the collection-to-pump waist ratio."""
     lo, hi = ratio_range
@@ -186,18 +164,7 @@ def metrics_vs_waist_ratio(
     for ratio in np.linspace(lo, hi, steps):
         W0s = ratio * W0p_fixed
         geom = replace(geom_base, W0p=W0p_fixed, W0s=W0s, W0i=W0s)
-        report = compute_metrics(
-            geom,
-            crystal,
-            filters,
-            grid_resolution=grid_resolution,
-            decompose=decompose,
-            dispersion_mode=dispersion_mode,
-            walk_off=walk_off,
-            truncation=truncation,
-            rate_resolution=rate_resolution,
-            singles_resolution=singles_resolution,
-        )
+        report = compute_metrics(geom, crystal, filters, numerics)
         rows.append(
             SweepRow(
                 swept_value=float(ratio),
@@ -215,27 +182,21 @@ def optimize(
     geom_template,
     crystal,
     filters,
-    alpha_convention="paper_literal",
     tie_alpha="consistent",
     waist_bounds=(50e-6, 800e-6),
     scan_points=121,
-    grid_resolution=201,
-    decompose="amplitude",
-    dispersion_mode="exact",
-    walk_off=False,
-    truncation=20,
-    rate_resolution=101,
-    singles_resolution=101,
     eta_coarse_points=11,
+    numerics=Numerics(),
 ):
     """Three-stage waist optimization.
 
     Stage 1 maximizes the pair rate over the pump waist by golden-section
     search, tying the collection waist to the separability condition. Stage 2
-    evaluates the closed-form collection waist at the optimum. Stage 3 scans
-    the collection waist over [0.5, 1.2] times the closed-form value,
-    maximizing the purity (with local quadratic refinement) and locating
-    the efficiency/purity crossing by bisection.
+    evaluates the closed-form collection waist at the optimum under
+    ``numerics.alpha_convention``. Stage 3 scans the collection waist over
+    [0.5, 1.2] times the closed-form value, maximizing the purity (with local
+    quadratic refinement) and locating the efficiency/purity crossing by
+    bisection.
     """
     lo, hi = waist_bounds
 
@@ -245,24 +206,20 @@ def optimize(
         except UnsatisfiableConditionError:
             return -math.inf
         geom = replace(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
-        return pair_rate(
-            geom, crystal, filters, base_resolution=rate_resolution,
-            dispersion_mode=dispersion_mode, walk_off=walk_off,
-        )
+        return _pair_rate(geom, crystal, filters, numerics)
 
     W0p_star, _ = golden_section_maximize(tied_rate, lo, hi, tol=0.25e-6)
     W0s_closed_form = purity_waist(
-        W0p_star, geom_template, crystal, alpha_convention=alpha_convention
+        W0p_star, geom_template, crystal, alpha_convention=numerics.alpha_convention
     )
 
     scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, scan_points)
 
+    def at_waist(W0s):
+        return replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
+
     def purity_at(W0s):
-        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
-        return _grid_purity(
-            geom, crystal, filters, grid_resolution, decompose,
-            dispersion_mode, walk_off,
-        )
+        return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
     purities = np.array([purity_at(w) for w in scan])
     k = int(np.argmax(purities))
@@ -277,11 +234,7 @@ def optimize(
         W0s_purity_star = scan[k]
 
     def eta_minus_purity(W0s):
-        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
-        _, _, _, eta = heralding_rates(
-            geom, crystal, filters, dispersion_mode, walk_off, truncation,
-            rate_resolution, singles_resolution,
-        )
+        _, _, _, eta = heralding_rates(at_waist(W0s), crystal, filters, numerics)
         return eta - purity_at(W0s)
 
     coarse = np.linspace(scan[0], scan[-1], eta_coarse_points)
@@ -307,19 +260,7 @@ def optimize(
             break
 
     def report_at(W0s):
-        geom = replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
-        return compute_metrics(
-            geom,
-            crystal,
-            filters,
-            grid_resolution=grid_resolution,
-            decompose=decompose,
-            dispersion_mode=dispersion_mode,
-            walk_off=walk_off,
-            truncation=truncation,
-            rate_resolution=rate_resolution,
-            singles_resolution=singles_resolution,
-        )
+        return compute_metrics(at_waist(W0s), crystal, filters, numerics)
 
     metrics = {
         "at_W0s_closed_form": report_at(W0s_closed_form),

@@ -5,10 +5,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdc_lab.cli import build_parser, main, shipped_config_path
-from spdc_lab.config import load_config
+from spdc_lab.config import Numerics, load_config
 from spdc_lab.errors import ConfigError
+
+# JSON values of every type but number
+JSON_JUNK = st.one_of(
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
 
 
 def read_shipped(name):
@@ -32,7 +43,7 @@ class TestLoadConfig:
         assert res["crystal"]["cut_angle_deg"] == pytest.approx(
             res["crystal"]["collinear_cut_angle_deg"] + 1.5, abs=1e-9
         )
-        assert cfg.numerics["grid_resolution"] == 201
+        assert cfg.numerics.grid_resolution == 201
 
     def test_nondegenerate_idler_derived(self, nondegenerate):
         res = nondegenerate.resolved
@@ -96,6 +107,39 @@ class TestLoadConfig:
         doc["numerics"]["grid_resolution"] = 32
         with pytest.raises(ConfigError, match="numerics.grid_resolution"):
             load_config(dump(doc, tmp_path))
+
+    def test_document_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="^configuration: must be a JSON object"):
+            load_config(dump([read_shipped("degenerate_810")], tmp_path))
+
+    def test_numerics_is_checked_on_construction(self):
+        assert Numerics() == load_config(shipped_config_path("degenerate_810")).numerics
+        with pytest.raises(ConfigError, match="^numerics.truncation_max_order:"):
+            Numerics(truncation_max_order=3)
+        with pytest.raises(ConfigError, match="^numerics.decompose:"):
+            Numerics(decompose="svd")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_field_loads_or_names_it(self, tmp_path_factory, data):
+        doc = read_shipped("degenerate_810")
+        section = data.draw(st.sampled_from([None, *doc]), label="section")
+        parent = doc if section is None else doc[section]
+        if section is not None and data.draw(st.booleans(), label="replace leaf"):
+            key = data.draw(st.sampled_from(sorted(parent)), label="leaf")
+        else:
+            # the prefix keeps the added sibling clear of every known key
+            key = "x-" + data.draw(st.text(max_size=6), label="sibling")
+        parent[key] = data.draw(JSON_JUNK, label="value")
+        field = key if section is None else "%s.%s" % (section, key)
+        path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_config(str(path))
+        except ConfigError as exc:
+            assert str(exc).startswith(field + ":"), str(exc)
+        else:
+            assert not key.startswith("x-"), "unknown field %s loaded" % field
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -257,19 +301,62 @@ class TestCliErrors:
         assert doc["type"] == "UnsatisfiableConditionError"
 
     @pytest.mark.parametrize(
-        "command, extra, message",
+        "command, extra, library_arg",
         [
             ("sweep-rate", ("--sweep-min", "0"), "waist_range"),
             ("sweep-rate", ("--steps", "0"), "steps"),
             ("sweep-ratio", ("--steps", "0"), "steps"),
+            ("sweep-rate", ("--sweep-min", "900"), "waist_range"),
         ],
     )
-    def test_explicit_zero_is_not_a_default(self, tmp_path, command, extra, message):
+    def test_explicit_zero_is_not_a_default(self, tmp_path, command, extra, library_arg):
         config = cheap_config(tmp_path)
         out = tmp_path / "zero"
         assert run_cli(command, config, out, *extra) == 2
         doc = json.loads((out / "error.json").read_text())
-        assert message in doc["error"]
+        assert doc["type"] == "ConfigError"
+        # the error names the flag, not the library argument it feeds
+        assert doc["error"].startswith(extra[0])
+        assert "%s must" % library_arg not in doc["error"]
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("numerics", "rate_resolution"), 1.5, "numerics.rate_resolution"),
+            (("numerics", "rate_resolution"), True, "numerics.rate_resolution"),
+            (("numerics", "singles_resolution"), 0, "numerics.singles_resolution"),
+            (("numerics", "walk_off_enabled"), "no", "numerics.walk_off_enabled"),
+            (("pump",), 5, "pump"),
+            (("filters",), [1], "filters"),
+            (("pump", "filter_halfwith_thz"), 10.0, "pump.filter_halfwith_thz"),
+            (("numeric",), {"grid_resolution": 101}, "numeric"),
+            (("pump", "waist_um"), True, "pump.waist_um"),
+            (("crystal", "name"), ["bbo"], "crystal.name"),
+            (("crystal", "name"), "xyz", "crystal.name"),
+            (("collection", "degenerate"), "no", "collection.degenerate"),
+            (("crystal", "azimuth_phi_deg"), "5", "crystal.azimuth_phi_deg"),
+            (("filters", "transmission"), 1.5, "filters.transmission"),
+            (("filters", "transmission"), "full", "filters.transmission"),
+        ],
+    )
+    def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
+        doc = read_shipped("degenerate_810")
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        out = tmp_path / "bad"
+        assert run_cli("metrics", dump(doc, tmp_path), out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith(field + ":")
+
+    def test_bad_grid_resolution_flag_exit_2(self, tmp_path):
+        out = tmp_path / "bad"
+        assert run_cli("jsa", cheap_config(tmp_path), out, "--grid-resolution", "10") == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith("numerics.grid_resolution:")
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         config = cheap_config(tmp_path)

@@ -142,7 +142,7 @@ class TestTraceRhoSquared:
     def test_shipped_configs(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         grid = jsa_grid(
-            cfg.numerics["grid_resolution"], cfg.geom, cfg.crystal,
+            cfg.numerics.grid_resolution, cfg.geom, cfg.crystal,
             cfg.filters.signal, cfg.filters.idler,
         )
         assert purity(grid) == pytest.approx(schmidt_purity(grid).purity, rel=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spdc_lab import sweep
+from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
 from spdc_lab.sweep import (
@@ -144,7 +145,7 @@ class TestMetricsVsWaistRatio:
             cfg.geom,
             cfg.crystal,
             cfg.filters,
-            grid_resolution=101,
+            numerics=Numerics(grid_resolution=101),
         )
         rates = [row.R for row in res.rows]
         assert rates[0] > rates[1] > rates[2]
