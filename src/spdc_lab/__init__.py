@@ -33,6 +33,8 @@ from .jsa import (
     GeometryFactors,
     JsaGrid,
     SINC_GAUSS_ALPHA,
+    SpectralGrid,
+    SpectralGrids,
     delta_coefficients,
     gaussian_model_purity,
     geometry_factors,

@@ -119,8 +119,14 @@ def _require(section, key, path):
 
 
 def _finite(value):
-    """True for a finite JSON number; a bool is not a number here."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """True for a finite JSON number; a bool is not a number here, nor is an
+    integer beyond the float range."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _positive(section, name, key, default=None):

@@ -25,12 +25,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 
 from .dispersion import inverse_group_velocity, wave_number
 from .errors import UnsatisfiableConditionError
+from .filters import filter_transmission
 
 # curvature-matching constant for the sinc -> Gaussian replacement
 # sinc(x) ~= exp(-SINC_GAUSS_ALPHA * x^2)
@@ -258,6 +260,118 @@ def _walk_off_grid(dkz, H, L, order=200):
     return np.exp(-1j * np.multiply.outer(dkz, z)) @ env
 
 
+class SpectralTerms:
+    """The waist-independent factors of Phi at the detunings (Omega_s,
+    Omega_i), any two arrays that broadcast.
+
+    The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump-bandwidth
+    exponent (Omega_s + Omega_i)^2 / (4 B_p^2) and L sinc(dk_z L / 2) depend
+    on the crystal, the modes, the emission angles and B_p but not on the
+    waists. ``amplitude`` applies one geometry's curvatures to them.
+    """
+
+    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode="exact"):
+        if dispersion_mode == "exact":
+            self.dky, self.dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
+        elif dispersion_mode == "linear":
+            ngv = central_inverse_group_velocities(geom, crystal)
+            self.dky, self.dkz = phase_mismatch_linear(
+                Omega_s, Omega_i, ngv, (geom.theta_s, geom.theta_i)
+            )
+        else:
+            raise ValueError("dispersion_mode must be 'exact' or 'linear'")
+        Omega_s = np.asarray(Omega_s, dtype=float)
+        Omega_i = np.asarray(Omega_i, dtype=float)
+        self.pump_term = (Omega_s + Omega_i) ** 2 / (4.0 * geom.pump_bandwidth_Bp**2)
+        self.length_L = crystal.length_L
+
+    @cached_property
+    def sinc(self):
+        L = self.length_L
+        return L * np.sinc(self.dkz * L / 2.0 / math.pi)
+
+    def amplitude(self, geom, walk_off=False):
+        """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)
+        envelope replaces the sinc."""
+        g = geometry_factors(geom)
+        if walk_off and g.H > 0:
+            phi_z = _walk_off_grid(self.dkz, g.H, self.length_L)
+        else:
+            phi_z = self.sinc
+        envelope = np.exp(-self.dky**2 / (4.0 * g.C) - self.pump_term)
+        return math.pi / math.sqrt(g.A * g.C) * phi_z * envelope
+
+
+def _spectral_key(geom, crystal, filters, dispersion_mode):
+    # everything a SpectralGrid depends on besides its resolution
+    beams = (geom.modes, geom.theta_s, geom.theta_i, geom.pump_bandwidth_Bp)
+    return beams + (crystal, filters, dispersion_mode)
+
+
+class SpectralGrid(SpectralTerms):
+    """SpectralTerms on ``resolution`` x ``resolution`` points spanning the
+    signal and idler windows of the FilterBank ``filters``.
+
+    Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
+    ``Om_i`` and the filter weight T_s T_i T_p; ``integrate`` is the
+    trapezoid rule on the grid.
+    """
+
+    def __init__(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
+        self.resolution = resolution
+        self.key = _spectral_key(geom, crystal, filters, dispersion_mode)
+        self.w_s = np.linspace(*filters.signal.support, resolution)
+        self.w_i = np.linspace(*filters.idler.support, resolution)
+        self.Om_s = self.w_s - geom.signal.central_angular_frequency
+        self.Om_i = self.w_i - geom.idler.central_angular_frequency
+        # sparse axes: the signal and idler wave numbers are evaluated once
+        # per axis point, and only the sums fill the grid
+        OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
+        super().__init__(OS, OI, geom, crystal, dispersion_mode)
+        T_s = filter_transmission(self.w_s, filters.signal)
+        T_i = filter_transmission(self.w_i, filters.idler)
+        T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), filters.pump)
+        self.weight = T_s[:, None] * T_i[None, :] * T_p
+
+    def fits(self, resolution, geom, crystal, filters, dispersion_mode):
+        return resolution == self.resolution and self.key == _spectral_key(
+            geom, crystal, filters, dispersion_mode
+        )
+
+    def integrate(self, density):
+        return float(np.trapezoid(np.trapezoid(density, self.Om_i, axis=1), self.Om_s))
+
+
+class SpectralGrids:
+    """The SpectralGrid objects of one run, one per resolution, each built
+    on first request.
+
+    Only the waists may differ between requests: a geometry, crystal, filter
+    bank or dispersion model other than the first request's raises
+    ValueError. A sweep or an optimization makes one holder and drops it on
+    return, so a run evaluates the phase mismatch once per resolution.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._grids = {}
+
+    def get(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
+        key = _spectral_key(geom, crystal, filters, dispersion_mode)
+        if self._key is None:
+            self._key = key
+        elif key != self._key:
+            raise ValueError(
+                "spectral grids were built for another geometry, crystal, "
+                "filter bank or dispersion model"
+            )
+        if resolution not in self._grids:
+            self._grids[resolution] = SpectralGrid(
+                resolution, geom, crystal, filters, dispersion_mode
+            )
+        return self._grids[resolution]
+
+
 def mode_function(
     Omega_s,
     Omega_i,
@@ -271,60 +385,38 @@ def mode_function(
     With ``walk_off`` False the longitudinal factor is L sinc(dk_z L / 2);
     enabling it evaluates the exp(-H z^2) envelope numerically.
     """
-    g = geometry_factors(geom)
-    if dispersion_mode == "exact":
-        dky, dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
-    elif dispersion_mode == "linear":
-        ngv = central_inverse_group_velocities(geom, crystal)
-        dky, dkz = phase_mismatch_linear(
-            Omega_s, Omega_i, ngv, (geom.theta_s, geom.theta_i)
-        )
-    else:
-        raise ValueError("dispersion_mode must be 'exact' or 'linear'")
-    L = crystal.length_L
-    Omega_s = np.asarray(Omega_s, dtype=float)
-    Omega_i = np.asarray(Omega_i, dtype=float)
-    if walk_off and g.H > 0:
-        phi_z = _walk_off_grid(dkz, g.H, L)
-    else:
-        phi_z = L * np.sinc(dkz * L / 2.0 / math.pi)
-    envelope = np.exp(
-        -dky**2 / (4.0 * g.C)
-        - (Omega_s + Omega_i) ** 2 / (4.0 * geom.pump_bandwidth_Bp**2)
-    )
-    return math.pi / math.sqrt(g.A * g.C) * phi_z * envelope
+    terms = SpectralTerms(Omega_s, Omega_i, geom, crystal, dispersion_mode)
+    return terms.amplitude(geom, walk_off)
 
 
 def jsa_grid(
     resolution,
     geom,
     crystal,
-    signal_filter,
-    idler_filter,
+    filters,
     dispersion_mode="exact",
     walk_off=False,
+    grids=None,
 ):
-    """Sample the amplitude on a uniform grid spanning the filter windows."""
+    """Sample the amplitude on a uniform grid spanning the signal and idler
+    windows of the FilterBank ``filters`` (no transmission applied).
+
+    ``grids`` is the run's SpectralGrids holder; without one the grid is
+    built for this call only.
+    """
     if resolution < MIN_GRID_RESOLUTION:
         raise ValueError(
             "grid resolution %d below minimum %d" % (resolution, MIN_GRID_RESOLUTION)
         )
     check_rayleigh(geom, crystal.length_L)
-    w_s = np.linspace(*signal_filter.support, resolution)
-    w_i = np.linspace(*idler_filter.support, resolution)
-    Om_s = w_s - geom.signal.central_angular_frequency
-    Om_i = w_i - geom.idler.central_angular_frequency
-    OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
-    amp = mode_function(
-        OS, OI, geom, crystal, dispersion_mode=dispersion_mode, walk_off=walk_off
-    )
-    amp = np.asarray(amp, dtype=complex)
-    norm = np.trapezoid(np.trapezoid(np.abs(amp) ** 2, Om_i, axis=1), Om_s)
+    grids = SpectralGrids() if grids is None else grids
+    grid = grids.get(resolution, geom, crystal, filters, dispersion_mode)
+    amp = np.asarray(grid.amplitude(geom, walk_off), dtype=complex)
     return JsaGrid(
-        omega_s_samples=w_s,
-        omega_i_samples=w_i,
+        omega_s_samples=grid.w_s,
+        omega_i_samples=grid.w_i,
         amplitude=amp,
-        normalization_N=1.0 / norm,
+        normalization_N=1.0 / grid.integrate(np.abs(amp) ** 2),
     )
 
 

@@ -27,15 +27,11 @@ from .dispersion import (
     index_ordinary,
 )
 from .errors import ConsistencyError, ConvergenceError
-from .filters import filter_transmission
-from .jsa import (
-    check_rayleigh,
-    geometry_factors,
-    jsa_grid,
-    mode_function,
-    phase_mismatch_exact,
-)
+from .jsa import SpectralGrids, SpectralTerms, check_rayleigh, geometry_factors, jsa_grid
 from .schmidt import purity
+
+# rows of the mode-sum grid contracted at a time in _ModeSumKernel.yz_integral
+_ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -165,32 +161,6 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
     return RatePrefactor(value=value, components=components)
 
 
-def _filter_axes(geom, filters, resolution):
-    w_s = np.linspace(*filters.signal.support, resolution)
-    w_i = np.linspace(*filters.idler.support, resolution)
-    Om_s = w_s - geom.signal.central_angular_frequency
-    Om_i = w_i - geom.idler.central_angular_frequency
-    return w_s, w_i, Om_s, Om_i
-
-
-def _transmission_weight(w_s, w_i, filters):
-    T_s = filter_transmission(w_s, filters.signal)
-    T_i = filter_transmission(w_i, filters.idler)
-    T_p = filter_transmission(np.add.outer(w_s, w_i), filters.pump)
-    return T_s[:, None] * T_i[None, :] * T_p
-
-
-def _pair_integral(geom, crystal, filters, resolution, dispersion_mode, walk_off):
-    w_s, w_i, Om_s, Om_i = _filter_axes(geom, filters, resolution)
-    OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
-    amp = mode_function(
-        OS, OI, geom, crystal, dispersion_mode=dispersion_mode, walk_off=walk_off
-    )
-    weight = _transmission_weight(w_s, w_i, filters)
-    density = weight * np.abs(amp) ** 2
-    return float(np.trapezoid(np.trapezoid(density, Om_i, axis=1), Om_s))
-
-
 def pair_rate(
     geom,
     crystal,
@@ -202,6 +172,7 @@ def pair_rate(
     walk_off=False,
     path_efficiency_s=1.0,
     path_efficiency_i=1.0,
+    grids=None,
 ):
     """Pair rate in pairs/(s mW), converged by grid doubling.
 
@@ -209,13 +180,18 @@ def pair_rate(
     idler filter windows (the sum-frequency variable is bounded by the pump
     filter inside the integrand), with the grid refined as N -> 2N - 1 until
     successive estimates agree to ``rel_tol``.
+
+    ``grids`` is the run's SpectralGrids holder, from which every doubling
+    level takes its grid; without one the grids are built for this call only.
     """
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
+    grids = SpectralGrids() if grids is None else grids
     prev = None
     n = base_resolution
     while n <= max_resolution:
-        cur = _pair_integral(geom, crystal, filters, n, dispersion_mode, walk_off)
+        grid = grids.get(n, geom, crystal, filters, dispersion_mode)
+        cur = grid.integrate(grid.weight * np.abs(grid.amplitude(geom, walk_off)) ** 2)
         if prev is not None:
             scale = max(abs(cur), abs(prev))
             if scale == 0.0 or abs(cur - prev) <= rel_tol * scale:
@@ -254,34 +230,22 @@ class _ModeSumKernel:
     exp(-H z^2) envelope is omitted, matching the closed-form amplitude.
     A, C, D and H combine both collection waists, so one kernel serves both
     arms; the arm (see ``_arm``) enters only through the mode arguments.
+    ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the phase
+    mismatch and the pump exponent.
     """
 
-    def __init__(
-        self,
-        geom,
-        crystal,
-        Om_s,
-        Om_i,
-        walk_off,
-        n_x=64,
-        n_y=40,
-        n_z=48,
-    ):
+    def __init__(self, geom, terms, walk_off, n_x=64, n_y=40, n_z=48):
         self.geom = geom
+        self.terms = terms
         g = geometry_factors(geom)
-        OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
-        dky, dkz = phase_mismatch_exact(OS, OI, geom, crystal)
-        self.shape = OS.shape
-        dky = np.asarray(dky, dtype=float).ravel()
-        dkz = np.asarray(dkz, dtype=float).ravel()
-        self.gp = np.exp(
-            -((OS + OI).ravel()) ** 2 / (4.0 * geom.pump_bandwidth_Bp**2)
-        )
+        self.shape = terms.dky.shape
+        dky, dkz = terms.dky.ravel(), terms.dkz.ravel()
+        self.gp = np.exp(-terms.pump_term.ravel())
         tx, wx = hermgauss(n_x)
         self.x_nodes = tx / math.sqrt(g.A)
         self.x_weights = wx / math.sqrt(g.A)
         tz, wz = leggauss(n_z)
-        L = crystal.length_L
+        L = terms.length_L
         self.z_nodes = tz * L / 2.0
         z_weights = wz * L / 2.0
         ty, wy = hermgauss(n_y)
@@ -291,9 +255,12 @@ class _ModeSumKernel:
         )
         self.y_weights = wy / math.sqrt(g.C)
         # phase over the grid: dky y + dkz z with y at the shifted nodes
-        self.Y = np.exp(1j * np.outer(dky, ty / math.sqrt(g.C)))
+        # (exponentials in place, so no second (N, n_y) or (N, n_z) array)
+        self.Y = 1j * np.outer(dky, ty / math.sqrt(g.C))
+        np.exp(self.Y, out=self.Y)
         zshift = dkz[:, None] - dky[:, None] * g.D / (2.0 * g.C)
-        self.z_phase = np.exp(1j * zshift * self.z_nodes[None, :])
+        self.z_phase = 1j * zshift * self.z_nodes[None, :]
+        np.exp(self.z_phase, out=self.z_phase)
         self.z_env = z_weights * (np.exp(-g.H * self.z_nodes**2) if walk_off else 1.0)
 
     def x_integral(self, n, arm):
@@ -307,9 +274,14 @@ class _ModeSumKernel:
             :, None
         ] * math.sin(theta)
         mvec = _hermite_phys(m, math.sqrt(2.0) * y_rot / Wc) * self.y_weights[None, :]
-        t = self.Y @ mvec.T
-        t *= self.z_phase
-        return t @ self.z_env
+        out = np.empty(len(self.Y), dtype=complex)
+        # row blocks keep the (rows, n_z) temporary small
+        for start in range(0, len(out), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            t = self.Y[rows] @ mvec.T
+            t *= self.z_phase[rows]
+            out[rows] = t @ self.z_env
+        return out
 
     def amplitude(self, n, m, arm):
         return (
@@ -340,12 +312,11 @@ def mode_function_nm(
     Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
     n_x, n_y, n_z = quad_orders
     arm = _arm(geom, which)
-    kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off, n_x, n_y, n_z)
+    terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal)
+    kern = _ModeSumKernel(geom, terms, walk_off, n_x, n_y, n_z)
     val = kern.amplitude(n, m, arm)
     if check_convergence:
-        kern2 = _ModeSumKernel(
-            geom, crystal, Om_s, Om_i, walk_off, n_x + 16, n_y + 12, n_z + 16
-        )
+        kern2 = _ModeSumKernel(geom, terms, walk_off, n_x + 16, n_y + 12, n_z + 16)
         val2 = kern2.amplitude(n, m, arm)
         scale = np.max(np.abs(val2))
         if scale > 0 and np.max(np.abs(val - val2)) > 1e-6 * scale:
@@ -372,6 +343,8 @@ def singles_rate(
     path_efficiency_s=1.0,
     path_efficiency_i=1.0,
     kernel=None,
+    dispersion_mode="exact",
+    grids=None,
 ):
     """Mode-summed singles rate for one arm, in counts/(s mW).
 
@@ -381,19 +354,24 @@ def singles_rate(
     fundamental normalization by 2^(n+m) n! m!.
 
     ``kernel`` is this geometry's mode-sum kernel on the same grid and
-    settings, shared by both arms (see ``heralding_rates``).
+    settings, shared by both arms (see ``heralding_rates``). Without one the
+    kernel is built on the ``resolution`` grid of ``grids``, the run's
+    SpectralGrids holder, or of a holder made for this call.
     """
     if truncation < 4:
         raise ValueError("truncation ceiling must be at least 4")
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
-    w_s, w_i, Om_s, Om_i = _filter_axes(geom, filters, resolution)
-    weight = _transmission_weight(w_s, w_i, filters)
     if kernel is None:
-        kernel = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off, *quad_orders)
-    elif kernel.geom != geom or kernel.shape != weight.shape:
+        grids = SpectralGrids() if grids is None else grids
+        grid = grids.get(resolution, geom, crystal, filters, dispersion_mode)
+        kernel = _ModeSumKernel(geom, grid, walk_off, *quad_orders)
+    elif kernel.geom != geom or not kernel.terms.fits(
+        resolution, geom, crystal, filters, dispersion_mode
+    ):
         raise ValueError("mode-sum kernel was built for another geometry or grid")
+    grid = kernel.terms
 
     c_n, d_m = [], []
 
@@ -406,10 +384,10 @@ def singles_rate(
     def get_dm(m):
         while len(d_m) <= m:
             k = len(d_m)
-            density = weight * (
+            density = grid.weight * (
                 np.abs(kernel.gp * kernel.yz_integral(k, arm)) ** 2
             ).reshape(kernel.shape)
-            val = float(np.trapezoid(np.trapezoid(density, Om_i, axis=1), Om_s))
+            val = grid.integrate(density)
             d_m.append(val / (2**k * math.factorial(k)))
         return d_m[m]
 
@@ -446,54 +424,61 @@ def heralding_efficiency(R, Rs, Ri):
     return eta
 
 
-def heralding_rates(geom, crystal, filters, numerics):
+def heralding_rates(geom, crystal, filters, numerics, grids=None):
     """(R, signal and idler SinglesResult, eta) of one geometry. The two
-    singles arms share one mode-sum kernel, which is dropped on return."""
-    walk_off = numerics.walk_off_enabled
+    singles arms share one mode-sum kernel, which is dropped on return;
+    ``grids`` is the run's SpectralGrids holder (one for this call if None)."""
+    grids = SpectralGrids() if grids is None else grids
+    walk_off, dispersion_mode = numerics.walk_off_enabled, numerics.dispersion_mode
     R = pair_rate(
         geom, crystal, filters, base_resolution=numerics.rate_resolution,
-        dispersion_mode=numerics.dispersion_mode, walk_off=walk_off,
+        dispersion_mode=dispersion_mode, walk_off=walk_off, grids=grids,
     )
-    _, _, Om_s, Om_i = _filter_axes(geom, filters, numerics.singles_resolution)
+    grid = grids.get(numerics.singles_resolution, geom, crystal, filters, dispersion_mode)
     arm_settings = dict(
         truncation=numerics.truncation_max_order,
         resolution=numerics.singles_resolution,
         walk_off=walk_off,
-        kernel=_ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off),
+        kernel=_ModeSumKernel(geom, grid, walk_off),
+        dispersion_mode=dispersion_mode,
     )
     res_s = singles_rate("signal", geom, crystal, filters, **arm_settings)
     res_i = singles_rate("idler", geom, crystal, filters, **arm_settings)
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
 
 
-def filter_jsa(geom, crystal, filters, numerics):
+def filter_jsa(geom, crystal, filters, numerics, grids=None):
     """The JSA sampled over the signal and idler filter windows."""
     return jsa_grid(
         numerics.grid_resolution,
         geom,
         crystal,
-        filters.signal,
-        filters.idler,
+        filters,
         dispersion_mode=numerics.dispersion_mode,
         walk_off=numerics.walk_off_enabled,
+        grids=grids,
     )
 
 
-def jsa_purity(geom, crystal, filters, numerics):
+def jsa_purity(geom, crystal, filters, numerics, grids=None):
     """Purity of ``filter_jsa`` in the ``numerics.decompose`` mode."""
-    grid = filter_jsa(geom, crystal, filters, numerics)
+    grid = filter_jsa(geom, crystal, filters, numerics, grids)
     return purity(grid, decompose=numerics.decompose)
 
 
-def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapshot=None):
-    """Assemble the full report: R, Rs, Ri, eta, purity."""
-    R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics)
+def compute_metrics(
+    geom, crystal, filters, numerics=Numerics(), settings_snapshot=None, grids=None
+):
+    """Assemble the full report: R, Rs, Ri, eta, purity. ``grids`` is the
+    run's SpectralGrids holder; without one the call makes its own."""
+    grids = SpectralGrids() if grids is None else grids
+    R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics, grids)
     return MetricsReport(
         pair_rate_R=R,
         singles_rate_s=res_s.rate,
         singles_rate_i=res_i.rate,
         heralding_eta=eta,
-        purity_P=jsa_purity(geom, crystal, filters, numerics),
+        purity_P=jsa_purity(geom, crystal, filters, numerics, grids),
         mode_sum_truncation=(
             max(res_s.max_shell, res_i.max_shell),
             max(res_s.tail_estimate, res_i.tail_estimate),

@@ -209,10 +209,10 @@ def test_criterion_7_property_suite(degenerate, capsys):
 
     # grid doubling: purity moves < 1e-3 and the rate < 0.5%
     p1 = schmidt_purity(
-        jsa_grid(201, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler)
+        jsa_grid(201, cfg.geom, cfg.crystal, cfg.filters)
     ).purity
     p2 = schmidt_purity(
-        jsa_grid(401, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler)
+        jsa_grid(401, cfg.geom, cfg.crystal, cfg.filters)
     ).purity
     if abs(p2 - p1) >= 1e-3:
         failures.append("grid-doubling purity")

@@ -337,6 +337,9 @@ class TestCliErrors:
             (("crystal", "azimuth_phi_deg"), "5", "crystal.azimuth_phi_deg"),
             (("filters", "transmission"), 1.5, "filters.transmission"),
             (("filters", "transmission"), "full", "filters.transmission"),
+            pytest.param(
+                ("pump", "waist_um"), 10**400, "pump.waist_um", id="int-beyond-float-range"
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):

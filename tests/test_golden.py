@@ -1,11 +1,13 @@
-"""Golden outputs: the ``metrics`` and ``optimize`` reports of both shipped
-configurations, rerun through the CLI and compared field by field.
+"""Golden outputs: the ``metrics``, ``optimize`` and ``sweep-rate`` outputs
+of both shipped configurations, rerun through the CLI and compared field by
+field.
 
 Floats agree to 1e-9 relative, ``tail_estimate`` (a ratio of the last
 mode-sum shell to the total) to 1e-6; ints, bools, None and the echoed
 configuration must match exactly.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -48,3 +50,21 @@ def test_report_matches_golden(tmp_path, config, command, report):
     got = json.loads((out / report).read_text())
     want = json.loads((GOLDEN / config / report).read_text())
     assert_matches(got, want, report)
+
+
+@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
+def test_sweep_rate_matches_golden(tmp_path, config):
+    out = tmp_path / "sweep-rate"
+    assert main(["sweep-rate", "--config", shipped_config_path(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep_rate.json").read_text())
+    assert_matches(doc, json.loads((GOLDEN / config / "sweep_rate.json").read_text()), "json")
+    with open(out / "sweep_rate.csv") as fh:
+        got = list(csv.reader(fh))
+    with open(GOLDEN / config / "sweep_rate.csv") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, (got_row, want_row) in enumerate(zip(got[1:], want[1:])):
+        assert [cell == "" for cell in got_row] == [cell == "" for cell in want_row], row
+        for col, (g, w) in enumerate(zip(got_row, want_row)):
+            if w:
+                assert_matches(float(g), float(w), "csv[%d][%s]" % (row, got[0][col]))

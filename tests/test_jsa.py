@@ -11,6 +11,7 @@ from spdc_lab.jsa import (
     MIN_GRID_RESOLUTION,
     SINC_GAUSS_ALPHA,
     BeamGeometry,
+    SpectralGrids,
     delta_coefficients,
     gaussian_model_purity,
     geometry_factors,
@@ -153,7 +154,7 @@ class TestModeFunction:
     def test_argmax_near_center(self, degenerate):
         cfg = degenerate
         grid = jsa_grid(
-            101, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+            101, cfg.geom, cfg.crystal, cfg.filters
         )
         j, k = np.unravel_index(np.argmax(np.abs(grid.amplitude)), grid.amplitude.shape)
         assert abs(j - 50) <= 1 and abs(k - 50) <= 1
@@ -171,6 +172,41 @@ class TestModeFunction:
             mode_function(0.0, 0.0, degenerate.geom, degenerate.crystal, "cubic")
 
 
+class TestSpectralGrids:
+    def test_one_grid_per_resolution_across_waists(self, degenerate):
+        cfg = degenerate
+        grids = SpectralGrids()
+        grid = grids.get(101, cfg.geom, cfg.crystal, cfg.filters)
+        wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4, W0i=1e-4)
+        assert grids.get(101, wider, cfg.crystal, cfg.filters) is grid
+        assert grids.get(201, wider, cfg.crystal, cfg.filters).dky.shape == (201, 201)
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
+        cfg = nondegenerate
+        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters)
+        geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
+        want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
+        assert np.array_equal(grid.amplitude(geom, walk_off), want)
+
+    def test_rejects_another_spectral_setting(self, degenerate):
+        cfg = degenerate
+        grids = SpectralGrids()
+        grids.get(101, cfg.geom, cfg.crystal, cfg.filters)
+        tilted = replace(cfg.geom, theta_s=1.01 * cfg.geom.theta_s)
+        narrow = replace(
+            cfg.filters, pump=replace(cfg.filters.pump, half_width=cfg.filters.pump.half_width / 2)
+        )
+        for args in (
+            (101, tilted, cfg.crystal, cfg.filters),
+            (201, cfg.geom, cfg.crystal, narrow),
+            (101, cfg.geom, cfg.crystal, cfg.filters, "linear"),
+        ):
+            with pytest.raises(ValueError, match="another geometry"):
+                grids.get(*args)
+
+
 class TestJsaGrid:
     def test_resolution_floor(self, degenerate):
         cfg = degenerate
@@ -179,14 +215,13 @@ class TestJsaGrid:
                 MIN_GRID_RESOLUTION - 1,
                 cfg.geom,
                 cfg.crystal,
-                cfg.filters.signal,
-                cfg.filters.idler,
+                cfg.filters,
             )
 
     def test_normalization(self, degenerate):
         cfg = degenerate
         grid = jsa_grid(
-            101, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+            101, cfg.geom, cfg.crystal, cfg.filters
         )
         dens = np.abs(grid.amplitude) ** 2
         total = np.trapezoid(
@@ -199,7 +234,7 @@ class TestJsaGrid:
         vals = []
         for res in (201, 401):
             grid = jsa_grid(
-                res, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+                res, cfg.geom, cfg.crystal, cfg.filters
             )
             vals.append(schmidt_purity(grid).purity)
         assert abs(vals[1] - vals[0]) < 1e-3
@@ -210,7 +245,7 @@ class TestJsaGrid:
         cfg = degenerate
         geom = replace(cfg.geom, pump_bandwidth_Bp=1e10)
         grid = jsa_grid(
-            201, geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+            201, geom, cfg.crystal, cfg.filters
         )
         OS = grid.omega_s_samples[:, None] - geom.signal.central_angular_frequency
         OI = grid.omega_i_samples[None, :] - geom.idler.central_angular_frequency

@@ -7,9 +7,18 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_hermite
 
+from spdc_lab import metrics
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
-from spdc_lab.jsa import geometry_factors, mode_function, phase_mismatch_exact
+from spdc_lab.jsa import (
+    SpectralGrids,
+    SpectralTerms,
+    central_inverse_group_velocities,
+    geometry_factors,
+    mode_function,
+    phase_mismatch_exact,
+    phase_mismatch_linear,
+)
 from spdc_lab.metrics import (
     _arm,
     _ModeSumKernel,
@@ -187,12 +196,12 @@ class TestModeOverlap:
             )
 
 
-def yz_loop_oracle(geom, crystal, Om_s, Om_i, which, walk_off, m, n_y=40, n_z=48):
-    """y-z overlap of one arm, one Gauss-Legendre z node at a time, with the
-    phase dky y + dkz z evaluated directly at the shifted y nodes."""
+def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=40, n_z=48):
+    """y-z overlap of one arm for the phase mismatch ``dk`` = (dky, dkz), one
+    Gauss-Legendre z node at a time, with the phase dky y + dkz z evaluated
+    directly at the shifted y nodes."""
     g = geometry_factors(geom)
-    OS, OI = np.meshgrid(Om_s, Om_i, indexing="ij")
-    dky, dkz = (np.ravel(d) for d in phase_mismatch_exact(OS, OI, geom, crystal))
+    dky, dkz = (np.ravel(d) for d in dk)
     if which == "signal":
         theta, sign, Wc = geom.theta_s, 1.0, geom.W0s
     else:
@@ -211,12 +220,22 @@ def yz_loop_oracle(geom, crystal, Om_s, Om_i, which, walk_off, m, n_y=40, n_z=48
     return out
 
 
-def detuning_axes(geom, filters, n_s, n_i):
+def assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off):
+    for which in ("signal", "idler"):
+        arm = _arm(geom, which)
+        for m in range(5):
+            got = kern.yz_integral(m, arm)
+            want = yz_loop_oracle(geom, crystal, dk, which, walk_off, m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def detuning_mesh(geom, filters, n_s, n_i):
     Om_s = np.linspace(*filters.signal.support, n_s)
     Om_i = np.linspace(*filters.idler.support, n_i)
-    return (
+    return np.meshgrid(
         Om_s - geom.signal.central_angular_frequency,
         Om_i - geom.idler.central_angular_frequency,
+        indexing="ij",
     )
 
 
@@ -228,20 +247,37 @@ class TestModeSumKernel:
     def test_shared_kernel_matches_loop_oracle(self, which_cfg, walk_off, request):
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        Om_s, Om_i = detuning_axes(geom, filters, 15, 13)
-        kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, walk_off)
-        for which in ("signal", "idler"):
-            arm = _arm(geom, which)
-            for m in range(5):
-                got = kern.yz_integral(m, arm)
-                want = yz_loop_oracle(geom, crystal, Om_s, Om_i, which, walk_off, m)
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        OS, OI = detuning_mesh(geom, filters, 15, 13)
+        kern = _ModeSumKernel(geom, SpectralTerms(OS, OI, geom, crystal), walk_off)
+        dk = phase_mismatch_exact(OS, OI, geom, crystal)
+        assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off)
+
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_kernel_follows_linear_dispersion(self, which_cfg, request):
+        cfg = request.getfixturevalue(which_cfg)
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        grid = SpectralGrids().get(15, geom, crystal, filters, "linear")
+        kern = _ModeSumKernel(geom, grid, False)
+        OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
+        ngv = central_inverse_group_velocities(geom, crystal)
+        dk = phase_mismatch_linear(OS, OI, ngv, (geom.theta_s, geom.theta_i))
+        assert_kernel_matches_oracle(kern, geom, crystal, dk, False)
+
+    def test_row_blocks_match_one_block(self, nondegenerate, monkeypatch):
+        cfg = nondegenerate
+        geom = cfg.geom
+        grid = SpectralGrids().get(31, geom, cfg.crystal, cfg.filters)
+        kern = _ModeSumKernel(geom, grid, False)
+        arm = _arm(geom, "signal")
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", grid.dky.size)
+        whole = kern.yz_integral(3, arm)
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", 100)
+        assert np.array_equal(kern.yz_integral(3, arm), whole)
 
     def test_singles_rate_on_shared_kernel(self, nondegenerate):
         cfg = nondegenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        Om_s, Om_i = detuning_axes(geom, filters, 31, 31)
-        kern = _ModeSumKernel(geom, crystal, Om_s, Om_i, False)
+        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters), False)
         for which in ("signal", "idler"):
             own = singles_rate(which, geom, crystal, filters, resolution=31)
             assert singles_rate(

@@ -143,7 +143,7 @@ class TestTraceRhoSquared:
         cfg = request.getfixturevalue(which_cfg)
         grid = jsa_grid(
             cfg.numerics.grid_resolution, cfg.geom, cfg.crystal,
-            cfg.filters.signal, cfg.filters.idler,
+            cfg.filters,
         )
         assert purity(grid) == pytest.approx(schmidt_purity(grid).purity, rel=1e-12)
         assert purity(grid, decompose="intensity") == (
@@ -166,7 +166,7 @@ class TestOnSampledAmplitude:
         vals = []
         for res in (101, 201, 401):
             grid = jsa_grid(
-                res, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+                res, cfg.geom, cfg.crystal, cfg.filters
             )
             vals.append(schmidt_purity(grid).purity)
         assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
@@ -175,7 +175,7 @@ class TestOnSampledAmplitude:
     def test_high_purity_at_reference_geometry(self, degenerate):
         cfg = degenerate
         grid = jsa_grid(
-            201, cfg.geom, cfg.crystal, cfg.filters.signal, cfg.filters.idler
+            201, cfg.geom, cfg.crystal, cfg.filters
         )
         spec = schmidt_purity(grid)
         assert spec.purity == pytest.approx(0.999950, abs=1e-4)

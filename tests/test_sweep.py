@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spdc_lab import sweep
+from spdc_lab import jsa, sweep
 from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
@@ -133,6 +133,23 @@ class TestRateVsPumpWaist:
                 cfg.filters,
                 include_purity=False,
             )
+
+
+    @pytest.mark.parametrize("steps", [5, 40])
+    def test_phase_mismatch_once_per_resolution(self, degenerate, monkeypatch, steps):
+        # pair-rate levels 101 and 201, the purity grid is the 201 level again
+        cfg = degenerate
+        sizes = []
+        original = jsa.phase_mismatch_exact
+
+        def counting(Omega_s, Omega_i, geom, crystal):
+            sizes.append(np.broadcast(Omega_s, Omega_i).size)
+            return original(Omega_s, Omega_i, geom, crystal)
+
+        monkeypatch.setattr(jsa, "phase_mismatch_exact", counting)
+        result = rate_vs_pump_waist((50e-6, 800e-6), steps, cfg.geom, cfg.crystal, cfg.filters)
+        assert len(result.rows) > 1
+        assert sorted(sizes) == [101**2, 201**2]
 
 
 class TestMetricsVsWaistRatio:
