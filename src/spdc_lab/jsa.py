@@ -280,10 +280,17 @@ class SpectralTerms:
             )
         else:
             raise ValueError("dispersion_mode must be 'exact' or 'linear'")
-        Omega_s = np.asarray(Omega_s, dtype=float)
-        Omega_i = np.asarray(Omega_i, dtype=float)
-        self.pump_term = (Omega_s + Omega_i) ** 2 / (4.0 * geom.pump_bandwidth_Bp**2)
+        self.Omega_s = np.asarray(Omega_s, dtype=float)
+        self.Omega_i = np.asarray(Omega_i, dtype=float)
+        self.pump_bandwidth_Bp = geom.pump_bandwidth_Bp
         self.length_L = crystal.length_L
+
+    @property
+    def pump_term(self):
+        # recomputed per use: on sparse detuning axes it costs one pass over
+        # the grid, less than holding another grid-sized array for the run
+        Bp = self.pump_bandwidth_Bp
+        return (self.Omega_s + self.Omega_i) ** 2 / (4.0 * Bp**2)
 
     @cached_property
     def sinc(self):
@@ -314,7 +321,8 @@ class SpectralGrid(SpectralTerms):
 
     Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
     ``Om_i`` and the filter weight T_s T_i T_p; ``integrate`` is the
-    trapezoid rule on the grid.
+    trapezoid rule on the grid. ``key`` is everything the grid depends on
+    besides its resolution.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
@@ -333,10 +341,9 @@ class SpectralGrid(SpectralTerms):
         T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), filters.pump)
         self.weight = T_s[:, None] * T_i[None, :] * T_p
 
-    def fits(self, resolution, geom, crystal, filters, dispersion_mode):
-        return resolution == self.resolution and self.key == _spectral_key(
-            geom, crystal, filters, dispersion_mode
-        )
+    def fits(self, geom, crystal, filters, dispersion_mode):
+        """Whether the grid serves this request at its own resolution."""
+        return self.key == _spectral_key(geom, crystal, filters, dispersion_mode)
 
     def integrate(self, density):
         return float(np.trapezoid(np.trapezoid(density, self.Om_i, axis=1), self.Om_s))
@@ -353,14 +360,13 @@ class SpectralGrids:
     """
 
     def __init__(self):
-        self._key = None
         self._grids = {}
 
     def get(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
-        key = _spectral_key(geom, crystal, filters, dispersion_mode)
-        if self._key is None:
-            self._key = key
-        elif key != self._key:
+        if not all(
+            grid.fits(geom, crystal, filters, dispersion_mode)
+            for grid in self._grids.values()
+        ):
             raise ValueError(
                 "spectral grids were built for another geometry, crystal, "
                 "filter bank or dispersion model"

@@ -344,7 +344,6 @@ def singles_rate(
     path_efficiency_i=1.0,
     kernel=None,
     dispersion_mode="exact",
-    grids=None,
 ):
     """Mode-summed singles rate for one arm, in counts/(s mW).
 
@@ -355,8 +354,7 @@ def singles_rate(
 
     ``kernel`` is this geometry's mode-sum kernel on the same grid and
     settings, shared by both arms (see ``heralding_rates``). Without one the
-    kernel is built on the ``resolution`` grid of ``grids``, the run's
-    SpectralGrids holder, or of a holder made for this call.
+    kernel is built on a ``resolution`` grid made for this call.
     """
     if truncation < 4:
         raise ValueError("truncation ceiling must be at least 4")
@@ -364,11 +362,12 @@ def singles_rate(
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
     if kernel is None:
-        grids = SpectralGrids() if grids is None else grids
-        grid = grids.get(resolution, geom, crystal, filters, dispersion_mode)
+        grid = SpectralGrids().get(resolution, geom, crystal, filters, dispersion_mode)
         kernel = _ModeSumKernel(geom, grid, walk_off, *quad_orders)
-    elif kernel.geom != geom or not kernel.terms.fits(
-        resolution, geom, crystal, filters, dispersion_mode
+    elif (
+        kernel.geom != geom
+        or kernel.terms.resolution != resolution
+        or not kernel.terms.fits(geom, crystal, filters, dispersion_mode)
     ):
         raise ValueError("mode-sum kernel was built for another geometry or grid")
     grid = kernel.terms
