@@ -290,6 +290,11 @@ class TestModeSumKernel:
                 "signal", replace(geom, W0p=2 * geom.W0p), crystal, filters,
                 resolution=31, kernel=kern,
             )
+        with pytest.raises(ValueError, match="another geometry"):
+            singles_rate(
+                "signal", geom, crystal, filters, resolution=31, kernel=kern,
+                dispersion_mode="linear",
+            )
 
 
 class TestSinglesRate:
