@@ -1,6 +1,6 @@
-"""Golden outputs: the ``metrics``, ``optimize`` and ``sweep-rate`` outputs
-of both shipped configurations, rerun through the CLI and compared field by
-field.
+"""Golden outputs: the ``metrics``, ``metrics --walk-off``, ``optimize`` and
+``sweep-rate`` outputs of both shipped configurations, rerun through the CLI
+and compared field by field.
 
 Floats agree to 1e-9 relative, ``tail_estimate`` (a ratio of the last
 mode-sum shell to the total) to 1e-6; ints, bools, None and the echoed
@@ -50,6 +50,16 @@ def test_report_matches_golden(tmp_path, config, command, report):
     got = json.loads((out / report).read_text())
     want = json.loads((GOLDEN / config / report).read_text())
     assert_matches(got, want, report)
+
+
+@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
+def test_walk_off_metrics_matches_golden(tmp_path, config):
+    out = tmp_path / "metrics"
+    argv = ["metrics", "--config", shipped_config_path(config), "--out", str(out), "--walk-off"]
+    assert main(argv) == 0
+    got = json.loads((out / "metrics_report.json").read_text())
+    want = json.loads((GOLDEN / config / "metrics_walk_off_report.json").read_text())
+    assert_matches(got, want, "metrics_walk_off_report.json")
 
 
 @pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
