@@ -13,6 +13,7 @@ error, 3 I/O error.
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, replace
@@ -26,7 +27,7 @@ from .dispersion import (
     walk_off_angle,
     wave_number,
 )
-from .errors import ConfigError, SpdcLabError
+from .errors import ConfigError, ConvergenceError, SpdcLabError
 from .jsa import write_jsa_csv, write_jsa_json
 from .metrics import compute_metrics, filter_jsa
 from .sweep import (
@@ -236,6 +237,8 @@ def main(argv=None):
 
 def _emit_error(args, exc):
     doc = {"error": str(exc), "type": type(exc).__name__}
+    if isinstance(exc, ConvergenceError):  # its scalar estimates; arrays are left out
+        doc["estimates"] = [float(e) for e in exc.estimates or () if isinstance(e, numbers.Real)]
     print(json.dumps(doc), file=sys.stderr)
     try:
         os.makedirs(args.out, exist_ok=True)

@@ -37,11 +37,17 @@ _ENUMS = {
     "frequency_convention": FREQUENCY_CONVENTIONS,
 }
 
-_INT_FLOORS = {
-    "grid_resolution": MIN_GRID_RESOLUTION,
-    "truncation_max_order": 4,
-    "rate_resolution": 2,
-    "singles_resolution": 2,
+MAX_RATE_RESOLUTION = 801  # finest level of the pair-rate doubling N -> 2N - 1
+
+# (floor, ceiling) of the integer fields: the rate resolution leaves room for
+# one doubling within MAX_RATE_RESOLUTION, the singles grid is no finer than
+# that, a 4001^2 complex JSA grid is 256 MB and 2^m m! is a finite float up
+# to m = 150
+_INT_RANGES = {
+    "grid_resolution": (MIN_GRID_RESOLUTION, 4001),
+    "truncation_max_order": (4, 150),
+    "rate_resolution": (2, (MAX_RATE_RESOLUTION + 1) // 2),
+    "singles_resolution": (2, MAX_RATE_RESOLUTION),
 }
 
 
@@ -68,10 +74,12 @@ class Numerics:
                 )
         if not isinstance(self.walk_off_enabled, bool):
             raise ConfigError("numerics.walk_off_enabled: must be true or false")
-        for key, floor in _INT_FLOORS.items():
+        for key, (floor, ceiling) in _INT_RANGES.items():
             value = getattr(self, key)
-            if type(value) is not int or value < floor:
-                raise ConfigError("numerics.%s: integer >= %d required" % (key, floor))
+            if type(value) is not int or not floor <= value <= ceiling:
+                raise ConfigError(
+                    "numerics.%s: integer in [%d, %d] required" % (key, floor, ceiling)
+                )
 
 
 _SECTION_KEYS = {

@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.hermite import hermgauss
 from scipy.constants import c, epsilon_0
 
-from .config import Numerics
+from .config import MAX_RATE_RESOLUTION, Numerics
 from .dispersion import (
     effective_nonlinearity,
     index_extraordinary,
@@ -29,10 +27,6 @@ from .dispersion import (
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import SpectralGrids, SpectralTerms, check_rayleigh, geometry_factors, jsa_grid
 from .schmidt import purity
-
-# rows of the mode-sum grid contracted at a time in _ModeSumKernel.yz_integral
-_ROW_BLOCK = 2048
-
 
 @dataclass(frozen=True)
 class RatePrefactor:
@@ -49,11 +43,15 @@ class RatePrefactor:
 
 @dataclass(frozen=True)
 class SinglesResult:
-    """Mode-summed singles rate with the truncation bookkeeping."""
+    """Mode-summed singles rate with the truncation bookkeeping: the
+    Gauss-Legendre z order of the last shell and the relative change of its
+    term at _Z_RAISE more nodes."""
 
     rate: float
     max_shell: int
     tail_estimate: float
+    z_order: int
+    z_change: float
 
 
 @dataclass(frozen=True)
@@ -120,26 +118,12 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
         )
     )
     P_watt = geom.pump_power_P * 1e-3
+    w_s0, w_i0 = geom.signal.central_angular_frequency, geom.idler.central_angular_frequency
     value = (
-        path_efficiency_s
-        * path_efficiency_i
-        * P_watt
-        * d_eff**2
-        * alpha2["s"]
-        * alpha2["i"]
-        * alpha2["p"]
-        * geom.signal.central_angular_frequency
-        * geom.idler.central_angular_frequency
-        / (
-            math.sqrt(2.0)
-            * math.pi**1.5
-            * epsilon_0
-            * c**3
-            * n_s
-            * n_i
-            * n_p
-            * geom.pump_bandwidth_Bp
-        )
+        path_efficiency_s * path_efficiency_i * P_watt * d_eff**2
+        * alpha2["s"] * alpha2["i"] * alpha2["p"] * w_s0 * w_i0
+        / (math.sqrt(2.0) * math.pi**1.5 * epsilon_0 * c**3 * n_s * n_i * n_p
+           * geom.pump_bandwidth_Bp)
     )
     components = {
         "path_efficiency_s": path_efficiency_s,
@@ -149,8 +133,8 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
         "alpha_s_sq": alpha2["s"],
         "alpha_i_sq": alpha2["i"],
         "alpha_p_sq": alpha2["p"],
-        "omega_s0": geom.signal.central_angular_frequency,
-        "omega_i0": geom.idler.central_angular_frequency,
+        "omega_s0": w_s0,
+        "omega_i0": w_i0,
         "n_s": n_s,
         "n_i": n_i,
         "n_p": n_p,
@@ -162,17 +146,9 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
 
 
 def pair_rate(
-    geom,
-    crystal,
-    filters,
-    base_resolution=101,
-    rel_tol=5e-3,
-    max_resolution=801,
-    dispersion_mode="exact",
-    walk_off=False,
-    path_efficiency_s=1.0,
-    path_efficiency_i=1.0,
-    grids=None,
+    geom, crystal, filters, base_resolution=101, rel_tol=5e-3,
+    max_resolution=MAX_RATE_RESOLUTION, dispersion_mode="exact", walk_off=False,
+    path_efficiency_s=1.0, path_efficiency_i=1.0, grids=None,
 ):
     """Pair rate in pairs/(s mW), converged by grid doubling.
 
@@ -183,7 +159,13 @@ def pair_rate(
 
     ``grids`` is the run's SpectralGrids holder, from which every doubling
     level takes its grid; without one the grids are built for this call only.
+    ``base_resolution`` must leave one doubling within ``max_resolution``.
     """
+    if 2 * base_resolution - 1 > max_resolution:
+        raise ValueError(
+            "base_resolution %d leaves no doubling level within max_resolution %d"
+            % (base_resolution, max_resolution)
+        )
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
     grids = SpectralGrids() if grids is None else grids
@@ -204,10 +186,14 @@ def pair_rate(
     )
 
 
-def _hermite_phys(order, u):
-    coeff = np.zeros(order + 1)
-    coeff[order] = 1.0
-    return hermval(u, coeff)
+def _scaled_hermite(m, u, c):
+    """[G_0, ..., G_m] at ``u``, where G_k(u; c) = c^(k/2) H_k(u / sqrt(c)) is
+    a polynomial in c (no branch cut for c < 0) obeying
+    G_(k+1) = 2 u G_k - 2 k c G_(k-1)."""
+    G = [1.0, 2.0 * u]
+    for k in range(1, m):
+        G.append(2.0 * u * G[k] - 2.0 * k * c * G[k - 1])
+    return G[: m + 1]
 
 
 def _arm(geom, which):
@@ -219,130 +205,142 @@ def _arm(geom, which):
     raise ValueError("which must be 'signal' or 'idler'")
 
 
-class _ModeSumKernel:
-    """Shared quadrature state for the Hermite-Gauss projections.
+# z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...;
+# the order check redoes the last shell at _Z_RAISE more nodes, to _Z_TOL
+_FIRST_MAX_M, _Z_RAISE, _Z_TOL = 6, 8, 1e-6
 
-    The overlap of the three beams with one collection mode (n, m) factorizes
-    into an x integral (Gauss-Hermite against exp(-A x^2)), a y integral
-    (Gauss-Hermite against the completed square exp(-C (y - y0(z))^2)), and a
-    z integral (Gauss-Legendre over the crystal length). The pump spectral
-    envelope multiplies the result. With walk-off disabled the residual
-    exp(-H z^2) envelope is omitted, matching the closed-form amplitude.
-    A, C, D and H combine both collection waists, so one kernel serves both
-    arms; the arm (see ``_arm``) enters only through the mode arguments.
-    ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the phase
-    mismatch and the pump exponent.
+
+def _check_z_order(base, raised, what):
+    """max|raised - base| / max|raised|; ConvergenceError beyond _Z_TOL."""
+    scale = np.max(np.abs(raised))
+    change = float(np.max(np.abs(raised - base)) / scale) if scale > 0 else 0.0
+    if change > _Z_TOL:
+        msg = "%s: z quadrature changed by %.2e (tolerance %.0e) at %d more nodes"
+        raise ConvergenceError(
+            msg % (what, change, _Z_TOL, _Z_RAISE), estimates=(base, raised)
+        )
+    return change
+
+
+class _ModeSumKernel:
+    """Shared state of the Hermite-Gauss projections of one geometry.
+
+    The overlap with collection mode (n, m) factorizes into x, y and z
+    integrals times the pump spectral envelope. The x and y integrals are
+    closed forms in the scaled Hermite polynomials G_k of ``_scaled_hermite``:
+    x gives sqrt(pi/A) G_n(0; 1 - 2/(A W^2)), and completing the square in
+    exp(-C y^2 - D y z + i dk_y y) leaves, at each z,
+    sqrt(pi/C) exp(-dk_y^2/(4C) + i q z) G_m(u + beta z; c) with
+    q = dk_z - dk_y D/(2C), u = i sqrt2 cos(theta) dk_y/(2 C W),
+    beta = sqrt2 (sign sin(theta) - cos(theta) D/(2C))/W and
+    c = 1 - 2 cos^2(theta)/(C W^2). The addition formula
+    G_m(u + v) = sum_k binom(m, k) G_k(u) (2v)^(m-k) leaves z, the one
+    quadrature (Gauss-Legendre at ``z_order``), in the moments
+    M[p, j] = sum_z w_z env(z) exp(i q_p z) (2 beta z)^j, one matrix product
+    per arm, so Hermite order m costs O(N m). env is exp(-H z^2) with
+    walk-off and 1 without, matching the closed-form amplitude. A, C, D and
+    H combine both collection waists, so one kernel serves both arms (see
+    ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
+    phase mismatch and the pump exponent.
     """
 
-    def __init__(self, geom, terms, walk_off, n_x=64, n_y=40, n_z=48):
-        self.geom = geom
-        self.terms = terms
-        g = geometry_factors(geom)
+    def __init__(self, geom, terms, walk_off):
+        self.geom, self.terms, self.walk_off = geom, terms, walk_off
+        self.g = g = geometry_factors(geom)
         self.shape = terms.dky.shape
-        dky, dkz = terms.dky.ravel(), terms.dkz.ravel()
+        self.dky = terms.dky.ravel()
+        self.q = terms.dkz.ravel() - self.dky * (g.D / (2.0 * g.C))
         self.gp = np.exp(-terms.pump_term.ravel())
-        tx, wx = hermgauss(n_x)
-        self.x_nodes = tx / math.sqrt(g.A)
-        self.x_weights = wx / math.sqrt(g.A)
-        tz, wz = leggauss(n_z)
-        L = terms.length_L
-        self.z_nodes = tz * L / 2.0
-        z_weights = wz * L / 2.0
-        ty, wy = hermgauss(n_y)
-        # completed-square y nodes depend on z through the D coupling
-        self.y_nodes = ty[None, :] / math.sqrt(g.C) - g.D * self.z_nodes[:, None] / (
-            2.0 * g.C
-        )
-        self.y_weights = wy / math.sqrt(g.C)
-        # phase over the grid: dky y + dkz z with y at the shifted nodes
-        # (exponentials in place, so no second (N, n_y) or (N, n_z) array)
-        self.Y = 1j * np.outer(dky, ty / math.sqrt(g.C))
-        np.exp(self.Y, out=self.Y)
-        zshift = dkz[:, None] - dky[:, None] * g.D / (2.0 * g.C)
-        self.z_phase = 1j * zshift * self.z_nodes[None, :]
-        np.exp(self.z_phase, out=self.z_phase)
-        self.z_env = z_weights * (np.exp(-g.H * self.z_nodes**2) if walk_off else 1.0)
+        self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(-self.dky**2 / (4.0 * g.C))
+        self.arms = [_arm(geom, which) for which in ("signal", "idler")]
+        # Gauss-Legendre on n_z nodes is exact to degree 2 n_z - 1: beyond the
+        # Hermite degree m, leave degrees for exp(i q z) with |q z| <= phase
+        # and for exp(-H z^2) with H z^2 <= spread
+        phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
+        spread = g.H * terms.length_L**2 / 4.0 if walk_off else 0.0
+        self.z_margin = 12 + math.ceil(2.0 * phase + 4.0 * spread)
+        self._moments = {}
+
+    def _z_moments(self, n_z, J):
+        """{arm: M} with M[p, j] for j <= J on n_z Gauss-Legendre nodes."""
+        g, half = self.g, self.terms.length_L / 2.0
+        t, w = leggauss(n_z)
+        z = t * half
+        env = w * half * (np.exp(-g.H * z**2) if self.walk_off else 1.0)
+        cols = []
+        for theta, sign, Wc in self.arms:
+            beta = math.sqrt(2.0) * (
+                sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
+            ) / Wc
+            cols.append(env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
+        M = np.exp(1j * np.outer(self.q, z)) @ np.hstack(cols)
+        return dict(zip(self.arms, np.split(M, len(self.arms), axis=1)))
+
+    @staticmethod
+    def _tier(m):
+        top = _FIRST_MAX_M
+        while top < m:
+            top *= 2
+        return top
+
+    def z_order(self, m):
+        """Gauss-Legendre order used for Hermite order m: the one covering the
+        first of _FIRST_MAX_M, 2 _FIRST_MAX_M, ... at or above m, so that a
+        term does not depend on the orders requested before it."""
+        return (self._tier(m) + self.z_margin) // 2 + 1
 
     def x_integral(self, n, arm):
-        return float(
-            self.x_weights @ _hermite_phys(n, math.sqrt(2.0) * self.x_nodes / arm[2])
-        )
+        c = 1.0 - 2.0 / (self.g.A * arm[2] ** 2)
+        return math.sqrt(math.pi / self.g.A) * _scaled_hermite(n, 0.0, c)[n]
 
-    def yz_integral(self, m, arm):
-        theta, sign, Wc = arm
-        y_rot = self.y_nodes * math.cos(theta) + sign * self.z_nodes[
-            :, None
-        ] * math.sin(theta)
-        mvec = _hermite_phys(m, math.sqrt(2.0) * y_rot / Wc) * self.y_weights[None, :]
-        out = np.empty(len(self.Y), dtype=complex)
-        # row blocks keep the (rows, n_z) temporary small
-        for start in range(0, len(out), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            t = self.Y[rows] @ mvec.T
-            t *= self.z_phase[rows]
-            out[rows] = t @ self.z_env
-        return out
+    def yz_integral(self, m, arm, n_z=None):
+        """y-z overlap of Hermite order m on the grid, at ``z_order(m)``
+        nodes or, for an order check, at ``n_z`` nodes."""
+        J = m if n_z is not None else self._tier(m)
+        n_z = self.z_order(m) if n_z is None else n_z
+        if n_z not in self._moments or self._moments[n_z][arm].shape[1] <= m:
+            self._moments[n_z] = self._z_moments(n_z, J)
+        M = self._moments[n_z][arm]
+        theta, _, Wc = arm
+        a2 = 2.0 * math.cos(theta) ** 2 / Wc**2
+        u = 1j * (math.sqrt(a2) / (2.0 * self.g.C)) * self.dky
+        G = _scaled_hermite(m, u, 1.0 - a2 / self.g.C)
+        return self.yz_pref * sum(math.comb(m, k) * G[k] * M[:, m - k] for k in range(m + 1))
 
-    def amplitude(self, n, m, arm):
+    def amplitude(self, n, m, arm, n_z=None):
         return (
-            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm)
+            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm, n_z)
         ).reshape(self.shape)
 
 
 def mode_function_nm(
-    n,
-    m,
-    Omega_s,
-    Omega_i,
-    geom,
-    crystal,
-    which="signal",
-    walk_off=False,
-    quad_orders=(64, 40, 48),
+    n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk_off=False,
     check_convergence=True,
 ):
     """Overlap amplitude with the (n, m) Hermite-Gauss collection mode.
 
     ``which`` selects the arm carrying the mode ladder; the partner stays in
     its fundamental. Returns the complex amplitude on the broadcast grid of
-    the detuning arrays. When ``check_convergence`` is set the quadrature is
-    repeated at higher orders and required to agree to relative 1e-6.
+    the detuning arrays. When ``check_convergence`` is set the z quadrature
+    is repeated at _Z_RAISE more nodes and required to agree to _Z_TOL.
     """
     Om_s = np.atleast_1d(np.asarray(Omega_s, dtype=float))
     Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
-    n_x, n_y, n_z = quad_orders
     arm = _arm(geom, which)
     terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal)
-    kern = _ModeSumKernel(geom, terms, walk_off, n_x, n_y, n_z)
+    kern = _ModeSumKernel(geom, terms, walk_off)
     val = kern.amplitude(n, m, arm)
     if check_convergence:
-        kern2 = _ModeSumKernel(geom, terms, walk_off, n_x + 16, n_y + 12, n_z + 16)
-        val2 = kern2.amplitude(n, m, arm)
-        scale = np.max(np.abs(val2))
-        if scale > 0 and np.max(np.abs(val - val2)) > 1e-6 * scale:
-            raise ConvergenceError(
-                "mode-overlap quadrature did not converge to 1e-6",
-                estimates=(val, val2),
-            )
-        val = val2
+        raised = kern.amplitude(n, m, arm, kern.z_order(m) + _Z_RAISE)
+        _check_z_order(val, raised, "mode overlap (%d, %d)" % (n, m))
     if np.isscalar(Omega_s) and np.isscalar(Omega_i):
         return complex(val.reshape(-1)[0])
     return val
 
 
 def singles_rate(
-    which,
-    geom,
-    crystal,
-    filters,
-    truncation=20,
-    shell_tol=1e-4,
-    resolution=101,
-    walk_off=False,
-    quad_orders=(64, 40, 48),
-    path_efficiency_s=1.0,
-    path_efficiency_i=1.0,
-    kernel=None,
+    which, geom, crystal, filters, truncation=20, shell_tol=1e-4, resolution=101,
+    walk_off=False, path_efficiency_s=1.0, path_efficiency_i=1.0, kernel=None,
     dispersion_mode="exact",
 ):
     """Mode-summed singles rate for one arm, in counts/(s mW).
@@ -350,7 +348,9 @@ def singles_rate(
     Sums per-mode rates over constant-(n + m) shells until the newest shell
     contributes less than ``shell_tol`` of the running sum; ``truncation``
     caps the per-axis order. The per-mode normalization divides the squared
-    fundamental normalization by 2^(n+m) n! m!.
+    fundamental normalization by 2^(n+m) n! m!. The last shell's y-z term is
+    evaluated again at _Z_RAISE more z nodes, and a relative change beyond
+    _Z_TOL raises ConvergenceError.
 
     ``kernel`` is this geometry's mode-sum kernel on the same grid and
     settings, shared by both arms (see ``heralding_rates``). Without one the
@@ -363,7 +363,7 @@ def singles_rate(
     pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
     if kernel is None:
         grid = SpectralGrids().get(resolution, geom, crystal, filters, dispersion_mode)
-        kernel = _ModeSumKernel(geom, grid, walk_off, *quad_orders)
+        kernel = _ModeSumKernel(geom, grid, walk_off)
     elif (
         kernel.geom != geom
         or kernel.terms.resolution != resolution
@@ -372,28 +372,17 @@ def singles_rate(
         raise ValueError("mode-sum kernel was built for another geometry or grid")
     grid = kernel.terms
 
-    c_n, d_m = [], []
+    def d_term(m, n_z=None):
+        yz = kernel.yz_integral(m, arm, n_z)
+        density = grid.weight * (np.abs(kernel.gp * yz) ** 2).reshape(kernel.shape)
+        return grid.integrate(density) / (2**m * math.factorial(m))
 
-    def get_cn(n):
-        while len(c_n) <= n:
-            k = len(c_n)
-            c_n.append(kernel.x_integral(k, arm) ** 2 / (2**k * math.factorial(k)))
-        return c_n[n]
-
-    def get_dm(m):
-        while len(d_m) <= m:
-            k = len(d_m)
-            density = grid.weight * (
-                np.abs(kernel.gp * kernel.yz_integral(k, arm)) ** 2
-            ).reshape(kernel.shape)
-            val = grid.integrate(density)
-            d_m.append(val / (2**k * math.factorial(k)))
-        return d_m[m]
-
-    total = 0.0
-    shell = 0
+    # shell s adds c_s and d_s; its terms are c_n d_(s-n)
+    c_n, d_m, total, shell = [], [], 0.0, 0
     while True:
-        contrib = sum(get_cn(n) * get_dm(shell - n) for n in range(shell + 1))
+        c_n.append(kernel.x_integral(shell, arm) ** 2 / (2**shell * math.factorial(shell)))
+        d_m.append(d_term(shell))
+        contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib
         if shell > 0 and contrib < shell_tol * total:
             break
@@ -403,11 +392,17 @@ def singles_rate(
                 "mode-sum shell ceiling reached before the tail criterion",
                 estimates=(pref.value * total / geom.pump_power_P,),
             )
+    z_order = kernel.z_order(shell)
+    z_change = _check_z_order(
+        d_m[shell], d_term(shell, z_order + _Z_RAISE), "mode-sum shell %d" % shell
+    )
     tail = contrib / total if total > 0 else 0.0
     return SinglesResult(
         rate=pref.value * total / geom.pump_power_P,
         max_shell=shell,
         tail_estimate=tail,
+        z_order=z_order,
+        z_change=z_change,
     )
 
 

@@ -23,10 +23,6 @@ def um_to_m(x):
     return x * 1e-6
 
 
-def m_to_um(x):
-    return x * 1e6
-
-
 def deg_to_rad(x):
     return math.radians(x)
 
@@ -45,7 +41,3 @@ def thz_to_rad_per_s(x, convention="angular"):
 
 def wavelength_to_angular_frequency(lam_m):
     return TWO_PI * c / lam_m
-
-
-def angular_frequency_to_wavelength(omega):
-    return TWO_PI * c / omega

@@ -4,13 +4,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_lab import cli
 from spdc_lab.cli import build_parser, main, shipped_config_path
 from spdc_lab.config import Numerics, load_config
-from spdc_lab.errors import ConfigError
+from spdc_lab.errors import ConfigError, ConvergenceError
 
 # JSON values of every type but number
 JSON_JUNK = st.one_of(
@@ -340,6 +342,30 @@ class TestCliErrors:
             pytest.param(
                 ("pump", "waist_um"), 10**400, "pump.waist_um", id="int-beyond-float-range"
             ),
+            pytest.param(
+                ("numerics", "rate_resolution"), 900, "numerics.rate_resolution",
+                id="rate-resolution-above-ceiling",
+            ),
+            pytest.param(
+                ("numerics", "rate_resolution"), 402, "numerics.rate_resolution",
+                id="rate-resolution-without-doubling-level",
+            ),
+            pytest.param(
+                ("numerics", "grid_resolution"), 10**400, "numerics.grid_resolution",
+                id="grid-resolution-beyond-float-range",
+            ),
+            pytest.param(
+                ("numerics", "grid_resolution"), 4002, "numerics.grid_resolution",
+                id="grid-resolution-above-ceiling",
+            ),
+            pytest.param(
+                ("numerics", "singles_resolution"), 802, "numerics.singles_resolution",
+                id="singles-resolution-above-ceiling",
+            ),
+            pytest.param(
+                ("numerics", "truncation_max_order"), 151, "numerics.truncation_max_order",
+                id="truncation-above-ceiling",
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
@@ -353,6 +379,19 @@ class TestCliErrors:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith(field + ":")
+
+    def test_error_json_carries_scalar_estimates(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError(
+                "did not converge", estimates=(1.5, np.float64(2.0), np.ones(3), 1j)
+            )
+
+        monkeypatch.setattr(cli, "compute_metrics", fail)
+        out = tmp_path / "err"
+        assert run_cli("metrics", cheap_config(tmp_path), out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConvergenceError"
+        assert err["estimates"] == [1.5, 2.0]
 
     def test_bad_grid_resolution_flag_exit_2(self, tmp_path):
         out = tmp_path / "bad"

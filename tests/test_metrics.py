@@ -127,6 +127,12 @@ class TestPairRate:
             cfg.geom, cfg.crystal, cfg.filters
         )
 
+    def test_base_without_doubling_level_rejected(self, degenerate):
+        cfg = degenerate
+        for base in (900, 402):
+            with pytest.raises(ValueError, match="no doubling level"):
+                pair_rate(cfg.geom, cfg.crystal, cfg.filters, base_resolution=base)
+
     def test_nonconvergence_raises(self, degenerate):
         cfg = degenerate
         with pytest.raises(ConvergenceError):
@@ -196,10 +202,10 @@ class TestModeOverlap:
             )
 
 
-def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=40, n_z=48):
-    """y-z overlap of one arm for the phase mismatch ``dk`` = (dky, dkz), one
-    Gauss-Legendre z node at a time, with the phase dky y + dkz z evaluated
-    directly at the shifted y nodes."""
+def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=80, n_z=64):
+    """y-z overlap of one arm for the phase mismatch ``dk`` = (dky, dkz) by
+    Gauss-Hermite quadrature in y, one Gauss-Legendre z node at a time, with
+    the phase dky y + dkz z evaluated directly at the shifted y nodes."""
     g = geometry_factors(geom)
     dky, dkz = (np.ravel(d) for d in dk)
     if which == "signal":
@@ -223,10 +229,10 @@ def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=40, n_z=48):
 def assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off):
     for which in ("signal", "idler"):
         arm = _arm(geom, which)
-        for m in range(5):
+        for m in range(9):
             got = kern.yz_integral(m, arm)
             want = yz_loop_oracle(geom, crystal, dk, which, walk_off, m)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
 
 
 def detuning_mesh(geom, filters, n_s, n_i):
@@ -240,7 +246,8 @@ def detuning_mesh(geom, filters, n_s, n_i):
 
 
 class TestModeSumKernel:
-    """One contracted kernel per geometry against the per-arm z-node loop."""
+    """The closed-form x and y overlaps of one kernel per geometry against
+    Gauss-Hermite quadrature, and the order of its z quadrature."""
 
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
@@ -263,16 +270,53 @@ class TestModeSumKernel:
         dk = phase_mismatch_linear(OS, OI, ngv, (geom.theta_s, geom.theta_i))
         assert_kernel_matches_oracle(kern, geom, crystal, dk, False)
 
-    def test_row_blocks_match_one_block(self, nondegenerate, monkeypatch):
-        cfg = nondegenerate
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_x_integral_against_gauss_hermite(self, which_cfg, request):
+        cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
-        grid = SpectralGrids().get(31, geom, cfg.crystal, cfg.filters)
-        kern = _ModeSumKernel(geom, grid, False)
+        g = geometry_factors(geom)
+        kern = _ModeSumKernel(geom, SpectralGrids().get(15, geom, cfg.crystal, cfg.filters), False)
+        t, w = hermgauss(40)
+        for which in ("signal", "idler"):
+            arm = _arm(geom, which)
+            for n in range(9):
+                got = kern.x_integral(n, arm)
+                if n % 2:
+                    assert got == 0.0
+                    continue
+                u = math.sqrt(2.0) * t / (math.sqrt(g.A) * arm[2])
+                want = float(w @ eval_hermite(n, u)) / math.sqrt(g.A)
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0), (which, n)
+
+    def test_too_low_z_order_raises(self, nondegenerate, monkeypatch):
+        cfg = nondegenerate
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        # one Gauss-Legendre node (the crystal centre) for every Hermite order
+        monkeypatch.setattr(_ModeSumKernel, "z_order", lambda self, m: 1)
+        with pytest.raises(ConvergenceError, match="z quadrature") as info:
+            singles_rate("signal", geom, crystal, filters, resolution=31)
+        base, raised = info.value.estimates
+        assert abs(base - raised) > metrics._Z_TOL * abs(raised)
+        with pytest.raises(ConvergenceError, match="z quadrature"):
+            mode_function_nm(0, 2, 1e12, -0.5e12, geom, crystal)
+
+    def test_z_order_grows_with_the_ladder(self, degenerate):
+        cfg = degenerate
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters), False)
+        first = kern.z_order(0)
+        assert kern.z_order(metrics._FIRST_MAX_M) == first
+        assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
+        deep = singles_rate(
+            "signal", geom, crystal, filters, resolution=31, kernel=kern, shell_tol=1e-9
+        )
+        assert deep.max_shell > metrics._FIRST_MAX_M
+        assert deep.z_order == kern.z_order(deep.max_shell) > first
+        assert 0.0 <= deep.z_change <= metrics._Z_TOL
+        # a term does not depend on the orders requested before it
+        fresh = _ModeSumKernel(geom, kern.terms, False)
         arm = _arm(geom, "signal")
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", grid.dky.size)
-        whole = kern.yz_integral(3, arm)
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", 100)
-        assert np.array_equal(kern.yz_integral(3, arm), whole)
+        assert np.array_equal(fresh.yz_integral(3, arm), kern.yz_integral(3, arm))
 
     def test_singles_rate_on_shared_kernel(self, nondegenerate):
         cfg = nondegenerate
@@ -306,6 +350,7 @@ class TestSinglesRate:
         assert ri.rate == pytest.approx(rs.rate, rel=1e-6)
         assert rs.tail_estimate < 1e-4
         assert rs.max_shell <= 8
+        assert ri.z_order == rs.z_order and 0.0 <= rs.z_change <= metrics._Z_TOL
 
     def test_singles_exceed_pairs(self, degenerate):
         cfg = degenerate
