@@ -49,6 +49,10 @@ COMMANDS = (
 
 _ALPHA_MAP = {"paper": "paper_literal", "consistent": "consistent"}
 
+# (floor, ceiling) of --steps: each sample is a full figures-of-merit run, and
+# a count np.linspace cannot allocate must fail here, as a ConfigError
+_STEPS_RANGE = (1, 1001)
+
 
 def _write_json(doc, path):
     with open(path, "w") as fh:
@@ -95,8 +99,8 @@ def _sweep_range(args, lo, hi, steps):
     steps = steps if args.steps is None else args.steps
     if not 0 < lo < hi < math.inf:
         raise ConfigError("--sweep-min/--sweep-max: need 0 < min < max")
-    if steps < 1:
-        raise ConfigError("--steps: integer >= 1 required")
+    if not _STEPS_RANGE[0] <= steps <= _STEPS_RANGE[1]:
+        raise ConfigError("--steps: integer in [%d, %d] required" % _STEPS_RANGE)
     return lo, hi, steps
 
 

@@ -8,8 +8,8 @@ to the rate prefactor handled in :mod:`spdc_lab.metrics`,
 
 where A, C (and D, F, H) collect the transverse Gaussian-beam overlap of the
 three modes, dk_y and dk_z are the transverse/longitudinal phase mismatches,
-and Phi_z is the longitudinal integral, equal to L sinc(dk_z L / 2) when the
-pump walk-off envelope exp(-H z^2) is neglected.
+and Phi_z is the longitudinal integral ``walk_off_integral``, closed-form
+with the pump walk-off envelope exp(-H z^2) and L sinc(dk_z L / 2) without.
 
 This module also provides the Gaussian model of the joint intensity: with the
 sinc replaced by a Gaussian of matched curvature and the mismatches
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import wofz
 
 from .dispersion import inverse_group_velocity, wave_number
 from .errors import UnsatisfiableConditionError
@@ -41,6 +41,11 @@ SINC_GAUSS_ALPHA = 0.455
 ALPHA_CONVENTIONS = ("paper_literal", "consistent")
 
 MIN_GRID_RESOLUTION = 64
+
+# below this a^2 = H L^2 / 4 the walk-off envelope moves the longitudinal
+# integral by less than a^2 L / 3, and L sinc(dk_z L / 2) stands in for the
+# closed form, whose sqrt(pi / H) prefactor would cancel digits there
+WALK_OFF_SINC_A2 = 1e-10
 
 
 @dataclass(frozen=True)
@@ -233,31 +238,21 @@ def central_inverse_group_velocities(geom, crystal):
 def walk_off_integral(dk_z, H, L):
     """Longitudinal overlap integral of exp(-H z^2 - i dk_z z) over [-L/2, L/2].
 
-    Adaptive quadrature to relative 1e-8. The imaginary part vanishes by
-    parity; at H = 0 the result reduces to L sinc(dk_z L / 2).
+    Real (the imaginary part vanishes by parity) and vectorized over dk_z.
+    With a = sqrt(H) L / 2, b = dk_z / (2 sqrt(H)) and w the Faddeeva
+    function it is sqrt(pi / H) Re[exp(-b^2) - exp(-a^2 - 2iab) w(-b + ia)];
+    below a^2 = WALK_OFF_SINC_A2, and exactly at H = 0, it is
+    L sinc(dk_z L / 2).
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
-    val, _ = quad(
-        lambda z: math.exp(-H * z * z),
-        0.0,
-        L / 2.0,
-        weight="cos",
-        wvar=float(dk_z),
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=400,
-    )
-    return complex(2.0 * val)
-
-
-def _walk_off_grid(dkz, H, L, order=200):
-    """Vectorized Gauss-Legendre version of walk_off_integral for grids."""
-    t, w = np.polynomial.legendre.leggauss(order)
-    z = t * (L / 2.0)
-    w = w * (L / 2.0)
-    env = np.exp(-H * z**2) * w
-    return np.exp(-1j * np.multiply.outer(dkz, z)) @ env
+    dk_z = np.asarray(dk_z, dtype=float)
+    a = math.sqrt(H) * L / 2.0
+    if a * a < WALK_OFF_SINC_A2:
+        return L * np.sinc(dk_z * L / 2.0 / math.pi)
+    b = dk_z / (2.0 * math.sqrt(H))
+    tail = np.exp(-a * a - 2j * a * b) * wofz(-b + 1j * a)
+    return math.sqrt(math.pi / H) * (np.exp(-b * b) - tail.real)
 
 
 class SpectralTerms:
@@ -294,17 +289,13 @@ class SpectralTerms:
 
     @cached_property
     def sinc(self):
-        L = self.length_L
-        return L * np.sinc(self.dkz * L / 2.0 / math.pi)
+        return walk_off_integral(self.dkz, 0.0, self.length_L)
 
     def amplitude(self, geom, walk_off=False):
         """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)
-        envelope replaces the sinc."""
+        envelope enters the longitudinal factor."""
         g = geometry_factors(geom)
-        if walk_off and g.H > 0:
-            phi_z = _walk_off_grid(self.dkz, g.H, self.length_L)
-        else:
-            phi_z = self.sinc
+        phi_z = walk_off_integral(self.dkz, g.H, self.length_L) if walk_off else self.sinc
         envelope = np.exp(-self.dky**2 / (4.0 * g.C) - self.pump_term)
         return math.pi / math.sqrt(g.A * g.C) * phi_z * envelope
 
@@ -389,7 +380,7 @@ def mode_function(
     """Closed-form joint spectral amplitude Phi(Omega_s, Omega_i).
 
     With ``walk_off`` False the longitudinal factor is L sinc(dk_z L / 2);
-    enabling it evaluates the exp(-H z^2) envelope numerically.
+    enabling it adds the exp(-H z^2) envelope (``walk_off_integral``).
     """
     terms = SpectralTerms(Omega_s, Omega_i, geom, crystal, dispersion_mode)
     return terms.amplitude(geom, walk_off)

@@ -309,6 +309,8 @@ class TestCliErrors:
             ("sweep-rate", ("--steps", "0"), "steps"),
             ("sweep-ratio", ("--steps", "0"), "steps"),
             ("sweep-rate", ("--sweep-min", "900"), "waist_range"),
+            # one above the ceiling, so a missing check runs a finite sweep
+            ("sweep-ratio", ("--steps", str(cli._STEPS_RANGE[1] + 1)), "steps"),
         ],
     )
     def test_explicit_zero_is_not_a_default(self, tmp_path, command, extra, library_arg):

@@ -1,10 +1,27 @@
-"""Golden outputs: the ``metrics``, ``metrics --walk-off``, ``optimize`` and
-``sweep-rate`` outputs of both shipped configurations, rerun through the CLI
-and compared field by field.
+"""Golden outputs: each ``GOLDEN_RUNS`` row is rerun through the CLI on both
+shipped configurations and its outputs compared field by field.
+
+Each golden file under ``golden/<config>/`` was produced from the repository
+root, with BLAS pinned to one thread, by
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m spdc_lab.cli <command> \\
+        --config src/spdc_lab/data/configs/<config>.json --out <dir> [flags]
+
+with <command> and [flags] from its row; the row maps each file written to
+<dir> to its golden name:
+
+- ``metrics``: metrics_report.json
+- ``metrics --walk-off``: metrics_report.json -> metrics_walk_off_report.json
+- ``optimize``: optimization.json
+- ``sweep-rate``: sweep_rate.csv, sweep_rate.json
+- ``sweep-ratio --walk-off``: sweep_ratio.csv -> sweep_ratio_walk_off.csv,
+  sweep_ratio.json -> sweep_ratio_walk_off.json
 
 Floats agree to 1e-9 relative, ``tail_estimate`` (a ratio of the last
 mode-sum shell to the total) to 1e-6; ints, bools, None and the echoed
-configuration must match exactly.
+configuration must match exactly. CSV files compare cell by cell, with
+empty cells in the same places.
 """
 
 import csv
@@ -20,6 +37,19 @@ GOLDEN = Path(__file__).parent / "golden"
 FLOAT_REL = 1e-9
 REL_BY_KEY = {"tail_estimate": 1e-6}
 EXACT_KEYS = ("config", "settings")
+
+# (command, extra flags, {file written: golden file})
+GOLDEN_RUNS = [
+    ("metrics", (), {"metrics_report.json": "metrics_report.json"}),
+    ("metrics", ("--walk-off",), {"metrics_report.json": "metrics_walk_off_report.json"}),
+    ("optimize", (), {"optimization.json": "optimization.json"}),
+    ("sweep-rate", (), {"sweep_rate.csv": "sweep_rate.csv", "sweep_rate.json": "sweep_rate.json"}),
+    (
+        "sweep-ratio",
+        ("--walk-off",),
+        {"sweep_ratio.csv": "sweep_ratio_walk_off.csv", "sweep_ratio.json": "sweep_ratio_walk_off.json"},
+    ),
+]
 
 
 def assert_matches(got, want, where, rel=FLOAT_REL):
@@ -40,41 +70,32 @@ def assert_matches(got, want, where, rel=FLOAT_REL):
         assert type(got) is type(want) and got == want, (where, got, want)
 
 
-@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
-@pytest.mark.parametrize(
-    "command, report", [("metrics", "metrics_report.json"), ("optimize", "optimization.json")]
-)
-def test_report_matches_golden(tmp_path, config, command, report):
-    out = tmp_path / command
-    assert main([command, "--config", shipped_config_path(config), "--out", str(out)]) == 0
-    got = json.loads((out / report).read_text())
-    want = json.loads((GOLDEN / config / report).read_text())
-    assert_matches(got, want, report)
-
-
-@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
-def test_walk_off_metrics_matches_golden(tmp_path, config):
-    out = tmp_path / "metrics"
-    argv = ["metrics", "--config", shipped_config_path(config), "--out", str(out), "--walk-off"]
-    assert main(argv) == 0
-    got = json.loads((out / "metrics_report.json").read_text())
-    want = json.loads((GOLDEN / config / "metrics_walk_off_report.json").read_text())
-    assert_matches(got, want, "metrics_walk_off_report.json")
-
-
-@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
-def test_sweep_rate_matches_golden(tmp_path, config):
-    out = tmp_path / "sweep-rate"
-    assert main(["sweep-rate", "--config", shipped_config_path(config), "--out", str(out)]) == 0
-    doc = json.loads((out / "sweep_rate.json").read_text())
-    assert_matches(doc, json.loads((GOLDEN / config / "sweep_rate.json").read_text()), "json")
-    with open(out / "sweep_rate.csv") as fh:
+def assert_csv_matches(got_path, want_path):
+    with open(got_path) as fh:
         got = list(csv.reader(fh))
-    with open(GOLDEN / config / "sweep_rate.csv") as fh:
+    with open(want_path) as fh:
         want = list(csv.reader(fh))
     assert got[0] == want[0] and len(got) == len(want)
     for row, (got_row, want_row) in enumerate(zip(got[1:], want[1:])):
         assert [cell == "" for cell in got_row] == [cell == "" for cell in want_row], row
         for col, (g, w) in enumerate(zip(got_row, want_row)):
             if w:
-                assert_matches(float(g), float(w), "csv[%d][%s]" % (row, got[0][col]))
+                assert_matches(float(g), float(w), "%s[%d][%s]" % (want_path.name, row, got[0][col]))
+
+
+@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
+@pytest.mark.parametrize(
+    "command, flags, files",
+    GOLDEN_RUNS,
+    ids=["%s-%s" % (c, next(iter(files.values()))) for c, _, files in GOLDEN_RUNS],
+)
+def test_report_matches_golden(tmp_path, config, command, flags, files):
+    out = tmp_path / command
+    assert main([command, "--config", shipped_config_path(config), "--out", str(out), *flags]) == 0
+    for written, golden in files.items():
+        want_path = GOLDEN / config / golden
+        if golden.endswith(".csv"):
+            assert_csv_matches(out / written, want_path)
+        else:
+            got = json.loads((out / written).read_text())
+            assert_matches(got, json.loads(want_path.read_text()), golden)

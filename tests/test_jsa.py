@@ -1,15 +1,19 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import (
     MIN_GRID_RESOLUTION,
     SINC_GAUSS_ALPHA,
+    WALK_OFF_SINC_A2,
     BeamGeometry,
     SpectralGrids,
     delta_coefficients,
@@ -29,6 +33,26 @@ from spdc_lab.schmidt import schmidt_purity
 
 def collinear(geom):
     return replace(geom, theta_s=0.0, theta_i=0.0)
+
+
+def _quad_walk_off(dk_z, H, L):
+    """Reference value of walk_off_integral: adaptive cosine-weighted
+    quadrature of the even integrand to relative 1e-10."""
+    with warnings.catch_warnings():
+        # far out on the sinc tail (dk_z L >~ 5e3) the relative target is
+        # below what the cosine-weighted rule can certify, and it says so
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(
+            lambda z: math.exp(-H * z * z),
+            0.0,
+            L / 2.0,
+            weight="cos",
+            wvar=float(dk_z),
+            epsabs=0.0,
+            epsrel=1e-10,
+            limit=400,
+        )
+    return 2.0 * val
 
 
 class TestGeometryFactors:
@@ -132,6 +156,35 @@ class TestWalkOffIntegral:
     def test_negative_H_rejected(self):
         with pytest.raises(ValueError):
             walk_off_integral(0.0, -1.0, 1e-4)
+
+    @pytest.mark.parametrize(
+        "a2",
+        [0.0, 1e-14, WALK_OFF_SINC_A2 * (1 - 1e-6), WALK_OFF_SINC_A2 * (1 + 1e-6)]
+        + [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0],
+    )
+    @pytest.mark.parametrize("L", [100e-6, 450e-6, 5e-3])
+    def test_closed_form_matches_quadrature(self, L, a2):
+        # a^2 = H L^2 / 4 spans both sides of the sinc threshold
+        H = 4.0 * a2 / L**2
+        dk_z = np.concatenate(([0.0], np.logspace(0, 6)))
+        got = walk_off_integral(dk_z, H, L)
+        want = np.array([_quad_walk_off(k, H, L) for k in dk_z])
+        assert got.dtype == float and got.shape == dk_z.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * L
+
+    def test_walk_off_amplitude_memory(self, degenerate):
+        # the longitudinal factor is elementwise on the grid, so its peak is
+        # a few N^2 temporaries, whatever the envelope
+        cfg, n = degenerate, 201
+        tracemalloc.start()
+        try:
+            SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters).amplitude(
+                cfg.geom, walk_off=True
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n * np.dtype(complex).itemsize
 
 
 class TestModeFunction:
