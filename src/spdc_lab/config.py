@@ -19,7 +19,7 @@ from .dispersion import (
 )
 from .errors import ConfigError
 from .filters import FilterBank, FilterSpec
-from .jsa import ALPHA_CONVENTIONS, BeamGeometry, MIN_GRID_RESOLUTION
+from .jsa import ALPHA_CONVENTIONS, BeamGeometry, MAX_EMISSION_ANGLE, MIN_GRID_RESOLUTION
 from .units import (
     FREQUENCY_CONVENTIONS,
     deg_to_rad,
@@ -120,12 +120,6 @@ def shipped_config_path(name):
     return str(resources.files("spdc_lab").joinpath("data", "configs", fname))
 
 
-def _require(section, key, path):
-    if key not in section:
-        raise ConfigError("%s.%s: missing required field" % (path, key))
-    return section[key]
-
-
 def _finite(value):
     """True for a finite JSON number; a bool is not a number here, nor is an
     integer beyond the float range."""
@@ -212,7 +206,9 @@ def load_config(path):
     W0s = um_to_m(_positive(coll, "collection", "waist_um"))
     cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
 
-    name = _require(cry, "name", "crystal")
+    if "name" not in cry:
+        raise ConfigError("crystal.name: missing required field")
+    name = cry["name"]
     if not isinstance(name, str):
         raise ConfigError("crystal.name: must be a string")
     length_L = um_to_m(_positive(cry, "crystal", "length_um"))
@@ -225,9 +221,26 @@ def load_config(path):
         crystal = load_crystal(name, length_L, math.pi / 6.0, azimuth)
     except (OSError, ValueError) as exc:
         raise ConfigError("crystal.name: no crystal dataset named %r" % name) from exc
+    lo, hi = crystal.validity_window
+    for key, lam in (
+        ("pump.wavelength_nm", lam_p),
+        ("collection.signal_wavelength_nm", lam_s),
+        ("collection.idler_wavelength_nm", lam_i),
+    ):
+        if not lo <= lam <= hi:
+            raise ConfigError(
+                "%s: %.1f nm lies outside the %s dispersion-data window [%.1f, %.1f] nm"
+                % (key, lam * 1e9, crystal.name, lo * 1e9, hi * 1e9)
+            )
     theta_c = collinear_cut_angle(lam_p, lam_s, lam_i, crystal)
-    crystal = replace(crystal, cut_angle_theta=theta_c + cut_detuning)
     theta_s, theta_i = emission_angles(cut_detuning, lam_s, lam_i, crystal)
+    if theta_c + cut_detuning >= math.pi / 2 or max(theta_s, theta_i) >= MAX_EMISSION_ANGLE:
+        raise ConfigError(
+            "collection.cut_detuning_deg: gives a %.2f deg cut and emission angles %.4f, %.4f "
+            "rad; the cut must stay below 90 deg and the angles below %g rad (small-angle "
+            "regime)" % (rad_to_deg(theta_c + cut_detuning), theta_s, theta_i, MAX_EMISSION_ANGLE)
+        )
+    crystal = replace(crystal, cut_angle_theta=theta_c + cut_detuning)
 
     modes = (
         OpticalMode("pump", "extraordinary", lam_p),

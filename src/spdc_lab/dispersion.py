@@ -18,7 +18,6 @@ from importlib import resources
 
 import numpy as np
 from scipy.constants import c
-from scipy.optimize import brentq
 
 from .errors import (
     PhaseMatchingError,
@@ -221,75 +220,64 @@ def effective_nonlinearity(theta, phi, crystal):
     return crystal.d11 * math.cos(3 * phi) * math.cos(theta) - crystal.d31 * math.sin(theta)
 
 
+def _central_k(lam, crystal, theta=None):
+    """Wave number at a central wavelength, in rad/m: ordinary, or
+    extraordinary at ``theta``."""
+    n = index_ordinary(lam, crystal) if theta is None else index_extraordinary(lam, theta, crystal)
+    return float(n) * wavelength_to_angular_frequency(lam) / c
+
+
 def collinear_cut_angle(lam_p, lam_s, lam_i, crystal):
     """Cut angle theta_c that closes the collinear momentum mismatch.
 
-    Solves k_p(theta_c) - k_s - k_i = 0 at the central frequencies with zero
-    emission angles, bracketed to 1e-10 rad.
+    k_p(theta_c) = k_s + k_i when the pump sees the index n_t = c (k_s + k_i)
+    / omega_p, and the index ellipse gives sin^2(theta_c) = (1/n_t^2 -
+    1/n_o^2) / (1/n_e^2 - 1/n_o^2). The root must lie in [1e-6, pi/2 - 1e-6];
+    k_p(theta) is monotonic, so the two ends bound the mismatch in between.
     """
     if abs(1 / lam_p - 1 / lam_s - 1 / lam_i) > 1e-6 * (1 / lam_p):
         raise ValueError(
             "central wavelengths violate energy conservation: 1/lam_p != 1/lam_s + 1/lam_i"
         )
-    w_p = wavelength_to_angular_frequency(lam_p)
-    pump = OpticalMode("pump", "extraordinary", lam_p)
-    k_s = index_ordinary(lam_s, crystal) * wavelength_to_angular_frequency(lam_s) / c
-    k_i = index_ordinary(lam_i, crystal) * wavelength_to_angular_frequency(lam_i) / c
-
-    def residual(theta):
-        return float(wave_number(w_p, pump, theta, crystal)) - k_s - k_i
-
-    lo, hi = 1e-6, math.pi / 2 - 1e-6
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo * f_hi > 0:
-        grid = np.linspace(lo, hi, 256)
-        vals = np.array([residual(t) for t in grid])
-        if np.max(np.abs(vals)) < 1.0:
+    k_0 = wavelength_to_angular_frequency(lam_p) / c
+    n_t = (_central_k(lam_s, crystal) + _central_k(lam_i, crystal)) / k_0
+    n_o = float(index_ordinary(lam_p, crystal))
+    n_e = float(index_extraordinary_principal(lam_p, crystal))
+    sin2 = (1 / n_t**2 - 1 / n_o**2) / (1 / n_e**2 - 1 / n_o**2)
+    if not math.sin(1e-6) ** 2 <= sin2 <= math.cos(1e-6) ** 2:
+        if max(abs(n_o - n_t), abs(n_e - n_t)) * k_0 < 1.0:
             raise PhaseMatchingError(
                 "no unique solution: mismatch vanishes at every angle"
             )
         raise PhaseMatchingError("no phase-matching solution in (0, pi/2)")
-    return brentq(residual, lo, hi, xtol=1e-10)
+    return math.asin(math.sqrt(sin2))
 
 
 def emission_angles(cut_detuning, lam_s, lam_i, crystal):
     """Internal emission angles (theta_s, theta_i) at a detuned cut angle.
 
-    The crystal axis is rotated by ``cut_detuning`` past the collinear cut
-    angle; the transverse and longitudinal mismatches are then closed
-    simultaneously at the central frequencies. The transverse condition
-    k_s sin(theta_s) = k_i sin(theta_i) reduces the system to one unknown.
+    With the crystal axis ``cut_detuning`` past the collinear cut angle, k_p,
+    k_s and k_i close a triangle: 1 - cos(theta_s) = (k_s + k_i - k_p)
+    (k_p + k_i - k_s) / (2 k_p k_s), free of cancellation, and k_s
+    sin(theta_s) = k_i sin(theta_i). Both angles are zero at or below the
+    noncollinear threshold, k_s + k_i - k_p <= 1e-3 rad/m.
     """
     if cut_detuning < 0:
         raise ValueError("cut_detuning must be nonnegative")
     lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)
-    theta_c = collinear_cut_angle(lam_p, lam_s, lam_i, crystal)
-    theta_cut = theta_c + cut_detuning
-    pump = OpticalMode("pump", "extraordinary", lam_p)
-    k_p = float(
-        wave_number(wavelength_to_angular_frequency(lam_p), pump, theta_cut, crystal)
-    )
-    k_s = index_ordinary(lam_s, crystal) * wavelength_to_angular_frequency(lam_s) / c
-    k_i = index_ordinary(lam_i, crystal) * wavelength_to_angular_frequency(lam_i) / c
-
-    def residual(theta_s):
-        theta_i = math.asin(k_s * math.sin(theta_s) / k_i)
-        return k_p - k_s * math.cos(theta_s) - k_i * math.cos(theta_i)
-
-    hi = 0.15
-    r0 = residual(0.0)
-    if r0 >= -1e-3:
+    theta_cut = collinear_cut_angle(lam_p, lam_s, lam_i, crystal) + cut_detuning
+    k_p = _central_k(lam_p, crystal, theta_cut)
+    k_s, k_i = _central_k(lam_s, crystal), _central_k(lam_i, crystal)
+    excess = k_s + k_i - k_p
+    if excess <= 1e-3:
         # at (or numerically below) the noncollinear threshold
         if cut_detuning > 1e-9:
             warnings.warn(
                 "cut detuning below the noncollinear threshold; returning zero angles"
             )
         return 0.0, 0.0
-    if residual(hi) < 0:
-        raise PhaseMatchingError("emission-angle root finder failed to bracket")
-    theta_s = brentq(residual, 0.0, hi, xtol=1e-12)
-    theta_i = math.asin(k_s * math.sin(theta_s) / k_i)
-    return theta_s, theta_i
+    theta_s = 2.0 * math.asin(math.sqrt(excess * (k_p + k_i - k_s) / (4.0 * k_p * k_s)))
+    return theta_s, math.asin(k_s * math.sin(theta_s) / k_i)
 
 
 def external_angle(theta_internal, lam_m, crystal):

@@ -42,6 +42,8 @@ ALPHA_CONVENTIONS = ("paper_literal", "consistent")
 
 MIN_GRID_RESOLUTION = 64
 
+MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
+
 # below this a^2 = H L^2 / 4 the walk-off envelope moves the longitudinal
 # integral by less than a^2 L / 3, and L sinc(dk_z L / 2) stands in for the
 # closed form, whose sqrt(pi / H) prefactor would cancel digits there
@@ -71,10 +73,8 @@ class BeamGeometry:
             if w <= 0:
                 raise ValueError("waists must be positive")
         for th in (self.theta_s, self.theta_i):
-            if not 0.0 <= th < 0.1:
-                raise ValueError(
-                    "emission angles must lie in [0, 0.1) rad (small-angle regime)"
-                )
+            if not 0.0 <= th < MAX_EMISSION_ANGLE:
+                raise ValueError("emission angles must lie in [0, %g) rad" % MAX_EMISSION_ANGLE)
         if self.pump_bandwidth_Bp <= 0:
             raise ValueError("pump_bandwidth_Bp must be positive")
         if self.pump_power_P <= 0:

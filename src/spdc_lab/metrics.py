@@ -313,16 +313,13 @@ class _ModeSumKernel:
         ).reshape(self.shape)
 
 
-def mode_function_nm(
-    n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk_off=False,
-    check_convergence=True,
-):
+def mode_function_nm(n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk_off=False):
     """Overlap amplitude with the (n, m) Hermite-Gauss collection mode.
 
     ``which`` selects the arm carrying the mode ladder; the partner stays in
     its fundamental. Returns the complex amplitude on the broadcast grid of
-    the detuning arrays. When ``check_convergence`` is set the z quadrature
-    is repeated at _Z_RAISE more nodes and required to agree to _Z_TOL.
+    the detuning arrays. The z quadrature is repeated at _Z_RAISE more nodes
+    and required to agree to _Z_TOL, as in ``singles_rate``.
     """
     Om_s = np.atleast_1d(np.asarray(Omega_s, dtype=float))
     Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
@@ -330,9 +327,8 @@ def mode_function_nm(
     terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal)
     kern = _ModeSumKernel(geom, terms, walk_off)
     val = kern.amplitude(n, m, arm)
-    if check_convergence:
-        raised = kern.amplitude(n, m, arm, kern.z_order(m) + _Z_RAISE)
-        _check_z_order(val, raised, "mode overlap (%d, %d)" % (n, m))
+    raised = kern.amplitude(n, m, arm, kern.z_order(m) + _Z_RAISE)
+    _check_z_order(val, raised, "mode overlap (%d, %d)" % (n, m))
     if np.isscalar(Omega_s) and np.isscalar(Omega_i):
         return complex(val.reshape(-1)[0])
     return val

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestLoadConfig:
         doc["collection"].pop("idler_wavelength_nm", None)
         cfg = load_config(dump(doc, tmp_path))
         assert cfg.geom.idler.central_wavelength == pytest.approx(810e-9)
+
+    def test_cut_beyond_quadrant_is_config_error(self, tmp_path):
+        # 130 deg past the collinear angle the index ellipse folds back below
+        # the noncollinear threshold, so the angles are zero but the cut is not
+        # in (0, 90) deg
+        doc = read_shipped("degenerate_810")
+        doc["collection"]["cut_detuning_deg"] = 130.0
+        with pytest.warns(UserWarning, match="noncollinear threshold"):
+            with pytest.raises(ConfigError, match="^collection.cut_detuning_deg: "):
+                load_config(dump(doc, tmp_path))
 
     def test_energy_violation_suggests_value(self, tmp_path):
         doc = read_shipped("degenerate_810")
@@ -368,6 +379,10 @@ class TestCliErrors:
                 ("numerics", "truncation_max_order"), 151, "numerics.truncation_max_order",
                 id="truncation-above-ceiling",
             ),
+            pytest.param(
+                ("collection", "cut_detuning_deg"), 5, "collection.cut_detuning_deg",
+                id="cut-detuning-beyond-small-angle",
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
@@ -381,6 +396,28 @@ class TestCliErrors:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
         assert err["error"].startswith(field + ":")
+
+    @pytest.mark.parametrize(
+        "key, value_nm, field",
+        [
+            ("pump", 200.0, "pump.wavelength_nm"),
+            ("signal", 2000.0, "collection.signal_wavelength_nm"),
+            # the derived idler, about 5.4 um, is the one outside the window
+            ("signal", 380.0, "collection.idler_wavelength_nm"),
+        ],
+    )
+    def test_wavelength_outside_window_exit_2(self, tmp_path, key, value_nm, field):
+        doc = read_shipped("nondegenerate_850_609")
+        if key == "pump":
+            doc["pump"]["wavelength_nm"] = value_nm
+        else:
+            doc["collection"]["signal_wavelength_nm"] = value_nm
+        out = tmp_path / "window"
+        assert run_cli("metrics", dump(doc, tmp_path), out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith(field + ":")
+        assert "dispersion-data window" in err["error"]
 
     def test_error_json_carries_scalar_estimates(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -438,3 +475,20 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (out / "dispersion_report.json").exists()
+
+    def test_import_loads_no_root_finder(self):
+        # phase matching is closed form, so the package needs no scipy.optimize
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; sys.path.insert(0, %r); import spdc_lab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+                % src,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.constants import c
+from scipy.optimize import brentq
 
 from spdc_lab.dispersion import (
     CrystalSpec,
@@ -25,6 +27,50 @@ from spdc_lab.errors import (
     WavelengthWindowError,
 )
 from spdc_lab.units import wavelength_to_angular_frequency
+
+# bracketed root solves to the last bit (brentq's smallest rtol is 4 eps)
+ORACLE_TOL = {"xtol": 1e-300, "rtol": 8.9e-16}
+
+
+def oracle_angles(cut_detuning, lam_s, lam_i, crystal):
+    """(theta_c, theta_s, theta_i) as roots of the momentum mismatch: the
+    collinear k_p(theta) - k_s - k_i over the quadrant, then the longitudinal
+    mismatch with k_s sin(theta_s) = k_i sin(theta_i) over [0, 0.15] rad."""
+    lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)
+    pump = OpticalMode("pump", "extraordinary", lam_p)
+    k_s, k_i = (
+        float(index_ordinary(lam, crystal)) * wavelength_to_angular_frequency(lam) / c
+        for lam in (lam_s, lam_i)
+    )
+
+    def k_p(theta):
+        return float(wave_number(pump.central_angular_frequency, pump, theta, crystal))
+
+    theta_c = brentq(lambda t: k_p(t) - k_s - k_i, 1e-6, math.pi / 2 - 1e-6, **ORACLE_TOL)
+    k_cut = k_p(theta_c + cut_detuning)
+
+    def theta_i(theta_s):
+        return math.asin(k_s * math.sin(theta_s) / k_i)
+
+    def longitudinal(theta_s):
+        return k_cut - k_s * math.cos(theta_s) - k_i * math.cos(theta_i(theta_s))
+
+    theta_s = brentq(longitudinal, 0.0, 0.15, **ORACLE_TOL)
+    return theta_c, theta_s, theta_i(theta_s)
+
+
+def seeded_designs(count=12, seed=20):
+    """(cut detuning, lam_s, lam_i) draws with every wavelength inside the
+    BBO window: pumps 300-500 nm, signals within 20% of degeneracy."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    while len(designs) < count:
+        lam_p = rng.uniform(300e-9, 500e-9)
+        lam_s = 2.0 * lam_p * rng.uniform(0.8, 1.2)
+        lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+        if max(lam_s, lam_i) < 1060e-9:
+            designs.append((math.radians(rng.uniform(0.5, 2.0)), lam_s, lam_i))
+    return designs
 
 
 def constant_crystal(n_o=1.5, n_e=1.4, cut=0.5):
@@ -228,6 +274,28 @@ class TestPhaseMatching:
         cr = constant_crystal(n_o=1.5, n_e=1.45)
         with pytest.raises(PhaseMatchingError, match="no phase-matching"):
             collinear_cut_angle(405e-9, 810e-9, 810e-9, cr)
+
+    @pytest.mark.parametrize("which", ["degenerate", "nondegenerate", "seeded"])
+    def test_closed_forms_match_root_oracle(self, which, request):
+        if which == "seeded":
+            crystal = request.getfixturevalue("degenerate").crystal
+            designs = seeded_designs()
+        else:
+            cfg = request.getfixturevalue(which)
+            crystal = cfg.crystal
+            designs = [(
+                math.radians(cfg.resolved["collection"]["cut_detuning_deg"]),
+                cfg.geom.signal.central_wavelength,
+                cfg.geom.idler.central_wavelength,
+            )]
+        for cut_detuning, lam_s, lam_i in designs:
+            want_c, want_s, want_i = oracle_angles(cut_detuning, lam_s, lam_i, crystal)
+            lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)
+            theta_c = collinear_cut_angle(lam_p, lam_s, lam_i, crystal)
+            theta_s, theta_i = emission_angles(cut_detuning, lam_s, lam_i, crystal)
+            assert abs(theta_c / want_c - 1) <= 1e-13, (lam_s, lam_i)
+            assert abs(theta_s / want_s - 1) <= 1e-11, (cut_detuning, lam_s, lam_i)
+            assert abs(theta_i / want_i - 1) <= 1e-11, (cut_detuning, lam_s, lam_i)
 
     def test_emission_angles_zero_detuning(self, degenerate):
         ts, ti = emission_angles(0.0, 810e-9, 810e-9, degenerate.crystal)

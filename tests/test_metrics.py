@@ -156,9 +156,7 @@ class TestModeOverlap:
     def test_odd_x_order_vanishes_by_parity(self, degenerate):
         cfg = degenerate
         v0 = mode_function_nm(0, 0, 0.0, 0.0, cfg.geom, cfg.crystal)
-        v1 = mode_function_nm(
-            1, 0, 0.0, 0.0, cfg.geom, cfg.crystal, check_convergence=False
-        )
+        v1 = mode_function_nm(1, 0, 0.0, 0.0, cfg.geom, cfg.crystal)
         assert abs(v1) <= 1e-10 * abs(v0)
 
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
