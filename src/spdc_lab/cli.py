@@ -28,8 +28,8 @@ from .dispersion import (
     wave_number,
 )
 from .errors import ConfigError, ConvergenceError, SpdcLabError
-from .jsa import write_jsa_csv, write_jsa_json
-from .metrics import compute_metrics, filter_jsa
+from .jsa import jsa_grid, write_jsa_csv, write_jsa_json
+from .metrics import compute_metrics
 from .sweep import (
     metrics_vs_waist_ratio,
     optimize,
@@ -137,7 +137,7 @@ def _run(args):
             )
 
     elif args.command == "jsa":
-        grid = filter_jsa(cfg.geom, cfg.crystal, cfg.filters, numerics)
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, numerics)
         write_jsa_csv(grid, os.path.join(out, "jsa_grid.csv"))
         write_jsa_json(grid, os.path.join(out, "jsa_grid.json"))
         _write_json({"config": resolved}, os.path.join(out, "resolved_config.json"))

@@ -19,7 +19,7 @@ from .dispersion import (
 )
 from .errors import ConfigError
 from .filters import FilterBank, FilterSpec
-from .jsa import ALPHA_CONVENTIONS, BeamGeometry, MAX_EMISSION_ANGLE, MIN_GRID_RESOLUTION
+from .jsa import ALPHA_CONVENTIONS, BeamGeometry, MAX_EMISSION_ANGLE
 from .units import (
     FREQUENCY_CONVENTIONS,
     deg_to_rad,
@@ -41,10 +41,10 @@ MAX_RATE_RESOLUTION = 801  # finest level of the pair-rate doubling N -> 2N - 1
 
 # (floor, ceiling) of the integer fields: the rate resolution leaves room for
 # one doubling within MAX_RATE_RESOLUTION, the singles grid is no finer than
-# that, a 4001^2 complex JSA grid is 256 MB and 2^m m! is a finite float up
-# to m = 150
+# that, the JSA grid has 64 to 4001 points a side (4001^2 complex is 256 MB)
+# and 2^m m! is a finite float up to m = 150
 _INT_RANGES = {
-    "grid_resolution": (MIN_GRID_RESOLUTION, 4001),
+    "grid_resolution": (64, 4001),
     "truncation_max_order": (4, 150),
     "rate_resolution": (2, (MAX_RATE_RESOLUTION + 1) // 2),
     "singles_resolution": (2, MAX_RATE_RESOLUTION),
@@ -184,25 +184,26 @@ def load_config(path):
     degenerate = coll.get("degenerate", False)
     if not isinstance(degenerate, bool):
         raise ConfigError("collection.degenerate: must be true or false")
+    inv = 1.0 / lam_p - 1.0 / lam_s  # 1 / the energy-conserving idler wavelength
+    if inv <= 0:
+        raise ConfigError(
+            "collection.signal_wavelength_nm: no energy-conserving idler exists "
+            "for this pump (the signal must be longer than the pump wavelength)"
+        )
     if "idler_wavelength_nm" in coll:
         lam_i = nm_to_m(_positive(coll, "collection", "idler_wavelength_nm"))
-    elif degenerate:
-        lam_i = lam_s
     else:
-        inv = 1.0 / lam_p - 1.0 / lam_s
-        if inv <= 0:
-            raise ConfigError(
-                "collection.signal_wavelength_nm: no energy-conserving idler exists "
-                "for this pump"
-            )
-        lam_i = 1.0 / inv
-    mismatch = abs(1.0 / lam_p - 1.0 / lam_s - 1.0 / lam_i) * lam_p
-    if mismatch > 1e-6:
-        suggestion = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+        lam_i = lam_s if degenerate else 1.0 / inv
+    if abs(inv - 1.0 / lam_i) * lam_p > 1e-6:
         raise ConfigError(
             "collection.idler_wavelength_nm: energy conservation violated; "
-            "the energy-conserving value is %.4f nm" % (suggestion * 1e9)
+            "the energy-conserving value is %.4f nm" % (1e9 / inv)
         )
+    hw_s_thz = _positive(filt, "filters", "signal_halfwidth_thz", 5.0)
+    hw_s = thz_to_rad_per_s(hw_s_thz, convention)
+    hw_i = thz_to_rad_per_s(
+        _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
+    )
     W0s = um_to_m(_positive(coll, "collection", "waist_um"))
     cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
 
@@ -222,16 +223,25 @@ def load_config(path):
     except (OSError, ValueError) as exc:
         raise ConfigError("crystal.name: no crystal dataset named %r" % name) from exc
     lo, hi = crystal.validity_window
-    for key, lam in (
-        ("pump.wavelength_nm", lam_p),
-        ("collection.signal_wavelength_nm", lam_s),
-        ("collection.idler_wavelength_nm", lam_i),
+    # the central wavelengths, then the filter windows the spectral grids span
+    # and the sum band on which they evaluate the pump; 2 pi c / x maps a
+    # frequency to its wavelength as well
+    w_s, w_i = wavelength_to_angular_frequency(lam_s), wavelength_to_angular_frequency(lam_i)
+    for key, w, half in (
+        ("pump.wavelength_nm", wavelength_to_angular_frequency(lam_p), 0.0),
+        ("collection.signal_wavelength_nm", w_s, 0.0),
+        ("collection.idler_wavelength_nm", w_i, 0.0),
+        ("filters.signal_halfwidth_thz", w_s, hw_s),
+        ("filters.idler_halfwidth_thz", w_i, hw_i),
+        ("pump.wavelength_nm", w_s + w_i, hw_s + hw_i),
     ):
-        if not lo <= lam <= hi:
-            raise ConfigError(
-                "%s: %.1f nm lies outside the %s dispersion-data window [%.1f, %.1f] nm"
-                % (key, lam * 1e9, crystal.name, lo * 1e9, hi * 1e9)
-            )
+        longest = wavelength_to_angular_frequency(w - half) if w > half else math.inf
+        for lam in (wavelength_to_angular_frequency(w + half), longest):
+            if not lo <= lam <= hi:
+                raise ConfigError(
+                    "%s: the spectral grid reaches %.1f nm, outside the %s dispersion-data "
+                    "window [%.1f, %.1f] nm" % (key, lam * 1e9, crystal.name, lo * 1e9, hi * 1e9)
+                )
     theta_c = collinear_cut_angle(lam_p, lam_s, lam_i, crystal)
     theta_s, theta_i = emission_angles(cut_detuning, lam_s, lam_i, crystal)
     if theta_c + cut_detuning >= math.pi / 2 or max(theta_s, theta_i) >= MAX_EMISSION_ANGLE:
@@ -262,11 +272,6 @@ def load_config(path):
     if not _finite(transmission) or not 0.0 <= transmission <= 1.0:
         raise ConfigError("filters.transmission: must be a number in [0, 1]")
     transmission = float(transmission)
-    hw_s_thz = _positive(filt, "filters", "signal_halfwidth_thz", 5.0)
-    hw_s = thz_to_rad_per_s(hw_s_thz, convention)
-    hw_i = thz_to_rad_per_s(
-        _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
-    )
     hw_p = thz_to_rad_per_s(
         _positive(pump, "pump", "filter_halfwidth_thz", 2.0 * hw_s_thz), convention
     )

@@ -40,8 +40,6 @@ SINC_GAUSS_ALPHA = 0.455
 
 ALPHA_CONVENTIONS = ("paper_literal", "consistent")
 
-MIN_GRID_RESOLUTION = 64
-
 MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 
 # below this a^2 = H L^2 / 4 the walk-off envelope moves the longitudinal
@@ -265,7 +263,7 @@ class SpectralTerms:
     waists. ``amplitude`` applies one geometry's curvatures to them.
     """
 
-    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode="exact"):
+    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
         if dispersion_mode == "exact":
             self.dky, self.dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
         elif dispersion_mode == "linear":
@@ -291,7 +289,7 @@ class SpectralTerms:
     def sinc(self):
         return walk_off_integral(self.dkz, 0.0, self.length_L)
 
-    def amplitude(self, geom, walk_off=False):
+    def amplitude(self, geom, walk_off):
         """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)
         envelope enters the longitudinal factor."""
         g = geometry_factors(geom)
@@ -316,7 +314,7 @@ class SpectralGrid(SpectralTerms):
     besides its resolution.
     """
 
-    def __init__(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
+    def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
         self.resolution = resolution
         self.key = _spectral_key(geom, crystal, filters, dispersion_mode)
         self.w_s = np.linspace(*filters.signal.support, resolution)
@@ -353,7 +351,7 @@ class SpectralGrids:
     def __init__(self):
         self._grids = {}
 
-    def get(self, resolution, geom, crystal, filters, dispersion_mode="exact"):
+    def get(self, resolution, geom, crystal, filters, dispersion_mode):
         if not all(
             grid.fits(geom, crystal, filters, dispersion_mode)
             for grid in self._grids.values()
@@ -386,29 +384,21 @@ def mode_function(
     return terms.amplitude(geom, walk_off)
 
 
-def jsa_grid(
-    resolution,
-    geom,
-    crystal,
-    filters,
-    dispersion_mode="exact",
-    walk_off=False,
-    grids=None,
-):
+def jsa_grid(geom, crystal, filters, numerics, grids=None):
     """Sample the amplitude on a uniform grid spanning the signal and idler
-    windows of the FilterBank ``filters`` (no transmission applied).
+    windows of the FilterBank ``filters`` (no transmission applied), at the
+    ``grid_resolution``, ``dispersion_mode`` and ``walk_off_enabled`` of
+    the Numerics ``numerics``.
 
     ``grids`` is the run's SpectralGrids holder; without one the grid is
     built for this call only.
     """
-    if resolution < MIN_GRID_RESOLUTION:
-        raise ValueError(
-            "grid resolution %d below minimum %d" % (resolution, MIN_GRID_RESOLUTION)
-        )
     check_rayleigh(geom, crystal.length_L)
     grids = SpectralGrids() if grids is None else grids
-    grid = grids.get(resolution, geom, crystal, filters, dispersion_mode)
-    amp = np.asarray(grid.amplitude(geom, walk_off), dtype=complex)
+    grid = grids.get(
+        numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
+    )
+    amp = np.asarray(grid.amplitude(geom, numerics.walk_off_enabled), dtype=complex)
     return JsaGrid(
         omega_s_samples=grid.w_s,
         omega_i_samples=grid.w_i,
@@ -431,7 +421,7 @@ def _delta_terms(geom, crystal, alpha_convention):
     return u, v, a, b, alpha_eff
 
 
-def delta_coefficients(geom, crystal, alpha_convention="paper_literal"):
+def delta_coefficients(geom, crystal, alpha_convention):
     """Gaussian-model quadratic-form coefficients for the joint intensity.
 
     ``consistent`` uses the single power of the sinc-matching constant that
@@ -448,7 +438,7 @@ def delta_coefficients(geom, crystal, alpha_convention="paper_literal"):
     return DeltaCoefficients(delta_s=delta_s, delta_i=delta_i, delta_si=delta_si)
 
 
-def purity_waist(W0p, geom, crystal, alpha_convention="paper_literal"):
+def purity_waist(W0p, geom, crystal, alpha_convention):
     """Collection waist W0s (= W0i) that zeroes the cross coefficient delta_si.
 
     Closed form: with equal collection waists the condition delta_si = 0

@@ -28,6 +28,11 @@ from .errors import ConsistencyError, ConvergenceError
 from .jsa import SpectralGrids, SpectralTerms, check_rayleigh, geometry_factors, jsa_grid
 from .schmidt import purity
 
+# relative change between pair-rate doubling levels, and of the newest
+# mode-sum shell against the running sum, at which each sum stops
+_RATE_TOL, _SHELL_TOL = 5e-3, 1e-4
+
+
 @dataclass(frozen=True)
 class RatePrefactor:
     """Dimensional prefactor of the rate integrals (pairs/s per (rad/s)^2 of
@@ -91,10 +96,10 @@ class MetricsReport:
         }
 
 
-def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
+def rate_prefactor(geom, crystal):
     """Dimensional prefactor shared by the pair and singles integrals.
 
-    value = eta_s eta_i P d_eff^2 a_s^2 a_i^2 a_p^2 w_s0 w_i0
+    value = P d_eff^2 a_s^2 a_i^2 a_p^2 w_s0 w_i0
             / (sqrt(2) pi^(3/2) eps0 c^3 n_s n_i n_p B_p)
 
     with a_j^2 = 2/(pi W0j^2) the squared fundamental-mode normalizations and
@@ -120,14 +125,12 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
     P_watt = geom.pump_power_P * 1e-3
     w_s0, w_i0 = geom.signal.central_angular_frequency, geom.idler.central_angular_frequency
     value = (
-        path_efficiency_s * path_efficiency_i * P_watt * d_eff**2
+        P_watt * d_eff**2
         * alpha2["s"] * alpha2["i"] * alpha2["p"] * w_s0 * w_i0
         / (math.sqrt(2.0) * math.pi**1.5 * epsilon_0 * c**3 * n_s * n_i * n_p
            * geom.pump_bandwidth_Bp)
     )
     components = {
-        "path_efficiency_s": path_efficiency_s,
-        "path_efficiency_i": path_efficiency_i,
         "pump_power_W": P_watt,
         "d_eff_m_per_V": d_eff,
         "alpha_s_sq": alpha2["s"],
@@ -145,38 +148,30 @@ def rate_prefactor(geom, crystal, path_efficiency_s=1.0, path_efficiency_i=1.0):
     return RatePrefactor(value=value, components=components)
 
 
-def pair_rate(
-    geom, crystal, filters, base_resolution=101, rel_tol=5e-3,
-    max_resolution=MAX_RATE_RESOLUTION, dispersion_mode="exact", walk_off=False,
-    path_efficiency_s=1.0, path_efficiency_i=1.0, grids=None,
-):
+def pair_rate(geom, crystal, filters, numerics=Numerics(), grids=None):
     """Pair rate in pairs/(s mW), converged by grid doubling.
 
     The joint density is integrated over the rectangle of the signal and
     idler filter windows (the sum-frequency variable is bounded by the pump
-    filter inside the integrand), with the grid refined as N -> 2N - 1 until
-    successive estimates agree to ``rel_tol``.
+    filter inside the integrand), with the grid refined from
+    ``numerics.rate_resolution`` points as N -> 2N - 1, up to
+    MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL.
 
     ``grids`` is the run's SpectralGrids holder, from which every doubling
     level takes its grid; without one the grids are built for this call only.
-    ``base_resolution`` must leave one doubling within ``max_resolution``.
     """
-    if 2 * base_resolution - 1 > max_resolution:
-        raise ValueError(
-            "base_resolution %d leaves no doubling level within max_resolution %d"
-            % (base_resolution, max_resolution)
-        )
     check_rayleigh(geom, crystal.length_L)
-    pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
+    pref = rate_prefactor(geom, crystal)
     grids = SpectralGrids() if grids is None else grids
     prev = None
-    n = base_resolution
-    while n <= max_resolution:
-        grid = grids.get(n, geom, crystal, filters, dispersion_mode)
-        cur = grid.integrate(grid.weight * np.abs(grid.amplitude(geom, walk_off)) ** 2)
+    n = numerics.rate_resolution
+    while n <= MAX_RATE_RESOLUTION:
+        grid = grids.get(n, geom, crystal, filters, numerics.dispersion_mode)
+        amp = grid.amplitude(geom, numerics.walk_off_enabled)
+        cur = grid.integrate(grid.weight * np.abs(amp) ** 2)
         if prev is not None:
             scale = max(abs(cur), abs(prev))
-            if scale == 0.0 or abs(cur - prev) <= rel_tol * scale:
+            if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
                 return pref.value * cur / geom.pump_power_P
         prev = cur
         n = 2 * n - 1
@@ -324,7 +319,7 @@ def mode_function_nm(n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk
     Om_s = np.atleast_1d(np.asarray(Omega_s, dtype=float))
     Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
     arm = _arm(geom, which)
-    terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal)
+    terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal, "exact")
     kern = _ModeSumKernel(geom, terms, walk_off)
     val = kern.amplitude(n, m, arm)
     raised = kern.amplitude(n, m, arm, kern.z_order(m) + _Z_RAISE)
@@ -334,36 +329,35 @@ def mode_function_nm(n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk
     return val
 
 
-def singles_rate(
-    which, geom, crystal, filters, truncation=20, shell_tol=1e-4, resolution=101,
-    walk_off=False, path_efficiency_s=1.0, path_efficiency_i=1.0, kernel=None,
-    dispersion_mode="exact",
-):
+def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None):
     """Mode-summed singles rate for one arm, in counts/(s mW).
 
     Sums per-mode rates over constant-(n + m) shells until the newest shell
-    contributes less than ``shell_tol`` of the running sum; ``truncation``
-    caps the per-axis order. The per-mode normalization divides the squared
-    fundamental normalization by 2^(n+m) n! m!. The last shell's y-z term is
-    evaluated again at _Z_RAISE more z nodes, and a relative change beyond
-    _Z_TOL raises ConvergenceError.
+    contributes less than _SHELL_TOL of the running sum;
+    ``numerics.truncation_max_order`` caps the per-axis order. The per-mode
+    normalization divides the squared fundamental normalization by
+    2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
+    more z nodes, and a relative change beyond _Z_TOL raises
+    ConvergenceError.
 
     ``kernel`` is this geometry's mode-sum kernel on the same grid and
     settings, shared by both arms (see ``heralding_rates``). Without one the
-    kernel is built on a ``resolution`` grid made for this call.
+    kernel is built on a ``numerics.singles_resolution`` grid made for this
+    call.
     """
-    if truncation < 4:
-        raise ValueError("truncation ceiling must be at least 4")
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
-    pref = rate_prefactor(geom, crystal, path_efficiency_s, path_efficiency_i)
+    pref = rate_prefactor(geom, crystal)
     if kernel is None:
-        grid = SpectralGrids().get(resolution, geom, crystal, filters, dispersion_mode)
-        kernel = _ModeSumKernel(geom, grid, walk_off)
+        grid = SpectralGrids().get(
+            numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
+        )
+        kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
     elif (
         kernel.geom != geom
-        or kernel.terms.resolution != resolution
-        or not kernel.terms.fits(geom, crystal, filters, dispersion_mode)
+        or kernel.walk_off != numerics.walk_off_enabled
+        or kernel.terms.resolution != numerics.singles_resolution
+        or not kernel.terms.fits(geom, crystal, filters, numerics.dispersion_mode)
     ):
         raise ValueError("mode-sum kernel was built for another geometry or grid")
     grid = kernel.terms
@@ -380,10 +374,10 @@ def singles_rate(
         d_m.append(d_term(shell))
         contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib
-        if shell > 0 and contrib < shell_tol * total:
+        if shell > 0 and contrib < _SHELL_TOL * total:
             break
         shell += 1
-        if shell > truncation:
+        if shell > numerics.truncation_max_order:
             raise ConvergenceError(
                 "mode-sum shell ceiling reached before the tail criterion",
                 estimates=(pref.value * total / geom.pump_power_P,),
@@ -419,41 +413,21 @@ def heralding_rates(geom, crystal, filters, numerics, grids=None):
     singles arms share one mode-sum kernel, which is dropped on return;
     ``grids`` is the run's SpectralGrids holder (one for this call if None)."""
     grids = SpectralGrids() if grids is None else grids
-    walk_off, dispersion_mode = numerics.walk_off_enabled, numerics.dispersion_mode
-    R = pair_rate(
-        geom, crystal, filters, base_resolution=numerics.rate_resolution,
-        dispersion_mode=dispersion_mode, walk_off=walk_off, grids=grids,
+    R = pair_rate(geom, crystal, filters, numerics, grids)
+    grid = grids.get(
+        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
-    grid = grids.get(numerics.singles_resolution, geom, crystal, filters, dispersion_mode)
-    arm_settings = dict(
-        truncation=numerics.truncation_max_order,
-        resolution=numerics.singles_resolution,
-        walk_off=walk_off,
-        kernel=_ModeSumKernel(geom, grid, walk_off),
-        dispersion_mode=dispersion_mode,
+    kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
+    res_s, res_i = (
+        singles_rate(which, geom, crystal, filters, numerics, kernel)
+        for which in ("signal", "idler")
     )
-    res_s = singles_rate("signal", geom, crystal, filters, **arm_settings)
-    res_i = singles_rate("idler", geom, crystal, filters, **arm_settings)
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
 
 
-def filter_jsa(geom, crystal, filters, numerics, grids=None):
-    """The JSA sampled over the signal and idler filter windows."""
-    return jsa_grid(
-        numerics.grid_resolution,
-        geom,
-        crystal,
-        filters,
-        dispersion_mode=numerics.dispersion_mode,
-        walk_off=numerics.walk_off_enabled,
-        grids=grids,
-    )
-
-
 def jsa_purity(geom, crystal, filters, numerics, grids=None):
-    """Purity of ``filter_jsa`` in the ``numerics.decompose`` mode."""
-    grid = filter_jsa(geom, crystal, filters, numerics, grids)
-    return purity(grid, decompose=numerics.decompose)
+    """Purity of ``jsa_grid`` in the ``numerics.decompose`` mode."""
+    return purity(jsa_grid(geom, crystal, filters, numerics, grids), numerics.decompose)
 
 
 def compute_metrics(

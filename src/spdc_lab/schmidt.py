@@ -36,15 +36,15 @@ def _sampled_matrix(grid):
     return matrix
 
 
-def purity(grid, decompose="amplitude"):
+def purity(grid, decompose):
     """Purity of a sampled joint amplitude without its Schmidt spectrum.
 
     ``amplitude`` mode returns Tr(rho^2) = ||A^H A||_F^2 / ||A||_F^4, the
-    SVD-free value of ``schmidt_purity(grid).purity``; other modes go
+    SVD-free value of ``schmidt_purity(grid, "amplitude").purity``; other modes go
     through ``schmidt_purity``.
     """
     if decompose != "amplitude":
-        return schmidt_purity(grid, decompose=decompose).purity
+        return schmidt_purity(grid, decompose).purity
     matrix = _sampled_matrix(grid)
     gram = matrix.conj().T @ matrix
     total = np.trace(gram).real
@@ -53,7 +53,7 @@ def purity(grid, decompose="amplitude"):
     return float(np.vdot(gram, gram).real / total**2)
 
 
-def schmidt_purity(grid, decompose="amplitude"):
+def schmidt_purity(grid, decompose):
     """Schmidt spectrum of a sampled joint amplitude.
 
     ``grid`` is a JsaGrid or a bare 2-D array. ``amplitude`` decomposes the

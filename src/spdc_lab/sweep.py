@@ -18,6 +18,11 @@ from .errors import UnsatisfiableConditionError
 from .jsa import SpectralGrids, purity_waist
 from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
 
+# the Gaussian-model convention that ties the collection waist to the pump
+# waist while the pair rate is maximized, and the pump-waist search interval
+_TIE_ALPHA = "consistent"
+_WAIST_BOUNDS = (50e-6, 800e-6)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -82,18 +87,6 @@ def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
     return x, f(x)
 
 
-def _pair_rate(geom, crystal, filters, numerics, grids):
-    return pair_rate(
-        geom,
-        crystal,
-        filters,
-        base_resolution=numerics.rate_resolution,
-        dispersion_mode=numerics.dispersion_mode,
-        walk_off=numerics.walk_off_enabled,
-        grids=grids,
-    )
-
-
 def rate_vs_pump_waist(
     waist_range,
     steps,
@@ -101,16 +94,16 @@ def rate_vs_pump_waist(
     crystal,
     filters,
     policy="separability",
-    tie_alpha="consistent",
     include_purity=True,
     numerics=Numerics(),
 ):
     """Pair rate versus pump waist.
 
     ``policy`` sets how the collection waist follows the pump waist:
-    ``separability`` re-solves the closed-form purity condition at every
-    sample (waists where it is unsatisfiable are skipped), ``fixed`` keeps
-    the template value, ``co-scale`` scales it proportionally. The argmax is
+    ``separability`` re-solves the closed-form purity condition under
+    _TIE_ALPHA at every sample (waists where it is unsatisfiable are
+    skipped), ``fixed`` keeps the template value, ``co-scale`` scales it
+    proportionally. The argmax is
     reported with ties broken toward the smallest swept value. All samples
     share one SpectralGrids holder, so the phase mismatch is evaluated once
     per grid resolution, not per sample.
@@ -125,7 +118,7 @@ def rate_vs_pump_waist(
     for W0p in np.linspace(lo, hi, steps):
         if policy == "separability":
             try:
-                W0s = purity_waist(W0p, geom_base, crystal, alpha_convention=tie_alpha)
+                W0s = purity_waist(W0p, geom_base, crystal, _TIE_ALPHA)
             except UnsatisfiableConditionError:
                 continue
         elif policy == "fixed":
@@ -135,7 +128,7 @@ def rate_vs_pump_waist(
         else:
             raise ValueError("unknown sweep policy: %r" % (policy,))
         geom = replace(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
-        R = _pair_rate(geom, crystal, filters, numerics, grids)
+        R = pair_rate(geom, crystal, filters, numerics, grids)
         row_purity = None
         if include_purity:
             row_purity = jsa_purity(geom, crystal, filters, numerics, grids)
@@ -188,8 +181,6 @@ def optimize(
     geom_template,
     crystal,
     filters,
-    tie_alpha="consistent",
-    waist_bounds=(50e-6, 800e-6),
     scan_points=121,
     eta_coarse_points=11,
     numerics=Numerics(),
@@ -197,28 +188,26 @@ def optimize(
     """Three-stage waist optimization.
 
     Stage 1 maximizes the pair rate over the pump waist by golden-section
-    search, tying the collection waist to the separability condition. Stage 2
-    evaluates the closed-form collection waist at the optimum under
+    search over _WAIST_BOUNDS, tying the collection waist to the
+    separability condition under _TIE_ALPHA. Stage 2 evaluates the
+    closed-form collection waist at the optimum under
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
     [0.5, 1.2] times the closed-form value, maximizing the purity (with local
     quadratic refinement) and locating the efficiency/purity crossing by
     bisection. The three stages share one SpectralGrids holder.
     """
-    lo, hi = waist_bounds
     grids = SpectralGrids()
 
     def tied_rate(W0p):
         try:
-            W0s = purity_waist(W0p, geom_template, crystal, alpha_convention=tie_alpha)
+            W0s = purity_waist(W0p, geom_template, crystal, _TIE_ALPHA)
         except UnsatisfiableConditionError:
             return -math.inf
         geom = replace(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
-        return _pair_rate(geom, crystal, filters, numerics, grids)
+        return pair_rate(geom, crystal, filters, numerics, grids)
 
-    W0p_star, _ = golden_section_maximize(tied_rate, lo, hi, tol=0.25e-6)
-    W0s_closed_form = purity_waist(
-        W0p_star, geom_template, crystal, alpha_convention=numerics.alpha_convention
-    )
+    W0p_star, _ = golden_section_maximize(tied_rate, *_WAIST_BOUNDS, tol=0.25e-6)
+    W0s_closed_form = purity_waist(W0p_star, geom_template, crystal, numerics.alpha_convention)
 
     scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, scan_points)
 

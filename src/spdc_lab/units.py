@@ -31,7 +31,7 @@ def rad_to_deg(x):
     return math.degrees(x)
 
 
-def thz_to_rad_per_s(x, convention="angular"):
+def thz_to_rad_per_s(x, convention):
     """Convert a value quoted in THz to rad/s under the chosen convention."""
     if convention not in FREQUENCY_CONVENTIONS:
         raise ValueError("unknown frequency convention: %r" % (convention,))

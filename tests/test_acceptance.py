@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spdc_lab.config import Numerics
 from spdc_lab.dispersion import OpticalMode, inverse_group_velocity, wave_number
 from spdc_lab.jsa import (
     delta_coefficients,
@@ -138,13 +139,10 @@ def test_criterion_6_walk_off_effect(degenerate, capsys):
     geom = replace(cfg.geom, W0s=280e-6, W0i=280e-6)
 
     def eta_and_rate(walk_off):
-        R = pair_rate(geom, cfg.crystal, cfg.filters, walk_off=walk_off)
-        rs = singles_rate(
-            "signal", geom, cfg.crystal, cfg.filters, walk_off=walk_off
-        ).rate
-        ri = singles_rate(
-            "idler", geom, cfg.crystal, cfg.filters, walk_off=walk_off
-        ).rate
+        numerics = Numerics(walk_off_enabled=walk_off)
+        R = pair_rate(geom, cfg.crystal, cfg.filters, numerics)
+        rs = singles_rate("signal", geom, cfg.crystal, cfg.filters, numerics).rate
+        ri = singles_rate("idler", geom, cfg.crystal, cfg.filters, numerics).rate
         return R, R / math.sqrt(rs * ri)
 
     R_off, eta_off = eta_and_rate(False)
@@ -170,7 +168,7 @@ def test_criterion_7_property_suite(degenerate, capsys):
     # separable grid decomposes with unit purity
     x = np.linspace(-3, 3, 128)
     sep = np.outer(np.exp(-(x**2)), np.exp(-1.5 * x**2))
-    if abs(schmidt_purity(sep).purity - 1.0) >= 1e-10:
+    if abs(schmidt_purity(sep, "amplitude").purity - 1.0) >= 1e-10:
         failures.append("separable-grid purity")
 
     # the closed-form collection waist zeroes the cross coefficient
@@ -195,8 +193,9 @@ def test_criterion_7_property_suite(degenerate, capsys):
         cfg.geom, theta_s=0.0, theta_i=0.0, W0p=5.0, W0s=1e-4, W0i=1e-4
     )
     R0 = pair_rate(geom0, crystal0, cfg.filters)
-    rs0 = singles_rate("signal", geom0, crystal0, cfg.filters, resolution=201).rate
-    ri0 = singles_rate("idler", geom0, crystal0, cfg.filters, resolution=201).rate
+    numerics0 = Numerics(singles_resolution=201)
+    rs0 = singles_rate("signal", geom0, crystal0, cfg.filters, numerics0).rate
+    ri0 = singles_rate("idler", geom0, crystal0, cfg.filters, numerics0).rate
     eta0 = R0 / math.sqrt(rs0 * ri0)
     if not (0.0 < eta0 <= 1.0 + 1e-9 and abs(eta0 - 1.0) < 1e-6):
         failures.append("fundamental-limit heralding (eta=%.8f)" % eta0)
@@ -209,15 +208,15 @@ def test_criterion_7_property_suite(degenerate, capsys):
 
     # grid doubling: purity moves < 1e-3 and the rate < 0.5%
     p1 = schmidt_purity(
-        jsa_grid(201, cfg.geom, cfg.crystal, cfg.filters)
+        jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=201)), "amplitude"
     ).purity
     p2 = schmidt_purity(
-        jsa_grid(401, cfg.geom, cfg.crystal, cfg.filters)
+        jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=401)), "amplitude"
     ).purity
     if abs(p2 - p1) >= 1e-3:
         failures.append("grid-doubling purity")
-    R_coarse = pair_rate(cfg.geom, cfg.crystal, cfg.filters, base_resolution=101)
-    R_fine = pair_rate(cfg.geom, cfg.crystal, cfg.filters, base_resolution=201)
+    R_coarse = pair_rate(cfg.geom, cfg.crystal, cfg.filters, Numerics(rate_resolution=101))
+    R_fine = pair_rate(cfg.geom, cfg.crystal, cfg.filters, Numerics(rate_resolution=201))
     if abs(R_fine - R_coarse) >= 0.005 * R_fine:
         failures.append("grid-doubling rate")
 

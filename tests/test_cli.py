@@ -85,6 +85,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="energy-conserving value is 773.59"):
             load_config(dump(doc, tmp_path))
 
+    @pytest.mark.parametrize("idler_nm", [None, 700.0])
+    def test_signal_shorter_than_pump_has_no_idler(self, tmp_path, idler_nm):
+        # 1/lambda_p - 1/lambda_s <= 0: no positive idler wavelength conserves
+        # energy, so the error offers none
+        doc = read_shipped("nondegenerate_850_609")
+        doc["collection"]["signal_wavelength_nm"] = 300.0
+        if idler_nm is not None:
+            doc["collection"]["idler_wavelength_nm"] = idler_nm
+        with pytest.raises(ConfigError) as info:
+            load_config(dump(doc, tmp_path))
+        msg = str(info.value)
+        assert msg.startswith("collection.signal_wavelength_nm: no energy-conserving idler")
+        assert "energy-conserving value" not in msg
+
     def test_missing_section(self, tmp_path):
         doc = read_shipped("degenerate_810")
         del doc["pump"]
@@ -383,6 +397,16 @@ class TestCliErrors:
                 ("collection", "cut_detuning_deg"), 5, "collection.cut_detuning_deg",
                 id="cut-detuning-beyond-small-angle",
             ),
+            # the spectral grids span the filter windows, which here reach
+            # about 1092 nm, past the 1060 nm end of the dispersion data
+            pytest.param(
+                ("filters", "signal_halfwidth_thz"), 600.0, "filters.signal_halfwidth_thz",
+                id="signal-window-beyond-dispersion-data",
+            ),
+            pytest.param(
+                ("filters", "idler_halfwidth_thz"), 600.0, "filters.idler_halfwidth_thz",
+                id="idler-window-beyond-dispersion-data",
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
@@ -404,6 +428,11 @@ class TestCliErrors:
             ("signal", 2000.0, "collection.signal_wavelength_nm"),
             # the derived idler, about 5.4 um, is the one outside the window
             ("signal", 380.0, "collection.idler_wavelength_nm"),
+            # the +/-5 THz signal filter window reaches about 1062 nm
+            ("signal", 1059.0, "filters.signal_halfwidth_thz"),
+            # the pump is evaluated on the signal + idler sum band, which
+            # reaches about 219.8 nm
+            ("pump", 220.1, "pump.wavelength_nm"),
         ],
     )
     def test_wavelength_outside_window_exit_2(self, tmp_path, key, value_nm, field):
@@ -475,6 +504,38 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (out / "dispersion_report.json").exists()
+
+    def test_perfbench_tracer_counts_metrics_layers(self, tmp_path):
+        # perfbench/tracer.py wraps package functions by name and binds their
+        # arguments by name, so a rename here must fail in the test suite,
+        # not only in the benchmark
+        root = Path(cli.__file__).parents[2]
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = [%r, %r]\n"
+            "import spdc_lab.cli as cli\n"
+            "from tracer import Tracer, summarize\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "code = cli.main(['metrics', '--config', %r, '--out', %r])\n"
+            "print(json.dumps([code, summarize(tracer.spans)]))\n"
+        ) % (
+            str(root / "src"),
+            str(root / "perfbench"),
+            shipped_config_path("degenerate_810"),
+            str(tmp_path / "out"),
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, summary = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        counts = {
+            "metrics.pair_rate.calls": 1,
+            "metrics.singles_rate.calls": 2,
+            "jsa.jsa_grid.calls": 1,
+            "metrics.compute_metrics.calls": 1,
+        }
+        assert {key: summary[key] for key in counts} == counts
 
     def test_import_loads_no_root_finder(self):
         # phase matching is closed form, so the package needs no scipy.optimize

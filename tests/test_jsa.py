@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import (
-    MIN_GRID_RESOLUTION,
     SINC_GAUSS_ALPHA,
     WALK_OFF_SINC_A2,
     BeamGeometry,
@@ -178,7 +178,7 @@ class TestWalkOffIntegral:
         cfg, n = degenerate, 201
         tracemalloc.start()
         try:
-            SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters).amplitude(
+            SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact").amplitude(
                 cfg.geom, walk_off=True
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -206,9 +206,7 @@ class TestModeFunction:
 
     def test_argmax_near_center(self, degenerate):
         cfg = degenerate
-        grid = jsa_grid(
-            101, cfg.geom, cfg.crystal, cfg.filters
-        )
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=101))
         j, k = np.unravel_index(np.argmax(np.abs(grid.amplitude)), grid.amplitude.shape)
         assert abs(j - 50) <= 1 and abs(k - 50) <= 1
 
@@ -229,15 +227,15 @@ class TestSpectralGrids:
     def test_one_grid_per_resolution_across_waists(self, degenerate):
         cfg = degenerate
         grids = SpectralGrids()
-        grid = grids.get(101, cfg.geom, cfg.crystal, cfg.filters)
+        grid = grids.get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4, W0i=1e-4)
-        assert grids.get(101, wider, cfg.crystal, cfg.filters) is grid
-        assert grids.get(201, wider, cfg.crystal, cfg.filters).dky.shape == (201, 201)
+        assert grids.get(101, wider, cfg.crystal, cfg.filters, "exact") is grid
+        assert grids.get(201, wider, cfg.crystal, cfg.filters, "exact").dky.shape == (201, 201)
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
         cfg = nondegenerate
-        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters)
+        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
@@ -246,14 +244,14 @@ class TestSpectralGrids:
     def test_rejects_another_spectral_setting(self, degenerate):
         cfg = degenerate
         grids = SpectralGrids()
-        grids.get(101, cfg.geom, cfg.crystal, cfg.filters)
+        grids.get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         tilted = replace(cfg.geom, theta_s=1.01 * cfg.geom.theta_s)
         narrow = replace(
             cfg.filters, pump=replace(cfg.filters.pump, half_width=cfg.filters.pump.half_width / 2)
         )
         for args in (
-            (101, tilted, cfg.crystal, cfg.filters),
-            (201, cfg.geom, cfg.crystal, narrow),
+            (101, tilted, cfg.crystal, cfg.filters, "exact"),
+            (201, cfg.geom, cfg.crystal, narrow, "exact"),
             (101, cfg.geom, cfg.crystal, cfg.filters, "linear"),
         ):
             with pytest.raises(ValueError, match="another geometry"):
@@ -261,21 +259,9 @@ class TestSpectralGrids:
 
 
 class TestJsaGrid:
-    def test_resolution_floor(self, degenerate):
-        cfg = degenerate
-        with pytest.raises(ValueError):
-            jsa_grid(
-                MIN_GRID_RESOLUTION - 1,
-                cfg.geom,
-                cfg.crystal,
-                cfg.filters,
-            )
-
     def test_normalization(self, degenerate):
         cfg = degenerate
-        grid = jsa_grid(
-            101, cfg.geom, cfg.crystal, cfg.filters
-        )
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=101))
         dens = np.abs(grid.amplitude) ** 2
         total = np.trapezoid(
             np.trapezoid(dens, grid.omega_i_samples, axis=1), grid.omega_s_samples
@@ -286,10 +272,8 @@ class TestJsaGrid:
         cfg = degenerate
         vals = []
         for res in (201, 401):
-            grid = jsa_grid(
-                res, cfg.geom, cfg.crystal, cfg.filters
-            )
-            vals.append(schmidt_purity(grid).purity)
+            grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=res))
+            vals.append(schmidt_purity(grid, "amplitude").purity)
         assert abs(vals[1] - vals[0]) < 1e-3
 
     def test_narrow_pump_band_concentrates_sum_frequency(self, degenerate):
@@ -297,9 +281,7 @@ class TestJsaGrid:
         # anti-diagonal Omega_s + Omega_i = 0
         cfg = degenerate
         geom = replace(cfg.geom, pump_bandwidth_Bp=1e10)
-        grid = jsa_grid(
-            201, geom, cfg.crystal, cfg.filters
-        )
+        grid = jsa_grid(geom, cfg.crystal, cfg.filters, Numerics())
         OS = grid.omega_s_samples[:, None] - geom.signal.central_angular_frequency
         OI = grid.omega_i_samples[None, :] - geom.idler.central_angular_frequency
         dens = np.abs(grid.amplitude) ** 2
@@ -309,7 +291,7 @@ class TestJsaGrid:
 
 class TestDeltaCoefficients:
     def test_frozen_degenerate(self, degenerate):
-        d = delta_coefficients(degenerate.geom, degenerate.crystal)
+        d = delta_coefficients(degenerate.geom, degenerate.crystal, "paper_literal")
         assert d.delta_s == pytest.approx(1.814861e-27, rel=1e-6)
         assert d.delta_i == pytest.approx(d.delta_s, rel=1e-12)
         assert d.delta_si == pytest.approx(7.390311e-28, rel=1e-6)
@@ -329,7 +311,7 @@ class TestDeltaCoefficients:
         # with zero emission angles the angular terms vanish and the cross
         # coefficient is strictly positive, so no separable point exists
         geom = collinear(degenerate.geom)
-        d = delta_coefficients(geom, degenerate.crystal)
+        d = delta_coefficients(geom, degenerate.crystal, "paper_literal")
         assert d.delta_si > 0
 
     @pytest.mark.parametrize("conv", ["paper_literal", "consistent"])
@@ -344,7 +326,7 @@ class TestDeltaCoefficients:
 class TestPurityWaist:
     def test_frozen_values(self, degenerate, nondegenerate):
         assert purity_waist(
-            degenerate.geom.W0p, degenerate.geom, degenerate.crystal
+            degenerate.geom.W0p, degenerate.geom, degenerate.crystal, "paper_literal"
         ) == pytest.approx(243.2257e-6, rel=1e-6)
         assert purity_waist(
             degenerate.geom.W0p,
@@ -353,7 +335,7 @@ class TestPurityWaist:
             alpha_convention="consistent",
         ) == pytest.approx(354.1225e-6, rel=1e-6)
         assert purity_waist(
-            nondegenerate.geom.W0p, nondegenerate.geom, nondegenerate.crystal
+            nondegenerate.geom.W0p, nondegenerate.geom, nondegenerate.crystal, "paper_literal"
         ) == pytest.approx(305.2957e-6, rel=1e-6)
 
     @pytest.mark.xfail(
@@ -363,17 +345,17 @@ class TestPurityWaist:
         strict=True,
     )
     def test_published_degenerate_value(self, degenerate):
-        w = purity_waist(degenerate.geom.W0p, degenerate.geom, degenerate.crystal)
+        w = purity_waist(degenerate.geom.W0p, degenerate.geom, degenerate.crystal, "paper_literal")
         assert w == pytest.approx(309e-6, rel=0.02)
 
     def test_unsatisfiable_at_zero_angle(self, degenerate):
         geom = collinear(degenerate.geom)
         with pytest.raises(UnsatisfiableConditionError):
-            purity_waist(geom.W0p, geom, degenerate.crystal)
+            purity_waist(geom.W0p, geom, degenerate.crystal, "paper_literal")
 
     def test_unsatisfiable_for_tiny_pump_waist(self, degenerate):
         with pytest.raises(UnsatisfiableConditionError):
-            purity_waist(5e-6, degenerate.geom, degenerate.crystal)
+            purity_waist(5e-6, degenerate.geom, degenerate.crystal, "paper_literal")
 
 
 class TestGaussianModel:
@@ -388,9 +370,9 @@ class TestGaussianModel:
 
     def test_separable_form_is_pure(self, degenerate):
         cfg = degenerate
-        w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal)
+        w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, "paper_literal")
         geom = replace(cfg.geom, W0s=w, W0i=w)
-        d = delta_coefficients(geom, cfg.crystal)
+        d = delta_coefficients(geom, cfg.crystal, "paper_literal")
         assert gaussian_model_purity(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_vs_svd(self, degenerate):
@@ -405,7 +387,7 @@ class TestGaussianModel:
         amp = np.exp(
             -(d.delta_s * X**2 + d.delta_i * Y**2 + 2 * d.delta_si * X * Y) / 2.0
         )
-        svd_p = schmidt_purity(amp).purity
+        svd_p = schmidt_purity(amp, "amplitude").purity
         assert gaussian_model_purity(d) == pytest.approx(svd_p, abs=1e-3)
 
     def test_not_positive_definite(self):

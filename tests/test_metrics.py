@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_hermite
 
 from spdc_lab import metrics
+from spdc_lab.config import Numerics
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import (
@@ -59,9 +60,7 @@ class TestRatePrefactor:
         pref = rate_prefactor(degenerate.geom, degenerate.crystal)
         comp = pref.components
         want = (
-            comp["path_efficiency_s"]
-            * comp["path_efficiency_i"]
-            * comp["pump_power_W"]
+            comp["pump_power_W"]
             * comp["d_eff_m_per_V"] ** 2
             * comp["alpha_s_sq"]
             * comp["alpha_i_sq"]
@@ -81,13 +80,6 @@ class TestRatePrefactor:
         )
         assert pref.value == pytest.approx(want, rel=1e-12)
         assert pref.value > 0
-
-    def test_path_efficiencies_scale_linearly(self, degenerate):
-        base = rate_prefactor(degenerate.geom, degenerate.crystal).value
-        scaled = rate_prefactor(
-            degenerate.geom, degenerate.crystal, 0.5, 0.25
-        ).value
-        assert scaled == pytest.approx(0.125 * base, rel=1e-12)
 
 
 class TestPairRate:
@@ -127,23 +119,12 @@ class TestPairRate:
             cfg.geom, cfg.crystal, cfg.filters
         )
 
-    def test_base_without_doubling_level_rejected(self, degenerate):
+    def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
-        for base in (900, 402):
-            with pytest.raises(ValueError, match="no doubling level"):
-                pair_rate(cfg.geom, cfg.crystal, cfg.filters, base_resolution=base)
-
-    def test_nonconvergence_raises(self, degenerate):
-        cfg = degenerate
+        monkeypatch.setattr(metrics, "_RATE_TOL", 1e-12)
+        monkeypatch.setattr(metrics, "MAX_RATE_RESOLUTION", 21)
         with pytest.raises(ConvergenceError):
-            pair_rate(
-                cfg.geom,
-                cfg.crystal,
-                cfg.filters,
-                base_resolution=11,
-                rel_tol=1e-12,
-                max_resolution=21,
-            )
+            pair_rate(cfg.geom, cfg.crystal, cfg.filters, Numerics(rate_resolution=11))
 
 
 class TestModeOverlap:
@@ -253,7 +234,7 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         OS, OI = detuning_mesh(geom, filters, 15, 13)
-        kern = _ModeSumKernel(geom, SpectralTerms(OS, OI, geom, crystal), walk_off)
+        kern = _ModeSumKernel(geom, SpectralTerms(OS, OI, geom, crystal, "exact"), walk_off)
         dk = phase_mismatch_exact(OS, OI, geom, crystal)
         assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off)
 
@@ -273,7 +254,8 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
         g = geometry_factors(geom)
-        kern = _ModeSumKernel(geom, SpectralGrids().get(15, geom, cfg.crystal, cfg.filters), False)
+        grid = SpectralGrids().get(15, geom, cfg.crystal, cfg.filters, "exact")
+        kern = _ModeSumKernel(geom, grid, False)
         t, w = hermgauss(40)
         for which in ("signal", "idler"):
             arm = _arm(geom, which)
@@ -292,21 +274,22 @@ class TestModeSumKernel:
         # one Gauss-Legendre node (the crystal centre) for every Hermite order
         monkeypatch.setattr(_ModeSumKernel, "z_order", lambda self, m: 1)
         with pytest.raises(ConvergenceError, match="z quadrature") as info:
-            singles_rate("signal", geom, crystal, filters, resolution=31)
+            singles_rate("signal", geom, crystal, filters, Numerics(singles_resolution=31))
         base, raised = info.value.estimates
         assert abs(base - raised) > metrics._Z_TOL * abs(raised)
         with pytest.raises(ConvergenceError, match="z quadrature"):
             mode_function_nm(0, 2, 1e12, -0.5e12, geom, crystal)
 
-    def test_z_order_grows_with_the_ladder(self, degenerate):
+    def test_z_order_grows_with_the_ladder(self, degenerate, monkeypatch):
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters), False)
+        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters, "exact"), False)
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
         assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
+        monkeypatch.setattr(metrics, "_SHELL_TOL", 1e-9)
         deep = singles_rate(
-            "signal", geom, crystal, filters, resolution=31, kernel=kern, shell_tol=1e-9
+            "signal", geom, crystal, filters, Numerics(singles_resolution=31), kernel=kern
         )
         assert deep.max_shell > metrics._FIRST_MAX_M
         assert deep.z_order == kern.z_order(deep.max_shell) > first
@@ -319,24 +302,20 @@ class TestModeSumKernel:
     def test_singles_rate_on_shared_kernel(self, nondegenerate):
         cfg = nondegenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters), False)
+        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters, "exact"), False)
+        numerics = Numerics(singles_resolution=31)
         for which in ("signal", "idler"):
-            own = singles_rate(which, geom, crystal, filters, resolution=31)
-            assert singles_rate(
-                which, geom, crystal, filters, resolution=31, kernel=kern
-            ) == own
-        with pytest.raises(ValueError, match="another geometry"):
-            singles_rate("signal", geom, crystal, filters, resolution=21, kernel=kern)
-        with pytest.raises(ValueError, match="another geometry"):
-            singles_rate(
-                "signal", replace(geom, W0p=2 * geom.W0p), crystal, filters,
-                resolution=31, kernel=kern,
-            )
-        with pytest.raises(ValueError, match="another geometry"):
-            singles_rate(
-                "signal", geom, crystal, filters, resolution=31, kernel=kern,
-                dispersion_mode="linear",
-            )
+            own = singles_rate(which, geom, crystal, filters, numerics)
+            assert singles_rate(which, geom, crystal, filters, numerics, kernel=kern) == own
+        for other_geom, other_numerics in (
+            (geom, replace(numerics, singles_resolution=21)),
+            (replace(geom, W0p=2 * geom.W0p), numerics),
+            (geom, replace(numerics, dispersion_mode="linear")),
+            # a kernel without the walk-off envelope must not serve a walk-off rate
+            (geom, replace(numerics, walk_off_enabled=True)),
+        ):
+            with pytest.raises(ValueError, match="another geometry"):
+                singles_rate("signal", other_geom, crystal, filters, other_numerics, kernel=kern)
 
 
 class TestSinglesRate:
@@ -356,21 +335,12 @@ class TestSinglesRate:
         rs = singles_rate("signal", cfg.geom, cfg.crystal, cfg.filters)
         assert rs.rate >= R
 
-    def test_truncation_floor(self, degenerate):
+    def test_ceiling_raises(self, degenerate, monkeypatch):
         cfg = degenerate
-        with pytest.raises(ValueError):
-            singles_rate("signal", cfg.geom, cfg.crystal, cfg.filters, truncation=3)
-
-    def test_ceiling_raises(self, degenerate):
-        cfg = degenerate
+        monkeypatch.setattr(metrics, "_SHELL_TOL", 1e-30)
         with pytest.raises(ConvergenceError):
             singles_rate(
-                "signal",
-                cfg.geom,
-                cfg.crystal,
-                cfg.filters,
-                truncation=4,
-                shell_tol=1e-30,
+                "signal", cfg.geom, cfg.crystal, cfg.filters, Numerics(truncation_max_order=4)
             )
 
 
@@ -392,8 +362,9 @@ class TestHeralding:
         # the fundamental collection mode, so the heralding ratio reaches 1
         geom, crystal = fundamental_limit_case(degenerate)
         R = pair_rate(geom, crystal, degenerate.filters)
-        rs = singles_rate("signal", geom, crystal, degenerate.filters, resolution=201)
-        ri = singles_rate("idler", geom, crystal, degenerate.filters, resolution=201)
+        numerics = Numerics(singles_resolution=201)
+        rs = singles_rate("signal", geom, crystal, degenerate.filters, numerics)
+        ri = singles_rate("idler", geom, crystal, degenerate.filters, numerics)
         eta = R / math.sqrt(rs.rate * ri.rate)
         assert eta == pytest.approx(1.0, abs=1e-9)
         assert rs.max_shell == 1

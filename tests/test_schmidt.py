@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_lab.config import Numerics
 from spdc_lab.errors import SpdcLabError
 from spdc_lab.jsa import JsaGrid, jsa_grid
 from spdc_lab.schmidt import purity, schmidt_purity, write_schmidt_csv
@@ -22,7 +23,7 @@ class TestAmplitudeDecomposition:
         x = np.linspace(-3, 3, 64)
         f = np.exp(-(x**2))
         g = np.exp(-2 * x**2) * (1 + 0.3 * x)
-        spec = schmidt_purity(np.outer(f, g))
+        spec = schmidt_purity(np.outer(f, g), "amplitude")
         assert spec.purity == pytest.approx(1.0, abs=1e-10)
         assert spec.schmidt_number == pytest.approx(1.0, abs=1e-10)
         assert spec.lambdas[0] == pytest.approx(1.0, abs=1e-10)
@@ -35,7 +36,7 @@ class TestAmplitudeDecomposition:
         m = np.zeros((4, 4))
         m[0, 0] = math.sqrt(p)
         m[1, 1] = math.sqrt(1 - p)
-        spec = schmidt_purity(m)
+        spec = schmidt_purity(m, "amplitude")
         assert spec.purity == pytest.approx(p**2 + (1 - p) ** 2, rel=1e-12)
 
     @given(
@@ -46,24 +47,25 @@ class TestAmplitudeDecomposition:
     def test_scale_and_phase_invariance(self, scale, phase):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        base = schmidt_purity(m).purity
-        assert schmidt_purity(scale * np.exp(1j * phase) * m).purity == pytest.approx(
+        base = schmidt_purity(m, "amplitude").purity
+        scaled = scale * np.exp(1j * phase) * m
+        assert schmidt_purity(scaled, "amplitude").purity == pytest.approx(
             base, rel=1e-10
         )
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(20, 11))
-        assert schmidt_purity(m).purity == pytest.approx(
-            schmidt_purity(m.T).purity, rel=1e-12
+        assert schmidt_purity(m, "amplitude").purity == pytest.approx(
+            schmidt_purity(m.T, "amplitude").purity, rel=1e-12
         )
 
     def test_gaussian_oracle(self):
         # amplitude exp(-(2x^2 + 2y^2 + 2xy)/2): the geometric Schmidt ladder
         # gives purity sqrt(3)/2
         want = math.sqrt(3.0) / 2.0
-        p_201 = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=201)).purity
-        p_1001 = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=1001)).purity
+        p_201 = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=201), "amplitude").purity
+        p_1001 = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=1001), "amplitude").purity
         assert p_1001 == pytest.approx(want, abs=1e-6)
         assert abs(p_201 - p_1001) < 1e-4
 
@@ -89,25 +91,25 @@ class TestIntensityDecomposition:
 class TestValidation:
     def test_zero_matrix(self):
         with pytest.raises(SpdcLabError, match="vanishing"):
-            schmidt_purity(np.zeros((8, 8)))
+            schmidt_purity(np.zeros((8, 8)), "amplitude")
 
     def test_non_finite(self):
         m = np.ones((4, 4))
         m[2, 2] = np.nan
         with pytest.raises(ValueError):
-            schmidt_purity(m)
+            schmidt_purity(m, "amplitude")
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
-            schmidt_purity(np.ones(16))
+            schmidt_purity(np.ones(16), "amplitude")
         with pytest.raises(ValueError):
-            schmidt_purity(np.ones((1, 16)))
+            schmidt_purity(np.ones((1, 16)), "amplitude")
         with pytest.raises(ValueError):
-            purity(np.ones((1, 16)))
+            purity(np.ones((1, 16)), "amplitude")
 
     def test_purity_zero_matrix_and_unknown_mode(self):
         with pytest.raises(SpdcLabError, match="vanishing"):
-            purity(np.zeros((8, 8)))
+            purity(np.zeros((8, 8)), "amplitude")
         with pytest.raises(ValueError):
             purity(np.eye(4), decompose="other")
 
@@ -115,11 +117,11 @@ class TestValidation:
     def test_narrow_and_integer_dtypes(self, dtype):
         # the values of the matrix count, not the bits of its storage
         m = np.eye(3, dtype=dtype)
-        assert schmidt_purity(m).purity == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert purity(m) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert schmidt_purity(m, "amplitude").purity == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert purity(m, "amplitude") == pytest.approx(1.0 / 3.0, rel=1e-12)
         rank_one = np.outer(np.arange(1, 5), np.arange(1, 4)).astype(dtype)
-        assert schmidt_purity(rank_one).purity == pytest.approx(1.0, rel=1e-12)
-        assert purity(rank_one) == pytest.approx(1.0, rel=1e-12)
+        assert schmidt_purity(rank_one, "amplitude").purity == pytest.approx(1.0, rel=1e-12)
+        assert purity(rank_one, "amplitude") == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     def test_non_finite_narrow_dtypes(self, dtype):
@@ -141,11 +143,10 @@ class TestTraceRhoSquared:
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_shipped_configs(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
-        grid = jsa_grid(
-            cfg.numerics.grid_resolution, cfg.geom, cfg.crystal,
-            cfg.filters,
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        assert purity(grid, "amplitude") == pytest.approx(
+            schmidt_purity(grid, "amplitude").purity, rel=1e-12
         )
-        assert purity(grid) == pytest.approx(schmidt_purity(grid).purity, rel=1e-12)
         assert purity(grid, decompose="intensity") == (
             schmidt_purity(grid, decompose="intensity").purity
         )
@@ -154,7 +155,9 @@ class TestTraceRhoSquared:
         rng = np.random.default_rng(20000)
         m = rng.normal(size=(60, 40)) + 1j * rng.normal(size=(60, 40))
         for a in (m, m.T):
-            assert purity(a) == pytest.approx(schmidt_purity(a).purity, rel=1e-12)
+            assert purity(a, "amplitude") == pytest.approx(
+                schmidt_purity(a, "amplitude").purity, rel=1e-12
+            )
             assert purity(a, decompose="intensity") == (
                 schmidt_purity(a, decompose="intensity").purity
             )
@@ -165,25 +168,21 @@ class TestOnSampledAmplitude:
         cfg = degenerate
         vals = []
         for res in (101, 201, 401):
-            grid = jsa_grid(
-                res, cfg.geom, cfg.crystal, cfg.filters
-            )
-            vals.append(schmidt_purity(grid).purity)
+            grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=res))
+            vals.append(schmidt_purity(grid, "amplitude").purity)
         assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
         assert abs(vals[2] - vals[1]) < 1e-4
 
     def test_high_purity_at_reference_geometry(self, degenerate):
         cfg = degenerate
-        grid = jsa_grid(
-            201, cfg.geom, cfg.crystal, cfg.filters
-        )
-        spec = schmidt_purity(grid)
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=201))
+        spec = schmidt_purity(grid, "amplitude")
         assert spec.purity == pytest.approx(0.999950, abs=1e-4)
 
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        spec = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=64))
+        spec = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=64), "amplitude")
         out = tmp_path / "schmidt.csv"
         write_schmidt_csv(spec, out)
         lines = out.read_text().strip().splitlines()

@@ -220,7 +220,7 @@ class TestOptimize:
 
     def test_closed_form_stage(self, result, degenerate):
         cfg = degenerate
-        want = purity_waist(result.W0p_star, cfg.geom, cfg.crystal)
+        want = purity_waist(result.W0p_star, cfg.geom, cfg.crystal, "paper_literal")
         assert result.W0s_closed_form == pytest.approx(want, rel=1e-12)
 
     def test_refined_stage_improves_purity(self, result):
