@@ -195,6 +195,11 @@ def load_config(path):
     else:
         lam_i = lam_s if degenerate else 1.0 / inv
     if abs(inv - 1.0 / lam_i) * lam_p > 1e-6:
+        if "idler_wavelength_nm" not in coll:  # degenerate: the idler is the signal
+            raise ConfigError(
+                "collection.signal_wavelength_nm: energy conservation violated for a degenerate "
+                "pair; the degenerate value is twice the pump wavelength, %.4f nm" % (2e9 * lam_p)
+            )
         raise ConfigError(
             "collection.idler_wavelength_nm: energy conservation violated; "
             "the energy-conserving value is %.4f nm" % (1e9 / inv)

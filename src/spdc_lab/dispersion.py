@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.constants import c
 
 from .errors import (
     PhaseMatchingError,
     TotalInternalReflectionError,
     WavelengthWindowError,
 )
-from .units import TWO_PI, wavelength_to_angular_frequency
+from .units import TWO_PI, c, wavelength_to_angular_frequency
 
 CRYSTAL_DIR_ENV = "SPDC_LAB_CRYSTAL_DIR"
 

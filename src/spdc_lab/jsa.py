@@ -20,7 +20,6 @@ waist makes the amplitude separable. ``purity_waist`` solves that condition
 in closed form.
 """
 
-import csv
 import json
 import math
 import warnings
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import wofz
 
 from .dispersion import inverse_group_velocity, wave_number
 from .errors import UnsatisfiableConditionError
@@ -248,6 +246,7 @@ def walk_off_integral(dk_z, H, L):
     a = math.sqrt(H) * L / 2.0
     if a * a < WALK_OFF_SINC_A2:
         return L * np.sinc(dk_z * L / 2.0 / math.pi)
+    from scipy.special import wofz  # deferred: only walk-off runs pay for scipy's import
     b = dk_z / (2.0 * math.sqrt(H))
     tail = np.exp(-a * a - 2j * a * b) * wofz(-b + 1j * a)
     return math.sqrt(math.pi / H) * (np.exp(-b * b) - tail.real)
@@ -490,21 +489,13 @@ def gaussian_model_purity(delta):
 
 def write_jsa_csv(grid, path):
     """Dump the grid as rows (omega_s, omega_i, Re Phi, Im Phi, |Phi|^2)."""
+    A = grid.amplitude
+    WS, WI = np.meshgrid(grid.omega_s_samples, grid.omega_i_samples, indexing="ij")
+    columns = (WS, WI, A.real, A.imag, np.abs(A) ** 2)
+    row = ",".join(["%.9e"] * 5) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_s_rad_per_s", "omega_i_rad_per_s", "re_phi", "im_phi", "jsi"])
-        for j, ws in enumerate(grid.omega_s_samples):
-            for k, wi in enumerate(grid.omega_i_samples):
-                amp = grid.amplitude[j, k]
-                writer.writerow(
-                    [
-                        "%.9e" % ws,
-                        "%.9e" % wi,
-                        "%.9e" % amp.real,
-                        "%.9e" % amp.imag,
-                        "%.9e" % abs(amp) ** 2,
-                    ]
-                )
+        fh.write("omega_s_rad_per_s,omega_i_rad_per_s,re_phi,im_phi,jsi\r\n")
+        fh.write("".join(row % r for r in zip(*(col.ravel().tolist() for col in columns))))
 
 
 def write_jsa_json(grid, path):
@@ -517,4 +508,5 @@ def write_jsa_json(grid, path):
         "normalization_N": grid.normalization_N,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump always encodes in Python
+        fh.write(json.dumps(doc, sort_keys=True))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.constants import c, epsilon_0
 
 from .config import MAX_RATE_RESOLUTION, Numerics
 from .dispersion import (
@@ -27,6 +26,7 @@ from .dispersion import (
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import SpectralGrids, SpectralTerms, check_rayleigh, geometry_factors, jsa_grid
 from .schmidt import purity
+from .units import c, epsilon_0
 
 # relative change between pair-rate doubling levels, and of the newest
 # mode-sum shell against the running sum, at which each sum stops

@@ -8,7 +8,9 @@ between angular (1e12 rad/s) and ordinary (2*pi*1e12 rad/s) frequency; the
 
 import math
 
-from scipy.constants import c
+# the exact scipy.constants values (CODATA 2022), so importing the package needs no scipy
+c = 299792458.0
+epsilon_0 = 8.8541878188e-12
 
 TWO_PI = 2.0 * math.pi
 

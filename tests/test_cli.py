@@ -407,6 +407,12 @@ class TestCliErrors:
                 ("filters", "idler_halfwidth_thz"), 600.0, "filters.idler_halfwidth_thz",
                 id="idler-window-beyond-dispersion-data",
             ),
+            # a degenerate config has no idler field: the idler is the signal,
+            # so the signal is what breaks energy conservation
+            pytest.param(
+                ("collection", "signal_wavelength_nm"), 800.0,
+                "collection.signal_wavelength_nm", id="degenerate-signal-not-twice-pump",
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
@@ -537,15 +543,16 @@ class TestConsoleScript:
         }
         assert {key: summary[key] for key in counts} == counts
 
-    def test_import_loads_no_root_finder(self):
-        # phase matching is closed form, so the package needs no scipy.optimize
+    def test_import_loads_no_scipy(self):
+        # the constants are literals and only the walk-off path imports
+        # scipy.special, so importing the package loads no scipy module
         src = str(Path(cli.__file__).parents[1])
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import sys; sys.path.insert(0, %r); import spdc_lab.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
                 % src,
             ],
             capture_output=True,

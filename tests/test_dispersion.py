@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.constants
 from scipy.constants import c
 from scipy.optimize import brentq
 
@@ -26,6 +27,7 @@ from spdc_lab.errors import (
     TotalInternalReflectionError,
     WavelengthWindowError,
 )
+from spdc_lab import units
 from spdc_lab.units import wavelength_to_angular_frequency
 
 # bracketed root solves to the last bit (brentq's smallest rtol is 4 eps)
@@ -410,3 +412,12 @@ class TestDataclasses:
             OpticalMode("signal", "ordinary", 810e-9, central_angular_frequency=1.0)
         with pytest.raises(ValueError):
             OpticalMode("probe", "ordinary", 810e-9)
+
+
+class TestUnits:
+    def test_constants_match_scipy(self):
+        # units writes the constants out so the package imports no scipy; a
+        # scipy release with a new CODATA set must fail here, not drift the
+        # golden files
+        assert units.c == scipy.constants.c
+        assert units.epsilon_0 == scipy.constants.epsilon_0

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import tracemalloc
 import warnings
@@ -27,6 +29,8 @@ from spdc_lab.jsa import (
     purity_waist,
     sinc_gaussian,
     walk_off_integral,
+    write_jsa_csv,
+    write_jsa_json,
 )
 from spdc_lab.schmidt import schmidt_purity
 
@@ -287,6 +291,56 @@ class TestJsaGrid:
         dens = np.abs(grid.amplitude) ** 2
         band = np.abs(OS + OI) < 5e10
         assert dens[band].sum() > 0.999 * dens.sum()
+
+
+def _reference_write_jsa_csv(grid, path):
+    """The row-by-row csv.writer form of write_jsa_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["omega_s_rad_per_s", "omega_i_rad_per_s", "re_phi", "im_phi", "jsi"])
+        for j, ws in enumerate(grid.omega_s_samples):
+            for k, wi in enumerate(grid.omega_i_samples):
+                amp = grid.amplitude[j, k]
+                writer.writerow(
+                    [
+                        "%.9e" % ws,
+                        "%.9e" % wi,
+                        "%.9e" % amp.real,
+                        "%.9e" % amp.imag,
+                        "%.9e" % abs(amp) ** 2,
+                    ]
+                )
+
+
+def _reference_write_jsa_json(grid, path):
+    """The json.dump form of write_jsa_json."""
+    doc = {
+        "omega_s_samples": grid.omega_s_samples.tolist(),
+        "omega_i_samples": grid.omega_i_samples.tolist(),
+        "amplitude_re": grid.amplitude.real.tolist(),
+        "amplitude_im": grid.amplitude.imag.tolist(),
+        "normalization_N": grid.normalization_N,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+
+
+class TestJsaWriters:
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("config", ["degenerate", "nondegenerate"])
+    def test_match_reference_writers(self, request, tmp_path, config, walk_off):
+        # the nondegenerate grid has distinct signal and idler axes and
+        # complex amplitudes, so a transposed or misaligned column shows
+        cfg = request.getfixturevalue(config)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, numerics)
+        for write, reference, name in (
+            (write_jsa_csv, _reference_write_jsa_csv, "jsa_grid.csv"),
+            (write_jsa_json, _reference_write_jsa_json, "jsa_grid.json"),
+        ):
+            write(grid, tmp_path / name)
+            reference(grid, tmp_path / ("reference_" + name))
+            assert (tmp_path / name).read_bytes() == (tmp_path / ("reference_" + name)).read_bytes()
 
 
 class TestDeltaCoefficients:
