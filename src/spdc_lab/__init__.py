@@ -48,7 +48,6 @@ from .jsa import (
 )
 from .metrics import (
     MetricsReport,
-    RatePrefactor,
     SinglesResult,
     compute_metrics,
     heralding_efficiency,

@@ -274,8 +274,8 @@ def load_config(path):
     )
 
     transmission = filt.get("transmission", 1.0)
-    if not _finite(transmission) or not 0.0 <= transmission <= 1.0:
-        raise ConfigError("filters.transmission: must be a number in [0, 1]")
+    if not _finite(transmission) or not 0.0 < transmission <= 1.0:
+        raise ConfigError("filters.transmission: must be a number in (0, 1]")
     transmission = float(transmission)
     hw_p = thz_to_rad_per_s(
         _positive(pump, "pump", "filter_halfwidth_thz", 2.0 * hw_s_thz), convention

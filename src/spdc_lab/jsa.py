@@ -8,8 +8,8 @@ to the rate prefactor handled in :mod:`spdc_lab.metrics`,
 
 where A, C (and D, F, H) collect the transverse Gaussian-beam overlap of the
 three modes, dk_y and dk_z are the transverse/longitudinal phase mismatches,
-and Phi_z is the longitudinal integral ``walk_off_integral``, closed-form
-with the pump walk-off envelope exp(-H z^2) and L sinc(dk_z L / 2) without.
+and Phi_z is L sinc(dk_z L / 2) or, with the pump walk-off envelope exp(-H z^2),
+``walk_off_integral`` on the z rule the mode sum of :mod:`spdc_lab.metrics` shares.
 
 This module also provides the Gaussian model of the joint intensity: with the
 sinc replaced by a Gaussian of matched curvature and the mismatches
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .dispersion import inverse_group_velocity, wave_number
-from .errors import UnsatisfiableConditionError
+from .errors import ConvergenceError, UnsatisfiableConditionError
 from .filters import filter_transmission
 
 # curvature-matching constant for the sinc -> Gaussian replacement
@@ -40,10 +41,8 @@ ALPHA_CONVENTIONS = ("paper_literal", "consistent")
 
 MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 
-# below this a^2 = H L^2 / 4 the walk-off envelope moves the longitudinal
-# integral by less than a^2 L / 3, and L sinc(dk_z L / 2) stands in for the
-# closed form, whose sqrt(pi / H) prefactor would cancel digits there
-WALK_OFF_SINC_A2 = 1e-10
+# the z order check redoes a quadrature at _Z_RAISE more nodes, to _Z_TOL
+_Z_RAISE, _Z_TOL = 8, 1e-6
 
 
 @dataclass(frozen=True)
@@ -231,25 +230,49 @@ def central_inverse_group_velocities(geom, crystal):
     return N_s, N_i, N_p
 
 
+def z_order(degree, phase, spread):
+    """Gauss-Legendre order n (exact to degree 2 n - 1) for a degree-``degree``
+    polynomial in z times exp(i q z), |q z| <= phase, and exp(-H z^2),
+    H z^2 <= spread, over the crystal."""
+    return (degree + 12 + math.ceil(2.0 * phase + 4.0 * spread)) // 2 + 1
+
+
+def z_nodes(n, L, H):
+    """n Gauss-Legendre nodes on [-L/2, L/2], weights times exp(-H z^2)."""
+    t, w = leggauss(n)
+    z = t * (L / 2.0)
+    return z, w * (L / 2.0) * np.exp(-H * z**2)
+
+
+def _check_z_order(base, raised, what):
+    """max|raised - base| / max|raised|; ConvergenceError beyond _Z_TOL."""
+    scale = np.max(np.abs(raised))
+    change = float(np.max(np.abs(raised - base)) / scale) if scale > 0 else 0.0
+    if change > _Z_TOL:
+        msg = "%s: z quadrature changed by %.2e (tolerance %.0e) at %d more nodes"
+        raise ConvergenceError(msg % (what, change, _Z_TOL, _Z_RAISE), estimates=(base, raised))
+    return change
+
+
 def walk_off_integral(dk_z, H, L):
     """Longitudinal overlap integral of exp(-H z^2 - i dk_z z) over [-L/2, L/2].
 
-    Real (the imaginary part vanishes by parity) and vectorized over dk_z.
-    With a = sqrt(H) L / 2, b = dk_z / (2 sqrt(H)) and w the Faddeeva
-    function it is sqrt(pi / H) Re[exp(-b^2) - exp(-a^2 - 2iab) w(-b + ia)];
-    below a^2 = WALK_OFF_SINC_A2, and exactly at H = 0, it is
-    L sinc(dk_z L / 2).
+    Real (the imaginary part vanishes by parity) and vectorized over dk_z:
+    the ``z_nodes`` rule at ``z_order(0, max|dk_z| L / 2, H L^2 / 4)``,
+    checked at _Z_RAISE more nodes.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
     dk_z = np.asarray(dk_z, dtype=float)
-    a = math.sqrt(H) * L / 2.0
-    if a * a < WALK_OFF_SINC_A2:
-        return L * np.sinc(dk_z * L / 2.0 / math.pi)
-    from scipy.special import wofz  # deferred: only walk-off runs pay for scipy's import
-    b = dk_z / (2.0 * math.sqrt(H))
-    tail = np.exp(-a * a - 2j * a * b) * wofz(-b + 1j * a)
-    return math.sqrt(math.pi / H) * (np.exp(-b * b) - tail.real)
+    n = z_order(0, float(np.max(np.abs(dk_z), initial=0.0)) * L / 2.0, H * L**2 / 4.0)
+    sums = []
+    for z, w in (z_nodes(k, L, H) for k in (n, n + _Z_RAISE)):
+        # symmetric nodes, even integrand: sum over z >= 0 one node at a
+        # time, so the peak stays a few dk_z-sized arrays
+        w = np.where(z > 0, 2.0 * w, w)
+        sums.append(sum(w[k] * np.cos(dk_z * z[k]) for k in range(z.size // 2, z.size)))
+    _check_z_order(*sums, "walk-off integral")
+    return sums[0]
 
 
 class SpectralTerms:
@@ -286,7 +309,9 @@ class SpectralTerms:
 
     @cached_property
     def sinc(self):
-        return walk_off_integral(self.dkz, 0.0, self.length_L)
+        # the exact H = 0 longitudinal factor
+        L = self.length_L
+        return L * np.sinc(self.dkz * L / 2.0 / math.pi)
 
     def amplitude(self, geom, walk_off):
         """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)

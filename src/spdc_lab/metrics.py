@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .config import MAX_RATE_RESOLUTION, Numerics
 from .dispersion import (
@@ -24,26 +23,16 @@ from .dispersion import (
     index_ordinary,
 )
 from .errors import ConsistencyError, ConvergenceError
-from .jsa import SpectralGrids, SpectralTerms, check_rayleigh, geometry_factors, jsa_grid
+from .jsa import (
+    _Z_RAISE, _Z_TOL, SpectralGrids, SpectralTerms, _check_z_order, check_rayleigh,
+    geometry_factors, jsa_grid, z_nodes, z_order,
+)
 from .schmidt import purity
 from .units import c, epsilon_0
 
 # relative change between pair-rate doubling levels, and of the newest
 # mode-sum shell against the running sum, at which each sum stops
 _RATE_TOL, _SHELL_TOL = 5e-3, 1e-4
-
-
-@dataclass(frozen=True)
-class RatePrefactor:
-    """Dimensional prefactor of the rate integrals (pairs/s per (rad/s)^2 of
-    integrated joint density times m^-6 amplitude normalization)."""
-
-    value: float
-    components: dict
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("prefactor must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,55 +86,28 @@ class MetricsReport:
 
 
 def rate_prefactor(geom, crystal):
-    """Dimensional prefactor shared by the pair and singles integrals.
+    """Per-milliwatt prefactor shared by the pair and singles integrals.
 
-    value = P d_eff^2 a_s^2 a_i^2 a_p^2 w_s0 w_i0
-            / (sqrt(2) pi^(3/2) eps0 c^3 n_s n_i n_p B_p)
+    pref = P d_eff^2 a_s^2 a_i^2 a_p^2 w_s0 w_i0
+           / (sqrt(2) pi^(3/2) eps0 c^3 n_s n_i n_p B_p)
 
     with a_j^2 = 2/(pi W0j^2) the squared fundamental-mode normalizations and
-    P the pump power in watts. Multiplying by the joint-density integral
-    (units m^6 (rad/s)^2) yields pairs per second.
+    P = 1e-3 W. Times the joint-density integral (units m^6 (rad/s)^2) it
+    yields pairs per second per milliwatt, whatever the pump power.
     """
-    d_eff = (
-        effective_nonlinearity(crystal.cut_angle_theta, crystal.azimuth_phi, crystal)
-        * 1e-12
-    )  # pm/V -> m/V
-    alpha2 = {
-        "s": 2.0 / (math.pi * geom.W0s**2),
-        "i": 2.0 / (math.pi * geom.W0i**2),
-        "p": 2.0 / (math.pi * geom.W0p**2),
-    }
+    theta = crystal.cut_angle_theta
+    d_eff = effective_nonlinearity(theta, crystal.azimuth_phi, crystal) * 1e-12  # pm/V -> m/V
+    alpha2_s, alpha2_i, alpha2_p = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
     n_s = float(index_ordinary(geom.signal.central_wavelength, crystal))
     n_i = float(index_ordinary(geom.idler.central_wavelength, crystal))
-    n_p = float(
-        index_extraordinary(
-            geom.pump.central_wavelength, crystal.cut_angle_theta, crystal
-        )
-    )
-    P_watt = geom.pump_power_P * 1e-3
+    n_p = float(index_extraordinary(geom.pump.central_wavelength, theta, crystal))
     w_s0, w_i0 = geom.signal.central_angular_frequency, geom.idler.central_angular_frequency
-    value = (
-        P_watt * d_eff**2
-        * alpha2["s"] * alpha2["i"] * alpha2["p"] * w_s0 * w_i0
+    return (
+        1e-3 * d_eff**2
+        * alpha2_s * alpha2_i * alpha2_p * w_s0 * w_i0
         / (math.sqrt(2.0) * math.pi**1.5 * epsilon_0 * c**3 * n_s * n_i * n_p
            * geom.pump_bandwidth_Bp)
     )
-    components = {
-        "pump_power_W": P_watt,
-        "d_eff_m_per_V": d_eff,
-        "alpha_s_sq": alpha2["s"],
-        "alpha_i_sq": alpha2["i"],
-        "alpha_p_sq": alpha2["p"],
-        "omega_s0": w_s0,
-        "omega_i0": w_i0,
-        "n_s": n_s,
-        "n_i": n_i,
-        "n_p": n_p,
-        "B_p": geom.pump_bandwidth_Bp,
-        "epsilon_0": epsilon_0,
-        "c": c,
-    }
-    return RatePrefactor(value=value, components=components)
 
 
 def pair_rate(geom, crystal, filters, numerics=Numerics(), grids=None):
@@ -172,12 +134,12 @@ def pair_rate(geom, crystal, filters, numerics=Numerics(), grids=None):
         if prev is not None:
             scale = max(abs(cur), abs(prev))
             if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
-                return pref.value * cur / geom.pump_power_P
+                return pref * cur
         prev = cur
         n = 2 * n - 1
     raise ConvergenceError(
         "pair-rate integral did not converge under grid doubling",
-        estimates=(pref.value * prev / geom.pump_power_P,),
+        estimates=(pref * prev,),
     )
 
 
@@ -200,21 +162,8 @@ def _arm(geom, which):
     raise ValueError("which must be 'signal' or 'idler'")
 
 
-# z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...;
-# the order check redoes the last shell at _Z_RAISE more nodes, to _Z_TOL
-_FIRST_MAX_M, _Z_RAISE, _Z_TOL = 6, 8, 1e-6
-
-
-def _check_z_order(base, raised, what):
-    """max|raised - base| / max|raised|; ConvergenceError beyond _Z_TOL."""
-    scale = np.max(np.abs(raised))
-    change = float(np.max(np.abs(raised - base)) / scale) if scale > 0 else 0.0
-    if change > _Z_TOL:
-        msg = "%s: z quadrature changed by %.2e (tolerance %.0e) at %d more nodes"
-        raise ConvergenceError(
-            msg % (what, change, _Z_TOL, _Z_RAISE), estimates=(base, raised)
-        )
-    return change
+# z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...
+_FIRST_MAX_M = 6
 
 
 class _ModeSumKernel:
@@ -230,10 +179,10 @@ class _ModeSumKernel:
     beta = sqrt2 (sign sin(theta) - cos(theta) D/(2C))/W and
     c = 1 - 2 cos^2(theta)/(C W^2). The addition formula
     G_m(u + v) = sum_k binom(m, k) G_k(u) (2v)^(m-k) leaves z, the one
-    quadrature (Gauss-Legendre at ``z_order``), in the moments
+    quadrature (the ``z_nodes`` rule at ``z_order``), in the moments
     M[p, j] = sum_z w_z env(z) exp(i q_p z) (2 beta z)^j, one matrix product
     per arm, so Hermite order m costs O(N m). env is exp(-H z^2) with
-    walk-off and 1 without, matching the closed-form amplitude. A, C, D and
+    walk-off and 1 without, as in ``walk_off_integral``. A, C, D and
     H combine both collection waists, so one kernel serves both arms (see
     ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
     phase mismatch and the pump exponent.
@@ -248,20 +197,15 @@ class _ModeSumKernel:
         self.gp = np.exp(-terms.pump_term.ravel())
         self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(-self.dky**2 / (4.0 * g.C))
         self.arms = [_arm(geom, which) for which in ("signal", "idler")]
-        # Gauss-Legendre on n_z nodes is exact to degree 2 n_z - 1: beyond the
-        # Hermite degree m, leave degrees for exp(i q z) with |q z| <= phase
-        # and for exp(-H z^2) with H z^2 <= spread
-        phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
-        spread = g.H * terms.length_L**2 / 4.0 if walk_off else 0.0
-        self.z_margin = 12 + math.ceil(2.0 * phase + 4.0 * spread)
+        self.H = g.H if walk_off else 0.0  # walk-off envelope exp(-H z^2)
+        self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
+        self.spread = self.H * terms.length_L**2 / 4.0
         self._moments = {}
 
     def _z_moments(self, n_z, J):
         """{arm: M} with M[p, j] for j <= J on n_z Gauss-Legendre nodes."""
-        g, half = self.g, self.terms.length_L / 2.0
-        t, w = leggauss(n_z)
-        z = t * half
-        env = w * half * (np.exp(-g.H * z**2) if self.walk_off else 1.0)
+        g = self.g
+        z, env = z_nodes(n_z, self.terms.length_L, self.H)
         cols = []
         for theta, sign, Wc in self.arms:
             beta = math.sqrt(2.0) * (
@@ -282,7 +226,7 @@ class _ModeSumKernel:
         """Gauss-Legendre order used for Hermite order m: the one covering the
         first of _FIRST_MAX_M, 2 _FIRST_MAX_M, ... at or above m, so that a
         term does not depend on the orders requested before it."""
-        return (self._tier(m) + self.z_margin) // 2 + 1
+        return z_order(self._tier(m), self.phase, self.spread)
 
     def x_integral(self, n, arm):
         c = 1.0 - 2.0 / (self.g.A * arm[2] ** 2)
@@ -380,18 +324,18 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
         if shell > numerics.truncation_max_order:
             raise ConvergenceError(
                 "mode-sum shell ceiling reached before the tail criterion",
-                estimates=(pref.value * total / geom.pump_power_P,),
+                estimates=(pref * total,),
             )
-    z_order = kernel.z_order(shell)
+    n_z = kernel.z_order(shell)
     z_change = _check_z_order(
-        d_m[shell], d_term(shell, z_order + _Z_RAISE), "mode-sum shell %d" % shell
+        d_m[shell], d_term(shell, n_z + _Z_RAISE), "mode-sum shell %d" % shell
     )
     tail = contrib / total if total > 0 else 0.0
     return SinglesResult(
-        rate=pref.value * total / geom.pump_power_P,
+        rate=pref * total,
         max_shell=shell,
         tail_estimate=tail,
-        z_order=z_order,
+        z_order=n_z,
         z_change=z_change,
     )
 

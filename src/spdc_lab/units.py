@@ -8,7 +8,7 @@ between angular (1e12 rad/s) and ordinary (2*pi*1e12 rad/s) frequency; the
 
 import math
 
-# the exact scipy.constants values (CODATA 2022), so importing the package needs no scipy
+# CODATA 2022 values, written out so the package needs numpy only
 c = 299792458.0
 epsilon_0 = 8.8541878188e-12
 

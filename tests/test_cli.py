@@ -413,6 +413,11 @@ class TestCliErrors:
                 ("collection", "signal_wavelength_nm"), 800.0,
                 "collection.signal_wavelength_nm", id="degenerate-signal-not-twice-pump",
             ),
+            # dark filters leave no pairs and no singles to rate
+            pytest.param(
+                ("filters", "transmission"), 0.0, "filters.transmission",
+                id="zero-transmission",
+            ),
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, keys, value, field):
@@ -560,3 +565,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_walk_off_run_loads_no_scipy(self, tmp_path):
+        # the walk-off envelope is integrated by the package's own z rule
+        src = str(Path(cli.__file__).parents[1])
+        script = (
+            "import sys; sys.path.insert(0, %r); from spdc_lab import cli; "
+            "code = cli.main(['metrics', '--walk-off', '--config', %r, '--out', %r]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            % (src, shipped_config_path("degenerate_810"), str(tmp_path / "out"))
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import wofz
 
+from spdc_lab import jsa
 from spdc_lab.config import Numerics
-from spdc_lab.errors import UnsatisfiableConditionError
+from spdc_lab.errors import ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.jsa import (
     SINC_GAUSS_ALPHA,
-    WALK_OFF_SINC_A2,
     BeamGeometry,
     SpectralGrids,
     delta_coefficients,
@@ -37,6 +38,26 @@ from spdc_lab.schmidt import schmidt_purity
 
 def collinear(geom):
     return replace(geom, theta_s=0.0, theta_i=0.0)
+
+
+# below this a^2 = H L^2 / 4 the walk-off envelope moves the longitudinal
+# integral by less than a^2 L / 3, and L sinc(dk_z L / 2) stands in for the
+# Faddeeva form, whose sqrt(pi / H) prefactor would cancel digits there
+_FADDEEVA_SINC_A2 = 1e-10
+
+
+def _faddeeva_walk_off(dk_z, H, L):
+    """Closed form of walk_off_integral, vectorized over dk_z: with
+    a = sqrt(H) L / 2, b = dk_z / (2 sqrt(H)) and w the Faddeeva function it
+    is sqrt(pi / H) Re[exp(-b^2) - exp(-a^2 - 2iab) w(-b + ia)]; below
+    a^2 = _FADDEEVA_SINC_A2 it is L sinc(dk_z L / 2)."""
+    dk_z = np.asarray(dk_z, dtype=float)
+    a = math.sqrt(H) * L / 2.0
+    if a * a < _FADDEEVA_SINC_A2:
+        return L * np.sinc(dk_z * L / 2.0 / math.pi)
+    b = dk_z / (2.0 * math.sqrt(H))
+    tail = np.exp(-a * a - 2j * a * b) * wofz(-b + 1j * a)
+    return math.sqrt(math.pi / H) * (np.exp(-b * b) - tail.real)
 
 
 def _quad_walk_off(dk_z, H, L):
@@ -138,6 +159,12 @@ class TestPhaseMismatch:
         assert np.max(np.abs(y_ex - y_li)) < 0.01 * scale_y
 
 
+# a^2 = H L^2 / 4 on both sides of the oracle's sinc threshold
+_A2 = [0.0, 1e-14, _FADDEEVA_SINC_A2 * (1 - 1e-6), _FADDEEVA_SINC_A2 * (1 + 1e-6)] + [
+    1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0
+]
+
+
 class TestWalkOffIntegral:
     def test_at_origin(self, degenerate):
         L = degenerate.crystal.length_L
@@ -161,20 +188,45 @@ class TestWalkOffIntegral:
         with pytest.raises(ValueError):
             walk_off_integral(0.0, -1.0, 1e-4)
 
-    @pytest.mark.parametrize(
-        "a2",
-        [0.0, 1e-14, WALK_OFF_SINC_A2 * (1 - 1e-6), WALK_OFF_SINC_A2 * (1 + 1e-6)]
-        + [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0],
-    )
+    @pytest.mark.parametrize("a2", _A2)
     @pytest.mark.parametrize("L", [100e-6, 450e-6, 5e-3])
     def test_closed_form_matches_quadrature(self, L, a2):
-        # a^2 = H L^2 / 4 spans both sides of the sinc threshold
+        # the Faddeeva oracle against quad; a^2 = H L^2 / 4 spans both sides
+        # of the oracle's sinc threshold
+        H = 4.0 * a2 / L**2
+        dk_z = np.concatenate(([0.0], np.logspace(0, 6)))
+        got = _faddeeva_walk_off(dk_z, H, L)
+        want = np.array([_quad_walk_off(k, H, L) for k in dk_z])
+        assert got.dtype == float and got.shape == dk_z.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * L
+
+    @pytest.mark.parametrize("a2", _A2)
+    @pytest.mark.parametrize("L", [100e-6, 450e-6])
+    def test_rule_matches_quadrature(self, L, a2):
+        # the library rule needs about max|dk_z| L / 2 + 7 nodes, so the
+        # 5 mm crystal (2,500 nodes at dk_z = 1e6) stays on the oracle above
         H = 4.0 * a2 / L**2
         dk_z = np.concatenate(([0.0], np.logspace(0, 6)))
         got = walk_off_integral(dk_z, H, L)
         want = np.array([_quad_walk_off(k, H, L) for k in dk_z])
         assert got.dtype == float and got.shape == dk_z.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * L
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_rule_matches_faddeeva_on_grids(self, degenerate, nondegenerate, n):
+        for cfg in (degenerate, nondegenerate):
+            grid = SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            H, L = geometry_factors(cfg.geom).H, cfg.crystal.length_L
+            got = walk_off_integral(grid.dkz, H, L)
+            want = _faddeeva_walk_off(grid.dkz, H, L)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_too_few_nodes_raise(self, degenerate, monkeypatch):
+        # one node cannot resolve the envelope: the raised-order check fails
+        monkeypatch.setattr(jsa, "z_order", lambda degree, phase, spread: 1)
+        L = degenerate.crystal.length_L
+        with pytest.raises(ConvergenceError):
+            walk_off_integral(np.linspace(0.0, 1e4, 5), 3.4e5, L)
 
     def test_walk_off_amplitude_memory(self, degenerate):
         # the longitudinal factor is elementwise on the grid, so its peak is

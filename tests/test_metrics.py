@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy.constants import c, epsilon_0
 from scipy.special import eval_hermite
 
 from spdc_lab import metrics
 from spdc_lab.config import Numerics
+from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import (
@@ -57,29 +59,38 @@ class TestFilters:
 
 class TestRatePrefactor:
     def test_components_multiply_out(self, degenerate):
-        pref = rate_prefactor(degenerate.geom, degenerate.crystal)
-        comp = pref.components
+        geom, crystal = degenerate.geom, degenerate.crystal
+        d_eff = 1e-12 * effective_nonlinearity(
+            crystal.cut_angle_theta, crystal.azimuth_phi, crystal
+        )
+        n_s = float(index_ordinary(geom.signal.central_wavelength, crystal))
+        n_i = float(index_ordinary(geom.idler.central_wavelength, crystal))
+        n_p = float(
+            index_extraordinary(geom.pump.central_wavelength, crystal.cut_angle_theta, crystal)
+        )
+        alpha_sq = [2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p)]
+        # 1 mW of pump, in watts
         want = (
-            comp["pump_power_W"]
-            * comp["d_eff_m_per_V"] ** 2
-            * comp["alpha_s_sq"]
-            * comp["alpha_i_sq"]
-            * comp["alpha_p_sq"]
-            * comp["omega_s0"]
-            * comp["omega_i0"]
+            1e-3
+            * d_eff**2
+            * math.prod(alpha_sq)
+            * geom.signal.central_angular_frequency
+            * geom.idler.central_angular_frequency
             / (
                 math.sqrt(2.0)
                 * math.pi**1.5
-                * comp["epsilon_0"]
-                * comp["c"] ** 3
-                * comp["n_s"]
-                * comp["n_i"]
-                * comp["n_p"]
-                * comp["B_p"]
+                * epsilon_0
+                * c**3
+                * n_s
+                * n_i
+                * n_p
+                * geom.pump_bandwidth_Bp
             )
         )
-        assert pref.value == pytest.approx(want, rel=1e-12)
-        assert pref.value > 0
+        got = rate_prefactor(geom, crystal)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got > 0
 
 
 class TestPairRate:
@@ -394,6 +405,18 @@ class TestComputeMetrics:
         )
         assert 0 < report.heralding_eta <= 1
         assert 0 < report.purity_P <= 1
+
+    @pytest.mark.parametrize("power_mW", [1e-300, 1e300])
+    def test_extreme_pump_power(self, degenerate, report, power_mW):
+        # rates are per milliwatt, so the pump power never enters the numbers
+        geom = replace(degenerate.geom, pump_power_P=power_mW)
+        far = compute_metrics(
+            geom,
+            degenerate.crystal,
+            degenerate.filters,
+            settings_snapshot={"source": "reference degenerate layout"},
+        )
+        assert far.to_dict() == report.to_dict()
 
     def test_to_dict(self, report):
         doc = report.to_dict()
