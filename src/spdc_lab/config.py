@@ -41,7 +41,7 @@ MAX_RATE_RESOLUTION = 801  # finest level of the pair-rate doubling N -> 2N - 1
 
 # (floor, ceiling) of the integer fields: the rate resolution leaves room for
 # one doubling within MAX_RATE_RESOLUTION, the singles grid is no finer than
-# that, the JSA grid has 64 to 4001 points a side (4001^2 complex is 256 MB)
+# that, the JSA grid has 64 to 4001 points a side (4001^2 float64 is 128 MB)
 # and 2^m m! is a finite float up to m = 150
 _INT_RANGES = {
     "grid_resolution": (64, 4001),

@@ -144,11 +144,12 @@ class DeltaCoefficients:
 
 @dataclass(frozen=True)
 class JsaGrid:
-    """Sampled complex amplitude on a uniform detuning grid.
+    """Sampled real amplitude on a uniform detuning grid.
 
     ``omega_s_samples`` and ``omega_i_samples`` are absolute frequencies in
     rad/s spanning the filter windows; ``amplitude[j, k]`` is Phi at
-    (omega_s_samples[j], omega_i_samples[k]). ``normalization_N`` scales
+    (omega_s_samples[j], omega_i_samples[k]), read-only when it comes from a
+    SpectralGrid. ``normalization_N`` scales
     |amplitude|^2 to a unit-probability joint spectral density:
     normalization_N * sum |Phi|^2 dOmega_s dOmega_i = 1 (trapezoid rule).
     """
@@ -335,7 +336,8 @@ class SpectralGrid(SpectralTerms):
     Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
     ``Om_i`` and the filter weight T_s T_i T_p; ``integrate`` is the
     trapezoid rule on the grid. ``key`` is everything the grid depends on
-    besides its resolution.
+    besides its resolution. ``amplitude`` keeps the last geometry's amplitude,
+    so the pair rate and the JSA at one waist evaluate it once.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -353,13 +355,27 @@ class SpectralGrid(SpectralTerms):
         T_i = filter_transmission(self.w_i, filters.idler)
         T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), filters.pump)
         self.weight = T_s[:, None] * T_i[None, :] * T_p
+        # trapezoid weights of each axis: w_s @ f == np.trapezoid(f, Om_s)
+        halves = (np.diff(self.Om_s) / 2.0, np.diff(self.Om_i) / 2.0)
+        self._w_s, self._w_i = (np.pad(h, (0, 1)) + np.pad(h, (1, 0)) for h in halves)
+        self._amplitude_key, self._amplitude = None, None
+
+    def amplitude(self, geom, walk_off):
+        """SpectralTerms.amplitude, read-only, kept in one slot keyed on
+        ``walk_off`` and ``geometry_factors``, the only way it sees ``geom``."""
+        key = (geometry_factors(geom), walk_off)
+        if key != self._amplitude_key:
+            self._amplitude = super().amplitude(geom, walk_off)
+            self._amplitude.flags.writeable = False
+            self._amplitude_key = key
+        return self._amplitude
 
     def fits(self, geom, crystal, filters, dispersion_mode):
         """Whether the grid serves this request at its own resolution."""
         return self.key == _spectral_key(geom, crystal, filters, dispersion_mode)
 
     def integrate(self, density):
-        return float(np.trapezoid(np.trapezoid(density, self.Om_i, axis=1), self.Om_s))
+        return float(self._w_s @ density @ self._w_i)
 
 
 class SpectralGrids:
@@ -422,12 +438,12 @@ def jsa_grid(geom, crystal, filters, numerics, grids=None):
     grid = grids.get(
         numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
-    amp = np.asarray(grid.amplitude(geom, numerics.walk_off_enabled), dtype=complex)
+    amp = grid.amplitude(geom, numerics.walk_off_enabled)
     return JsaGrid(
         omega_s_samples=grid.w_s,
         omega_i_samples=grid.w_i,
         amplitude=amp,
-        normalization_N=1.0 / grid.integrate(np.abs(amp) ** 2),
+        normalization_N=1.0 / grid.integrate(amp**2),
     )
 
 

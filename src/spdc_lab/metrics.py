@@ -130,7 +130,7 @@ def pair_rate(geom, crystal, filters, numerics=Numerics(), grids=None):
     while n <= MAX_RATE_RESOLUTION:
         grid = grids.get(n, geom, crystal, filters, numerics.dispersion_mode)
         amp = grid.amplitude(geom, numerics.walk_off_enabled)
-        cur = grid.integrate(grid.weight * np.abs(amp) ** 2)
+        cur = grid.integrate(grid.weight * amp**2)
         if prev is not None:
             scale = max(abs(cur), abs(prev))
             if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
@@ -212,7 +212,17 @@ class _ModeSumKernel:
                 sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
             ) / Wc
             cols.append(env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
-        M = np.exp(1j * np.outer(self.q, z)) @ np.hstack(cols)
+        # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
+        # of 0.0) and column j of P has parity (-1)^j, so the nodes pair up:
+        # even j take 2 cos(q z), odd j 2 i sin(q z), over z > 0 only
+        P = np.hstack(cols)
+        odd = np.tile(np.arange(J + 1) % 2 == 1, len(cols))
+        half = n_z // 2
+        qz = np.outer(self.q, z[n_z - half:])
+        P2 = 2.0 * P[n_z - half:]
+        M = np.zeros((self.q.size, P.shape[1]), dtype=complex)
+        M.real[:, ~odd] = np.cos(qz) @ P2[:, ~odd] + P[half:n_z - half, ~odd].sum(axis=0)
+        M.imag[:, odd] = np.sin(qz) @ P2[:, odd]
         return dict(zip(self.arms, np.split(M, len(self.arms), axis=1)))
 
     @staticmethod

@@ -39,14 +39,16 @@ def _sampled_matrix(grid):
 def purity(grid, decompose):
     """Purity of a sampled joint amplitude without its Schmidt spectrum.
 
-    ``amplitude`` mode returns Tr(rho^2) = ||A^H A||_F^2 / ||A||_F^4, the
-    SVD-free value of ``schmidt_purity(grid, "amplitude").purity``; other modes go
-    through ``schmidt_purity``.
+    ``amplitude`` mode returns Tr(rho^2) = ||G||_F^2 / ||A||_F^4, the
+    SVD-free value of ``schmidt_purity(grid, "amplitude").purity``, with the
+    Gram matrix G = A^T A (one symmetric BLAS product) for a real amplitude
+    and G = A^H A for a complex one; other modes go through
+    ``schmidt_purity``.
     """
     if decompose != "amplitude":
         return schmidt_purity(grid, decompose).purity
     matrix = _sampled_matrix(grid)
-    gram = matrix.conj().T @ matrix
+    gram = (matrix.conj() if np.iscomplexobj(matrix) else matrix).T @ matrix
     total = np.trace(gram).real
     if total <= 0:
         raise SpdcLabError("vanishing joint amplitude")
@@ -57,7 +59,7 @@ def schmidt_purity(grid, decompose):
     """Schmidt spectrum of a sampled joint amplitude.
 
     ``grid`` is a JsaGrid or a bare 2-D array. ``amplitude`` decomposes the
-    complex amplitude itself (weights sigma_n^2 / sum sigma^2, the standard
+    amplitude itself (weights sigma_n^2 / sum sigma^2, the standard
     Schmidt decomposition); ``intensity`` decomposes the modulus-squared
     matrix instead, normalizing its singular values linearly so that they
     play the role of the weights directly.

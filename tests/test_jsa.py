@@ -297,6 +297,30 @@ class TestSpectralGrids:
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
         assert np.array_equal(grid.amplitude(geom, walk_off), want)
 
+    def test_amplitude_slot_holds_the_last_waist(self, nondegenerate):
+        cfg = nondegenerate
+        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
+        first = grid.amplitude(cfg.geom, False)
+        assert grid.amplitude(replace(cfg.geom), False) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        for geom, walk_off in ((narrow, False), (narrow, True), (cfg.geom, True)):
+            amp = grid.amplitude(geom, walk_off)
+            assert amp is not first and not amp.flags.writeable
+            assert np.array_equal(amp, mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off))
+            first = amp
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_integrate_is_nested_trapezoid(self, degenerate, nondegenerate, n):
+        for cfg in (degenerate, nondegenerate):
+            grid = SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            density = grid.weight * grid.amplitude(cfg.geom, False) ** 2
+            want = np.trapezoid(np.trapezoid(density, grid.Om_i, axis=1), grid.Om_s)
+            assert grid.integrate(density) == pytest.approx(want, rel=1e-13)
+
     def test_rejects_another_spectral_setting(self, degenerate):
         cfg = degenerate
         grids = SpectralGrids()
@@ -323,6 +347,12 @@ class TestJsaGrid:
             np.trapezoid(dens, grid.omega_i_samples, axis=1), grid.omega_s_samples
         )
         assert grid.normalization_N * total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_amplitude_is_real(self, degenerate, walk_off):
+        cfg = degenerate
+        numerics = Numerics(grid_resolution=101, walk_off_enabled=walk_off)
+        assert jsa_grid(cfg.geom, cfg.crystal, cfg.filters, numerics).amplitude.dtype == np.float64
 
     def test_purity_grid_refinement(self, degenerate):
         cfg = degenerate

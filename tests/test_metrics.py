@@ -21,12 +21,14 @@ from spdc_lab.jsa import (
     mode_function,
     phase_mismatch_exact,
     phase_mismatch_linear,
+    z_nodes,
 )
 from spdc_lab.metrics import (
     _arm,
     _ModeSumKernel,
     compute_metrics,
     heralding_efficiency,
+    jsa_purity,
     mode_function_nm,
     pair_rate,
     rate_prefactor,
@@ -129,6 +131,25 @@ class TestPairRate:
         assert pair_rate(cfg.geom, cfg.crystal, narrow) < pair_rate(
             cfg.geom, cfg.crystal, cfg.filters
         )
+
+    def test_shares_the_jsa_amplitude(self, degenerate, monkeypatch):
+        # the 201-point doubling level and the 201-point JSA at one waist
+        # evaluate the amplitude once
+        cfg = degenerate
+        shapes = []
+        amplitude = SpectralTerms.amplitude
+
+        def counted(self, geom, walk_off):
+            shapes.append(self.dky.shape)
+            return amplitude(self, geom, walk_off)
+
+        monkeypatch.setattr(SpectralTerms, "amplitude", counted)
+        grids = SpectralGrids()
+        for W0s in (cfg.geom.W0s, 0.9 * cfg.geom.W0s):
+            geom = replace(cfg.geom, W0s=W0s, W0i=W0s)
+            pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics, grids)
+            jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics, grids)
+        assert shapes == [(101, 101), (201, 201)] * 2
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -278,6 +299,28 @@ class TestModeSumKernel:
                 u = math.sqrt(2.0) * t / (math.sqrt(g.A) * arm[2])
                 want = float(w @ eval_hermite(n, u)) / math.sqrt(g.A)
                 assert got == pytest.approx(want, rel=1e-10, abs=0.0), (which, n)
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_z_moments_match_full_exponential(self, which_cfg, walk_off, request):
+        # the kernel pairs z with -z and evaluates cos and sin on z > 0; the
+        # reference evaluates exp(i q z) on every node
+        cfg = request.getfixturevalue(which_cfg)
+        geom, crystal = cfg.geom, cfg.crystal
+        grid = SpectralGrids().get(101, geom, crystal, cfg.filters, "exact")
+        kern = _ModeSumKernel(geom, grid, walk_off)
+        g, J = kern.g, 6
+        for n_z in (7, 8, 21, 22):
+            z, env = z_nodes(n_z, crystal.length_L, kern.H)
+            E = np.exp(1j * np.outer(kern.q, z))
+            got = kern._z_moments(n_z, J)
+            for theta, sign, Wc in kern.arms:
+                beta = math.sqrt(2.0) * (
+                    sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
+                ) / Wc
+                want = E @ (env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
+                diff = np.max(np.abs(got[(theta, sign, Wc)] - want))
+                assert diff <= 1e-15 * np.max(np.abs(want)), n_z
 
     def test_too_low_z_order_raises(self, nondegenerate, monkeypatch):
         cfg = nondegenerate

@@ -151,6 +151,15 @@ class TestTraceRhoSquared:
             schmidt_purity(grid, decompose="intensity").purity
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_real_gram_matches_complex_gram(self, dtype):
+        rng = np.random.default_rng(20001)
+        for shape in ((50, 50), (60, 40), (40, 60)):
+            m = (100 * rng.normal(size=shape)).astype(dtype)
+            assert purity(m, "amplitude") == pytest.approx(
+                purity(m.astype(complex), "amplitude"), rel=1e-13
+            )
+
     def test_random_complex_rectangle(self):
         rng = np.random.default_rng(20000)
         m = rng.normal(size=(60, 40)) + 1j * rng.normal(size=(60, 40))
