@@ -14,7 +14,9 @@ with <command> and [flags] from its row; the row maps each file written to
 - ``metrics``: metrics_report.json
 - ``metrics --walk-off``: metrics_report.json -> metrics_walk_off_report.json
 - ``optimize``: optimization.json
+- ``optimize --walk-off``: optimization.json -> optimization_walk_off.json
 - ``sweep-rate``: sweep_rate.csv, sweep_rate.json
+- ``sweep-ratio``: sweep_ratio.csv, sweep_ratio.json
 - ``sweep-ratio --walk-off``: sweep_ratio.csv -> sweep_ratio_walk_off.csv,
   sweep_ratio.json -> sweep_ratio_walk_off.json
 
@@ -43,7 +45,9 @@ GOLDEN_RUNS = [
     ("metrics", (), {"metrics_report.json": "metrics_report.json"}),
     ("metrics", ("--walk-off",), {"metrics_report.json": "metrics_walk_off_report.json"}),
     ("optimize", (), {"optimization.json": "optimization.json"}),
+    ("optimize", ("--walk-off",), {"optimization.json": "optimization_walk_off.json"}),
     ("sweep-rate", (), {"sweep_rate.csv": "sweep_rate.csv", "sweep_rate.json": "sweep_rate.json"}),
+    ("sweep-ratio", (), {"sweep_ratio.csv": "sweep_ratio.csv", "sweep_ratio.json": "sweep_ratio.json"}),
     (
         "sweep-ratio",
         ("--walk-off",),
