@@ -24,7 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -225,9 +225,15 @@ def phase_mismatch_linear(Omega_s, Omega_i, inverse_group_velocities, angles):
 
 def central_inverse_group_velocities(geom, crystal):
     """(N_s, N_i, N_p) at the central frequencies; pump at the cut angle."""
-    N_s = inverse_group_velocity(geom.signal, 0.0, crystal)
-    N_i = inverse_group_velocity(geom.idler, 0.0, crystal)
-    N_p = inverse_group_velocity(geom.pump, crystal.cut_angle_theta, crystal)
+    return _inverse_group_velocities(*geom.modes, crystal)
+
+
+@lru_cache(maxsize=8)
+def _inverse_group_velocities(pump, signal, idler, crystal):
+    # waist-free, so computed once per run
+    N_s = inverse_group_velocity(signal, 0.0, crystal)
+    N_i = inverse_group_velocity(idler, 0.0, crystal)
+    N_p = inverse_group_velocity(pump, crystal.cut_angle_theta, crystal)
     return N_s, N_i, N_p
 
 
@@ -238,9 +244,21 @@ def z_order(degree, phase, spread):
     return (degree + 12 + math.ceil(2.0 * phase + 4.0 * spread)) // 2 + 1
 
 
+def _read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _legendre(n):
+    # leggauss is an O(n^3) eigensolve, and a run asks for a few orders often
+    return tuple(map(_read_only, leggauss(n)))
+
+
 def z_nodes(n, L, H):
     """n Gauss-Legendre nodes on [-L/2, L/2], weights times exp(-H z^2)."""
-    t, w = leggauss(n)
+    t, w = _legendre(n)
     z = t * (L / 2.0)
     return z, w * (L / 2.0) * np.exp(-H * z**2)
 
@@ -283,7 +301,8 @@ class SpectralTerms:
     The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump-bandwidth
     exponent (Omega_s + Omega_i)^2 / (4 B_p^2) and L sinc(dk_z L / 2) depend
     on the crystal, the modes, the emission angles and B_p but not on the
-    waists. ``amplitude`` applies one geometry's curvatures to them.
+    waists. ``amplitude`` applies one geometry's curvatures to them. All are
+    held read-only; exp(-pump exponent) from its first use.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
@@ -296,30 +315,27 @@ class SpectralTerms:
             )
         else:
             raise ValueError("dispersion_mode must be 'exact' or 'linear'")
-        self.Omega_s = np.asarray(Omega_s, dtype=float)
-        self.Omega_i = np.asarray(Omega_i, dtype=float)
-        self.pump_bandwidth_Bp = geom.pump_bandwidth_Bp
         self.length_L = crystal.length_L
+        Bp = geom.pump_bandwidth_Bp
+        self.pump_term = _read_only(np.add(Omega_s, Omega_i, dtype=float) ** 2 / (4.0 * Bp**2))
+        self.negdky2 = _read_only(-self.dky**2)
 
-    @property
-    def pump_term(self):
-        # recomputed per use: on sparse detuning axes it costs one pass over
-        # the grid, less than holding another grid-sized array for the run
-        Bp = self.pump_bandwidth_Bp
-        return (self.Omega_s + self.Omega_i) ** 2 / (4.0 * Bp**2)
+    @cached_property
+    def pump_envelope(self):
+        return _read_only(np.exp(-self.pump_term))
 
     @cached_property
     def sinc(self):
         # the exact H = 0 longitudinal factor
         L = self.length_L
-        return L * np.sinc(self.dkz * L / 2.0 / math.pi)
+        return _read_only(L * np.sinc(self.dkz * L / 2.0 / math.pi))
 
     def amplitude(self, geom, walk_off):
         """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)
         envelope enters the longitudinal factor."""
         g = geometry_factors(geom)
         phi_z = walk_off_integral(self.dkz, g.H, self.length_L) if walk_off else self.sinc
-        envelope = np.exp(-self.dky**2 / (4.0 * g.C) - self.pump_term)
+        envelope = np.exp(self.negdky2 / (4.0 * g.C) - self.pump_term)
         return math.pi / math.sqrt(g.A * g.C) * phi_z * envelope
 
 
@@ -365,8 +381,7 @@ class SpectralGrid(SpectralTerms):
         ``walk_off`` and ``geometry_factors``, the only way it sees ``geom``."""
         key = (geometry_factors(geom), walk_off)
         if key != self._amplitude_key:
-            self._amplitude = super().amplitude(geom, walk_off)
-            self._amplitude.flags.writeable = False
+            self._amplitude = _read_only(super().amplitude(geom, walk_off))
             self._amplitude_key = key
         return self._amplitude
 

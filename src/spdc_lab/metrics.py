@@ -13,6 +13,7 @@ All rates are reported per milliwatt of pump power.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,18 +96,22 @@ def rate_prefactor(geom, crystal):
     P = 1e-3 W. Times the joint-density integral (units m^6 (rad/s)^2) it
     yields pairs per second per milliwatt, whatever the pump power.
     """
+    alpha2 = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
+    return _waist_free_prefactor(*geom.modes, crystal, geom.pump_bandwidth_Bp) * math.prod(alpha2)
+
+
+@lru_cache(maxsize=8)
+def _waist_free_prefactor(pump, signal, idler, crystal, pump_bandwidth_Bp):
+    # rate_prefactor without the a_j^2, computed once per modes, crystal and B_p
     theta = crystal.cut_angle_theta
     d_eff = effective_nonlinearity(theta, crystal.azimuth_phi, crystal) * 1e-12  # pm/V -> m/V
-    alpha2_s, alpha2_i, alpha2_p = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
-    n_s = float(index_ordinary(geom.signal.central_wavelength, crystal))
-    n_i = float(index_ordinary(geom.idler.central_wavelength, crystal))
-    n_p = float(index_extraordinary(geom.pump.central_wavelength, theta, crystal))
-    w_s0, w_i0 = geom.signal.central_angular_frequency, geom.idler.central_angular_frequency
+    n_s = float(index_ordinary(signal.central_wavelength, crystal))
+    n_i = float(index_ordinary(idler.central_wavelength, crystal))
+    n_p = float(index_extraordinary(pump.central_wavelength, theta, crystal))
     return (
-        1e-3 * d_eff**2
-        * alpha2_s * alpha2_i * alpha2_p * w_s0 * w_i0
+        1e-3 * d_eff**2 * signal.central_angular_frequency * idler.central_angular_frequency
         / (math.sqrt(2.0) * math.pi**1.5 * epsilon_0 * c**3 * n_s * n_i * n_p
-           * geom.pump_bandwidth_Bp)
+           * pump_bandwidth_Bp)
     )
 
 
@@ -175,17 +180,20 @@ class _ModeSumKernel:
     x gives sqrt(pi/A) G_n(0; 1 - 2/(A W^2)), and completing the square in
     exp(-C y^2 - D y z + i dk_y y) leaves, at each z,
     sqrt(pi/C) exp(-dk_y^2/(4C) + i q z) G_m(u + beta z; c) with
-    q = dk_z - dk_y D/(2C), u = i sqrt2 cos(theta) dk_y/(2 C W),
+    q = dk_z - dk_y D/(2C), u = i s, s = sqrt2 cos(theta) dk_y/(2 C W),
     beta = sqrt2 (sign sin(theta) - cos(theta) D/(2C))/W and
     c = 1 - 2 cos^2(theta)/(C W^2). The addition formula
     G_m(u + v) = sum_k binom(m, k) G_k(u) (2v)^(m-k) leaves z, the one
     quadrature (the ``z_nodes`` rule at ``z_order``), in the moments
-    M[p, j] = sum_z w_z env(z) exp(i q_p z) (2 beta z)^j, one matrix product
-    per arm, so Hermite order m costs O(N m). env is exp(-H z^2) with
-    walk-off and 1 without, as in ``walk_off_integral``. A, C, D and
-    H combine both collection waists, so one kernel serves both arms (see
+    M[p, j] = sum_z w_z env(z) exp(i q_p z) (2 beta z)^j, so Hermite order m
+    costs O(N m). env is exp(-H z^2) with walk-off and 1 without, as in
+    ``walk_off_integral``. All of it is real arithmetic: the nodes are
+    symmetric and env even, so M[:, j] = i^(j mod 2) R[j] with R real
+    (``_z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
+    of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). A, C, D
+    and H combine both collection waists, so one kernel serves both arms (see
     ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
-    phase mismatch and the pump exponent.
+    phase mismatch and the pump factors.
     """
 
     def __init__(self, geom, terms, walk_off):
@@ -194,8 +202,8 @@ class _ModeSumKernel:
         self.shape = terms.dky.shape
         self.dky = terms.dky.ravel()
         self.q = terms.dkz.ravel() - self.dky * (g.D / (2.0 * g.C))
-        self.gp = np.exp(-terms.pump_term.ravel())
-        self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(-self.dky**2 / (4.0 * g.C))
+        self.gp = terms.pump_envelope.ravel()
+        self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(terms.negdky2.ravel() / (4.0 * g.C))
         self.arms = [_arm(geom, which) for which in ("signal", "idler")]
         self.H = g.H if walk_off else 0.0  # walk-off envelope exp(-H z^2)
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
@@ -203,7 +211,7 @@ class _ModeSumKernel:
         self._moments = {}
 
     def _z_moments(self, n_z, J):
-        """{arm: M} with M[p, j] for j <= J on n_z Gauss-Legendre nodes."""
+        """{arm: R}, R[j] = Re or Im M[:, j] (j even or odd), j <= J, n_z nodes."""
         g = self.g
         z, env = z_nodes(n_z, self.terms.length_L, self.H)
         cols = []
@@ -213,17 +221,17 @@ class _ModeSumKernel:
             ) / Wc
             cols.append(env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
         # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
-        # of 0.0) and column j of P has parity (-1)^j, so the nodes pair up:
-        # even j take 2 cos(q z), odd j 2 i sin(q z), over z > 0 only
-        P = np.hstack(cols)
-        odd = np.tile(np.arange(J + 1) % 2 == 1, len(cols))
+        # of 0.0) and (2 beta z)^j has parity (-1)^j, so the nodes pair up:
+        # even j take 2 cos(q z), odd j 2 sin(q z), over z > 0 only
+        P = np.stack(cols, axis=1)
         half = n_z // 2
-        qz = np.outer(self.q, z[n_z - half:])
-        P2 = 2.0 * P[n_z - half:]
-        M = np.zeros((self.q.size, P.shape[1]), dtype=complex)
-        M.real[:, ~odd] = np.cos(qz) @ P2[:, ~odd] + P[half:n_z - half, ~odd].sum(axis=0)
-        M.imag[:, odd] = np.sin(qz) @ P2[:, odd]
-        return dict(zip(self.arms, np.split(M, len(self.arms), axis=1)))
+        zq = np.outer(z[n_z - half:], self.q)
+        P2 = 2.0 * P[n_z - half:].transpose(1, 2, 0)
+        R = np.empty((len(cols), J + 1, self.q.size))
+        np.matmul(P2[:, 0::2], np.cos(zq), out=R[:, 0::2])
+        R[:, 0::2] += P[half:n_z - half, :, 0::2].sum(axis=0)[:, :, None]
+        np.matmul(P2[:, 1::2], np.sin(zq), out=R[:, 1::2])
+        return dict(zip(self.arms, R))
 
     @staticmethod
     def _tier(m):
@@ -243,22 +251,24 @@ class _ModeSumKernel:
         return math.sqrt(math.pi / self.g.A) * _scaled_hermite(n, 0.0, c)[n]
 
     def yz_integral(self, m, arm, n_z=None):
-        """y-z overlap of Hermite order m on the grid, at ``z_order(m)``
-        nodes or, for an order check, at ``n_z`` nodes."""
+        """r_m of the y-z overlap i^(m mod 2) r_m of Hermite order m on the
+        grid, at ``z_order(m)`` nodes or, for an order check, at ``n_z`` nodes."""
         J = m if n_z is not None else self._tier(m)
         n_z = self.z_order(m) if n_z is None else n_z
-        if n_z not in self._moments or self._moments[n_z][arm].shape[1] <= m:
+        if n_z not in self._moments or self._moments[n_z][arm].shape[0] <= m:
             self._moments[n_z] = self._z_moments(n_z, J)
-        M = self._moments[n_z][arm]
+        R = self._moments[n_z][arm]
         theta, _, Wc = arm
         a2 = 2.0 * math.cos(theta) ** 2 / Wc**2
-        u = 1j * (math.sqrt(a2) / (2.0 * self.g.C)) * self.dky
-        G = _scaled_hermite(m, u, 1.0 - a2 / self.g.C)
-        return self.yz_pref * sum(math.comb(m, k) * G[k] * M[:, m - k] for k in range(m + 1))
+        s = (math.sqrt(a2) / (2.0 * self.g.C)) * self.dky
+        G = _scaled_hermite(m, s, a2 / self.g.C - 1.0)
+        # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
+        sign = [(-1) ** ((k + 1 - m % 2) // 2) for k in range(m + 1)]
+        return self.yz_pref * sum(sign[k] * math.comb(m, k) * G[k] * R[m - k] for k in range(m + 1))
 
     def amplitude(self, n, m, arm, n_z=None):
         return (
-            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm, n_z)
+            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm, n_z) * 1j ** (m % 2)
         ).reshape(self.shape)
 
 
@@ -318,7 +328,7 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
 
     def d_term(m, n_z=None):
         yz = kernel.yz_integral(m, arm, n_z)
-        density = grid.weight * (np.abs(kernel.gp * yz) ** 2).reshape(kernel.shape)
+        density = grid.weight * ((kernel.gp * yz) ** 2).reshape(kernel.shape)
         return grid.integrate(density) / (2**m * math.factorial(m))
 
     # shell s adds c_s and d_s; its terms are c_n d_(s-n)

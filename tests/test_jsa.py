@@ -14,6 +14,7 @@ from scipy.special import wofz
 
 from spdc_lab import jsa
 from spdc_lab.config import Numerics
+from spdc_lab.dispersion import inverse_group_velocity
 from spdc_lab.errors import ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.jsa import (
     SINC_GAUSS_ALPHA,
@@ -321,6 +322,15 @@ class TestSpectralGrids:
             want = np.trapezoid(np.trapezoid(density, grid.Om_i, axis=1), grid.Om_s)
             assert grid.integrate(density) == pytest.approx(want, rel=1e-13)
 
+    def test_held_arrays_are_read_only(self, degenerate):
+        cfg = degenerate
+        grid = SpectralGrids().get(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        assert grid.pump_envelope is grid.pump_envelope
+        assert jsa._legendre(9) is jsa._legendre(9)
+        for held in (grid.pump_term, grid.negdky2, grid.pump_envelope, grid.sinc, *jsa._legendre(9)):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
+
     def test_rejects_another_spectral_setting(self, degenerate):
         cfg = degenerate
         grids = SpectralGrids()
@@ -423,6 +433,49 @@ class TestJsaWriters:
             write(grid, tmp_path / name)
             reference(grid, tmp_path / ("reference_" + name))
             assert (tmp_path / name).read_bytes() == (tmp_path / ("reference_" + name)).read_bytes()
+
+
+def written_out_delta_terms(geom, crystal, conv, W0p):
+    """(delta_s, delta_i, delta_si) and the purity waist at ``W0p`` from the
+    group velocities, multiplied out with nothing held between calls."""
+    N_s = inverse_group_velocity(geom.signal, 0.0, crystal)
+    N_i = inverse_group_velocity(geom.idler, 0.0, crystal)
+    N_p = inverse_group_velocity(geom.pump, crystal.cut_angle_theta, crystal)
+    ts, ti = geom.theta_s, geom.theta_i
+    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
+    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
+    alpha_eff = SINC_GAUSS_ALPHA ** (1 if conv == "consistent" else 2)
+    C, L2, bp2 = geometry_factors(geom).C, crystal.length_L**2, geom.pump_bandwidth_Bp**2
+    deltas = (
+        alpha_eff * a * a * L2 / 2.0 + u * u / (2.0 * C) + 1.0 / (2.0 * bp2),
+        alpha_eff * b * b * L2 / 2.0 + v * v / (2.0 * C) + 1.0 / (2.0 * bp2),
+        alpha_eff * a * b * L2 / 2.0 - u * v / (2.0 * C) + 1.0 / (2.0 * bp2),
+    )
+    c_star = (u * v) / (1.0 / bp2 + alpha_eff * a * b * L2)
+    return deltas, math.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / (c_star - 1.0 / W0p**2))
+
+
+@pytest.mark.parametrize("conv", ["paper_literal", "consistent"])
+@pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+def test_delta_terms_match_written_out(which_cfg, conv, request):
+    # the group velocities are held per modes and crystal; crystal variants
+    # asked for between calls on the base show a stale entry
+    cfg = request.getfixturevalue(which_cfg)
+    crystal = cfg.crystal
+    crystals = (
+        crystal,
+        replace(crystal, length_L=crystal.length_L / 2),
+        replace(crystal, cut_angle_theta=1.001 * crystal.cut_angle_theta),
+        crystal,
+    )
+    for cr in crystals:
+        for scale in np.geomspace(1.0, 3.0, 5):
+            geom = replace(cfg.geom, W0p=scale * cfg.geom.W0p, W0s=cfg.geom.W0s / scale)
+            deltas, waist = written_out_delta_terms(geom, cr, conv, geom.W0p)
+            d = delta_coefficients(geom, cr, conv)
+            for got, want in zip((d.delta_s, d.delta_i, d.delta_si), deltas):
+                assert abs(got - want) <= 1e-15 * abs(want)
+            assert abs(purity_waist(geom.W0p, geom, cr, conv) - waist) <= 1e-15 * waist
 
 
 class TestDeltaCoefficients:

@@ -59,7 +59,51 @@ class TestFilters:
             FilterSpec(center=1.0, half_width=1.0, transmission=1.5)
 
 
+def written_out_prefactor(geom, crystal):
+    """rate_prefactor multiplied out in one expression, nothing held."""
+    d_eff = 1e-12 * effective_nonlinearity(crystal.cut_angle_theta, crystal.azimuth_phi, crystal)
+    n_s = float(index_ordinary(geom.signal.central_wavelength, crystal))
+    n_i = float(index_ordinary(geom.idler.central_wavelength, crystal))
+    n_p = float(index_extraordinary(geom.pump.central_wavelength, crystal.cut_angle_theta, crystal))
+    a2_s, a2_i, a2_p = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
+    return (
+        1e-3 * d_eff**2 * a2_s * a2_i * a2_p
+        * geom.signal.central_angular_frequency * geom.idler.central_angular_frequency
+        / (math.sqrt(2.0) * math.pi**1.5 * epsilon_0 * c**3 * n_s * n_i * n_p
+           * geom.pump_bandwidth_Bp)
+    )
+
+
 class TestRatePrefactor:
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_written_out_across_waists(self, which_cfg, request):
+        cfg = request.getfixturevalue(which_cfg)
+        for scale in np.geomspace(0.3, 3.0, 9):
+            for geom in (
+                replace(cfg.geom, W0s=scale * cfg.geom.W0s, W0i=scale * cfg.geom.W0i),
+                replace(cfg.geom, W0p=scale * cfg.geom.W0p),
+            ):
+                want = written_out_prefactor(geom, cfg.crystal)
+                assert abs(rate_prefactor(geom, cfg.crystal) - want) <= 1e-15 * want
+
+    def test_memo_follows_crystal_and_modes(self, degenerate, nondegenerate):
+        # the waist-free part is held per modes, crystal and B_p; each
+        # variant is asked for after the base, so a stale entry would show
+        geom, crystal = degenerate.geom, degenerate.crystal
+        variants = [
+            (geom, replace(crystal, length_L=2 * crystal.length_L)),
+            (geom, replace(crystal, cut_angle_theta=1.01 * crystal.cut_angle_theta)),
+            (geom, replace(crystal, d31=2 * crystal.d31)),
+            (replace(geom, modes=nondegenerate.geom.modes), crystal),
+            (replace(geom, pump_bandwidth_Bp=2 * geom.pump_bandwidth_Bp), crystal),
+        ]
+        base = rate_prefactor(geom, crystal)
+        for other_geom, other_crystal in variants:
+            got = rate_prefactor(other_geom, other_crystal)
+            want = written_out_prefactor(other_geom, other_crystal)
+            assert abs(got - want) <= 1e-15 * want
+            assert rate_prefactor(geom, crystal) == base
+
     def test_components_multiply_out(self, degenerate):
         geom, crystal = degenerate.geom, degenerate.crystal
         d_eff = 1e-12 * effective_nonlinearity(
@@ -238,10 +282,11 @@ def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=80, n_z=64):
 
 
 def assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off):
+    # the kernel returns the real r_m of the overlap i^(m mod 2) r_m
     for which in ("signal", "idler"):
         arm = _arm(geom, which)
         for m in range(9):
-            got = kern.yz_integral(m, arm)
+            got = 1j ** (m % 2) * kern.yz_integral(m, arm)
             want = yz_loop_oracle(geom, crystal, dk, which, walk_off, m)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
 
@@ -304,7 +349,8 @@ class TestModeSumKernel:
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_z_moments_match_full_exponential(self, which_cfg, walk_off, request):
         # the kernel pairs z with -z and evaluates cos and sin on z > 0; the
-        # reference evaluates exp(i q z) on every node
+        # reference evaluates exp(i q z) on every node. Row j of the kernel's
+        # moments is Re M[:, j] for even j and Im M[:, j] for odd j
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
         grid = SpectralGrids().get(101, geom, crystal, cfg.filters, "exact")
@@ -319,8 +365,37 @@ class TestModeSumKernel:
                     sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
                 ) / Wc
                 want = E @ (env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
+                want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
                 diff = np.max(np.abs(got[(theta, sign, Wc)] - want))
                 assert diff <= 1e-15 * np.max(np.abs(want)), n_z
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
+        cfg = nondegenerate
+        geom, crystal = cfg.geom, cfg.crystal
+        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, cfg.filters, "exact"), walk_off)
+        for R in kern._z_moments(kern.z_order(6), 6).values():
+            assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
+        for which in ("signal", "idler"):
+            for m in range(8):
+                assert kern.yz_integral(m, _arm(geom, which)).dtype == np.float64
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_mode_function_parity_and_oracle(self, which_cfg, walk_off, request):
+        # the overlap is real for even m and imaginary for odd m
+        cfg = request.getfixturevalue(which_cfg)
+        geom, crystal = cfg.geom, cfg.crystal
+        OS, OI = detuning_mesh(geom, cfg.filters, 9, 7)
+        g_p = np.exp(-((OS + OI) ** 2) / (4.0 * geom.pump_bandwidth_Bp**2))
+        x = math.sqrt(math.pi / geometry_factors(geom).A)
+        dk = phase_mismatch_exact(OS, OI, geom, crystal)
+        for which in ("signal", "idler"):
+            for m in range(6):
+                got = mode_function_nm(0, m, OS[:, 0], OI[0], geom, crystal, which, walk_off)
+                assert not np.any((got.real, got.imag)[1 - m % 2]), (which, m)
+                want = g_p * x * yz_loop_oracle(geom, crystal, dk, which, walk_off, m).reshape(OS.shape)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
 
     def test_too_low_z_order_raises(self, nondegenerate, monkeypatch):
         cfg = nondegenerate
