@@ -230,7 +230,7 @@ def central_inverse_group_velocities(geom, crystal):
 
 @lru_cache(maxsize=8)
 def _inverse_group_velocities(pump, signal, idler, crystal):
-    # waist-free, so computed once per run
+    # waist-free: held per mode set and crystal
     N_s = inverse_group_velocity(signal, 0.0, crystal)
     N_i = inverse_group_velocity(idler, 0.0, crystal)
     N_p = inverse_group_velocity(pump, crystal.cut_angle_theta, crystal)
@@ -335,8 +335,8 @@ class SpectralTerms:
         envelope enters the longitudinal factor."""
         g = geometry_factors(geom)
         phi_z = walk_off_integral(self.dkz, g.H, self.length_L) if walk_off else self.sinc
-        envelope = np.exp(self.negdky2 / (4.0 * g.C) - self.pump_term)
-        return math.pi / math.sqrt(g.A * g.C) * phi_z * envelope
+        exponent = np.asarray(self.negdky2 / (4.0 * g.C) - self.pump_term)
+        return math.pi / math.sqrt(g.A * g.C) * phi_z * np.exp(exponent, out=exponent)
 
 
 def _spectral_key(geom, crystal, filters, dispersion_mode):
