@@ -34,7 +34,6 @@ from .jsa import (
     JsaGrid,
     SINC_GAUSS_ALPHA,
     SpectralGrid,
-    SpectralGrids,
     delta_coefficients,
     gaussian_model_purity,
     geometry_factors,
@@ -44,6 +43,7 @@ from .jsa import (
     phase_mismatch_linear,
     purity_waist,
     sinc_gaussian,
+    spectral_grid,
     walk_off_integral,
 )
 from .metrics import (

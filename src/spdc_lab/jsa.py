@@ -351,14 +351,11 @@ class SpectralGrid(SpectralTerms):
 
     Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
     ``Om_i`` and the filter weight T_s T_i T_p; ``integrate`` is the
-    trapezoid rule on the grid. ``key`` is everything the grid depends on
-    besides its resolution. ``amplitude`` keeps the last geometry's amplitude,
-    so the pair rate and the JSA at one waist evaluate it once.
+    trapezoid rule on the grid. ``amplitude`` keeps the last geometry's
+    amplitude, so the pair rate and the purity at one waist evaluate it once.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
-        self.resolution = resolution
-        self.key = _spectral_key(geom, crystal, filters, dispersion_mode)
         self.w_s = np.linspace(*filters.signal.support, resolution)
         self.w_i = np.linspace(*filters.idler.support, resolution)
         self.Om_s = self.w_s - geom.signal.central_angular_frequency
@@ -385,41 +382,30 @@ class SpectralGrid(SpectralTerms):
             self._amplitude_key = key
         return self._amplitude
 
-    def fits(self, geom, crystal, filters, dispersion_mode):
-        """Whether the grid serves this request at its own resolution."""
-        return self.key == _spectral_key(geom, crystal, filters, dispersion_mode)
-
     def integrate(self, density):
         return float(self._w_s @ density @ self._w_i)
 
 
-class SpectralGrids:
-    """The SpectralGrid objects of one run, one per resolution, each built
-    on first request.
+# (key, {resolution: SpectralGrid}) of the last spectral setting requested
+_slot = (None, {})
 
-    Only the waists may differ between requests: a geometry, crystal, filter
-    bank or dispersion model other than the first request's raises
-    ValueError. A sweep or an optimization makes one holder and drops it on
-    return, so a run evaluates the phase mismatch once per resolution.
+
+def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
+    """The SpectralGrid at ``resolution`` for this setting (``_spectral_key``:
+    everything but the waists), held in one module slot with the setting's
+    other resolutions. Another setting replaces the slot before its grid is
+    built. The key and its dict are read and replaced together, so a caller
+    on another thread may rebuild a grid but never gets another setting's.
     """
-
-    def __init__(self):
-        self._grids = {}
-
-    def get(self, resolution, geom, crystal, filters, dispersion_mode):
-        if not all(
-            grid.fits(geom, crystal, filters, dispersion_mode)
-            for grid in self._grids.values()
-        ):
-            raise ValueError(
-                "spectral grids were built for another geometry, crystal, "
-                "filter bank or dispersion model"
-            )
-        if resolution not in self._grids:
-            self._grids[resolution] = SpectralGrid(
-                resolution, geom, crystal, filters, dispersion_mode
-            )
-        return self._grids[resolution]
+    global _slot
+    key = _spectral_key(geom, crystal, filters, dispersion_mode)
+    held, grids = _slot
+    if held != key:
+        grids = {}
+        _slot = (key, grids)
+    if resolution not in grids:
+        grids[resolution] = SpectralGrid(resolution, geom, crystal, filters, dispersion_mode)
+    return grids[resolution]
 
 
 def mode_function(
@@ -439,18 +425,15 @@ def mode_function(
     return terms.amplitude(geom, walk_off)
 
 
-def jsa_grid(geom, crystal, filters, numerics, grids=None):
+def jsa_grid(geom, crystal, filters, numerics):
     """Sample the amplitude on a uniform grid spanning the signal and idler
     windows of the FilterBank ``filters`` (no transmission applied), at the
     ``grid_resolution``, ``dispersion_mode`` and ``walk_off_enabled`` of
-    the Numerics ``numerics``.
-
-    ``grids`` is the run's SpectralGrids holder; without one the grid is
-    built for this call only.
+    the Numerics ``numerics``. The grid is built for this call and not
+    held in the ``spectral_grid`` slot.
     """
     check_rayleigh(geom, crystal.length_L)
-    grids = SpectralGrids() if grids is None else grids
-    grid = grids.get(
+    grid = SpectralGrid(
         numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
     amp = grid.amplitude(geom, numerics.walk_off_enabled)

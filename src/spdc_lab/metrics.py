@@ -25,8 +25,8 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, SpectralGrids, SpectralTerms, _check_z_order, check_rayleigh,
-    geometry_factors, jsa_grid, z_nodes, z_order,
+    _Z_RAISE, _Z_TOL, SpectralTerms, _check_z_order, check_rayleigh, geometry_factors,
+    spectral_grid, z_nodes, z_order,
 )
 from .schmidt import purity
 from .units import c, epsilon_0
@@ -115,25 +115,22 @@ def _waist_free_prefactor(pump, signal, idler, crystal, pump_bandwidth_Bp):
     )
 
 
-def pair_rate(geom, crystal, filters, numerics=Numerics(), grids=None):
+def pair_rate(geom, crystal, filters, numerics=Numerics()):
     """Pair rate in pairs/(s mW), converged by grid doubling.
 
     The joint density is integrated over the rectangle of the signal and
     idler filter windows (the sum-frequency variable is bounded by the pump
     filter inside the integrand), with the grid refined from
     ``numerics.rate_resolution`` points as N -> 2N - 1, up to
-    MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL.
-
-    ``grids`` is the run's SpectralGrids holder, from which every doubling
-    level takes its grid; without one the grids are built for this call only.
+    MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL. Every
+    doubling level takes its grid from ``spectral_grid``.
     """
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
-    grids = SpectralGrids() if grids is None else grids
     prev = None
     n = numerics.rate_resolution
     while n <= MAX_RATE_RESOLUTION:
-        grid = grids.get(n, geom, crystal, filters, numerics.dispersion_mode)
+        grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
         amp = grid.amplitude(geom, numerics.walk_off_enabled)
         cur = grid.integrate(grid.weight * amp**2)
         if prev is not None:
@@ -304,27 +301,24 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
     more z nodes, and a relative change beyond _Z_TOL raises
     ConvergenceError.
 
-    ``kernel`` is this geometry's mode-sum kernel on the same grid and
-    settings, shared by both arms (see ``heralding_rates``). Without one the
-    kernel is built on a ``numerics.singles_resolution`` grid made for this
-    call.
+    ``kernel`` is this geometry's mode-sum kernel on the
+    ``numerics.singles_resolution`` grid of ``spectral_grid``, shared by both
+    arms (see ``heralding_rates``). Without one the kernel is built here.
     """
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
+    grid = spectral_grid(
+        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
+    )
     if kernel is None:
-        grid = SpectralGrids().get(
-            numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
-        )
         kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
     elif (
         kernel.geom != geom
         or kernel.walk_off != numerics.walk_off_enabled
-        or kernel.terms.resolution != numerics.singles_resolution
-        or not kernel.terms.fits(geom, crystal, filters, numerics.dispersion_mode)
+        or kernel.terms is not grid
     ):
         raise ValueError("mode-sum kernel was built for another geometry or grid")
-    grid = kernel.terms
 
     def d_term(m, n_z=None):
         yz = kernel.yz_integral(m, arm, n_z)
@@ -372,13 +366,11 @@ def heralding_efficiency(R, Rs, Ri):
     return eta
 
 
-def heralding_rates(geom, crystal, filters, numerics, grids=None):
+def heralding_rates(geom, crystal, filters, numerics):
     """(R, signal and idler SinglesResult, eta) of one geometry. The two
-    singles arms share one mode-sum kernel, which is dropped on return;
-    ``grids`` is the run's SpectralGrids holder (one for this call if None)."""
-    grids = SpectralGrids() if grids is None else grids
-    R = pair_rate(geom, crystal, filters, numerics, grids)
-    grid = grids.get(
+    singles arms share one mode-sum kernel, which is dropped on return."""
+    R = pair_rate(geom, crystal, filters, numerics)
+    grid = spectral_grid(
         numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
     kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
@@ -389,24 +381,25 @@ def heralding_rates(geom, crystal, filters, numerics, grids=None):
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
 
 
-def jsa_purity(geom, crystal, filters, numerics, grids=None):
-    """Purity of ``jsa_grid`` in the ``numerics.decompose`` mode."""
-    return purity(jsa_grid(geom, crystal, filters, numerics, grids), numerics.decompose)
+def jsa_purity(geom, crystal, filters, numerics):
+    """Purity, in the ``numerics.decompose`` mode, of the amplitude that
+    ``jsa_grid`` samples, read from the ``spectral_grid`` slot."""
+    check_rayleigh(geom, crystal.length_L)
+    grid = spectral_grid(
+        numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
+    )
+    return purity(grid.amplitude(geom, numerics.walk_off_enabled), numerics.decompose)
 
 
-def compute_metrics(
-    geom, crystal, filters, numerics=Numerics(), settings_snapshot=None, grids=None
-):
-    """Assemble the full report: R, Rs, Ri, eta, purity. ``grids`` is the
-    run's SpectralGrids holder; without one the call makes its own."""
-    grids = SpectralGrids() if grids is None else grids
-    R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics, grids)
+def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapshot=None):
+    """Assemble the full report: R, Rs, Ri, eta, purity."""
+    R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics)
     return MetricsReport(
         pair_rate_R=R,
         singles_rate_s=res_s.rate,
         singles_rate_i=res_i.rate,
         heralding_eta=eta,
-        purity_P=jsa_purity(geom, crystal, filters, numerics, grids),
+        purity_P=jsa_purity(geom, crystal, filters, numerics),
         mode_sum_truncation=(
             max(res_s.max_shell, res_i.max_shell),
             max(res_s.tail_estimate, res_i.tail_estimate),

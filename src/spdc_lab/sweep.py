@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Numerics
 from .errors import UnsatisfiableConditionError
-from .jsa import SpectralGrids, purity_waist
+from .jsa import purity_waist
 from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
 
 # the Gaussian-model convention that ties the collection waist to the pump
@@ -105,15 +105,14 @@ def rate_vs_pump_waist(
     skipped), ``fixed`` keeps the template value, ``co-scale`` scales it
     proportionally. The argmax is
     reported with ties broken toward the smallest swept value. All samples
-    share one SpectralGrids holder, so the phase mismatch is evaluated once
-    per grid resolution, not per sample.
+    share the ``spectral_grid`` of each resolution, so the phase mismatch is
+    evaluated once per grid resolution, not per sample.
     """
     lo, hi = waist_range
     if not 0 < lo < hi:
         raise ValueError("waist_range must satisfy 0 < lo < hi")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    grids = SpectralGrids()
     rows = []
     for W0p in np.linspace(lo, hi, steps):
         if policy == "separability":
@@ -128,10 +127,10 @@ def rate_vs_pump_waist(
         else:
             raise ValueError("unknown sweep policy: %r" % (policy,))
         geom = replace(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
-        R = pair_rate(geom, crystal, filters, numerics, grids)
+        R = pair_rate(geom, crystal, filters, numerics)
         row_purity = None
         if include_purity:
-            row_purity = jsa_purity(geom, crystal, filters, numerics, grids)
+            row_purity = jsa_purity(geom, crystal, filters, numerics)
         rows.append(SweepRow(swept_value=float(W0p), R=R, eta=None, purity=row_purity))
     if not rows:
         raise UnsatisfiableConditionError(
@@ -151,19 +150,17 @@ def metrics_vs_waist_ratio(
     filters,
     numerics=Numerics(),
 ):
-    """Full metrics versus the collection-to-pump waist ratio. All samples
-    share one SpectralGrids holder."""
+    """Full metrics versus the collection-to-pump waist ratio."""
     lo, hi = ratio_range
     if not 0 < lo < hi:
         raise ValueError("ratio_range must satisfy 0 < lo < hi")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    grids = SpectralGrids()
     rows = []
     for ratio in np.linspace(lo, hi, steps):
         W0s = ratio * W0p_fixed
         geom = replace(geom_base, W0p=W0p_fixed, W0s=W0s, W0i=W0s)
-        report = compute_metrics(geom, crystal, filters, numerics, grids=grids)
+        report = compute_metrics(geom, crystal, filters, numerics)
         rows.append(
             SweepRow(
                 swept_value=float(ratio),
@@ -194,9 +191,8 @@ def optimize(
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
     [0.5, 1.2] times the closed-form value, maximizing the purity (with local
     quadratic refinement) and locating the efficiency/purity crossing by
-    bisection. The three stages share one SpectralGrids holder.
+    bisection.
     """
-    grids = SpectralGrids()
 
     def tied_rate(W0p):
         try:
@@ -204,7 +200,7 @@ def optimize(
         except UnsatisfiableConditionError:
             return -math.inf
         geom = replace(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
-        return pair_rate(geom, crystal, filters, numerics, grids)
+        return pair_rate(geom, crystal, filters, numerics)
 
     W0p_star, _ = golden_section_maximize(tied_rate, *_WAIST_BOUNDS, tol=0.25e-6)
     W0s_closed_form = purity_waist(W0p_star, geom_template, crystal, numerics.alpha_convention)
@@ -215,7 +211,7 @@ def optimize(
         return replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
 
     def purity_at(W0s):
-        return jsa_purity(at_waist(W0s), crystal, filters, numerics, grids)
+        return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
     purities = np.array([purity_at(w) for w in scan])
     k = int(np.argmax(purities))
@@ -230,7 +226,7 @@ def optimize(
         W0s_purity_star = scan[k]
 
     def eta_minus_purity(W0s):
-        _, _, _, eta = heralding_rates(at_waist(W0s), crystal, filters, numerics, grids)
+        _, _, _, eta = heralding_rates(at_waist(W0s), crystal, filters, numerics)
         return eta - purity_at(W0s)
 
     coarse = np.linspace(scan[0], scan[-1], eta_coarse_points)
@@ -256,7 +252,7 @@ def optimize(
             break
 
     def report_at(W0s):
-        return compute_metrics(at_waist(W0s), crystal, filters, numerics, grids=grids)
+        return compute_metrics(at_waist(W0s), crystal, filters, numerics)
 
     metrics = {
         "at_W0s_closed_form": report_at(W0s_closed_form),

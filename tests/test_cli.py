@@ -519,7 +519,8 @@ class TestConsoleScript:
     def test_perfbench_tracer_counts_metrics_layers(self, tmp_path):
         # perfbench/tracer.py wraps package functions by name and binds their
         # arguments by name, so a rename here must fail in the test suite,
-        # not only in the benchmark
+        # not only in the benchmark. `metrics` covers the rate layers and
+        # `jsa`, run in the same process, covers jsa_grid
         root = Path(cli.__file__).parents[2]
         script = (
             "import json, sys\n"
@@ -528,25 +529,31 @@ class TestConsoleScript:
             "from tracer import Tracer, summarize\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
-            "code = cli.main(['metrics', '--config', %r, '--out', %r])\n"
-            "print(json.dumps([code, summarize(tracer.spans)]))\n"
+            "runs = []\n"
+            "for command in ('metrics', 'jsa'):\n"
+            "    del tracer.spans[:]\n"
+            "    code = cli.main([command, '--config', %r, '--out', %r + command])\n"
+            "    runs.append([code, summarize(tracer.spans)])\n"
+            "print(json.dumps(runs))\n"
         ) % (
             str(root / "src"),
             str(root / "perfbench"),
             shipped_config_path("degenerate_810"),
-            str(tmp_path / "out"),
+            str(tmp_path / "out_"),
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        code, summary = json.loads(proc.stdout.splitlines()[-1])
-        assert code == 0
+        (metrics_code, metrics_summary), (jsa_code, jsa_summary) = json.loads(
+            proc.stdout.splitlines()[-1]
+        )
+        assert metrics_code == 0 and jsa_code == 0
         counts = {
             "metrics.pair_rate.calls": 1,
             "metrics.singles_rate.calls": 2,
-            "jsa.jsa_grid.calls": 1,
             "metrics.compute_metrics.calls": 1,
         }
-        assert {key: summary[key] for key in counts} == counts
+        assert {key: metrics_summary[key] for key in counts} == counts
+        assert jsa_summary["jsa.jsa_grid.calls"] == 1
 
     def test_import_loads_no_scipy(self):
         # the constants are literals and only the walk-off path imports

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,7 +21,7 @@ from spdc_lab.errors import ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.jsa import (
     SINC_GAUSS_ALPHA,
     BeamGeometry,
-    SpectralGrids,
+    SpectralGrid,
     delta_coefficients,
     gaussian_model_purity,
     geometry_factors,
@@ -30,11 +32,17 @@ from spdc_lab.jsa import (
     central_inverse_group_velocities,
     purity_waist,
     sinc_gaussian,
+    spectral_grid,
     walk_off_integral,
     write_jsa_csv,
     write_jsa_json,
 )
 from spdc_lab.schmidt import schmidt_purity
+
+
+def built_for(grid, cfg):
+    """Whether ``grid`` spans the signal window of ``cfg``'s filters."""
+    return np.array_equal(grid.w_s, np.linspace(*cfg.filters.signal.support, grid.w_s.size))
 
 
 def collinear(geom):
@@ -216,7 +224,7 @@ class TestWalkOffIntegral:
     @pytest.mark.parametrize("n", [101, 201])
     def test_rule_matches_faddeeva_on_grids(self, degenerate, nondegenerate, n):
         for cfg in (degenerate, nondegenerate):
-            grid = SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             H, L = geometry_factors(cfg.geom).H, cfg.crystal.length_L
             got = walk_off_integral(grid.dkz, H, L)
             want = _faddeeva_walk_off(grid.dkz, H, L)
@@ -235,7 +243,7 @@ class TestWalkOffIntegral:
         cfg, n = degenerate, 201
         tracemalloc.start()
         try:
-            SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact").amplitude(
+            SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact").amplitude(
                 cfg.geom, walk_off=True
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -283,16 +291,18 @@ class TestModeFunction:
 class TestSpectralGrids:
     def test_one_grid_per_resolution_across_waists(self, degenerate):
         cfg = degenerate
-        grids = SpectralGrids()
-        grid = grids.get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4, W0i=1e-4)
-        assert grids.get(101, wider, cfg.crystal, cfg.filters, "exact") is grid
-        assert grids.get(201, wider, cfg.crystal, cfg.filters, "exact").dky.shape == (201, 201)
+        assert spectral_grid(101, wider, cfg.crystal, cfg.filters, "exact") is grid
+        fine = spectral_grid(201, wider, cfg.crystal, cfg.filters, "exact")
+        assert fine.dky.shape == (201, 201)
+        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact") is fine
+        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact") is grid
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
         cfg = nondegenerate
-        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
@@ -300,7 +310,7 @@ class TestSpectralGrids:
 
     def test_amplitude_slot_holds_the_last_waist(self, nondegenerate):
         cfg = nondegenerate
-        grid = SpectralGrids().get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         first = grid.amplitude(cfg.geom, False)
         assert grid.amplitude(replace(cfg.geom), False) is first
@@ -317,35 +327,91 @@ class TestSpectralGrids:
     @pytest.mark.parametrize("n", [101, 201])
     def test_integrate_is_nested_trapezoid(self, degenerate, nondegenerate, n):
         for cfg in (degenerate, nondegenerate):
-            grid = SpectralGrids().get(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             density = grid.weight * grid.amplitude(cfg.geom, False) ** 2
             want = np.trapezoid(np.trapezoid(density, grid.Om_i, axis=1), grid.Om_s)
             assert grid.integrate(density) == pytest.approx(want, rel=1e-13)
 
     def test_held_arrays_are_read_only(self, degenerate):
         cfg = degenerate
-        grid = SpectralGrids().get(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
         assert grid.pump_envelope is grid.pump_envelope
         assert jsa._legendre(9) is jsa._legendre(9)
         for held in (grid.pump_term, grid.negdky2, grid.pump_envelope, grid.sinc, *jsa._legendre(9)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
 
-    def test_rejects_another_spectral_setting(self, degenerate):
+    def test_another_spectral_setting_gets_a_fresh_grid(self, degenerate):
+        # only the waists may differ between requests that share a grid
         cfg = degenerate
-        grids = SpectralGrids()
-        grids.get(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         tilted = replace(cfg.geom, theta_s=1.01 * cfg.geom.theta_s)
         narrow = replace(
             cfg.filters, pump=replace(cfg.filters.pump, half_width=cfg.filters.pump.half_width / 2)
         )
-        for args in (
-            (101, tilted, cfg.crystal, cfg.filters, "exact"),
-            (201, cfg.geom, cfg.crystal, narrow, "exact"),
-            (101, cfg.geom, cfg.crystal, cfg.filters, "linear"),
+        for geom, filters, mode in (
+            (tilted, cfg.filters, "exact"),
+            (cfg.geom, narrow, "exact"),
+            (cfg.geom, cfg.filters, "linear"),
         ):
-            with pytest.raises(ValueError, match="another geometry"):
-                grids.get(*args)
+            other = spectral_grid(101, geom, cfg.crystal, filters, mode)
+            want = SpectralGrid(101, geom, cfg.crystal, filters, mode)
+            assert other is not grid
+            for name in ("dky", "dkz", "weight"):
+                assert np.array_equal(getattr(other, name), getattr(want, name)), name
+        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact") is not grid
+
+    @pytest.mark.parametrize("asks_next", ["degenerate", "nondegenerate"])
+    def test_interleaved_request_never_crosses_settings(
+        self, degenerate, nondegenerate, monkeypatch, asks_next, request
+    ):
+        # while a degenerate grid is being built, a nondegenerate one is
+        # requested, as another thread could; every call must still get a
+        # grid of its own setting, also the requests after it
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        init, nested = SpectralGrid.__init__, []
+
+        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode):
+            if filters is degenerate.filters and not nested:
+                b = nondegenerate
+                nested.append(spectral_grid(15, b.geom, b.crystal, b.filters, "exact"))
+            init(self, resolution, geom, crystal, filters, dispersion_mode)
+
+        monkeypatch.setattr(SpectralGrid, "__init__", interleaved)
+        a = degenerate
+        assert built_for(spectral_grid(31, a.geom, a.crystal, a.filters, "exact"), a)
+        assert built_for(nested[0], nondegenerate)
+        cfg = request.getfixturevalue(asks_next)
+        for n in (15, 31):
+            grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            assert grid.w_s.size == n and built_for(grid, cfg), n
+
+    def test_threads_get_grids_of_their_own_setting(self, degenerate, nondegenerate, monkeypatch):
+        # more threads than cores, switching often, each alternating between
+        # two settings: no request may return another setting's grid
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        cfgs, wrong, done = (degenerate, nondegenerate), [], []
+
+        def worker(k):
+            for i in range(40):
+                cfg, n = cfgs[(i + k) % 2], 5 + 2 * (i % 3)
+                grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+                if grid.w_s.size != n or not built_for(grid, cfg):
+                    wrong.append((k, i))
+            done.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 class TestJsaGrid:

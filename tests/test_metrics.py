@@ -8,19 +8,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.constants import c, epsilon_0
 from scipy.special import eval_hermite
 
-from spdc_lab import metrics
+from spdc_lab import jsa, metrics
 from spdc_lab.config import Numerics
 from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import (
-    SpectralGrids,
+    SpectralGrid,
     SpectralTerms,
     central_inverse_group_velocities,
     geometry_factors,
     mode_function,
     phase_mismatch_exact,
     phase_mismatch_linear,
+    spectral_grid,
     z_nodes,
 )
 from spdc_lab.metrics import (
@@ -188,11 +189,11 @@ class TestPairRate:
             return amplitude(self, geom, walk_off)
 
         monkeypatch.setattr(SpectralTerms, "amplitude", counted)
-        grids = SpectralGrids()
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
         for W0s in (cfg.geom.W0s, 0.9 * cfg.geom.W0s):
             geom = replace(cfg.geom, W0s=W0s, W0i=W0s)
-            pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics, grids)
-            jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics, grids)
+            pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
+            jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert shapes == [(101, 101), (201, 201)] * 2
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
@@ -319,7 +320,7 @@ class TestModeSumKernel:
     def test_kernel_follows_linear_dispersion(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        grid = SpectralGrids().get(15, geom, crystal, filters, "linear")
+        grid = SpectralGrid(15, geom, crystal, filters, "linear")
         kern = _ModeSumKernel(geom, grid, False)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         ngv = central_inverse_group_velocities(geom, crystal)
@@ -331,7 +332,7 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
         g = geometry_factors(geom)
-        grid = SpectralGrids().get(15, geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(15, geom, cfg.crystal, cfg.filters, "exact")
         kern = _ModeSumKernel(geom, grid, False)
         t, w = hermgauss(40)
         for which in ("signal", "idler"):
@@ -353,7 +354,7 @@ class TestModeSumKernel:
         # moments is Re M[:, j] for even j and Im M[:, j] for odd j
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
-        grid = SpectralGrids().get(101, geom, crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, geom, crystal, cfg.filters, "exact")
         kern = _ModeSumKernel(geom, grid, walk_off)
         g, J = kern.g, 6
         for n_z in (7, 8, 21, 22):
@@ -373,7 +374,7 @@ class TestModeSumKernel:
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
         cfg = nondegenerate
         geom, crystal = cfg.geom, cfg.crystal
-        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, cfg.filters, "exact"), walk_off)
+        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, cfg.filters, "exact"), walk_off)
         for R in kern._z_moments(kern.z_order(6), 6).values():
             assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
         for which in ("signal", "idler"):
@@ -412,7 +413,7 @@ class TestModeSumKernel:
     def test_z_order_grows_with_the_ladder(self, degenerate, monkeypatch):
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters, "exact"), False)
+        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
         assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
@@ -431,7 +432,7 @@ class TestModeSumKernel:
     def test_singles_rate_on_shared_kernel(self, nondegenerate):
         cfg = nondegenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrids().get(31, geom, crystal, filters, "exact"), False)
+        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
         numerics = Numerics(singles_resolution=31)
         for which in ("signal", "idler"):
             own = singles_rate(which, geom, crystal, filters, numerics)

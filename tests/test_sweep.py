@@ -147,6 +147,7 @@ class TestRateVsPumpWaist:
             return original(Omega_s, Omega_i, geom, crystal)
 
         monkeypatch.setattr(jsa, "phase_mismatch_exact", counting)
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
         result = rate_vs_pump_waist((50e-6, 800e-6), steps, cfg.geom, cfg.crystal, cfg.filters)
         assert len(result.rows) > 1
         assert sorted(sizes) == [101**2, 201**2]
