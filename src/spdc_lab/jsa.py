@@ -356,6 +356,7 @@ class SpectralGrid(SpectralTerms):
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
+        self.key = (resolution, _spectral_key(geom, crystal, filters, dispersion_mode))
         self.w_s = np.linspace(*filters.signal.support, resolution)
         self.w_i = np.linspace(*filters.idler.support, resolution)
         self.Om_s = self.w_s - geom.signal.central_angular_frequency
@@ -371,16 +372,17 @@ class SpectralGrid(SpectralTerms):
         # trapezoid weights of each axis: w_s @ f == np.trapezoid(f, Om_s)
         halves = (np.diff(self.Om_s) / 2.0, np.diff(self.Om_i) / 2.0)
         self._w_s, self._w_i = (np.pad(h, (0, 1)) + np.pad(h, (1, 0)) for h in halves)
-        self._amplitude_key, self._amplitude = None, None
+        self._amplitude_slot = (None, None)
 
     def amplitude(self, geom, walk_off):
-        """SpectralTerms.amplitude, read-only, kept in one slot keyed on
+        """SpectralTerms.amplitude, read-only, held as one pair with its key:
         ``walk_off`` and ``geometry_factors``, the only way it sees ``geom``."""
         key = (geometry_factors(geom), walk_off)
-        if key != self._amplitude_key:
-            self._amplitude = _read_only(super().amplitude(geom, walk_off))
-            self._amplitude_key = key
-        return self._amplitude
+        held, amp = self._amplitude_slot
+        if held != key:
+            amp = _read_only(super().amplitude(geom, walk_off))
+            self._amplitude_slot = (key, amp)
+        return amp
 
     def integrate(self, density):
         return float(self._w_s @ density @ self._w_i)

@@ -25,8 +25,8 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, SpectralTerms, _check_z_order, check_rayleigh, geometry_factors,
-    spectral_grid, z_nodes, z_order,
+    _Z_RAISE, _Z_TOL, SpectralTerms, _check_z_order, _spectral_key, check_rayleigh,
+    geometry_factors, spectral_grid, z_nodes, z_order,
 )
 from .schmidt import purity
 from .units import c, epsilon_0
@@ -301,24 +301,24 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
     more z nodes, and a relative change beyond _Z_TOL raises
     ConvergenceError.
 
-    ``kernel`` is this geometry's mode-sum kernel on the
-    ``numerics.singles_resolution`` grid of ``spectral_grid``, shared by both
-    arms (see ``heralding_rates``). Without one the kernel is built here.
+    ``kernel`` is this geometry's mode-sum kernel on a SpectralGrid whose
+    ``key`` matches these settings, shared by both arms (see
+    ``heralding_rates``). Without one it is built on the ``spectral_grid`` slot.
     """
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
-    grid = spectral_grid(
-        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
-    )
+    resolution, mode = numerics.singles_resolution, numerics.dispersion_mode
     if kernel is None:
+        grid = spectral_grid(resolution, geom, crystal, filters, mode)
         kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
     elif (
         kernel.geom != geom
         or kernel.walk_off != numerics.walk_off_enabled
-        or kernel.terms is not grid
+        or kernel.terms.key != (resolution, _spectral_key(geom, crystal, filters, mode))
     ):
         raise ValueError("mode-sum kernel was built for another geometry or grid")
+    grid = kernel.terms
 
     def d_term(m, n_z=None):
         yz = kernel.yz_integral(m, arm, n_z)

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,33 @@ class TestPairRate:
             pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
             jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert shapes == [(101, 101), (201, 201)] * 2
+
+    def test_threads_at_two_waists_match_serial_runs(self, degenerate):
+        # two threads read one setting's slot grids at different waists
+        cfg = degenerate
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        geoms = (cfg.geom, narrow)
+
+        def figures(geom):
+            return (
+                pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics),
+                jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics),
+            )
+
+        serial = [figures(geom) for geom in geoms]
+        wrong = []
+
+        def worker(k):
+            for _ in range(15):
+                if figures(geoms[k]) != serial[k]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads) and wrong == []
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -413,7 +441,7 @@ class TestModeSumKernel:
     def test_z_order_grows_with_the_ladder(self, degenerate, monkeypatch):
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
+        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), False)
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
         assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
@@ -429,14 +457,17 @@ class TestModeSumKernel:
         arm = _arm(geom, "signal")
         assert np.array_equal(fresh.yz_integral(3, arm), kern.yz_integral(3, arm))
 
-    def test_singles_rate_on_shared_kernel(self, nondegenerate):
+    def test_singles_rate_on_shared_kernel(self, degenerate, nondegenerate):
         cfg = nondegenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
+        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), False)
         numerics = Numerics(singles_resolution=31)
-        for which in ("signal", "idler"):
-            own = singles_rate(which, geom, crystal, filters, numerics)
-            assert singles_rate(which, geom, crystal, filters, numerics, kernel=kern) == own
+        own = [singles_rate(which, geom, crystal, filters, numerics) for which in ("signal", "idler")]
+        # the kernel serves its own setting after the slot moved to another
+        d = degenerate
+        spectral_grid(31, d.geom, d.crystal, d.filters, "exact")
+        for which, want in zip(("signal", "idler"), own):
+            assert singles_rate(which, geom, crystal, filters, numerics, kernel=kern) == want
         for other_geom, other_numerics in (
             (geom, replace(numerics, singles_resolution=21)),
             (replace(geom, W0p=2 * geom.W0p), numerics),
