@@ -52,7 +52,6 @@ from .metrics import (
     compute_metrics,
     heralding_efficiency,
     heralding_rates,
-    mode_function_nm,
     pair_rate,
     rate_prefactor,
     singles_rate,

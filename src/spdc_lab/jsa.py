@@ -350,9 +350,10 @@ class SpectralGrid(SpectralTerms):
     signal and idler windows of the FilterBank ``filters``.
 
     Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
-    ``Om_i`` and the filter weight T_s T_i T_p; ``integrate`` is the
-    trapezoid rule on the grid. ``amplitude`` keeps the last geometry's
-    amplitude, so the pair rate and the purity at one waist evaluate it once.
+    ``Om_i`` and, read-only from its first use by a rate, the filter weight
+    T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid.
+    ``amplitude`` keeps the last geometry's amplitude, so the pair rate and
+    the purity at one waist evaluate it once.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -365,14 +366,19 @@ class SpectralGrid(SpectralTerms):
         # per axis point, and only the sums fill the grid
         OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
         super().__init__(OS, OI, geom, crystal, dispersion_mode)
-        T_s = filter_transmission(self.w_s, filters.signal)
-        T_i = filter_transmission(self.w_i, filters.idler)
-        T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), filters.pump)
-        self.weight = T_s[:, None] * T_i[None, :] * T_p
+        self._filters = filters
         # trapezoid weights of each axis: w_s @ f == np.trapezoid(f, Om_s)
         halves = (np.diff(self.Om_s) / 2.0, np.diff(self.Om_i) / 2.0)
         self._w_s, self._w_i = (np.pad(h, (0, 1)) + np.pad(h, (1, 0)) for h in halves)
         self._amplitude_slot = (None, None)
+
+    @cached_property
+    def weight(self):
+        f = self._filters
+        T_s = filter_transmission(self.w_s, f.signal)
+        T_i = filter_transmission(self.w_i, f.idler)
+        T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), f.pump)
+        return _read_only(T_s[:, None] * T_i[None, :] * T_p)
 
     def amplitude(self, geom, walk_off):
         """SpectralTerms.amplitude, read-only, held as one pair with its key:

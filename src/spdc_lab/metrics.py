@@ -25,7 +25,7 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, SpectralTerms, _check_z_order, _spectral_key, check_rayleigh,
+    _Z_RAISE, _Z_TOL, _check_z_order, _spectral_key, check_rayleigh,
     geometry_factors, spectral_grid, z_nodes, z_order,
 )
 from .schmidt import purity
@@ -262,32 +262,6 @@ class _ModeSumKernel:
         # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
         sign = [(-1) ** ((k + 1 - m % 2) // 2) for k in range(m + 1)]
         return self.yz_pref * sum(sign[k] * math.comb(m, k) * G[k] * R[m - k] for k in range(m + 1))
-
-    def amplitude(self, n, m, arm, n_z=None):
-        return (
-            self.gp * self.x_integral(n, arm) * self.yz_integral(m, arm, n_z) * 1j ** (m % 2)
-        ).reshape(self.shape)
-
-
-def mode_function_nm(n, m, Omega_s, Omega_i, geom, crystal, which="signal", walk_off=False):
-    """Overlap amplitude with the (n, m) Hermite-Gauss collection mode.
-
-    ``which`` selects the arm carrying the mode ladder; the partner stays in
-    its fundamental. Returns the complex amplitude on the broadcast grid of
-    the detuning arrays. The z quadrature is repeated at _Z_RAISE more nodes
-    and required to agree to _Z_TOL, as in ``singles_rate``.
-    """
-    Om_s = np.atleast_1d(np.asarray(Omega_s, dtype=float))
-    Om_i = np.atleast_1d(np.asarray(Omega_i, dtype=float))
-    arm = _arm(geom, which)
-    terms = SpectralTerms(*np.meshgrid(Om_s, Om_i, indexing="ij"), geom, crystal, "exact")
-    kern = _ModeSumKernel(geom, terms, walk_off)
-    val = kern.amplitude(n, m, arm)
-    raised = kern.amplitude(n, m, arm, kern.z_order(m) + _Z_RAISE)
-    _check_z_order(val, raised, "mode overlap (%d, %d)" % (n, m))
-    if np.isscalar(Omega_s) and np.isscalar(Omega_i):
-        return complex(val.reshape(-1)[0])
-    return val
 
 
 def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None):

@@ -65,6 +65,17 @@ class OptimizationResult:
     metrics: dict
 
 
+def _tied(W0p, geom, crystal):
+    """``geom`` at pump waist W0p with both collection waists tied to it by
+    the separability condition under _TIE_ALPHA; None where that condition
+    is unsatisfiable."""
+    try:
+        W0s = purity_waist(W0p, geom, crystal, _TIE_ALPHA)
+    except UnsatisfiableConditionError:
+        return None
+    return replace(geom, W0p=W0p, W0s=W0s, W0i=W0s)
+
+
 def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
     """1-D golden-section maximization on [lo, hi]; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,17 +104,13 @@ def rate_vs_pump_waist(
     geom_base,
     crystal,
     filters,
-    policy="separability",
     include_purity=True,
     numerics=Numerics(),
 ):
     """Pair rate versus pump waist.
 
-    ``policy`` sets how the collection waist follows the pump waist:
-    ``separability`` re-solves the closed-form purity condition under
-    _TIE_ALPHA at every sample (waists where it is unsatisfiable are
-    skipped), ``fixed`` keeps the template value, ``co-scale`` scales it
-    proportionally. The argmax is
+    The collection waists follow each sample through ``_tied``; waists where
+    the separability condition is unsatisfiable are skipped. The argmax is
     reported with ties broken toward the smallest swept value. All samples
     share the ``spectral_grid`` of each resolution, so the phase mismatch is
     evaluated once per grid resolution, not per sample.
@@ -115,18 +122,9 @@ def rate_vs_pump_waist(
         raise ValueError("steps must be at least 1")
     rows = []
     for W0p in np.linspace(lo, hi, steps):
-        if policy == "separability":
-            try:
-                W0s = purity_waist(W0p, geom_base, crystal, _TIE_ALPHA)
-            except UnsatisfiableConditionError:
-                continue
-        elif policy == "fixed":
-            W0s = geom_base.W0s
-        elif policy == "co-scale":
-            W0s = geom_base.W0s * W0p / geom_base.W0p
-        else:
-            raise ValueError("unknown sweep policy: %r" % (policy,))
-        geom = replace(geom_base, W0p=W0p, W0s=W0s, W0i=W0s)
+        geom = _tied(W0p, geom_base, crystal)
+        if geom is None:
+            continue
         R = pair_rate(geom, crystal, filters, numerics)
         row_purity = None
         if include_purity:
@@ -195,12 +193,8 @@ def optimize(
     """
 
     def tied_rate(W0p):
-        try:
-            W0s = purity_waist(W0p, geom_template, crystal, _TIE_ALPHA)
-        except UnsatisfiableConditionError:
-            return -math.inf
-        geom = replace(geom_template, W0p=W0p, W0s=W0s, W0i=W0s)
-        return pair_rate(geom, crystal, filters, numerics)
+        geom = _tied(W0p, geom_template, crystal)
+        return -math.inf if geom is None else pair_rate(geom, crystal, filters, numerics)
 
     W0p_star, _ = golden_section_maximize(tied_rate, *_WAIST_BOUNDS, tol=0.25e-6)
     W0s_closed_form = purity_waist(W0p_star, geom_template, crystal, numerics.alpha_convention)

@@ -335,7 +335,8 @@ class TestSpectralGrids:
         grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
         assert grid.pump_envelope is grid.pump_envelope
         assert jsa._legendre(9) is jsa._legendre(9)
-        for held in (grid.pump_term, grid.negdky2, grid.pump_envelope, grid.sinc, *jsa._legendre(9)):
+        held_arrays = (grid.pump_term, grid.negdky2, grid.pump_envelope, grid.sinc, grid.weight)
+        for held in (*held_arrays, *jsa._legendre(9)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
 
@@ -416,6 +417,28 @@ class TestJsaGrid:
             np.trapezoid(dens, grid.omega_i_samples, axis=1), grid.omega_s_samples
         )
         assert grid.normalization_N * total == pytest.approx(1.0, rel=1e-12)
+
+    def test_builds_no_filter_weight(self, degenerate, monkeypatch):
+        # the dump applies no transmission, so it never builds T_s T_i T_p;
+        # a rate's first read of the weight builds it once
+        cfg = degenerate
+        calls = []
+        original = jsa.filter_transmission
+
+        def counting(omega, spec):
+            calls.append(spec)
+            return original(omega, spec)
+
+        monkeypatch.setattr(jsa, "filter_transmission", counting)
+        jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=101))
+        assert calls == []
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        assert calls == []
+        assert grid.weight is grid.weight
+        assert calls == [cfg.filters.signal, cfg.filters.idler, cfg.filters.pump]
+        T_s, T_i = original(grid.w_s, cfg.filters.signal), original(grid.w_i, cfg.filters.idler)
+        T_p = original(np.add.outer(grid.w_s, grid.w_i), cfg.filters.pump)
+        assert np.array_equal(grid.weight, T_s[:, None] * T_i[None, :] * T_p)
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_real(self, degenerate, walk_off):

@@ -40,25 +40,20 @@ class TestRateVsPumpWaist:
             rate_vs_pump_waist((2e-4, 1e-4), 5, cfg.geom, cfg.crystal, cfg.filters)
         with pytest.raises(ValueError):
             rate_vs_pump_waist((1e-4, 2e-4), 0, cfg.geom, cfg.crystal, cfg.filters)
-        with pytest.raises(ValueError):
-            rate_vs_pump_waist(
-                (1e-4, 2e-4), 5, cfg.geom, cfg.crystal, cfg.filters, policy="magic"
-            )
 
     def test_tie_break_toward_smallest(self, degenerate, monkeypatch):
         cfg = degenerate
         stub_rate(monkeypatch, lambda geom: 1.0)
         res = rate_vs_pump_waist(
-            (1e-4, 2e-4),
+            (3e-4, 4e-4),
             5,
             cfg.geom,
             cfg.crystal,
             cfg.filters,
-            policy="fixed",
             include_purity=False,
         )
         assert res.argmax_index == 0
-        assert res.argmax_value == pytest.approx(1e-4)
+        assert res.argmax_value == pytest.approx(3e-4)
         assert len(res.rows) == 5
         assert all(row.eta is None and row.purity is None for row in res.rows)
 
@@ -71,40 +66,31 @@ class TestRateVsPumpWaist:
             cfg.geom,
             cfg.crystal,
             cfg.filters,
-            policy="fixed",
             include_purity=False,
         )
         assert len(res.rows) == 1
         assert res.rows[0].swept_value == pytest.approx(3e-4)
 
-    def test_policies_set_collection_waist(self, degenerate, monkeypatch):
+    def test_tie_sets_collection_waist(self, degenerate, monkeypatch):
+        # both collection waists follow each pump waist by the separability
+        # condition under the consistent convention
         cfg = degenerate
-        seen = {}
+        seen = []
 
-        def spy(policy):
-            def rate_fn(geom):
-                seen[policy] = geom.W0s
-                assert geom.W0s == geom.W0i
-                return 1.0
+        def rate_fn(geom):
+            seen.append((geom.W0p, geom.W0s, geom.W0i))
+            return 1.0
 
-            return rate_fn
-
-        for policy in ("fixed", "co-scale", "separability"):
-            stub_rate(monkeypatch, spy(policy))
-            rate_vs_pump_waist(
-                (4e-4, 5e-4),
-                1,
-                cfg.geom,
-                cfg.crystal,
-                cfg.filters,
-                policy=policy,
-                include_purity=False,
-            )
-        assert seen["fixed"] == pytest.approx(cfg.geom.W0s)
-        assert seen["co-scale"] == pytest.approx(cfg.geom.W0s * 4e-4 / cfg.geom.W0p)
-        assert seen["separability"] == pytest.approx(
-            purity_waist(4e-4, cfg.geom, cfg.crystal, alpha_convention="consistent")
+        stub_rate(monkeypatch, rate_fn)
+        rate_vs_pump_waist(
+            (4e-4, 5e-4), 3, cfg.geom, cfg.crystal, cfg.filters, include_purity=False
         )
+        assert [W0p for W0p, _, _ in seen] == pytest.approx([4e-4, 4.5e-4, 5e-4])
+        for W0p, W0s, W0i in seen:
+            assert W0s == W0i
+            assert W0s == pytest.approx(
+                purity_waist(W0p, cfg.geom, cfg.crystal, alpha_convention="consistent")
+            )
 
     def test_unsatisfiable_rows_skipped(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -254,12 +240,11 @@ class TestCsv:
         cfg = degenerate
         stub_rate(monkeypatch, lambda geom: 1.0)
         res = rate_vs_pump_waist(
-            (1e-4, 2e-4),
+            (3e-4, 4e-4),
             3,
             cfg.geom,
             cfg.crystal,
             cfg.filters,
-            policy="fixed",
             include_purity=False,
         )
         out = tmp_path / "sweep.csv"
