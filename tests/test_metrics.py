@@ -583,7 +583,8 @@ class TestShellCriterionNearCollinear:
     )
     @pytest.mark.parametrize("detuning_deg", [0.01, 1e-12])
     def test_degenerate_eta(self, tmp_path, detuning_deg):
-        raw = json.loads(open(shipped_config_path("degenerate_810")).read())
+        with open(shipped_config_path("degenerate_810")) as fh:
+            raw = json.load(fh)
         raw["collection"]["cut_detuning_deg"] = detuning_deg
         assert design_eta(tmp_path, raw) == pytest.approx(0.9901, abs=1e-3)
 
