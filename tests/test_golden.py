@@ -17,6 +17,8 @@ with <command> and [flags] from its row; the row maps each file written to
 - ``optimize``: optimization.json
 - ``optimize --walk-off``: optimization.json -> optimization_walk_off.json
 - ``sweep-rate``: sweep_rate.csv, sweep_rate.json
+- ``sweep-rate --walk-off``: sweep_rate.csv -> sweep_rate_walk_off.csv,
+  sweep_rate.json -> sweep_rate_walk_off.json
 - ``sweep-ratio``: sweep_ratio.csv, sweep_ratio.json
 - ``sweep-ratio --walk-off``: sweep_ratio.csv -> sweep_ratio_walk_off.csv,
   sweep_ratio.json -> sweep_ratio_walk_off.json
@@ -63,6 +65,11 @@ GOLDEN_RUNS = [
     ("optimize", (), {"optimization.json": "optimization.json"}),
     ("optimize", ("--walk-off",), {"optimization.json": "optimization_walk_off.json"}),
     ("sweep-rate", (), {"sweep_rate.csv": "sweep_rate.csv", "sweep_rate.json": "sweep_rate.json"}),
+    (
+        "sweep-rate",
+        ("--walk-off",),
+        {"sweep_rate.csv": "sweep_rate_walk_off.csv", "sweep_rate.json": "sweep_rate_walk_off.json"},
+    ),
     ("sweep-ratio", (), {"sweep_ratio.csv": "sweep_ratio.csv", "sweep_ratio.json": "sweep_ratio.json"}),
     (
         "sweep-ratio",
