@@ -12,14 +12,13 @@ error, 3 I/O error.
 
 import argparse
 import json
-import math
 import numbers
 import os
 import sys
 from dataclasses import asdict, replace
 
 # shipped_config_path is re-exported for callers that locate configs via the CLI
-from .config import load_config, shipped_config_path
+from .config import WAIST_RANGE_UM, load_config, shipped_config_path
 from .dispersion import (
     effective_nonlinearity,
     external_angle,
@@ -92,13 +91,20 @@ def build_parser():
     return parser
 
 
-def _sweep_range(args, lo, hi, steps):
-    """Sweep bounds and sample count from the flags or the command's defaults."""
+def _sweep_range(args, lo, hi, steps, waist_um):
+    """Sweep bounds and sample count from the flags or the command's defaults;
+    a bound times ``waist_um`` is the waist it sets, in um."""
     lo = lo if args.sweep_min is None else args.sweep_min
     hi = hi if args.sweep_max is None else args.sweep_max
     steps = steps if args.steps is None else args.steps
-    if not 0 < lo < hi < math.inf:
-        raise ConfigError("--sweep-min/--sweep-max: need 0 < min < max")
+    for flag, bound in (("--sweep-min", lo), ("--sweep-max", hi)):
+        if not WAIST_RANGE_UM[0] <= bound * waist_um <= WAIST_RANGE_UM[1]:
+            raise ConfigError(
+                "%s: sets a %g um waist; waists must lie in [%g, %g] um"
+                % ((flag, bound * waist_um) + WAIST_RANGE_UM)
+            )
+    if not lo < hi:
+        raise ConfigError("--sweep-min/--sweep-max: need min < max")
     if not _STEPS_RANGE[0] <= steps <= _STEPS_RANGE[1]:
         raise ConfigError("--steps: integer in [%d, %d] required" % _STEPS_RANGE)
     return lo, hi, steps
@@ -143,7 +149,7 @@ def _run(args):
         _write_json({"config": resolved}, os.path.join(out, "resolved_config.json"))
 
     elif args.command == "sweep-rate":
-        lo, hi, steps = _sweep_range(args, 50.0, 800.0, 76)
+        lo, hi, steps = _sweep_range(args, 50.0, 800.0, 76, 1.0)
         result = rate_vs_pump_waist(
             (lo * 1e-6, hi * 1e-6),
             steps,
@@ -163,9 +169,9 @@ def _run(args):
         )
 
     elif args.command == "sweep-ratio":
-        lo, hi, steps = _sweep_range(args, 0.3, 1.1, 17)
+        lo, hi, steps = _sweep_range(args, 0.3, 1.1, 17, cfg.geom.W0p * 1e6)
         result = metrics_vs_waist_ratio(
-            (lo, hi), steps, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters, numerics
+            (lo, hi), steps, cfg.geom, cfg.crystal, cfg.filters, numerics
         )
         write_sweep_csv(result.rows, os.path.join(out, "sweep_ratio.csv"))
         _write_json({"config": resolved}, os.path.join(out, "sweep_ratio.json"))

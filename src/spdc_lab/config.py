@@ -39,6 +39,10 @@ _ENUMS = {
 
 MAX_RATE_RESOLUTION = 801  # finest level of the pair-rate doubling N -> 2N - 1
 
+# (floor, ceiling) of a beam waist in um: a waist near the wavelength breaks
+# the paraxial Gaussian-beam model; both ends keep W^2 and 1/W^2 finite
+WAIST_RANGE_UM = (1.0, 1e6)
+
 # (floor, ceiling) of the integer fields: the rate resolution leaves room for
 # one doubling within MAX_RATE_RESOLUTION, the singles grid is no finer than
 # that, the JSA grid has 64 to 4001 points a side (4001^2 float64 is 128 MB)
@@ -143,6 +147,14 @@ def _positive(section, name, key, default=None):
     return float(value)
 
 
+def _waist(section, name):
+    """``section["waist_um"]`` in metres, checked against WAIST_RANGE_UM."""
+    value = _positive(section, name, "waist_um")
+    if not WAIST_RANGE_UM[0] <= value <= WAIST_RANGE_UM[1]:
+        raise ConfigError("%s.waist_um: must lie in [%g, %g] um" % ((name,) + WAIST_RANGE_UM))
+    return um_to_m(value)
+
+
 def _section(raw, key, required=True):
     """``raw[key]`` as a JSON object holding only known fields."""
     if key not in raw:
@@ -178,7 +190,7 @@ def load_config(path):
     lam_p = nm_to_m(_positive(pump, "pump", "wavelength_nm"))
     B_p = thz_to_rad_per_s(_positive(pump, "pump", "bandwidth_thz"), convention)
     power_mW = _positive(pump, "pump", "power_mW", 1.0)
-    W0p = um_to_m(_positive(pump, "pump", "waist_um"))
+    W0p = _waist(pump, "pump")
 
     lam_s = nm_to_m(_positive(coll, "collection", "signal_wavelength_nm"))
     degenerate = coll.get("degenerate", False)
@@ -209,7 +221,7 @@ def load_config(path):
     hw_i = thz_to_rad_per_s(
         _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
     )
-    W0s = um_to_m(_positive(coll, "collection", "waist_um"))
+    W0s = _waist(coll, "collection")
     cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
 
     if "name" not in cry:

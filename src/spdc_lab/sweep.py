@@ -22,6 +22,9 @@ from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
 # waist while the pair rate is maximized, and the pump-waist search interval
 _TIE_ALPHA = "consistent"
 _WAIST_BOUNDS = (50e-6, 800e-6)
+# samples of optimize's stage-3 purity scan and of its coarse eta - P scan
+_SCAN_POINTS = 121
+_ETA_COARSE_POINTS = 11
 
 
 @dataclass(frozen=True)
@@ -65,25 +68,52 @@ class OptimizationResult:
     metrics: dict
 
 
+def _at_waists(geom, W0p, W0s):
+    """``geom`` at pump waist W0p with both collection waists equal to W0s."""
+    return replace(geom, W0p=W0p, W0s=W0s, W0i=W0s)
+
+
 def _tied(W0p, geom, crystal):
     """``geom`` at pump waist W0p with both collection waists tied to it by
     the separability condition under _TIE_ALPHA; None where that condition
     is unsatisfiable."""
     try:
-        W0s = purity_waist(W0p, geom, crystal, _TIE_ALPHA)
+        return _at_waists(geom, W0p, purity_waist(W0p, geom, crystal, _TIE_ALPHA))
     except UnsatisfiableConditionError:
         return None
-    return replace(geom, W0p=W0p, W0s=W0s, W0i=W0s)
 
 
-def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
-    """1-D golden-section maximization on [lo, hi]; returns (x, f(x))."""
+def _sweep(value_range, name, steps, evaluate):
+    """Rows of ``evaluate(value)``, an (R, eta, purity) triple or None to skip
+    the value, at ``steps`` values spanning ``value_range`` (argument ``name``);
+    the argmax is the first maximum of R, so ties go to the smallest value."""
+    lo, hi = value_range
+    if not 0 < lo < hi:
+        raise ValueError("%s must satisfy 0 < lo < hi" % name)
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    rows = []
+    for value in np.linspace(lo, hi, steps):
+        figures = evaluate(value)
+        if figures is not None:
+            rows.append(SweepRow(float(value), *figures))
+    if not rows:
+        raise UnsatisfiableConditionError(
+            "separability condition unsatisfiable over the whole waist range"
+        )
+    idx = int(np.argmax([row.R for row in rows]))
+    return SweepResult(rows=tuple(rows), argmax_value=rows[idx].swept_value, argmax_index=idx)
+
+
+def golden_section_maximize(f, lo, hi, tol):
+    """1-D golden-section maximization on [lo, hi], stopping once the bracket
+    is narrower than ``tol`` or after 200 iterations; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c_pt = b - invphi * (b - a)
     d_pt = a + invphi * (b - a)
     fc, fd = f(c_pt), f(d_pt)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a < tol:
             break
         if fc > fd:
@@ -98,88 +128,38 @@ def golden_section_maximize(f, lo, hi, tol=1e-7, max_iter=200):
     return x, f(x)
 
 
-def rate_vs_pump_waist(
-    waist_range,
-    steps,
-    geom_base,
-    crystal,
-    filters,
-    include_purity=True,
-    numerics=Numerics(),
-):
-    """Pair rate versus pump waist.
+def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics=Numerics()):
+    """Pair rate and purity versus pump waist.
 
     The collection waists follow each sample through ``_tied``; waists where
-    the separability condition is unsatisfiable are skipped. The argmax is
-    reported with ties broken toward the smallest swept value. All samples
+    the separability condition is unsatisfiable are skipped. All samples
     share the ``spectral_grid`` of each resolution, so the phase mismatch is
     evaluated once per grid resolution, not per sample.
     """
-    lo, hi = waist_range
-    if not 0 < lo < hi:
-        raise ValueError("waist_range must satisfy 0 < lo < hi")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    rows = []
-    for W0p in np.linspace(lo, hi, steps):
+
+    def sample(W0p):
         geom = _tied(W0p, geom_base, crystal)
         if geom is None:
-            continue
+            return None
+        # pair rate first: the allocation order alone moves scan time (heap layout)
         R = pair_rate(geom, crystal, filters, numerics)
-        row_purity = None
-        if include_purity:
-            row_purity = jsa_purity(geom, crystal, filters, numerics)
-        rows.append(SweepRow(swept_value=float(W0p), R=R, eta=None, purity=row_purity))
-    if not rows:
-        raise UnsatisfiableConditionError(
-            "separability condition unsatisfiable over the whole waist range"
-        )
-    rates = np.array([row.R for row in rows])
-    idx = int(np.argmax(rates))  # first maximum: smallest-waist tie-break
-    return SweepResult(rows=tuple(rows), argmax_value=rows[idx].swept_value, argmax_index=idx)
+        return R, None, jsa_purity(geom, crystal, filters, numerics)
+
+    return _sweep(waist_range, "waist_range", steps, sample)
 
 
-def metrics_vs_waist_ratio(
-    ratio_range,
-    steps,
-    W0p_fixed,
-    geom_base,
-    crystal,
-    filters,
-    numerics=Numerics(),
-):
-    """Full metrics versus the collection-to-pump waist ratio."""
-    lo, hi = ratio_range
-    if not 0 < lo < hi:
-        raise ValueError("ratio_range must satisfy 0 < lo < hi")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    rows = []
-    for ratio in np.linspace(lo, hi, steps):
-        W0s = ratio * W0p_fixed
-        geom = replace(geom_base, W0p=W0p_fixed, W0s=W0s, W0i=W0s)
+def metrics_vs_waist_ratio(ratio_range, steps, geom_base, crystal, filters, numerics=Numerics()):
+    """Full metrics versus the collection-to-pump waist ratio at the pump waist of geom_base."""
+
+    def sample(ratio):
+        geom = _at_waists(geom_base, geom_base.W0p, ratio * geom_base.W0p)
         report = compute_metrics(geom, crystal, filters, numerics)
-        rows.append(
-            SweepRow(
-                swept_value=float(ratio),
-                R=report.pair_rate_R,
-                eta=report.heralding_eta,
-                purity=report.purity_P,
-            )
-        )
-    rates = np.array([row.R for row in rows])
-    idx = int(np.argmax(rates))
-    return SweepResult(rows=tuple(rows), argmax_value=rows[idx].swept_value, argmax_index=idx)
+        return report.pair_rate_R, report.heralding_eta, report.purity_P
+
+    return _sweep(ratio_range, "ratio_range", steps, sample)
 
 
-def optimize(
-    geom_template,
-    crystal,
-    filters,
-    scan_points=121,
-    eta_coarse_points=11,
-    numerics=Numerics(),
-):
+def optimize(geom_template, crystal, filters, numerics=Numerics()):
     """Three-stage waist optimization.
 
     Stage 1 maximizes the pair rate over the pump waist by golden-section
@@ -187,9 +167,10 @@ def optimize(
     separability condition under _TIE_ALPHA. Stage 2 evaluates the
     closed-form collection waist at the optimum under
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
-    [0.5, 1.2] times the closed-form value, maximizing the purity (with local
-    quadratic refinement) and locating the efficiency/purity crossing by
-    bisection.
+    [0.5, 1.2] times the closed-form value at _SCAN_POINTS points,
+    maximizing the purity (with local quadratic refinement), and locates the
+    efficiency/purity crossing by bisection from a coarse scan of
+    _ETA_COARSE_POINTS points.
     """
 
     def tied_rate(W0p):
@@ -199,17 +180,17 @@ def optimize(
     W0p_star, _ = golden_section_maximize(tied_rate, *_WAIST_BOUNDS, tol=0.25e-6)
     W0s_closed_form = purity_waist(W0p_star, geom_template, crystal, numerics.alpha_convention)
 
-    scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, scan_points)
+    scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, _SCAN_POINTS)
 
     def at_waist(W0s):
-        return replace(geom_template, W0p=W0p_star, W0s=W0s, W0i=W0s)
+        return _at_waists(geom_template, W0p_star, W0s)
 
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
     purities = np.array([purity_at(w) for w in scan])
     k = int(np.argmax(purities))
-    if 0 < k < scan_points - 1:
+    if 0 < k < _SCAN_POINTS - 1:
         # quadratic refinement through the three points around the maximum
         y0, y1, y2 = purities[k - 1], purities[k], purities[k + 1]
         denom = y0 - 2 * y1 + y2
@@ -223,7 +204,7 @@ def optimize(
         _, _, _, eta = heralding_rates(at_waist(W0s), crystal, filters, numerics)
         return eta - purity_at(W0s)
 
-    coarse = np.linspace(scan[0], scan[-1], eta_coarse_points)
+    coarse = np.linspace(scan[0], scan[-1], _ETA_COARSE_POINTS)
     diffs = [eta_minus_purity(w) for w in coarse]
     W0s_intersection = None
     for j in range(len(coarse) - 1):

@@ -37,14 +37,7 @@ def announce(capsys, number, label, ok, detail):
 def test_criterion_1_rate_optimum_pump_waist(degenerate, capsys):
     cfg = degenerate
     t0 = time.monotonic()
-    result = rate_vs_pump_waist(
-        (50e-6, 800e-6),
-        76,
-        cfg.geom,
-        cfg.crystal,
-        cfg.filters,
-        include_purity=False,
-    )
+    result = rate_vs_pump_waist((50e-6, 800e-6), 76, cfg.geom, cfg.crystal, cfg.filters)
     elapsed = time.monotonic() - t0
     argmax_um = result.argmax_value * 1e6
     ok = 310.0 * 0.9 <= argmax_um <= 310.0 * 1.1 and elapsed < 300.0
@@ -96,9 +89,7 @@ def test_criterion_3_absolute_rate(degenerate_report, capsys):
 @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
 def test_criterion_4_unit_purity_waist_ratio(which_cfg, request, capsys):
     cfg = request.getfixturevalue(which_cfg)
-    result = metrics_vs_waist_ratio(
-        (0.80, 1.00), 5, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters
-    )
+    result = metrics_vs_waist_ratio((0.80, 1.00), 5, cfg.geom, cfg.crystal, cfg.filters)
     qualifying = [
         row for row in result.rows if row.purity >= 0.995 and row.eta >= 0.85
     ]
@@ -117,7 +108,7 @@ def test_criterion_4_unit_purity_waist_ratio(which_cfg, request, capsys):
 @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
 def test_criterion_5_closed_form_overestimate(which_cfg, request, capsys):
     cfg = request.getfixturevalue(which_cfg)
-    result = optimize(cfg.geom, cfg.crystal, cfg.filters, eta_coarse_points=5)
+    result = optimize(cfg.geom, cfg.crystal, cfg.filters)
     ratio = result.W0s_closed_form / result.W0s_purity_star
     ok = 1.05 <= ratio <= 1.15
     announce(

@@ -67,6 +67,14 @@ class TestLoadConfig:
         cfg = load_config(dump(doc, tmp_path))
         assert cfg.geom.idler.central_wavelength == pytest.approx(810e-9)
 
+    @pytest.mark.parametrize("section", ["pump", "collection"])
+    @pytest.mark.parametrize("waist_um", [1.0, 1e6])
+    def test_waist_range_ends_accepted(self, tmp_path, section, waist_um):
+        doc = read_shipped("degenerate_810")
+        doc[section]["waist_um"] = waist_um
+        cfg = load_config(dump(doc, tmp_path))
+        assert cfg.resolved[section]["waist_um"] == pytest.approx(waist_um, rel=1e-12)
+
     def test_cut_beyond_quadrant_is_config_error(self, tmp_path):
         # 130 deg past the collinear angle the index ellipse folds back below
         # the noncollinear threshold, so the angles are zero but the cut is not
@@ -349,6 +357,26 @@ class TestCliErrors:
         assert "%s must" % library_arg not in doc["error"]
 
     @pytest.mark.parametrize(
+        "command, extra, flag",
+        [
+            # a ceiling of 1e300 um passed the bounds check and wrote R = 0
+            ("sweep-rate", ("--sweep-min", "100", "--sweep-max", "1e300"), "--sweep-max"),
+            ("sweep-rate", ("--sweep-min", "0.5", "--sweep-max", "3"), "--sweep-min"),
+            # the ratio bounds times the 310 um pump waist: 0.31 um and 3.1e6 um
+            ("sweep-ratio", ("--sweep-min", "1e-3", "--sweep-max", "1"), "--sweep-min"),
+            ("sweep-ratio", ("--sweep-min", "0.5", "--sweep-max", "1e4"), "--sweep-max"),
+        ],
+    )
+    def test_sweep_waist_outside_range_exit_2(self, tmp_path, command, extra, flag):
+        config = cheap_config(tmp_path)
+        out = tmp_path / "range"
+        assert run_cli(command, config, out, *extra, "--steps", "3") == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["type"] == "ConfigError"
+        assert doc["error"].startswith(flag + ":")
+        assert not (out / command.replace("-", "_")).with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize(
         "keys, value, field",
         [
             (("numerics", "rate_resolution"), 1.5, "numerics.rate_resolution"),
@@ -412,6 +440,23 @@ class TestCliErrors:
             pytest.param(
                 ("collection", "signal_wavelength_nm"), 800.0,
                 "collection.signal_wavelength_nm", id="degenerate-signal-not-twice-pump",
+            ),
+            # waists outside [1, 1e6] um: the extremes overflow or divide by
+            # zero in the beam factors, the near ends give meaningless figures
+            pytest.param(("pump", "waist_um"), 1e300, "pump.waist_um", id="pump-waist-huge"),
+            pytest.param(("pump", "waist_um"), 2e6, "pump.waist_um", id="pump-waist-above-range"),
+            pytest.param(("pump", "waist_um"), 1e-300, "pump.waist_um", id="pump-waist-tiny"),
+            pytest.param(("pump", "waist_um"), 0.5, "pump.waist_um", id="pump-waist-below-range"),
+            pytest.param(
+                ("collection", "waist_um"), 1e300, "collection.waist_um", id="collection-waist-huge"
+            ),
+            pytest.param(
+                ("collection", "waist_um"), 1e-300, "collection.waist_um",
+                id="collection-waist-tiny",
+            ),
+            pytest.param(
+                ("collection", "waist_um"), 0.5, "collection.waist_um",
+                id="collection-waist-below-range",
             ),
             # dark filters leave no pairs and no singles to rate
             pytest.param(
@@ -519,8 +564,10 @@ class TestConsoleScript:
     def test_perfbench_tracer_counts_metrics_layers(self, tmp_path):
         # perfbench/tracer.py wraps package functions by name and binds their
         # arguments by name, so a rename here must fail in the test suite,
-        # not only in the benchmark. `metrics` covers the rate layers and
-        # `jsa`, run in the same process, covers jsa_grid
+        # not only in the benchmark. `sweep-rate` and `optimize` cover the
+        # sweep layer, `metrics` the rate layers and `jsa` covers jsa_grid,
+        # all in one process. `sweep-rate` runs first, so it evaluates the
+        # phase mismatch on an empty spectral-grid slot: once per resolution
         root = Path(cli.__file__).parents[2]
         script = (
             "import json, sys\n"
@@ -530,7 +577,7 @@ class TestConsoleScript:
             "tracer = Tracer()\n"
             "tracer.install()\n"
             "runs = []\n"
-            "for command in ('metrics', 'jsa'):\n"
+            "for command in ('sweep-rate', 'optimize', 'metrics', 'jsa'):\n"
             "    del tracer.spans[:]\n"
             "    code = cli.main([command, '--config', %r, '--out', %r + command])\n"
             "    runs.append([code, summarize(tracer.spans)])\n"
@@ -543,10 +590,19 @@ class TestConsoleScript:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        (metrics_code, metrics_summary), (jsa_code, jsa_summary) = json.loads(
-            proc.stdout.splitlines()[-1]
-        )
-        assert metrics_code == 0 and jsa_code == 0
+        runs = json.loads(proc.stdout.splitlines()[-1])
+        assert [code for code, _ in runs] == [0, 0, 0, 0]
+        (_, rate_summary), (_, optimize_summary), (_, metrics_summary), (_, jsa_summary) = runs
+        counts = {"metrics.pair_rate.calls": 61, "jsa.phase_mismatch_exact.calls": 2}
+        assert {key: rate_summary[key] for key in counts} == counts
+        counts = {
+            "sweep.golden_section_maximize.evals": 20,
+            "metrics.pair_rate.calls": 33,
+            "metrics.singles_rate.calls": 26,
+            "metrics.compute_metrics.calls": 2,
+            "sweep.optimize.eta_evals": 11,
+        }
+        assert {key: optimize_summary[key] for key in counts} == counts
         counts = {
             "metrics.pair_rate.calls": 1,
             "metrics.singles_rate.calls": 2,

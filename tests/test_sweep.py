@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
 from spdc_lab.sweep import (
+    SweepRow,
     golden_section_maximize,
     metrics_vs_waist_ratio,
     optimize,
@@ -17,9 +19,14 @@ from spdc_lab.sweep import (
 )
 
 
+STUB_PURITY = 0.5
+
+
 def stub_rate(monkeypatch, rate_fn):
-    """Replace the sweeps' pair-rate integral by ``rate_fn(geom)``."""
+    """Replace the sweeps' pair-rate integral by ``rate_fn(geom)`` and their
+    purity by STUB_PURITY."""
     monkeypatch.setattr(sweep, "pair_rate", lambda geom, *args, **kwargs: rate_fn(geom))
+    monkeypatch.setattr(sweep, "jsa_purity", lambda *args, **kwargs: STUB_PURITY)
 
 
 class TestGoldenSection:
@@ -36,38 +43,24 @@ class TestGoldenSection:
 class TestRateVsPumpWaist:
     def test_validation(self, degenerate):
         cfg = degenerate
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="waist_range"):
             rate_vs_pump_waist((2e-4, 1e-4), 5, cfg.geom, cfg.crystal, cfg.filters)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="steps"):
             rate_vs_pump_waist((1e-4, 2e-4), 0, cfg.geom, cfg.crystal, cfg.filters)
 
     def test_tie_break_toward_smallest(self, degenerate, monkeypatch):
         cfg = degenerate
         stub_rate(monkeypatch, lambda geom: 1.0)
-        res = rate_vs_pump_waist(
-            (3e-4, 4e-4),
-            5,
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            include_purity=False,
-        )
+        res = rate_vs_pump_waist((3e-4, 4e-4), 5, cfg.geom, cfg.crystal, cfg.filters)
         assert res.argmax_index == 0
         assert res.argmax_value == pytest.approx(3e-4)
         assert len(res.rows) == 5
-        assert all(row.eta is None and row.purity is None for row in res.rows)
+        assert all(row.eta is None and row.purity == STUB_PURITY for row in res.rows)
 
     def test_single_step(self, degenerate, monkeypatch):
         cfg = degenerate
         stub_rate(monkeypatch, lambda geom: 2.0)
-        res = rate_vs_pump_waist(
-            (3e-4, 4e-4),
-            1,
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            include_purity=False,
-        )
+        res = rate_vs_pump_waist((3e-4, 4e-4), 1, cfg.geom, cfg.crystal, cfg.filters)
         assert len(res.rows) == 1
         assert res.rows[0].swept_value == pytest.approx(3e-4)
 
@@ -82,9 +75,7 @@ class TestRateVsPumpWaist:
             return 1.0
 
         stub_rate(monkeypatch, rate_fn)
-        rate_vs_pump_waist(
-            (4e-4, 5e-4), 3, cfg.geom, cfg.crystal, cfg.filters, include_purity=False
-        )
+        rate_vs_pump_waist((4e-4, 5e-4), 3, cfg.geom, cfg.crystal, cfg.filters)
         assert [W0p for W0p, _, _ in seen] == pytest.approx([4e-4, 4.5e-4, 5e-4])
         for W0p, W0s, W0i in seen:
             assert W0s == W0i
@@ -97,28 +88,14 @@ class TestRateVsPumpWaist:
         stub_rate(monkeypatch, lambda geom: 1.0 / geom.W0p)
         # the separability condition has no solution below a threshold pump
         # waist; a range straddling it keeps only the feasible samples
-        res = rate_vs_pump_waist(
-            (2e-6, 4e-4),
-            5,
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            include_purity=False,
-        )
+        res = rate_vs_pump_waist((2e-6, 4e-4), 5, cfg.geom, cfg.crystal, cfg.filters)
         assert 0 < len(res.rows) < 5
 
     def test_all_unsatisfiable_raises(self, degenerate, monkeypatch):
         cfg = degenerate
         stub_rate(monkeypatch, lambda geom: 1.0)
         with pytest.raises(UnsatisfiableConditionError):
-            rate_vs_pump_waist(
-                (1e-6, 3e-6),
-                3,
-                cfg.geom,
-                cfg.crystal,
-                cfg.filters,
-                include_purity=False,
-            )
+            rate_vs_pump_waist((1e-6, 3e-6), 3, cfg.geom, cfg.crystal, cfg.filters)
 
 
     @pytest.mark.parametrize("steps", [5, 40])
@@ -145,7 +122,6 @@ class TestMetricsVsWaistRatio:
         res = metrics_vs_waist_ratio(
             (0.8, 1.0),
             3,
-            cfg.geom.W0p,
             cfg.geom,
             cfg.crystal,
             cfg.filters,
@@ -160,14 +136,28 @@ class TestMetricsVsWaistRatio:
 
     def test_validation(self, degenerate):
         cfg = degenerate
-        with pytest.raises(ValueError):
-            metrics_vs_waist_ratio(
-                (1.0, 0.5), 3, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters
-            )
+        with pytest.raises(ValueError, match="ratio_range"):
+            metrics_vs_waist_ratio((1.0, 0.5), 3, cfg.geom, cfg.crystal, cfg.filters)
         with pytest.raises(ValueError, match="steps"):
-            metrics_vs_waist_ratio(
-                (0.5, 1.0), 0, cfg.geom.W0p, cfg.geom, cfg.crystal, cfg.filters
-            )
+            metrics_vs_waist_ratio((0.5, 1.0), 0, cfg.geom, cfg.crystal, cfg.filters)
+
+    def test_pump_waist_from_geometry(self, degenerate, monkeypatch):
+        # the pump waist stays at the configured one and both collection
+        # waists are the ratio times it
+        cfg = degenerate
+        seen = []
+
+        def fake_metrics(geom, *args, **kwargs):
+            seen.append((geom.W0p, geom.W0s, geom.W0i))
+            return SimpleNamespace(pair_rate_R=1.0, heralding_eta=0.9, purity_P=0.9)
+
+        monkeypatch.setattr(sweep, "compute_metrics", fake_metrics)
+        res = metrics_vs_waist_ratio((0.5, 1.0), 2, cfg.geom, cfg.crystal, cfg.filters)
+        assert [row.swept_value for row in res.rows] == [0.5, 1.0]
+        assert seen == [
+            (cfg.geom.W0p, 0.5 * cfg.geom.W0p, 0.5 * cfg.geom.W0p),
+            (cfg.geom.W0p, cfg.geom.W0p, cfg.geom.W0p),
+        ]
 
 
 class TestGaussianModelSelfConsistency:
@@ -192,13 +182,7 @@ class TestGaussianModelSelfConsistency:
 @pytest.fixture(scope="module")
 def result(degenerate):
     cfg = degenerate
-    return optimize(
-        cfg.geom,
-        cfg.crystal,
-        cfg.filters,
-        scan_points=41,
-        eta_coarse_points=5,
-    )
+    return optimize(cfg.geom, cfg.crystal, cfg.filters)
 
 
 class TestOptimize:
@@ -236,20 +220,17 @@ class TestOptimize:
 
 
 class TestCsv:
-    def test_blank_columns(self, tmp_path, degenerate, monkeypatch):
-        cfg = degenerate
-        stub_rate(monkeypatch, lambda geom: 1.0)
-        res = rate_vs_pump_waist(
-            (3e-4, 4e-4),
-            3,
-            cfg.geom,
-            cfg.crystal,
-            cfg.filters,
-            include_purity=False,
-        )
+    def test_blank_columns(self, tmp_path):
+        rows = [
+            SweepRow(swept_value=3e-4, R=1.0, eta=None, purity=None),
+            SweepRow(swept_value=3.5e-4, R=1.0, eta=None, purity=0.5),
+            SweepRow(swept_value=4e-4, R=1.0, eta=0.9, purity=0.5),
+        ]
         out = tmp_path / "sweep.csv"
-        write_sweep_csv(res.rows, out)
+        write_sweep_csv(rows, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "swept_value,R,eta,purity"
         assert len(lines) == 4
         assert lines[1].endswith(",,")
+        assert lines[2].endswith(",,5.000000000e-01")
+        assert lines[3].endswith(",9.000000000e-01,5.000000000e-01")
