@@ -277,11 +277,9 @@ def load_config(path):
     geom = BeamGeometry(
         W0p=W0p,
         W0s=W0s,
-        W0i=W0s,
         theta_s=theta_s,
         theta_i=theta_i,
         pump_bandwidth_Bp=B_p,
-        pump_power_P=power_mW,
         modes=modes,
     )
 

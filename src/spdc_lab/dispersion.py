@@ -74,12 +74,11 @@ class CrystalSpec:
 
 @dataclass(frozen=True)
 class OpticalMode:
-    """One interacting field: role, polarization, and center frequency."""
+    """One interacting field: role, polarization, and center wavelength."""
 
     role: str
     polarization: str
     central_wavelength: float  # meters
-    central_angular_frequency: float = None  # rad/s; derived when omitted
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -88,13 +87,11 @@ class OpticalMode:
             raise ValueError("polarization must be one of %s" % (POLARIZATIONS,))
         if self.central_wavelength <= 0:
             raise ValueError("central_wavelength must be positive")
-        omega = wavelength_to_angular_frequency(self.central_wavelength)
-        if self.central_angular_frequency is None:
-            object.__setattr__(self, "central_angular_frequency", omega)
-        elif abs(self.central_angular_frequency - omega) > 1e-6 * omega:
-            raise ValueError(
-                "central_angular_frequency inconsistent with wavelength"
-            )
+
+    @property
+    def central_angular_frequency(self):
+        """Center frequency in rad/s."""
+        return wavelength_to_angular_frequency(self.central_wavelength)
 
 
 def _sellmeier_index(coeffs, lam_m):

@@ -47,24 +47,23 @@ _Z_RAISE, _Z_TOL = 8, 1e-6
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Waists, emission angles, and pump parameters of one configuration.
+    """Waists, emission angles, and pump bandwidth of one configuration.
 
-    Waists are 1/e field radii in meters; angles are internal emission angles
-    in radians; pump_bandwidth_Bp in rad/s; pump_power_P in mW. ``modes`` is
-    the (pump, signal, idler) triple of OpticalMode records.
+    Waists are 1/e field radii in meters; W0s is the collection waist of
+    both arms. Angles are internal emission angles in radians;
+    pump_bandwidth_Bp in rad/s. ``modes`` is the (pump, signal, idler) triple
+    of OpticalMode records.
     """
 
     W0p: float
     W0s: float
-    W0i: float
     theta_s: float
     theta_i: float
     pump_bandwidth_Bp: float
-    pump_power_P: float
     modes: tuple
 
     def __post_init__(self):
-        for w in (self.W0p, self.W0s, self.W0i):
+        for w in (self.W0p, self.W0s):
             if w <= 0:
                 raise ValueError("waists must be positive")
         for th in (self.theta_s, self.theta_i):
@@ -72,8 +71,6 @@ class BeamGeometry:
                 raise ValueError("emission angles must lie in [0, %g) rad" % MAX_EMISSION_ANGLE)
         if self.pump_bandwidth_Bp <= 0:
             raise ValueError("pump_bandwidth_Bp must be positive")
-        if self.pump_power_P <= 0:
-            raise ValueError("pump_power_P must be positive")
         roles = tuple(m.role for m in self.modes)
         if roles != ("pump", "signal", "idler"):
             raise ValueError("modes must be the (pump, signal, idler) triple")
@@ -97,9 +94,7 @@ def check_rayleigh(geom, length_L):
     The thin-beam factorization used throughout assumes z_r = pi W0^2 /
     lambda >> L; enforce z_r > 10 L with a warning.
     """
-    for w0, mode in zip(
-        (geom.W0p, geom.W0s, geom.W0i), geom.modes
-    ):
+    for w0, mode in zip((geom.W0p, geom.W0s, geom.W0s), geom.modes):
         z_r = math.pi * w0**2 / mode.central_wavelength
         if z_r <= 10.0 * length_L:
             warnings.warn(
@@ -173,12 +168,12 @@ class JsaGrid:
 
 def geometry_factors(geom):
     """Transverse-overlap curvatures A, C, D, F and the walk-off factor H."""
-    wp2, ws2, wi2 = geom.W0p**2, geom.W0s**2, geom.W0i**2
+    wp2, ws2 = geom.W0p**2, geom.W0s**2
     ts, ti = geom.theta_s, geom.theta_i
-    A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-    C = 1.0 / wp2 + math.cos(ts) ** 2 / ws2 + math.cos(ti) ** 2 / wi2
-    D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / wi2
-    F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / wi2
+    A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / ws2
+    C = 1.0 / wp2 + math.cos(ts) ** 2 / ws2 + math.cos(ti) ** 2 / ws2
+    D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / ws2
+    F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / ws2
     H = F - D**2 / (4.0 * C)
     return GeometryFactors(A=A, C=C, D=D, F=F, H=max(H, 0.0))
 
@@ -485,7 +480,7 @@ def delta_coefficients(geom, crystal, alpha_convention):
 
 
 def purity_waist(W0p, geom, crystal, alpha_convention):
-    """Collection waist W0s (= W0i) that zeroes the cross coefficient delta_si.
+    """Collection waist W0s that zeroes the cross coefficient delta_si.
 
     Closed form: with equal collection waists the condition delta_si = 0
     fixes the transverse curvature C, giving

@@ -96,7 +96,7 @@ def rate_prefactor(geom, crystal):
     P = 1e-3 W. Times the joint-density integral (units m^6 (rad/s)^2) it
     yields pairs per second per milliwatt, whatever the pump power.
     """
-    alpha2 = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
+    alpha2 = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0s, geom.W0p))
     return _waist_free_prefactor(*geom.modes, crystal, geom.pump_bandwidth_Bp) * math.prod(alpha2)
 
 
@@ -157,11 +157,11 @@ def _scaled_hermite(m, u, c):
 
 
 def _arm(geom, which):
-    """(theta, sign, collection waist) of the arm carrying the mode ladder."""
+    """(theta, sign) of the arm carrying the mode ladder."""
     if which == "signal":
-        return geom.theta_s, +1.0, geom.W0s
+        return geom.theta_s, +1.0
     if which == "idler":
-        return geom.theta_i, -1.0, geom.W0i
+        return geom.theta_i, -1.0
     raise ValueError("which must be 'signal' or 'idler'")
 
 
@@ -188,8 +188,8 @@ class _ModeSumKernel:
     ``walk_off_integral``. All of it is real arithmetic: the nodes are
     symmetric and env even, so M[:, j] = i^(j mod 2) R[j] with R real
     (``_z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
-    of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). A, C, D
-    and H combine both collection waists, so one kernel serves both arms (see
+    of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). Both arms
+    share W = W0s and A, C, D and H, so one kernel serves both (see
     ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
     phase mismatch and the pump factors.
     """
@@ -213,10 +213,10 @@ class _ModeSumKernel:
         g = self.g
         z, env = z_nodes(n_z, self.terms.length_L, self.H)
         cols = []
-        for theta, sign, Wc in self.arms:
+        for theta, sign in self.arms:
             beta = math.sqrt(2.0) * (
                 sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
-            ) / Wc
+            ) / self.geom.W0s
             cols.append(env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
         # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
         # of 0.0) and (2 beta z)^j has parity (-1)^j, so the nodes pair up:
@@ -244,8 +244,8 @@ class _ModeSumKernel:
         term does not depend on the orders requested before it."""
         return z_order(self._tier(m), self.phase, self.spread)
 
-    def x_integral(self, n, arm):
-        c = 1.0 - 2.0 / (self.g.A * arm[2] ** 2)
+    def x_integral(self, n):
+        c = 1.0 - 2.0 / (self.g.A * self.geom.W0s**2)
         return math.sqrt(math.pi / self.g.A) * _scaled_hermite(n, 0.0, c)[n]
 
     def yz_integral(self, m, arm, n_z=None):
@@ -256,8 +256,7 @@ class _ModeSumKernel:
         if n_z not in self._moments or self._moments[n_z][arm].shape[0] <= m:
             self._moments[n_z] = self._z_moments(n_z, J)
         R = self._moments[n_z][arm]
-        theta, _, Wc = arm
-        a2 = 2.0 * math.cos(theta) ** 2 / Wc**2
+        a2 = 2.0 * math.cos(arm[0]) ** 2 / self.geom.W0s**2
         s = (math.sqrt(a2) / (2.0 * self.g.C)) * self.dky
         G = _scaled_hermite(m, s, a2 / self.g.C - 1.0)
         # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
@@ -303,7 +302,7 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
     # shell s adds c_s and d_s; its terms are c_n d_(s-n)
     c_n, d_m, total, shell = [], [], 0.0, 0
     while True:
-        c_n.append(kernel.x_integral(shell, arm) ** 2 / (2**shell * math.factorial(shell)))
+        c_n.append(kernel.x_integral(shell) ** 2 / (2**shell * math.factorial(shell)))
         d_m.append(d_term(shell))
         contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib

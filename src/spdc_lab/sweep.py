@@ -68,17 +68,12 @@ class OptimizationResult:
     metrics: dict
 
 
-def _at_waists(geom, W0p, W0s):
-    """``geom`` at pump waist W0p with both collection waists equal to W0s."""
-    return replace(geom, W0p=W0p, W0s=W0s, W0i=W0s)
-
-
 def _tied(W0p, geom, crystal):
-    """``geom`` at pump waist W0p with both collection waists tied to it by
+    """``geom`` at pump waist W0p with the collection waist tied to it by
     the separability condition under _TIE_ALPHA; None where that condition
     is unsatisfiable."""
     try:
-        return _at_waists(geom, W0p, purity_waist(W0p, geom, crystal, _TIE_ALPHA))
+        return replace(geom, W0p=W0p, W0s=purity_waist(W0p, geom, crystal, _TIE_ALPHA))
     except UnsatisfiableConditionError:
         return None
 
@@ -131,7 +126,7 @@ def golden_section_maximize(f, lo, hi, tol):
 def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics=Numerics()):
     """Pair rate and purity versus pump waist.
 
-    The collection waists follow each sample through ``_tied``; waists where
+    The collection waist follows each sample through ``_tied``; waists where
     the separability condition is unsatisfiable are skipped. All samples
     share the ``spectral_grid`` of each resolution, so the phase mismatch is
     evaluated once per grid resolution, not per sample.
@@ -152,7 +147,7 @@ def metrics_vs_waist_ratio(ratio_range, steps, geom_base, crystal, filters, nume
     """Full metrics versus the collection-to-pump waist ratio at the pump waist of geom_base."""
 
     def sample(ratio):
-        geom = _at_waists(geom_base, geom_base.W0p, ratio * geom_base.W0p)
+        geom = replace(geom_base, W0s=ratio * geom_base.W0p)
         report = compute_metrics(geom, crystal, filters, numerics)
         return report.pair_rate_R, report.heralding_eta, report.purity_P
 
@@ -183,7 +178,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     scan = np.linspace(0.5 * W0s_closed_form, 1.2 * W0s_closed_form, _SCAN_POINTS)
 
     def at_waist(W0s):
-        return _at_waists(geom_template, W0p_star, W0s)
+        return replace(geom_template, W0p=W0p_star, W0s=W0s)
 
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)

@@ -127,7 +127,7 @@ def test_criterion_5_closed_form_overestimate(which_cfg, request, capsys):
 
 def test_criterion_6_walk_off_effect(degenerate, capsys):
     cfg = degenerate
-    geom = replace(cfg.geom, W0s=280e-6, W0i=280e-6)
+    geom = replace(cfg.geom, W0s=280e-6)
 
     def eta_and_rate(walk_off):
         numerics = Numerics(walk_off_enabled=walk_off)
@@ -151,7 +151,7 @@ def test_criterion_6_walk_off_effect(degenerate, capsys):
     )
 
 
-def test_criterion_7_property_suite(degenerate, capsys):
+def test_criterion_7_property_suite(degenerate, degenerate_with, capsys):
     cfg = degenerate
     t0 = time.monotonic()
     failures = []
@@ -165,9 +165,7 @@ def test_criterion_7_property_suite(degenerate, capsys):
     # the closed-form collection waist zeroes the cross coefficient
     for conv in ("paper_literal", "consistent"):
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, alpha_convention=conv)
-        d = delta_coefficients(
-            replace(cfg.geom, W0s=w, W0i=w), cfg.crystal, alpha_convention=conv
-        )
+        d = delta_coefficients(replace(cfg.geom, W0s=w), cfg.crystal, alpha_convention=conv)
         if abs(d.delta_si) > 1e-10 * max(d.delta_s, d.delta_i):
             failures.append("cross-coefficient zero (%s)" % conv)
 
@@ -180,9 +178,7 @@ def test_criterion_7_property_suite(degenerate, capsys):
 
     # heralding reaches 1 in the collinear fundamental-only limit
     crystal0 = replace(cfg.crystal, cut_angle_theta=COLLINEAR_CUT)
-    geom0 = replace(
-        cfg.geom, theta_s=0.0, theta_i=0.0, W0p=5.0, W0s=1e-4, W0i=1e-4
-    )
+    geom0 = replace(cfg.geom, theta_s=0.0, theta_i=0.0, W0p=5.0, W0s=1e-4)
     R0 = pair_rate(geom0, crystal0, cfg.filters)
     numerics0 = Numerics(singles_resolution=201)
     rs0 = singles_rate("signal", geom0, crystal0, cfg.filters, numerics0).rate
@@ -192,8 +188,9 @@ def test_criterion_7_property_suite(degenerate, capsys):
         failures.append("fundamental-limit heralding (eta=%.8f)" % eta0)
 
     # per-milliwatt rate invariant under pump-power doubling
+    doubled = degenerate_with("pump", "power_mW", 2.0)
     R1 = pair_rate(cfg.geom, cfg.crystal, cfg.filters)
-    R2 = pair_rate(replace(cfg.geom, pump_power_P=2.0), cfg.crystal, cfg.filters)
+    R2 = pair_rate(doubled.geom, doubled.crystal, doubled.filters)
     if abs(R2 - R1) > 1e-9 * R1:
         failures.append("power-doubling invariance")
 

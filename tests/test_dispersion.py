@@ -409,8 +409,6 @@ class TestDataclasses:
             wavelength_to_angular_frequency(810e-9)
         )
         with pytest.raises(ValueError):
-            OpticalMode("signal", "ordinary", 810e-9, central_angular_frequency=1.0)
-        with pytest.raises(ValueError):
             OpticalMode("probe", "ordinary", 810e-9)
 
 

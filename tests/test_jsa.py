@@ -113,15 +113,12 @@ class TestGeometryFactors:
     @given(
         wp=st.floats(20e-6, 2e-3),
         ws=st.floats(20e-6, 2e-3),
-        wi=st.floats(20e-6, 2e-3),
         ts=st.floats(0.0, 0.099),
         ti=st.floats(0.0, 0.099),
     )
     @settings(max_examples=80, deadline=None)
-    def test_invariants(self, degenerate, wp, ws, wi, ts, ti):
-        geom = replace(
-            degenerate.geom, W0p=wp, W0s=ws, W0i=wi, theta_s=ts, theta_i=ti
-        )
+    def test_invariants(self, degenerate, wp, ws, ts, ti):
+        geom = replace(degenerate.geom, W0p=wp, W0s=ws, theta_s=ts, theta_i=ti)
         g = geometry_factors(geom)
         assert g.A >= g.C > 0
         assert g.F >= 0.0
@@ -290,7 +287,7 @@ class TestSpectralGrids:
     def test_one_grid_per_resolution_across_waists(self, degenerate):
         cfg = degenerate
         grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4, W0i=1e-4)
+        wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4)
         assert spectral_grid(101, wider, cfg.crystal, cfg.filters, "exact") is grid
         fine = spectral_grid(201, wider, cfg.crystal, cfg.filters, "exact")
         assert fine.dky.shape == (201, 201)
@@ -301,7 +298,7 @@ class TestSpectralGrids:
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
         cfg = nondegenerate
         grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
         assert np.array_equal(grid.amplitude(geom, walk_off), want)
@@ -315,7 +312,7 @@ class TestSpectralGrids:
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0] = 0.0
-        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         for geom, walk_off in ((narrow, False), (narrow, True), (cfg.geom, True)):
             amp = grid.amplitude(geom, walk_off)
             assert amp is not first and not amp.flags.writeable
@@ -391,7 +388,7 @@ class TestSpectralGrids:
         # must return its own waist's amplitude, and so must the next ones
         cfg = nondegenerate
         grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         wide_amp, narrow_amp = (mode_function(OS, OI, g, cfg.crystal) for g in (cfg.geom, narrow))
         nested = []
@@ -589,7 +586,7 @@ class TestDeltaCoefficients:
     def test_cross_term_vanishes_at_closed_form_waist(self, degenerate, conv):
         cfg = degenerate
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, alpha_convention=conv)
-        geom = replace(cfg.geom, W0s=w, W0i=w)
+        geom = replace(cfg.geom, W0s=w)
         d = delta_coefficients(geom, cfg.crystal, alpha_convention=conv)
         assert abs(d.delta_si) <= 1e-10 * max(d.delta_s, d.delta_i)
 
@@ -642,7 +639,7 @@ class TestGaussianModel:
     def test_separable_form_is_pure(self, degenerate):
         cfg = degenerate
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, "paper_literal")
-        geom = replace(cfg.geom, W0s=w, W0i=w)
+        geom = replace(cfg.geom, W0s=w)
         d = delta_coefficients(geom, cfg.crystal, "paper_literal")
         assert gaussian_model_purity(d) == pytest.approx(1.0, abs=1e-12)
 

@@ -44,7 +44,7 @@ COLLINEAR_CUT = 0.502931589050  # rad, degenerate collinear angle of the shipped
 def fundamental_limit_case(cfg):
     """Collinear cut, near-plane-wave pump: only the (0, 0) mode couples."""
     crystal = replace(cfg.crystal, cut_angle_theta=COLLINEAR_CUT)
-    geom = replace(cfg.geom, theta_s=0.0, theta_i=0.0, W0p=5.0, W0s=1e-4, W0i=1e-4)
+    geom = replace(cfg.geom, theta_s=0.0, theta_i=0.0, W0p=5.0, W0s=1e-4)
     return geom, crystal
 
 
@@ -68,7 +68,7 @@ def written_out_prefactor(geom, crystal):
     n_s = float(index_ordinary(geom.signal.central_wavelength, crystal))
     n_i = float(index_ordinary(geom.idler.central_wavelength, crystal))
     n_p = float(index_extraordinary(geom.pump.central_wavelength, crystal.cut_angle_theta, crystal))
-    a2_s, a2_i, a2_p = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p))
+    a2_s, a2_i, a2_p = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0s, geom.W0p))
     return (
         1e-3 * d_eff**2 * a2_s * a2_i * a2_p
         * geom.signal.central_angular_frequency * geom.idler.central_angular_frequency
@@ -83,7 +83,7 @@ class TestRatePrefactor:
         cfg = request.getfixturevalue(which_cfg)
         for scale in np.geomspace(0.3, 3.0, 9):
             for geom in (
-                replace(cfg.geom, W0s=scale * cfg.geom.W0s, W0i=scale * cfg.geom.W0i),
+                replace(cfg.geom, W0s=scale * cfg.geom.W0s),
                 replace(cfg.geom, W0p=scale * cfg.geom.W0p),
             ):
                 want = written_out_prefactor(geom, cfg.crystal)
@@ -117,7 +117,7 @@ class TestRatePrefactor:
         n_p = float(
             index_extraordinary(geom.pump.central_wavelength, crystal.cut_angle_theta, crystal)
         )
-        alpha_sq = [2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0i, geom.W0p)]
+        alpha_sq = [2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0s, geom.W0p)]
         # 1 mW of pump, in watts
         want = (
             1e-3
@@ -151,12 +151,11 @@ class TestPairRate:
         R = pair_rate(nondegenerate.geom, nondegenerate.crystal, nondegenerate.filters)
         assert R == pytest.approx(7.6940, rel=1e-4)
 
-    def test_per_milliwatt_power_invariance(self, degenerate):
+    def test_per_milliwatt_power_invariance(self, degenerate, degenerate_with):
         cfg = degenerate
         base = pair_rate(cfg.geom, cfg.crystal, cfg.filters)
-        doubled = pair_rate(
-            replace(cfg.geom, pump_power_P=2.0), cfg.crystal, cfg.filters
-        )
+        cfg2 = degenerate_with("pump", "power_mW", 2.0)
+        doubled = pair_rate(cfg2.geom, cfg2.crystal, cfg2.filters)
         assert doubled == pytest.approx(base, rel=1e-12)
 
     def test_zero_transmission(self, degenerate):
@@ -193,7 +192,7 @@ class TestPairRate:
         monkeypatch.setattr(SpectralTerms, "amplitude", counted)
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         for W0s in (cfg.geom.W0s, 0.9 * cfg.geom.W0s):
-            geom = replace(cfg.geom, W0s=W0s, W0i=W0s)
+            geom = replace(cfg.geom, W0s=W0s)
             pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
             jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert shapes == [(101, 101), (201, 201)] * 2
@@ -201,7 +200,7 @@ class TestPairRate:
     def test_threads_at_two_waists_match_serial_runs(self, degenerate):
         # two threads read one setting's slot grids at different waists
         cfg = degenerate
-        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s, W0i=0.8 * cfg.geom.W0i)
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         geoms = (cfg.geom, narrow)
 
         def figures(geom):
@@ -240,7 +239,7 @@ def one_point_overlap(n, m, Om_s, Om_i, geom, crystal, which="signal", walk_off=
     terms = SpectralTerms(np.array([[Om_s]]), np.array([[Om_i]]), geom, crystal, "exact")
     kern = _ModeSumKernel(geom, terms, walk_off)
     arm = _arm(geom, which)
-    real = kern.gp[0] * kern.x_integral(n, arm) * kern.yz_integral(m, arm)[0]
+    real = kern.gp[0] * kern.x_integral(n) * kern.yz_integral(m, arm)[0]
     return complex(real * 1j ** (m % 2))
 
 
@@ -291,9 +290,10 @@ def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=80, n_z=64):
     g = geometry_factors(geom)
     dky, dkz = (np.ravel(d) for d in dk)
     if which == "signal":
-        theta, sign, Wc = geom.theta_s, 1.0, geom.W0s
+        theta, sign = geom.theta_s, 1.0
     else:
-        theta, sign, Wc = geom.theta_i, -1.0, geom.W0i
+        theta, sign = geom.theta_i, -1.0
+    Wc = geom.W0s
     half = crystal.length_L / 2.0
     tz, wz = leggauss(n_z)
     ty, wy = hermgauss(n_y)
@@ -361,16 +361,14 @@ class TestModeSumKernel:
         grid = SpectralGrid(15, geom, cfg.crystal, cfg.filters, "exact")
         kern = _ModeSumKernel(geom, grid, False)
         t, w = hermgauss(40)
-        for which in ("signal", "idler"):
-            arm = _arm(geom, which)
-            for n in range(9):
-                got = kern.x_integral(n, arm)
-                if n % 2:
-                    assert got == 0.0
-                    continue
-                u = math.sqrt(2.0) * t / (math.sqrt(g.A) * arm[2])
-                want = float(w @ eval_hermite(n, u)) / math.sqrt(g.A)
-                assert got == pytest.approx(want, rel=1e-10, abs=0.0), (which, n)
+        for n in range(9):
+            got = kern.x_integral(n)
+            if n % 2:
+                assert got == 0.0
+                continue
+            u = math.sqrt(2.0) * t / (math.sqrt(g.A) * geom.W0s)
+            want = float(w @ eval_hermite(n, u)) / math.sqrt(g.A)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), n
 
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
@@ -387,13 +385,13 @@ class TestModeSumKernel:
             z, env = z_nodes(n_z, crystal.length_L, kern.H)
             E = np.exp(1j * np.outer(kern.q, z))
             got = kern._z_moments(n_z, J)
-            for theta, sign, Wc in kern.arms:
+            for theta, sign in kern.arms:
                 beta = math.sqrt(2.0) * (
                     sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
-                ) / Wc
+                ) / geom.W0s
                 want = E @ (env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
                 want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
-                diff = np.max(np.abs(got[(theta, sign, Wc)] - want))
+                diff = np.max(np.abs(got[(theta, sign)] - want))
                 assert diff <= 1e-15 * np.max(np.abs(want)), n_z
 
     @pytest.mark.parametrize("walk_off", [False, True])
@@ -422,7 +420,7 @@ class TestModeSumKernel:
         for which in ("signal", "idler"):
             arm = _arm(geom, which)
             for m in range(6):
-                real = kern.gp * kern.x_integral(0, arm) * kern.yz_integral(m, arm)
+                real = kern.gp * kern.x_integral(0) * kern.yz_integral(m, arm)
                 assert real.dtype == np.float64, (which, m)
                 got = 1j ** (m % 2) * real.reshape(OS.shape)
                 want = g_p * x * yz_loop_oracle(geom, crystal, dk, which, walk_off, m).reshape(OS.shape)
@@ -623,13 +621,14 @@ class TestComputeMetrics:
         assert 0 < report.purity_P <= 1
 
     @pytest.mark.parametrize("power_mW", [1e-300, 1e300])
-    def test_extreme_pump_power(self, degenerate, report, power_mW):
+    def test_extreme_pump_power(self, degenerate_with, report, power_mW):
         # rates are per milliwatt, so the pump power never enters the numbers
-        geom = replace(degenerate.geom, pump_power_P=power_mW)
+        cfg = degenerate_with("pump", "power_mW", power_mW)
+        assert cfg.resolved["pump"]["power_mW"] == power_mW
         far = compute_metrics(
-            geom,
-            degenerate.crystal,
-            degenerate.filters,
+            cfg.geom,
+            cfg.crystal,
+            cfg.filters,
             settings_snapshot={"source": "reference degenerate layout"},
         )
         assert far.to_dict() == report.to_dict()

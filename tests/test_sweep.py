@@ -65,20 +65,19 @@ class TestRateVsPumpWaist:
         assert res.rows[0].swept_value == pytest.approx(3e-4)
 
     def test_tie_sets_collection_waist(self, degenerate, monkeypatch):
-        # both collection waists follow each pump waist by the separability
+        # the collection waist follows each pump waist by the separability
         # condition under the consistent convention
         cfg = degenerate
         seen = []
 
         def rate_fn(geom):
-            seen.append((geom.W0p, geom.W0s, geom.W0i))
+            seen.append((geom.W0p, geom.W0s))
             return 1.0
 
         stub_rate(monkeypatch, rate_fn)
         rate_vs_pump_waist((4e-4, 5e-4), 3, cfg.geom, cfg.crystal, cfg.filters)
-        assert [W0p for W0p, _, _ in seen] == pytest.approx([4e-4, 4.5e-4, 5e-4])
-        for W0p, W0s, W0i in seen:
-            assert W0s == W0i
+        assert [W0p for W0p, _ in seen] == pytest.approx([4e-4, 4.5e-4, 5e-4])
+        for W0p, W0s in seen:
             assert W0s == pytest.approx(
                 purity_waist(W0p, cfg.geom, cfg.crystal, alpha_convention="consistent")
             )
@@ -142,22 +141,19 @@ class TestMetricsVsWaistRatio:
             metrics_vs_waist_ratio((0.5, 1.0), 0, cfg.geom, cfg.crystal, cfg.filters)
 
     def test_pump_waist_from_geometry(self, degenerate, monkeypatch):
-        # the pump waist stays at the configured one and both collection
-        # waists are the ratio times it
+        # the pump waist stays at the configured one and the collection
+        # waist is the ratio times it
         cfg = degenerate
         seen = []
 
         def fake_metrics(geom, *args, **kwargs):
-            seen.append((geom.W0p, geom.W0s, geom.W0i))
+            seen.append((geom.W0p, geom.W0s))
             return SimpleNamespace(pair_rate_R=1.0, heralding_eta=0.9, purity_P=0.9)
 
         monkeypatch.setattr(sweep, "compute_metrics", fake_metrics)
         res = metrics_vs_waist_ratio((0.5, 1.0), 2, cfg.geom, cfg.crystal, cfg.filters)
         assert [row.swept_value for row in res.rows] == [0.5, 1.0]
-        assert seen == [
-            (cfg.geom.W0p, 0.5 * cfg.geom.W0p, 0.5 * cfg.geom.W0p),
-            (cfg.geom.W0p, cfg.geom.W0p, cfg.geom.W0p),
-        ]
+        assert seen == [(cfg.geom.W0p, 0.5 * cfg.geom.W0p), (cfg.geom.W0p, cfg.geom.W0p)]
 
 
 class TestGaussianModelSelfConsistency:
@@ -168,7 +164,7 @@ class TestGaussianModelSelfConsistency:
         scan = np.linspace(0.7 * w_star, 1.3 * w_star, 241)
 
         def model_purity(w):
-            geom = replace(cfg.geom, W0s=w, W0i=w)
+            geom = replace(cfg.geom, W0s=w)
             return gaussian_model_purity(
                 delta_coefficients(geom, cfg.crystal, alpha_convention=conv)
             )
