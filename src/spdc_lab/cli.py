@@ -12,6 +12,7 @@ error, 3 I/O error.
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -54,9 +55,10 @@ _STEPS_RANGE = (1, 1001)
 
 
 def _write_json(doc, path):
+    # strict JSON: a non-finite number raises here, before the file opens
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _report_to_doc(report, resolved):
@@ -161,7 +163,7 @@ def _run(args):
         write_sweep_csv(result.rows, os.path.join(out, "sweep_rate.csv"))
         _write_json(
             {
-                "argmax_W0p_um": result.argmax_value * 1e6,
+                "argmax_W0p_um": result.rows[result.argmax_index].swept_value * 1e6,
                 "argmax_index": result.argmax_index,
                 "config": resolved,
             },
@@ -187,7 +189,7 @@ def _run(args):
                 if result.W0s_intersection is None
                 else result.W0s_intersection * 1e6
             ),
-            "intersection_found": result.intersection_found,
+            "intersection_found": result.W0s_intersection is not None,
             "metrics": {k: v.to_dict() for k, v in result.metrics.items()},
             "config": resolved,
         }
@@ -247,9 +249,10 @@ def main(argv=None):
 
 def _emit_error(args, exc):
     doc = {"error": str(exc), "type": type(exc).__name__}
-    if isinstance(exc, ConvergenceError):  # its scalar estimates; arrays are left out
-        doc["estimates"] = [float(e) for e in exc.estimates or () if isinstance(e, numbers.Real)]
-    print(json.dumps(doc), file=sys.stderr)
+    if isinstance(exc, ConvergenceError):  # its scalar estimates, null where not finite
+        scalars = (float(e) for e in exc.estimates or () if isinstance(e, numbers.Real))
+        doc["estimates"] = [e if math.isfinite(e) else None for e in scalars]
+    print(json.dumps(doc, allow_nan=False), file=sys.stderr)
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_json(doc, os.path.join(args.out, "error.json"))

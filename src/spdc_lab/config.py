@@ -42,6 +42,9 @@ MAX_RATE_RESOLUTION = 801  # finest level of the pair-rate doubling N -> 2N - 1
 # (floor, ceiling) of a beam waist in um: a waist near the wavelength breaks
 # the paraxial Gaussian-beam model; both ends keep W^2 and 1/W^2 finite
 WAIST_RANGE_UM = (1.0, 1e6)
+# (floor, ceiling) of the pump bandwidth in THz: under either frequency
+# convention both ends keep B_p, B_p^2 and 1/B_p^2 finite and nonzero
+BANDWIDTH_RANGE_THZ = (1e-6, 1e6)
 
 # (floor, ceiling) of the integer fields: the rate resolution leaves room for
 # one doubling within MAX_RATE_RESOLUTION, the singles grid is no finer than
@@ -147,12 +150,12 @@ def _positive(section, name, key, default=None):
     return float(value)
 
 
-def _waist(section, name):
-    """``section["waist_um"]`` in metres, checked against WAIST_RANGE_UM."""
-    value = _positive(section, name, "waist_um")
-    if not WAIST_RANGE_UM[0] <= value <= WAIST_RANGE_UM[1]:
-        raise ConfigError("%s.waist_um: must lie in [%g, %g] um" % ((name,) + WAIST_RANGE_UM))
-    return um_to_m(value)
+def _bounded(section, name, key, bounds, unit):
+    """``section[key]``, a required positive float, checked against ``bounds``."""
+    value = _positive(section, name, key)
+    if not bounds[0] <= value <= bounds[1]:
+        raise ConfigError("%s.%s: must lie in [%g, %g] %s" % ((name, key) + bounds + (unit,)))
+    return value
 
 
 def _section(raw, key, required=True):
@@ -188,9 +191,11 @@ def load_config(path):
     convention = numerics.frequency_convention
 
     lam_p = nm_to_m(_positive(pump, "pump", "wavelength_nm"))
-    B_p = thz_to_rad_per_s(_positive(pump, "pump", "bandwidth_thz"), convention)
+    B_p = thz_to_rad_per_s(
+        _bounded(pump, "pump", "bandwidth_thz", BANDWIDTH_RANGE_THZ, "THz"), convention
+    )
     power_mW = _positive(pump, "pump", "power_mW", 1.0)
-    W0p = _waist(pump, "pump")
+    W0p = um_to_m(_bounded(pump, "pump", "waist_um", WAIST_RANGE_UM, "um"))
 
     lam_s = nm_to_m(_positive(coll, "collection", "signal_wavelength_nm"))
     degenerate = coll.get("degenerate", False)
@@ -221,7 +226,7 @@ def load_config(path):
     hw_i = thz_to_rad_per_s(
         _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
     )
-    W0s = _waist(coll, "collection")
+    W0s = um_to_m(_bounded(coll, "collection", "waist_um", WAIST_RANGE_UM, "um"))
     cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
 
     if "name" not in cry:
@@ -237,8 +242,10 @@ def load_config(path):
     # provisional cut angle; replaced once the collinear angle is known
     try:
         crystal = load_crystal(name, length_L, math.pi / 6.0, azimuth)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ConfigError("crystal.name: no crystal dataset named %r" % name) from exc
+    except ValueError as exc:
+        raise ConfigError("crystal.name: %s" % exc) from exc
     lo, hi = crystal.validity_window
     # the central wavelengths, then the filter windows the spectral grids span
     # and the sum band on which they evaluate the pump; 2 pi c / x maps a

@@ -111,36 +111,41 @@ def _check_window(lam_m, crystal):
         )
 
 
-def load_crystal(name_or_path, length_L, cut_angle_theta, azimuth_phi=0.0):
-    """Build a CrystalSpec from a JSON dataset.
+def load_crystal(name, length_L, cut_angle_theta, azimuth_phi=0.0):
+    """Build a CrystalSpec from the JSON dataset ``<name>.json``.
 
-    ``name_or_path`` is either a bare dataset name resolved against the
-    directory named by the SPDC_LAB_CRYSTAL_DIR environment variable (falling
-    back to the packaged data directory) or an explicit file path.
+    ``name`` is a dataset name, not a path. The dataset is looked up in the
+    directory named by the SPDC_LAB_CRYSTAL_DIR environment variable, then in
+    the packaged data directory, and nowhere else. A missing dataset raises
+    OSError; a path for ``name`` or a malformed dataset, ValueError.
     """
-    path = name_or_path
-    if not os.path.exists(path):
-        fname = name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
-        override = os.environ.get(CRYSTAL_DIR_ENV)
-        if override and os.path.exists(os.path.join(override, fname)):
-            path = os.path.join(override, fname)
-        else:
-            path = str(resources.files("spdc_lab").joinpath("data", fname))
+    if os.path.basename(name) != name:
+        raise ValueError("%r is a path, not a crystal dataset name" % name)
+    fname = name + ".json"
+    override = os.environ.get(CRYSTAL_DIR_ENV)
+    path = os.path.join(override, fname) if override else ""
+    if not os.path.isfile(path):
+        path = str(resources.files("spdc_lab").joinpath("data", fname))
     with open(path) as fh:
-        raw = json.load(fh)
-    lo_nm, hi_nm = raw["validity_window_nm"]
-    return CrystalSpec(
-        name=raw["name"],
-        sellmeier_o=tuple(raw["sellmeier_o"]),
-        sellmeier_e=tuple(raw["sellmeier_e"]),
-        validity_window=(lo_nm * 1e-9, hi_nm * 1e-9),
-        d11=raw["d11_pm_per_V"],
-        d31=raw["d31_pm_per_V"],
-        length_L=length_L,
-        cut_angle_theta=cut_angle_theta,
-        azimuth_phi=azimuth_phi,
-        source_citations=tuple(raw.get("source_citations", ())),
-    )
+        try:
+            raw = json.load(fh)
+            lo_nm, hi_nm = raw["validity_window_nm"]
+            return CrystalSpec(
+                name=raw["name"],
+                sellmeier_o=tuple(raw["sellmeier_o"]),
+                sellmeier_e=tuple(raw["sellmeier_e"]),
+                validity_window=(lo_nm * 1e-9, hi_nm * 1e-9),
+                d11=raw["d11_pm_per_V"],
+                d31=raw["d31_pm_per_V"],
+                length_L=length_L,
+                cut_angle_theta=cut_angle_theta,
+                azimuth_phi=azimuth_phi,
+                source_citations=tuple(raw.get("source_citations", ())),
+            )
+        except KeyError as exc:
+            raise ValueError("crystal dataset %s: missing field %s" % (path, exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError("crystal dataset %s: %s" % (path, exc)) from exc
 
 
 def index_ordinary(lam_m, crystal):

@@ -48,7 +48,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    argmax_value: float
     argmax_index: int
 
 
@@ -57,14 +56,13 @@ class OptimizationResult:
     """Waists from the three optimization stages with metrics at each.
 
     ``W0s_intersection`` is None when no efficiency/purity crossing exists in
-    the scan window (``intersection_found`` False).
+    the scan window.
     """
 
     W0p_star: float
     W0s_closed_form: float
     W0s_purity_star: float
     W0s_intersection: float
-    intersection_found: bool
     metrics: dict
 
 
@@ -97,7 +95,7 @@ def _sweep(value_range, name, steps, evaluate):
             "separability condition unsatisfiable over the whole waist range"
         )
     idx = int(np.argmax([row.R for row in rows]))
-    return SweepResult(rows=tuple(rows), argmax_value=rows[idx].swept_value, argmax_index=idx)
+    return SweepResult(rows=tuple(rows), argmax_index=idx)
 
 
 def golden_section_maximize(f, lo, hi, tol):
@@ -235,7 +233,6 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
         W0s_closed_form=float(W0s_closed_form),
         W0s_purity_star=float(W0s_purity_star),
         W0s_intersection=W0s_intersection,
-        intersection_found=W0s_intersection is not None,
         metrics=metrics,
     )
 

@@ -39,7 +39,7 @@ def test_criterion_1_rate_optimum_pump_waist(degenerate, capsys):
     t0 = time.monotonic()
     result = rate_vs_pump_waist((50e-6, 800e-6), 76, cfg.geom, cfg.crystal, cfg.filters)
     elapsed = time.monotonic() - t0
-    argmax_um = result.argmax_value * 1e6
+    argmax_um = result.rows[result.argmax_index].swept_value * 1e6
     ok = 310.0 * 0.9 <= argmax_um <= 310.0 * 1.1 and elapsed < 300.0
     announce(
         capsys,

@@ -75,6 +75,15 @@ class TestLoadConfig:
         cfg = load_config(dump(doc, tmp_path))
         assert cfg.resolved[section]["waist_um"] == pytest.approx(waist_um, rel=1e-12)
 
+    @pytest.mark.parametrize("convention", ["angular", "ordinary"])
+    @pytest.mark.parametrize("bandwidth_thz", [1e-6, 1e6])
+    def test_bandwidth_range_ends_accepted(self, tmp_path, convention, bandwidth_thz):
+        doc = read_shipped("degenerate_810")
+        doc["pump"]["bandwidth_thz"] = bandwidth_thz
+        doc["numerics"]["frequency_convention"] = convention
+        B_p = load_config(dump(doc, tmp_path)).geom.pump_bandwidth_Bp
+        assert all(0.0 < x < math.inf for x in (B_p, B_p**2, 1.0 / B_p**2))
+
     def test_cut_beyond_quadrant_is_config_error(self, tmp_path):
         # 130 deg past the collinear angle the index ellipse folds back below
         # the noncollinear threshold, so the angles are zero but the cut is not
@@ -458,6 +467,20 @@ class TestCliErrors:
                 ("collection", "waist_um"), 0.5, "collection.waist_um",
                 id="collection-waist-below-range",
             ),
+            # bandwidths outside [1e-6, 1e6] THz: at 1e300 THz the singles
+            # rates underflow to zero, at 1e-300 THz the estimates are NaN
+            pytest.param(
+                ("pump", "bandwidth_thz"), 1e300, "pump.bandwidth_thz", id="bandwidth-huge"
+            ),
+            pytest.param(
+                ("pump", "bandwidth_thz"), 2e6, "pump.bandwidth_thz", id="bandwidth-above-range"
+            ),
+            pytest.param(
+                ("pump", "bandwidth_thz"), 1e-300, "pump.bandwidth_thz", id="bandwidth-tiny"
+            ),
+            pytest.param(
+                ("pump", "bandwidth_thz"), 5e-7, "pump.bandwidth_thz", id="bandwidth-below-range"
+            ),
             # dark filters leave no pairs and no singles to rate
             pytest.param(
                 ("filters", "transmission"), 0.0, "filters.transmission",
@@ -505,17 +528,21 @@ class TestCliErrors:
         assert "dispersion-data window" in err["error"]
 
     def test_error_json_carries_scalar_estimates(self, tmp_path, monkeypatch):
+        # arrays are left out and non-finite scalars written as null, so the
+        # file is strict JSON
         def fail(*args, **kwargs):
-            raise ConvergenceError(
-                "did not converge", estimates=(1.5, np.float64(2.0), np.ones(3), 1j)
-            )
+            estimates = (1.5, np.float64(2.0), np.ones(3), 1j, math.nan, np.float64(-math.inf))
+            raise ConvergenceError("did not converge", estimates=estimates)
+
+        def reject(name):
+            raise ValueError("non-standard JSON constant %s" % name)
 
         monkeypatch.setattr(cli, "compute_metrics", fail)
         out = tmp_path / "err"
         assert run_cli("metrics", cheap_config(tmp_path), out) == 2
-        err = json.loads((out / "error.json").read_text())
+        err = json.loads((out / "error.json").read_text(), parse_constant=reject)
         assert err["type"] == "ConvergenceError"
-        assert err["estimates"] == [1.5, 2.0]
+        assert err["estimates"] == [1.5, 2.0, None, None]
 
     def test_bad_grid_resolution_flag_exit_2(self, tmp_path):
         out = tmp_path / "bad"
@@ -535,6 +562,62 @@ class TestCliErrors:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fourier", "--config", "x", "--out", "y"])
+
+
+def write_dataset(directory, name, drop=None):
+    """A copy of the packaged bbo.json as ``directory/<name>.json``, without
+    the field ``drop``."""
+    raw = json.loads((Path(cli.__file__).parent / "data" / "bbo.json").read_text())
+    raw.pop(drop, None)
+    directory.mkdir(exist_ok=True)
+    path = directory / (name + ".json")
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestCrystalLookup:
+    """A dataset is named, not given by path: ``<name>.json`` in
+    SPDC_LAB_CRYSTAL_DIR, then in the packaged data."""
+
+    def test_out_directory_does_not_hide_dataset(self, tmp_path, monkeypatch):
+        # a "bbo" output directory in the working directory once shadowed the
+        # packaged dataset, so the same command failed on its second run
+        monkeypatch.chdir(tmp_path)
+        config = shipped_config_path("degenerate_810")
+        assert run_cli("dispersion-report", config, "bbo") == 0
+        assert run_cli("dispersion-report", config, "bbo") == 0
+
+    def test_missing_field_names_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPDC_LAB_CRYSTAL_DIR", str(tmp_path / "data"))
+        write_dataset(tmp_path / "data", "broken", drop="validity_window_nm")
+        doc = read_shipped("degenerate_810")
+        doc["crystal"]["name"] = "broken"
+        out = tmp_path / "out"
+        assert run_cli("metrics", dump(doc, tmp_path), out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith("crystal.name:")
+        assert "validity_window_nm" in err["error"]
+
+    def test_path_is_not_a_name(self, tmp_path):
+        doc = read_shipped("degenerate_810")
+        doc["crystal"]["name"] = write_dataset(tmp_path / "data", "bbo")
+        with pytest.raises(ConfigError, match="^crystal.name: .* is a path"):
+            load_config(dump(doc, tmp_path))
+
+    def test_crystal_dir_dataset(self, tmp_path, monkeypatch):
+        # a renamed copy of bbo.json found through SPDC_LAB_CRYSTAL_DIR gives
+        # the figures of the packaged bbo
+        monkeypatch.setenv("SPDC_LAB_CRYSTAL_DIR", str(tmp_path / "data"))
+        write_dataset(tmp_path / "data", "my_bbo")
+        doc = read_shipped("degenerate_810")
+        summaries = []
+        for name in ("bbo", "my_bbo"):
+            doc["crystal"]["name"] = name
+            out = tmp_path / name
+            assert run_cli("metrics", dump(doc, tmp_path, name + ".json"), out) == 0
+            summaries.append((out / "metrics_summary.csv").read_text())
+        assert summaries[0] == summaries[1]
 
 
 class TestConsoleScript:

@@ -53,7 +53,7 @@ class TestRateVsPumpWaist:
         stub_rate(monkeypatch, lambda geom: 1.0)
         res = rate_vs_pump_waist((3e-4, 4e-4), 5, cfg.geom, cfg.crystal, cfg.filters)
         assert res.argmax_index == 0
-        assert res.argmax_value == pytest.approx(3e-4)
+        assert res.rows[res.argmax_index].swept_value == pytest.approx(3e-4)
         assert len(res.rows) == 5
         assert all(row.eta is None and row.purity == STUB_PURITY for row in res.rows)
 
@@ -199,7 +199,6 @@ class TestOptimize:
     def test_no_crossing_in_window(self, result):
         # the heralding ratio stays below the SVD purity across the scan
         # window for this geometry, so no crossing is reported
-        assert result.intersection_found is False
         assert result.W0s_intersection is None
         assert "at_W0s_intersection" not in result.metrics
 
@@ -212,7 +211,7 @@ class TestOptimize:
     )
     def test_published_refined_waist(self, result):
         assert result.W0s_purity_star == pytest.approx(280e-6, rel=0.05)
-        assert result.intersection_found
+        assert result.W0s_intersection is not None
 
 
 class TestCsv:
