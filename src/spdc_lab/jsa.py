@@ -530,25 +530,38 @@ def gaussian_model_purity(delta):
 
 
 def write_jsa_csv(grid, path):
-    """Dump the grid as rows (omega_s, omega_i, Re Phi, Im Phi, |Phi|^2)."""
+    """Dump the grid as rows (omega_s, omega_i, Re Phi, Im Phi, |Phi|^2), one
+    omega_s row at a time. The omega_i cells are formatted once into a row
+    template, and a real amplitude's Im Phi is one constant cell."""
     A = grid.amplitude
-    WS, WI = np.meshgrid(grid.omega_s_samples, grid.omega_i_samples, indexing="ij")
-    columns = (WS, WI, A.real, A.imag, np.abs(A) ** 2)
-    row = ",".join(["%.9e"] * 5) + "\r\n"
+    real = not np.iscomplexobj(A)
+    tail = (",%.9e," + "%.9e" % 0.0 if real else ",%.9e,%.9e") + ",%.9e\r\n"
+    row = "".join("\0,%.9e" % wi + tail for wi in grid.omega_i_samples.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("omega_s_rad_per_s,omega_i_rad_per_s,re_phi,im_phi,jsi\r\n")
-        fh.write("".join(row % r for r in zip(*(col.ravel().tolist() for col in columns))))
+        for ws, a in zip(grid.omega_s_samples.tolist(), A):
+            # for real floats a * a is bitwise abs(a) ** 2
+            cells = (a, a * a) if real else (a.real, a.imag, np.abs(a) ** 2)
+            fh.write(row.replace("\0", "%.9e" % ws) % tuple(np.column_stack(cells).ravel().tolist()))
 
 
 def write_jsa_json(grid, path):
-    """Dump the grid as a plain-JSON document (no binary blobs)."""
-    doc = {
-        "omega_s_samples": grid.omega_s_samples.tolist(),
-        "omega_i_samples": grid.omega_i_samples.tolist(),
-        "amplitude_re": grid.amplitude.real.tolist(),
-        "amplitude_im": grid.amplitude.imag.tolist(),
-        "normalization_N": grid.normalization_N,
-    }
+    """Dump the grid as a plain-JSON document (no binary blobs): the bytes of
+    ``json.dumps`` of the whole document with sorted keys, written one
+    amplitude row at a time. A real amplitude's imaginary rows are one text."""
+    A = grid.amplitude
+    # json.dumps runs the C encoder: the same float repr and ", " separators
+    # as one dumps of the whole document
+    if np.iscomplexobj(A):
+        im_rows = (json.dumps(a.imag.tolist()) for a in A)
+    else:
+        im_rows = (json.dumps([0.0] * A.shape[1]),) * A.shape[0]
+    re_rows = (json.dumps(a.real.tolist()) for a in A)
+    tail = (grid.normalization_N, grid.omega_i_samples.tolist(), grid.omega_s_samples.tolist())
     with open(path, "w") as fh:
-        # json.dumps runs the C encoder; json.dump always encodes in Python
-        fh.write(json.dumps(doc, sort_keys=True))
+        for head, rows in (('{"amplitude_im": [', im_rows), ('], "amplitude_re": [', re_rows)):
+            fh.write(head)
+            for j, text in enumerate(rows):
+                fh.write(", " + text if j else text)
+        fh.write('], "normalization_N": %s, "omega_i_samples": %s, "omega_s_samples": %s}'
+                 % tuple(json.dumps(v) for v in tail))

@@ -13,12 +13,14 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
 from spdc_lab import jsa
-from spdc_lab.config import Numerics
+from spdc_lab.cli import main, shipped_config_path
+from spdc_lab.config import Numerics, load_config
 from spdc_lab.dispersion import inverse_group_velocity
 from spdc_lab.errors import ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.jsa import (
     SINC_GAUSS_ALPHA,
     BeamGeometry,
+    JsaGrid,
     SpectralGrid,
     delta_coefficients,
     gaussian_model_purity,
@@ -500,8 +502,8 @@ class TestJsaWriters:
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("config", ["degenerate", "nondegenerate"])
     def test_match_reference_writers(self, request, tmp_path, config, walk_off):
-        # the nondegenerate grid has distinct signal and idler axes and
-        # complex amplitudes, so a transposed or misaligned column shows
+        # the nondegenerate grid has distinct signal and idler axes, so a
+        # transposed or misaligned column shows
         cfg = request.getfixturevalue(config)
         numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
         grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, numerics)
@@ -512,6 +514,62 @@ class TestJsaWriters:
             write(grid, tmp_path / name)
             reference(grid, tmp_path / ("reference_" + name))
             assert (tmp_path / name).read_bytes() == (tmp_path / ("reference_" + name)).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "signed_zero_and_subnormal"])
+    def test_hand_built_grids_match_reference(self, tmp_path, kind):
+        # a complex amplitude takes the three-cell row, and axes that differ
+        # in length and values show a transposed or misaligned cell
+        if kind == "complex":
+            rng = np.random.default_rng(7)
+            amp = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+            amp[2, 3] = -0.0 - 1.5j
+        else:
+            amp = np.array(
+                [
+                    [-0.0, 5e-324, 1e-300, -2.5, 0.0],
+                    [0.0, -5e-324, -1e-300, 3.0e-5, -7.0],
+                    [1.0, -1.0, 7.25e12, -0.0, 2.0],
+                ]
+            )
+        ws = np.linspace(2.30e15, 2.34e15, amp.shape[0])
+        wi = np.linspace(2.31e15, 2.37e15, amp.shape[1])
+        grid = JsaGrid(ws, wi, amp, 1.234e-29)
+        for write, reference, name in (
+            (write_jsa_csv, _reference_write_jsa_csv, "jsa_grid.csv"),
+            (write_jsa_json, _reference_write_jsa_json, "jsa_grid.json"),
+        ):
+            write(grid, tmp_path / name)
+            reference(grid, tmp_path / ("reference_" + name))
+            assert (tmp_path / name).read_bytes() == (tmp_path / ("reference_" + name)).read_bytes()
+
+    @pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
+    def test_cli_files_match_reference(self, tmp_path, config):
+        path = shipped_config_path(config)
+        assert main(["jsa", "--config", str(path), "--out", str(tmp_path / "cli"), "--grid-resolution", "64"]) == 0
+        cfg = load_config(path)
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, replace(cfg.numerics, grid_resolution=64))
+        for reference, name in (
+            (_reference_write_jsa_csv, "jsa_grid.csv"),
+            (_reference_write_jsa_json, "jsa_grid.json"),
+        ):
+            reference(grid, tmp_path / name)
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("n", [201, 401])
+    @pytest.mark.parametrize("config", ["degenerate", "nondegenerate"])
+    @pytest.mark.parametrize("write", [write_jsa_csv, write_jsa_json])
+    def test_writer_memory(self, request, tmp_path, config, n, write):
+        # each writer streams one omega_s row at a time, so its peak grows
+        # with the grid side, not with the grid's area
+        cfg = request.getfixturevalue(config)
+        grid = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, replace(cfg.numerics, grid_resolution=n))
+        tracemalloc.start()
+        try:
+            write(grid, tmp_path / "jsa_grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n * np.dtype(float).itemsize
 
 
 def written_out_delta_terms(geom, crystal, conv, W0p):
