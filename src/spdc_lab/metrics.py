@@ -183,15 +183,18 @@ class _ModeSumKernel:
     c = 1 - 2 cos^2(theta)/(C W^2). The addition formula
     G_m(u + v) = sum_k binom(m, k) G_k(u) (2v)^(m-k) leaves z, the one
     quadrature (the ``z_nodes`` rule at ``z_order``), in the moments
-    M[p, j] = sum_z w_z env(z) exp(i q_p z) (2 beta z)^j, so Hermite order m
-    costs O(N m). env is exp(-H z^2) with walk-off and 1 without, as in
-    ``walk_off_integral``. All of it is real arithmetic: the nodes are
-    symmetric and env even, so M[:, j] = i^(j mod 2) R[j] with R real
+    M[j] = sum_z w_z env(z) exp(i q z) t^j of t = 2z/L (z^j would underflow
+    at high j). (beta L)^j goes into the coefficients, so order m is one
+    product of G_0..G_m with M[m..0]. env is exp(-H z^2) with walk-off and 1
+    without, as in ``walk_off_integral``. All of it is real arithmetic: the
+    nodes are symmetric and env even, so M[j] = i^(j mod 2) R[j] with R real
     (``_z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
     of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). Both arms
     share W = W0s and A, C, D and H, so one kernel serves both (see
     ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
-    phase mismatch and the pump factors.
+    phase mismatch and the pump factors, and holds R for the last key
+    (D/(2C), H), all of the geometry R depends on: every waist of a
+    degenerate pair without walk-off has the key (0.0, 0.0).
     """
 
     def __init__(self, geom, terms, walk_off):
@@ -202,34 +205,31 @@ class _ModeSumKernel:
         self.q = terms.dkz.ravel() - self.dky * (g.D / (2.0 * g.C))
         self.gp = terms.pump_envelope.ravel()
         self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(terms.negdky2.ravel() / (4.0 * g.C))
-        self.arms = [_arm(geom, which) for which in ("signal", "idler")]
         self.H = g.H if walk_off else 0.0  # walk-off envelope exp(-H z^2)
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
         self.spread = self.H * terms.length_L**2 / 4.0
-        self._moments = {}
+        key = (g.D / (2.0 * g.C), self.H)  # all of the geometry R depends on
+        pair = getattr(terms, "z_moments", (None, None))
+        if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
+            pair = terms.z_moments = (key, {})
+        self.moments, self._hermite = pair[1], {}  # arm: rows G_0..G_tier
 
     def _z_moments(self, n_z, J):
-        """{arm: R}, R[j] = Re or Im M[:, j] (j even or odd), j <= J, n_z nodes."""
-        g = self.g
-        z, env = z_nodes(n_z, self.terms.length_L, self.H)
-        cols = []
-        for theta, sign in self.arms:
-            beta = math.sqrt(2.0) * (
-                sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
-            ) / self.geom.W0s
-            cols.append(env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
+        """R[j] = Re or Im M[j] (j even or odd), j <= J, on n_z nodes."""
+        L = self.terms.length_L
+        z, env = z_nodes(n_z, L, self.H)
+        P = env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1)
         # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
-        # of 0.0) and (2 beta z)^j has parity (-1)^j, so the nodes pair up:
+        # of 0.0) and t^j has parity (-1)^j, so the nodes pair up:
         # even j take 2 cos(q z), odd j 2 sin(q z), over z > 0 only
-        P = np.stack(cols, axis=1)
         half = n_z // 2
         zq = np.outer(z[n_z - half:], self.q)
-        P2 = 2.0 * P[n_z - half:].transpose(1, 2, 0)
-        R = np.empty((len(cols), J + 1, self.q.size))
-        np.matmul(P2[:, 0::2], np.cos(zq), out=R[:, 0::2])
-        R[:, 0::2] += P[half:n_z - half, :, 0::2].sum(axis=0)[:, :, None]
-        np.matmul(P2[:, 1::2], np.sin(zq), out=R[:, 1::2])
-        return dict(zip(self.arms, R))
+        P2 = 2.0 * P[n_z - half:].T
+        R = np.empty((J + 1, self.q.size))
+        np.matmul(P2[0::2], np.cos(zq), out=R[0::2])
+        R[0::2] += P[half:n_z - half, 0::2].sum(axis=0)[:, None]
+        np.matmul(P2[1::2], np.sin(zq), out=R[1::2])
+        return R
 
     @staticmethod
     def _tier(m):
@@ -251,17 +251,22 @@ class _ModeSumKernel:
     def yz_integral(self, m, arm, n_z=None):
         """r_m of the y-z overlap i^(m mod 2) r_m of Hermite order m on the
         grid, at ``z_order(m)`` nodes or, for an order check, at ``n_z`` nodes."""
-        J = m if n_z is not None else self._tier(m)
         n_z = self.z_order(m) if n_z is None else n_z
-        if n_z not in self._moments or self._moments[n_z][arm].shape[0] <= m:
-            self._moments[n_z] = self._z_moments(n_z, J)
-        R = self._moments[n_z][arm]
-        a2 = 2.0 * math.cos(arm[0]) ** 2 / self.geom.W0s**2
-        s = (math.sqrt(a2) / (2.0 * self.g.C)) * self.dky
-        G = _scaled_hermite(m, s, a2 / self.g.C - 1.0)
+        R = self.moments.get(n_z)
+        if R is None or R.shape[0] <= m:
+            R = self.moments[n_z] = self._z_moments(n_z, self._tier(m))
+        g, (theta, sign), W = self.g, arm, self.geom.W0s
+        if arm not in self._hermite or self._hermite[arm].shape[0] <= m:
+            a2 = 2.0 * math.cos(theta) ** 2 / W**2
+            s = (math.sqrt(a2) / (2.0 * g.C)) * self.dky
+            G = _scaled_hermite(self._tier(m), s, a2 / g.C - 1.0)
+            self._hermite[arm] = np.stack(np.broadcast_arrays(*G))
+        beta = math.sqrt(2.0) * (sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)) / W
+        bL = beta * self.terms.length_L  # (2 beta z)^j = bL^j t^j
         # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
-        sign = [(-1) ** ((k + 1 - m % 2) // 2) for k in range(m + 1)]
-        return self.yz_pref * sum(sign[k] * math.comb(m, k) * G[k] * R[m - k] for k in range(m + 1))
+        coef = [(-1) ** ((k + 1 - m % 2) // 2) * math.comb(m, k) * bL ** (m - k)
+                for k in range(m + 1)]
+        return self.yz_pref * (np.array(coef) @ (self._hermite[arm][: m + 1] * R[m::-1]))
 
 
 def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None):

@@ -22,7 +22,8 @@ from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
 # waist while the pair rate is maximized, and the pump-waist search interval
 _TIE_ALPHA = "consistent"
 _WAIST_BOUNDS = (50e-6, 800e-6)
-# samples of optimize's stage-3 purity scan and of its coarse eta - P scan
+# samples of optimize's stage-3 purity scan and of its coarse eta - P scan,
+# which takes every ((_SCAN_POINTS - 1) / (_ETA_COARSE_POINTS - 1))th scan point
 _SCAN_POINTS = 121
 _ETA_COARSE_POINTS = 11
 
@@ -162,8 +163,8 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
     [0.5, 1.2] times the closed-form value at _SCAN_POINTS points,
     maximizing the purity (with local quadratic refinement), and locates the
-    efficiency/purity crossing by bisection from a coarse scan of
-    _ETA_COARSE_POINTS points.
+    efficiency/purity crossing by bisection from _ETA_COARSE_POINTS evenly
+    spaced points of that scan, whose purities it already has.
     """
 
     def tied_rate(W0p):
@@ -193,12 +194,15 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     else:
         W0s_purity_star = scan[k]
 
-    def eta_minus_purity(W0s):
-        _, _, _, eta = heralding_rates(at_waist(W0s), crystal, filters, numerics)
-        return eta - purity_at(W0s)
+    def eta_at(W0s):
+        return heralding_rates(at_waist(W0s), crystal, filters, numerics)[3]
 
-    coarse = np.linspace(scan[0], scan[-1], _ETA_COARSE_POINTS)
-    diffs = [eta_minus_purity(w) for w in coarse]
+    def eta_minus_purity(W0s):
+        return eta_at(W0s) - purity_at(W0s)
+
+    stride = (_SCAN_POINTS - 1) // (_ETA_COARSE_POINTS - 1)
+    coarse = scan[::stride]
+    diffs = [eta_at(w) - p for w, p in zip(coarse, purities[::stride])]
     W0s_intersection = None
     for j in range(len(coarse) - 1):
         if diffs[j] == 0.0:

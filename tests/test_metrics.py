@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -10,9 +11,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.constants import c, epsilon_0
 from scipy.special import eval_hermite
 
-from spdc_lab import jsa, metrics
+from spdc_lab import jsa, metrics, sweep
 from spdc_lab.cli import shipped_config_path
-from spdc_lab.config import Numerics, load_config
+from spdc_lab.config import _INT_RANGES, Numerics, load_config
 from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
@@ -32,6 +33,7 @@ from spdc_lab.metrics import (
     _ModeSumKernel,
     compute_metrics,
     heralding_efficiency,
+    heralding_rates,
     jsa_purity,
     pair_rate,
     rate_prefactor,
@@ -198,30 +200,41 @@ class TestPairRate:
         assert shapes == [(101, 101), (201, 201)] * 2
 
     def test_threads_at_two_waists_match_serial_runs(self, degenerate):
-        # two threads read one setting's slot grids at different waists
+        # four threads read one setting's slot grids at two waists, with and
+        # without walk-off: the kernels of the two waists without walk-off
+        # share the z moments held on the singles grid, and the walk-off ones
+        # replace them with their own key's
         cfg = degenerate
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
-        geoms = (cfg.geom, narrow)
+        walk_off = replace(cfg.numerics, walk_off_enabled=True)
+        cases = [(geom, n) for n in (cfg.numerics, walk_off) for geom in (cfg.geom, narrow)]
 
-        def figures(geom):
+        def figures(geom, numerics):
+            R, res_s, res_i, eta = heralding_rates(geom, cfg.crystal, cfg.filters, numerics)
             return (
-                pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics),
-                jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics),
+                pair_rate(geom, cfg.crystal, cfg.filters, numerics),
+                jsa_purity(geom, cfg.crystal, cfg.filters, numerics),
+                R, res_s.rate, res_i.rate, eta,
             )
 
-        serial = [figures(geom) for geom in geoms]
+        serial = [figures(*case) for case in cases]
         wrong = []
 
         def worker(k):
             for _ in range(15):
-                if figures(geoms[k]) != serial[k]:
+                if figures(*cases[k]) != serial[k]:
                     wrong.append(k)
 
-        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
@@ -374,33 +387,30 @@ class TestModeSumKernel:
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_z_moments_match_full_exponential(self, which_cfg, walk_off, request):
         # the kernel pairs z with -z and evaluates cos and sin on z > 0; the
-        # reference evaluates exp(i q z) on every node. Row j of the kernel's
-        # moments is Re M[:, j] for even j and Im M[:, j] for odd j
+        # reference evaluates exp(i q z) on every node. Row j of the moments
+        # both arms share is Re M[j] for even j and Im M[j] for odd j, with
+        # t = 2z/L the scaled node
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
         grid = SpectralGrid(101, geom, crystal, cfg.filters, "exact")
         kern = _ModeSumKernel(geom, grid, walk_off)
-        g, J = kern.g, 6
+        L, J = crystal.length_L, 6
         for n_z in (7, 8, 21, 22):
-            z, env = z_nodes(n_z, crystal.length_L, kern.H)
+            z, env = z_nodes(n_z, L, kern.H)
             E = np.exp(1j * np.outer(kern.q, z))
             got = kern._z_moments(n_z, J)
-            for theta, sign in kern.arms:
-                beta = math.sqrt(2.0) * (
-                    sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)
-                ) / geom.W0s
-                want = E @ (env[:, None] * (2.0 * beta * z[:, None]) ** np.arange(J + 1))
-                want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
-                diff = np.max(np.abs(got[(theta, sign)] - want))
-                assert diff <= 1e-15 * np.max(np.abs(want)), n_z
+            want = E @ (env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1))
+            want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
+            diff = np.max(np.abs(got - want))
+            assert diff <= 1e-15 * np.max(np.abs(want)), n_z
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
         cfg = nondegenerate
         geom, crystal = cfg.geom, cfg.crystal
         kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, cfg.filters, "exact"), walk_off)
-        for R in kern._z_moments(kern.z_order(6), 6).values():
-            assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
+        R = kern._z_moments(kern.z_order(6), 6)
+        assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
         for which in ("signal", "idler"):
             for m in range(8):
                 assert kern.yz_integral(m, _arm(geom, which)).dtype == np.float64
@@ -425,6 +435,80 @@ class TestModeSumKernel:
                 got = 1j ** (m % 2) * real.reshape(OS.shape)
                 want = g_p * x * yz_loop_oracle(geom, crystal, dk, which, walk_off, m).reshape(OS.shape)
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
+
+    @pytest.mark.parametrize(
+        "which_cfg, walk_off, shared",
+        [("degenerate", False, True), ("degenerate", True, False),
+         ("nondegenerate", False, False), ("nondegenerate", True, False)],
+    )
+    def test_z_moments_reused_across_waists(self, which_cfg, walk_off, shared, request):
+        # the moments depend on the geometry through D/(2C) and H alone: a
+        # degenerate pair (D = 0) without walk-off (H = 0) keeps them across
+        # waists, and any other design changes the key with the waist
+        cfg = request.getfixturevalue(which_cfg)
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        narrow = replace(geom, W0s=0.8 * geom.W0s)
+        grid = SpectralGrid(31, geom, crystal, filters, "exact")
+        first = _ModeSumKernel(geom, grid, walk_off)
+        for m in range(9):
+            first.yz_integral(m, _arm(geom, "signal"))
+        second = _ModeSumKernel(narrow, grid, walk_off)
+        assert (second.moments is first.moments) == shared
+        assert grid.z_moments[1] is second.moments
+        fresh = _ModeSumKernel(narrow, SpectralGrid(31, geom, crystal, filters, "exact"), walk_off)
+        for which in ("signal", "idler"):
+            arm = _arm(narrow, which)
+            for m in range(9):
+                assert np.array_equal(second.yz_integral(m, arm), fresh.yz_integral(m, arm)), m
+
+    def test_interleaved_kernel_keeps_its_own_moments(self, degenerate, monkeypatch):
+        # while one kernel stores its key's moments on the grid, a kernel with
+        # another key is built on the same grid, as another thread could; each
+        # must hold and use its own key's moments
+        cfg = degenerate
+        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
+        grid = SpectralGrid(31, geom, crystal, filters, "exact")
+        nested = []
+
+        def interleaved(self, name, value):
+            object.__setattr__(self, name, value)
+            if name == "z_moments" and not nested:
+                nested.append(_ModeSumKernel(geom, self, True))
+
+        monkeypatch.setattr(SpectralGrid, "__setattr__", interleaved)
+        kern = _ModeSumKernel(geom, grid, False)
+        assert kern.moments is not nested[0].moments
+        for got, walk_off in ((kern, False), (nested[0], True)):
+            fresh = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), walk_off)
+            for which in ("signal", "idler"):
+                arm = _arm(geom, which)
+                for m in range(9):
+                    assert np.array_equal(got.yz_integral(m, arm), fresh.yz_integral(m, arm)), m
+
+    def test_optimize_computes_few_z_moments(self, degenerate, monkeypatch):
+        # every geometry of a degenerate optimize without walk-off has the
+        # key (0.0, 0.0), so the moments are computed once per z order
+        cfg = degenerate
+        calls = []
+        nodes = metrics.z_nodes
+
+        def counted(n, L, H):
+            calls.append(n)
+            return nodes(n, L, H)
+
+        monkeypatch.setattr(metrics, "z_nodes", counted)
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        sweep.optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        assert 0 < len(calls) <= 8
+
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_overlap_finite_at_the_order_ceiling(self, which_cfg, request):
+        cfg = request.getfixturevalue(which_cfg)
+        geom = cfg.geom
+        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, cfg.crystal, cfg.filters, "exact"), True)
+        m = _INT_RANGES["truncation_max_order"][1]
+        for which in ("signal", "idler"):
+            assert np.all(np.isfinite(kern.yz_integral(m, _arm(geom, which)))), which
 
     def test_too_low_z_order_raises(self, nondegenerate, monkeypatch):
         cfg = nondegenerate

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spdc_lab import jsa, sweep
+from spdc_lab import jsa, metrics, sweep
 from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
@@ -201,6 +201,22 @@ class TestOptimize:
         # window for this geometry, so no crossing is reported
         assert result.W0s_intersection is None
         assert "at_W0s_intersection" not in result.metrics
+
+    def test_coarse_scan_reads_the_scan_purities(self, degenerate, monkeypatch):
+        # the 11 coarse eta - P points are every 12th of the 121 scan points,
+        # whose purities the scan already has: 121 scan and 2 report purities
+        cfg = degenerate
+        calls = []
+        purity = metrics.jsa_purity
+
+        def counted(geom, *args):
+            calls.append(geom.W0s)
+            return purity(geom, *args)
+
+        monkeypatch.setattr(sweep, "jsa_purity", counted)
+        monkeypatch.setattr(metrics, "jsa_purity", counted)
+        optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        assert len(calls) == 123
 
     @pytest.mark.xfail(
         reason="published refined collection waist of about 280 um and an "
