@@ -14,6 +14,8 @@ with <command> and [flags] from its row; the row maps each file written to
 - ``metrics``: metrics_report.json, metrics_summary.csv
 - ``metrics --walk-off``: metrics_report.json -> metrics_walk_off_report.json,
   metrics_summary.csv -> metrics_walk_off_summary.csv
+- ``metrics --grid-resolution 801``: metrics_report.json ->
+  metrics_grid801_report.json, metrics_summary.csv -> metrics_grid801_summary.csv
 - ``optimize``: optimization.json
 - ``optimize --walk-off``: optimization.json -> optimization_walk_off.json
 - ``sweep-rate``: sweep_rate.csv, sweep_rate.json
@@ -23,14 +25,16 @@ with <command> and [flags] from its row; the row maps each file written to
 - ``sweep-ratio --walk-off``: sweep_ratio.csv -> sweep_ratio_walk_off.csv,
   sweep_ratio.json -> sweep_ratio_walk_off.json
 - ``dispersion-report``: dispersion_report.csv, dispersion_report.json
+- ``jsa --grid-resolution 64``: jsa_grid.json -> jsa_grid_64.json
 
-The ``jsa`` dump has no golden file: its CSV is 3.3 MB.
+The ``jsa`` CSV dump has no golden file: it is 3.3 MB at the default 201
+points, and it holds the amplitude of the JSON dump.
 
-Floats agree to 1e-9 relative, ``tail_estimate`` (a ratio of the last
-mode-sum shell to the total) to 1e-6; ints, bools, None and the echoed
-configuration must match exactly. CSV files compare cell by cell, with
-empty cells in the same places; a cell that is not a number must match
-exactly.
+Floats agree to 1e-9 relative, also inside lists, ``tail_estimate`` (a
+ratio of the last mode-sum shell to the total) to 1e-6; ints, bools, None,
+list lengths and the echoed configuration must match exactly. CSV files
+compare cell by cell, with empty cells in the same places; a cell that is
+not a number must match exactly.
 """
 
 import csv
@@ -62,6 +66,14 @@ GOLDEN_RUNS = [
             "metrics_summary.csv": "metrics_walk_off_summary.csv",
         },
     ),
+    (
+        "metrics",
+        ("--grid-resolution", "801"),
+        {
+            "metrics_report.json": "metrics_grid801_report.json",
+            "metrics_summary.csv": "metrics_grid801_summary.csv",
+        },
+    ),
     ("optimize", (), {"optimization.json": "optimization.json"}),
     ("optimize", ("--walk-off",), {"optimization.json": "optimization_walk_off.json"}),
     ("sweep-rate", (), {"sweep_rate.csv": "sweep_rate.csv", "sweep_rate.json": "sweep_rate.json"}),
@@ -81,6 +93,7 @@ GOLDEN_RUNS = [
         (),
         {"dispersion_report.csv": "dispersion_report.csv", "dispersion_report.json": "dispersion_report.json"},
     ),
+    ("jsa", ("--grid-resolution", "64"), {"jsa_grid.json": "jsa_grid_64.json"}),
 ]
 
 
@@ -95,6 +108,10 @@ def assert_matches(got, want, where, rel=FLOAT_REL):
                 ), sub
             else:
                 assert_matches(got[key], value, sub, REL_BY_KEY.get(key, FLOAT_REL))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, "%s[%d]" % (where, j), rel)
     elif isinstance(want, float):
         assert isinstance(got, float), where
         assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0), (where, got, want)
