@@ -293,11 +293,12 @@ class SpectralTerms:
     """The waist-independent factors of Phi at the detunings (Omega_s,
     Omega_i), any two arrays that broadcast.
 
-    The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump-bandwidth
-    exponent (Omega_s + Omega_i)^2 / (4 B_p^2) and L sinc(dk_z L / 2) depend
-    on the crystal, the modes, the emission angles and B_p but not on the
-    waists. ``amplitude`` applies one geometry's curvatures to them. All are
-    held read-only; exp(-pump exponent) from its first use.
+    The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump envelope
+    exp(-(Omega_s + Omega_i)^2 / (4 B_p^2)) and L sinc(dk_z L / 2) depend on
+    the crystal, the modes, the emission angles and B_p but not on the
+    waists. ``amplitude`` applies one geometry's curvatures to them. Held
+    read-only: -dk_y^2 and, from its first use, each of ``pump_envelope`` and
+    ``sinc_envelope``, L sinc(dk_z L / 2) times the pump envelope.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
@@ -311,27 +312,35 @@ class SpectralTerms:
         else:
             raise ValueError("dispersion_mode must be 'exact' or 'linear'")
         self.length_L = crystal.length_L
-        Bp = geom.pump_bandwidth_Bp
-        self.pump_term = _read_only(np.add(Omega_s, Omega_i, dtype=float) ** 2 / (4.0 * Bp**2))
+        self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
         self.negdky2 = _read_only(-self.dky**2)
+
+    def _pump_envelope(self):
+        Omega_s, Omega_i, Bp = self._pump
+        return np.exp(-(np.add(Omega_s, Omega_i, dtype=float) ** 2 / (4.0 * Bp**2)))
 
     @cached_property
     def pump_envelope(self):
-        return _read_only(np.exp(-self.pump_term))
+        return _read_only(self._pump_envelope())
 
     @cached_property
-    def sinc(self):
-        # the exact H = 0 longitudinal factor
+    def sinc_envelope(self):
+        # the exact H = 0 longitudinal factor times a pump envelope not held for it
         L = self.length_L
-        return _read_only(L * np.sinc(self.dkz * L / 2.0 / math.pi))
+        return _read_only(L * np.sinc(self.dkz * L / 2.0 / math.pi) * self._pump_envelope())
 
-    def amplitude(self, geom, walk_off):
-        """Phi for the waists of ``geom``; with ``walk_off`` the exp(-H z^2)
-        envelope enters the longitudinal factor."""
-        g = geometry_factors(geom)
-        phi_z = walk_off_integral(self.dkz, g.H, self.length_L) if walk_off else self.sinc
-        exponent = np.asarray(self.negdky2 / (4.0 * g.C) - self.pump_term)
-        return math.pi / math.sqrt(g.A * g.C) * phi_z * np.exp(exponent, out=exponent)
+    def amplitude(self, geom, walk_off, factors=None):
+        """Phi for the waists of ``geom``, whose geometry_factors a caller may
+        pass as ``factors``; with ``walk_off``, ``walk_off_integral`` (the
+        exp(-H z^2) envelope) times the pump envelope replaces ``sinc_envelope``."""
+        g = geometry_factors(geom) if factors is None else factors
+        amp = np.exp(self.negdky2 / (4.0 * g.C))
+        if walk_off:
+            amp *= walk_off_integral(self.dkz, g.H, self.length_L) * self.pump_envelope
+        else:
+            amp *= self.sinc_envelope
+        amp *= math.pi / math.sqrt(g.A * g.C)
+        return amp
 
 
 def _spectral_key(geom, crystal, filters, dispersion_mode):
@@ -381,7 +390,7 @@ class SpectralGrid(SpectralTerms):
         key = (geometry_factors(geom), walk_off)
         held, amp = self._amplitude_slot
         if held != key:
-            amp = _read_only(super().amplitude(geom, walk_off))
+            amp = _read_only(super().amplitude(geom, walk_off, key[0]))
             self._amplitude_slot = (key, amp)
         return amp
 
@@ -411,14 +420,7 @@ def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
     return grids[resolution]
 
 
-def mode_function(
-    Omega_s,
-    Omega_i,
-    geom,
-    crystal,
-    dispersion_mode="exact",
-    walk_off=False,
-):
+def mode_function(Omega_s, Omega_i, geom, crystal, dispersion_mode="exact", walk_off=False):
     """Closed-form joint spectral amplitude Phi(Omega_s, Omega_i).
 
     With ``walk_off`` False the longitudinal factor is L sinc(dk_z L / 2);

@@ -1,11 +1,13 @@
 """Spectral purity of the sampled amplitude, and its Schmidt spectrum by SVD."""
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpdcLabError
+
+_SKETCH_RANK, _SKETCH_TOL = 6, 1e-12  # the purity sketch's first probe count and energy bound
 
 
 @dataclass(frozen=True)
@@ -36,22 +38,40 @@ def _sampled_matrix(grid):
     return matrix
 
 
+@lru_cache(maxsize=8)
+def _probes(n, k):
+    """cos(pi i j / (n - 1)), i < n, j < k, read-only: the first k columns of
+    the DCT-I matrix, which is invertible at k = n."""
+    probes = np.cos(np.pi / (n - 1) * np.outer(np.arange(n), np.arange(k)))
+    probes.flags.writeable = False
+    return probes
+
+
 def purity(grid, decompose):
     """Purity of a sampled joint amplitude without its Schmidt spectrum.
 
-    ``amplitude`` mode returns Tr(rho^2) = ||G||_F^2 / ||A||_F^4, the
-    SVD-free value of ``schmidt_purity(grid, "amplitude").purity``, with the
-    Gram matrix G = A^T A (one symmetric BLAS product) for a real amplitude
-    and G = A^H A for a complex one; other modes go through
-    ``schmidt_purity``.
+    ``amplitude`` mode returns Tr(rho^2) = ||A^H A||_F^2 / ||A||_F^4 of the
+    amplitude A, the purity of ``schmidt_purity``, at O(n^2 k) from a sketch
+    on k ``_probes`` Omega: Q = orth(A Omega), B = Q^H A, P = ||B B^H||_F^2 /
+    ||A||_F^4. The energy it misses, lost = ||A||_F^2 - ||B||_F^2, bounds it:
+    0 <= P_full - P <= 2 lost / ||A||_F^2. k starts at _SKETCH_RANK and doubles
+    until lost <= _SKETCH_TOL ||A||_F^2 or k = min(A.shape), where Q spans the
+    range of A and P is exact. Other modes go through ``schmidt_purity``.
     """
     if decompose != "amplitude":
         return schmidt_purity(grid, decompose).purity
     matrix = _sampled_matrix(grid)
-    gram = (matrix.conj() if np.iscomplexobj(matrix) else matrix).T @ matrix
-    total = np.trace(gram).real
+    total = np.vdot(matrix, matrix).real
     if total <= 0:
         raise SpdcLabError("vanishing joint amplitude")
+    k, full = _SKETCH_RANK, min(matrix.shape)
+    while True:
+        q = np.linalg.qr(matrix @ _probes(matrix.shape[1], min(k, full)))[0]
+        sketch = q.conj().T @ matrix
+        if k >= full or total - np.vdot(sketch, sketch).real <= _SKETCH_TOL * total:
+            break
+        k *= 2
+    gram = sketch @ sketch.conj().T
     return float(np.vdot(gram, gram).real / total**2)
 
 
@@ -77,16 +97,3 @@ def schmidt_purity(grid, decompose):
     lam = np.sort(weights)[::-1] / total
     p = float(np.sum(lam**2))
     return SchmidtSpectrum(lambdas=lam, purity=p, schmidt_number=1.0 / p)
-
-
-def write_schmidt_csv(spectrum, path):
-    """Rows (n, lambda_n) followed by a summary line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda_n"])
-        for n, lam in enumerate(spectrum.lambdas):
-            writer.writerow([n, "%.12e" % lam])
-        writer.writerow(
-            ["purity=%.12f" % spectrum.purity,
-             "schmidt_number=%.12f" % spectrum.schmidt_number]
-        )

@@ -197,9 +197,6 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def eta_at(W0s):
         return heralding_rates(at_waist(W0s), crystal, filters, numerics)[3]
 
-    def eta_minus_purity(W0s):
-        return eta_at(W0s) - purity_at(W0s)
-
     stride = (_SCAN_POINTS - 1) // (_ETA_COARSE_POINTS - 1)
     coarse = scan[::stride]
     diffs = [eta_at(w) - p for w, p in zip(coarse, purities[::stride])]
@@ -213,7 +210,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
             fa = diffs[j]
             for _ in range(40):
                 mid = 0.5 * (a + b)
-                fm = eta_minus_purity(mid)
+                fm = eta_at(mid) - purity_at(mid)
                 if abs(fm) < 1e-3 or (b - a) < 1e-8:
                     break
                 if fa * fm < 0:
@@ -247,11 +244,5 @@ def write_sweep_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(["swept_value", "R", "eta", "purity"])
         for row in rows:
-            writer.writerow(
-                [
-                    "%.9e" % row.swept_value,
-                    "%.9e" % row.R,
-                    "" if row.eta is None else "%.9e" % row.eta,
-                    "" if row.purity is None else "%.9e" % row.purity,
-                ]
-            )
+            values = (row.swept_value, row.R, row.eta, row.purity)
+            writer.writerow(["" if v is None else "%.9e" % v for v in values])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
-from spdc_lab import jsa
+from spdc_lab import jsa, schmidt
 from spdc_lab.cli import main, shipped_config_path
 from spdc_lab.config import Numerics, load_config
 from spdc_lab.dispersion import inverse_group_velocity
@@ -321,6 +321,23 @@ class TestSpectralGrids:
             assert np.array_equal(amp, mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off))
             first = amp
 
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_amplitude_runs_geometry_factors_once(self, degenerate, walk_off, monkeypatch):
+        # one call per request: a miss evaluates on the factors of its key
+        cfg = degenerate
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        calls = []
+
+        def counted(geom):
+            calls.append(geom)
+            return geometry_factors(geom)
+
+        monkeypatch.setattr(jsa, "geometry_factors", counted)
+        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
+        for geom in (cfg.geom, cfg.geom, narrow):
+            grid.amplitude(geom, walk_off)
+        assert calls == [cfg.geom, cfg.geom, narrow]
+
     @pytest.mark.parametrize("n", [101, 201])
     def test_integrate_is_nested_trapezoid(self, degenerate, nondegenerate, n):
         for cfg in (degenerate, nondegenerate):
@@ -333,11 +350,25 @@ class TestSpectralGrids:
         cfg = degenerate
         grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
         assert grid.pump_envelope is grid.pump_envelope
+        assert grid.sinc_envelope is grid.sinc_envelope
         assert jsa._legendre(9) is jsa._legendre(9)
-        held_arrays = (grid.pump_term, grid.negdky2, grid.pump_envelope, grid.sinc, grid.weight)
-        for held in (*held_arrays, *jsa._legendre(9)):
+        assert schmidt._probes(31, 6) is schmidt._probes(31, 6)
+        # the waist-free product replaces the held sinc and pump exponent
+        assert not hasattr(grid, "sinc") and not hasattr(grid, "pump_term")
+        held_arrays = (grid.negdky2, grid.pump_envelope, grid.sinc_envelope, grid.weight)
+        for held in (*held_arrays, *jsa._legendre(9), schmidt._probes(31, 6)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
+
+    def test_pump_envelope_held_only_where_read(self, degenerate):
+        # an amplitude without walk-off reads the product alone; walk-off
+        # (and the mode sum) read the envelope, which is then held
+        cfg = degenerate
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid.amplitude(cfg.geom, False)
+        assert "sinc_envelope" in vars(grid) and "pump_envelope" not in vars(grid)
+        grid.amplitude(cfg.geom, True)
+        assert "pump_envelope" in vars(grid)
 
     def test_another_spectral_setting_gets_a_fresh_grid(self, degenerate):
         # only the waists may differ between requests that share a grid

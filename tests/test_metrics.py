@@ -182,14 +182,15 @@ class TestPairRate:
 
     def test_shares_the_jsa_amplitude(self, degenerate, monkeypatch):
         # the 201-point doubling level and the 201-point JSA at one waist
-        # evaluate the amplitude once
+        # evaluate the amplitude once, on the factors the grid keyed it on
         cfg = degenerate
         shapes = []
         amplitude = SpectralTerms.amplitude
 
-        def counted(self, geom, walk_off):
+        def counted(self, geom, walk_off, factors=None):
+            assert factors == geometry_factors(geom)
             shapes.append(self.dky.shape)
-            return amplitude(self, geom, walk_off)
+            return amplitude(self, geom, walk_off, factors)
 
         monkeypatch.setattr(SpectralTerms, "amplitude", counted)
         monkeypatch.setattr(jsa, "_slot", (None, {}))

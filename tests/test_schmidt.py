@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from spdc_lab.config import Numerics
 from spdc_lab.errors import SpdcLabError
 from spdc_lab.jsa import JsaGrid, jsa_grid
-from spdc_lab.schmidt import purity, schmidt_purity, write_schmidt_csv
+from spdc_lab import schmidt
+from spdc_lab.schmidt import purity, schmidt_purity
 
 
 def gaussian_grid(ds, di, dsi, n=201, span=6.0):
@@ -189,12 +191,64 @@ class TestOnSampledAmplitude:
         assert spec.purity == pytest.approx(0.999950, abs=1e-4)
 
 
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        spec = schmidt_purity(gaussian_grid(2.0, 2.0, 1.0, n=64), "amplitude")
-        out = tmp_path / "schmidt.csv"
-        write_schmidt_csv(spec, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,lambda_n"
-        assert len(lines) == 2 + spec.lambdas.size
-        assert "purity=" in lines[-1]
+class TestSketch:
+    """The range-finder sketch of ``purity`` against exact values."""
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("n", [201, 801])
+    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
+    def test_matches_svd_on_shipped_amplitudes(self, which_cfg, n, walk_off, request):
+        cfg = request.getfixturevalue(which_cfg)
+        numerics = replace(cfg.numerics, grid_resolution=n, walk_off_enabled=walk_off)
+        amp = jsa_grid(cfg.geom, cfg.crystal, cfg.filters, numerics).amplitude
+        assert abs(purity(amp, "amplitude") - schmidt_purity(amp, "amplitude").purity) <= 1e-12
+
+    def test_rank_one_orthogonal_to_the_starting_probes(self):
+        # v has no component along the first _SKETCH_RANK probes, so A Omega
+        # is rounding noise and the sketch on those probes alone misses a
+        # share of A; only the certificate sends it on to more probes
+        n = 64
+        rng = np.random.default_rng(0)
+        probes = schmidt._probes(n, schmidt._SKETCH_RANK)
+        v = rng.normal(size=n)
+        for _ in range(2):
+            v = v - probes @ np.linalg.lstsq(probes, v, rcond=None)[0]
+        a = np.outer(rng.normal(size=n), v)
+        sketch = np.linalg.qr(a @ probes)[0].T @ a
+        gram = sketch @ sketch.T
+        assert 1.0 - np.vdot(gram, gram) / np.vdot(a, a) ** 2 > 1e-4
+        assert purity(a, "amplitude") == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_full_rank_matches_gram(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(64, 64))
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=(64, 64))
+        gram = a.conj().T @ a
+        want = np.vdot(gram, gram).real / np.vdot(a, a).real ** 2
+        got = purity(a, "amplitude")
+        assert abs(got - want) <= 1e-12
+        assert got - want <= 1e-15
+
+    @pytest.mark.parametrize("rank", [3, 9, 20])
+    def test_certificate_bounds_an_early_stop(self, rank, monkeypatch):
+        # with the tolerance loosened the sketch stops at the starting probes;
+        # its estimate stays below the full value by at most 2 lost / ||A||^2
+        n, k = 48, schmidt._SKETCH_RANK
+        rng = np.random.default_rng(rank)
+        left, right = (np.linalg.qr(rng.normal(size=(n, rank)))[0] for _ in range(2))
+        a = (left * 0.5 ** np.arange(rank)) @ right.T
+        total = np.vdot(a, a)
+        q = np.linalg.qr(a @ schmidt._probes(n, k))[0]
+        lost = total - np.linalg.norm(q.T @ a) ** 2
+        gram = a.T @ a
+        full = np.vdot(gram, gram) / total**2
+        monkeypatch.setattr(schmidt, "_SKETCH_TOL", 1.0)
+        early = purity(a, "amplitude")
+        assert -1e-15 <= full - early <= 2.0 * lost / total + 1e-15
+        if rank > k:
+            assert lost > 1e-6 * total and full - early > 0
+        monkeypatch.undo()
+        assert purity(a, "amplitude") == pytest.approx(full, abs=1e-12)
