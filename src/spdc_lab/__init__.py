@@ -29,20 +29,16 @@ from .errors import (
 from .filters import FilterBank, FilterSpec, filter_transmission
 from .jsa import (
     BeamGeometry,
-    DeltaCoefficients,
     GeometryFactors,
     JsaGrid,
     SINC_GAUSS_ALPHA,
     SpectralGrid,
-    delta_coefficients,
-    gaussian_model_purity,
     geometry_factors,
     jsa_grid,
     mode_function,
     phase_mismatch_exact,
     phase_mismatch_linear,
     purity_waist,
-    sinc_gaussian,
     spectral_grid,
     walk_off_integral,
 )

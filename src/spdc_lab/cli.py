@@ -18,8 +18,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-# shipped_config_path is re-exported for callers that locate configs via the CLI
-from .config import WAIST_RANGE_UM, load_config, shipped_config_path
+from .config import WAIST_RANGE_UM, load_config
 from .dispersion import (
     effective_nonlinearity,
     external_angle,

@@ -11,13 +11,12 @@ three modes, dk_y and dk_z are the transverse/longitudinal phase mismatches,
 and Phi_z is L sinc(dk_z L / 2) or, with the pump walk-off envelope exp(-H z^2),
 ``walk_off_integral`` on the z rule the mode sum of :mod:`spdc_lab.metrics` shares.
 
-This module also provides the Gaussian model of the joint intensity: with the
-sinc replaced by a Gaussian of matched curvature and the mismatches
-linearized in the detunings, the log-intensity is the quadratic form
+``purity_waist`` solves in closed form for the collection waist that makes
+the amplitude separable in the Gaussian model of the joint intensity: with the
+sinc replaced by a Gaussian of matched curvature and the mismatches linearized
+in the detunings, the log-intensity is the quadratic form
 -(delta_s Omega_s^2 + delta_i Omega_i^2 + 2 delta_si Omega_s Omega_i), and
-driving the cross coefficient delta_si to zero by choice of the collection
-waist makes the amplitude separable. ``purity_waist`` solves that condition
-in closed form.
+that waist drives the cross coefficient delta_si to zero.
 """
 
 import json
@@ -121,23 +120,6 @@ class GeometryFactors:
 
 
 @dataclass(frozen=True)
-class DeltaCoefficients:
-    """Quadratic-form coefficients of the Gaussian-model log-intensity, s^2.
-
-    Convention: joint intensity ~ exp(-delta_s Omega_s^2 - delta_i Omega_i^2
-    - 2 delta_si Omega_s Omega_i).
-    """
-
-    delta_s: float
-    delta_i: float
-    delta_si: float
-
-    def __post_init__(self):
-        if self.delta_s <= 0 or self.delta_i <= 0:
-            raise ValueError("delta_s and delta_i must be positive")
-
-
-@dataclass(frozen=True)
 class JsaGrid:
     """Sampled real amplitude on a uniform detuning grid.
 
@@ -162,6 +144,8 @@ class JsaGrid:
             raise ValueError("amplitude shape does not match sample arrays")
         if not np.all(np.isfinite(self.amplitude)):
             raise ValueError("amplitude contains non-finite entries")
+        if np.iscomplexobj(self.amplitude):
+            raise ValueError("amplitude must be real")
         if np.max(np.abs(self.amplitude)) <= 0:
             raise ValueError("vanishing joint amplitude")
 
@@ -297,20 +281,20 @@ class SpectralTerms:
     exp(-(Omega_s + Omega_i)^2 / (4 B_p^2)) and L sinc(dk_z L / 2) depend on
     the crystal, the modes, the emission angles and B_p but not on the
     waists. ``amplitude`` applies one geometry's curvatures to them. Held
-    read-only: -dk_y^2 and, from its first use, each of ``pump_envelope`` and
-    ``sinc_envelope``, L sinc(dk_z L / 2) times the pump envelope.
+    read-only: dk_y, dk_z, -dk_y^2 and, from its first use, each of
+    ``pump_envelope`` and ``sinc_envelope``, L sinc(dk_z L / 2) times the pump
+    envelope.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
         if dispersion_mode == "exact":
-            self.dky, self.dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
+            dky, dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
         elif dispersion_mode == "linear":
             ngv = central_inverse_group_velocities(geom, crystal)
-            self.dky, self.dkz = phase_mismatch_linear(
-                Omega_s, Omega_i, ngv, (geom.theta_s, geom.theta_i)
-            )
+            dky, dkz = phase_mismatch_linear(Omega_s, Omega_i, ngv, (geom.theta_s, geom.theta_i))
         else:
             raise ValueError("dispersion_mode must be 'exact' or 'linear'")
+        self.dky, self.dkz = _read_only(dky), _read_only(dkz)
         self.length_L = crystal.length_L
         self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
         self.negdky2 = _read_only(-self.dky**2)
@@ -353,8 +337,8 @@ class SpectralGrid(SpectralTerms):
     """SpectralTerms on ``resolution`` x ``resolution`` points spanning the
     signal and idler windows of the FilterBank ``filters``.
 
-    Holds the absolute axes ``w_s``, ``w_i``, the detuning axes ``Om_s``,
-    ``Om_i`` and, read-only from its first use by a rate, the filter weight
+    Holds, read-only, the absolute axes ``w_s``, ``w_i``, the detuning axes
+    ``Om_s``, ``Om_i`` and, from its first use by a rate, the filter weight
     T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid.
     ``amplitude`` keeps the last geometry's amplitude, so the pair rate and
     the purity at one waist evaluate it once.
@@ -362,10 +346,10 @@ class SpectralGrid(SpectralTerms):
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
         self.key = (resolution, _spectral_key(geom, crystal, filters, dispersion_mode))
-        self.w_s = np.linspace(*filters.signal.support, resolution)
-        self.w_i = np.linspace(*filters.idler.support, resolution)
-        self.Om_s = self.w_s - geom.signal.central_angular_frequency
-        self.Om_i = self.w_i - geom.idler.central_angular_frequency
+        self.w_s = _read_only(np.linspace(*filters.signal.support, resolution))
+        self.w_i = _read_only(np.linspace(*filters.idler.support, resolution))
+        self.Om_s = _read_only(self.w_s - geom.signal.central_angular_frequency)
+        self.Om_i = _read_only(self.w_i - geom.idler.central_angular_frequency)
         # sparse axes: the signal and idler wave numbers are evaluated once
         # per axis point, and only the sums fill the grid
         OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
@@ -450,37 +434,6 @@ def jsa_grid(geom, crystal, filters, numerics):
     )
 
 
-def _delta_terms(geom, crystal, alpha_convention):
-    if alpha_convention not in ALPHA_CONVENTIONS:
-        raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
-    N_s, N_i, N_p = central_inverse_group_velocities(geom, crystal)
-    ts, ti = geom.theta_s, geom.theta_i
-    u = N_s * math.sin(ts)
-    v = N_i * math.sin(ti)
-    a = N_p - N_s * math.cos(ts)
-    b = N_p - N_i * math.cos(ti)
-    power = 1 if alpha_convention == "consistent" else 2
-    alpha_eff = SINC_GAUSS_ALPHA**power
-    return u, v, a, b, alpha_eff
-
-
-def delta_coefficients(geom, crystal, alpha_convention):
-    """Gaussian-model quadratic-form coefficients for the joint intensity.
-
-    ``consistent`` uses the single power of the sinc-matching constant that
-    follows from squaring the Gaussian-replaced amplitude; ``paper_literal``
-    keeps the squared constant of the printed closed-form waist relation.
-    """
-    u, v, a, b, alpha_eff = _delta_terms(geom, crystal, alpha_convention)
-    g = geometry_factors(geom)
-    L2 = crystal.length_L**2
-    bp2 = geom.pump_bandwidth_Bp**2
-    delta_s = alpha_eff * a * a * L2 / 2.0 + u * u / (2.0 * g.C) + 1.0 / (2.0 * bp2)
-    delta_i = alpha_eff * b * b * L2 / 2.0 + v * v / (2.0 * g.C) + 1.0 / (2.0 * bp2)
-    delta_si = alpha_eff * a * b * L2 / 2.0 - u * v / (2.0 * g.C) + 1.0 / (2.0 * bp2)
-    return DeltaCoefficients(delta_s=delta_s, delta_i=delta_i, delta_si=delta_si)
-
-
 def purity_waist(W0p, geom, crystal, alpha_convention):
     """Collection waist W0s that zeroes the cross coefficient delta_si.
 
@@ -490,9 +443,20 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
         W0s = sqrt((cos^2 theta_s + cos^2 theta_i) / (C* - 1/W0p^2)),
         C*  = u v / (1/B_p^2 + alpha_eff a b L^2),
 
-    which only has a real solution when C* exceeds 1/W0p^2.
+    with u = N_s sin theta_s, v = N_i sin theta_i, a = N_p - N_s cos theta_s
+    and b = N_p - N_i cos theta_i from the inverse group velocities. It only
+    has a real solution when C* exceeds 1/W0p^2. ``consistent`` takes
+    alpha_eff = SINC_GAUSS_ALPHA, the single power that follows from squaring
+    the Gaussian-replaced amplitude; ``paper_literal`` keeps the squared
+    constant of the printed closed-form waist relation.
     """
-    u, v, a, b, alpha_eff = _delta_terms(geom, crystal, alpha_convention)
+    if alpha_convention not in ALPHA_CONVENTIONS:
+        raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
+    N_s, N_i, N_p = central_inverse_group_velocities(geom, crystal)
+    ts, ti = geom.theta_s, geom.theta_i
+    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
+    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
+    alpha_eff = SINC_GAUSS_ALPHA ** (1 if alpha_convention == "consistent" else 2)
     if u * v <= 0:
         raise UnsatisfiableConditionError(
             "purity condition unsatisfiable at zero emission angle; "
@@ -504,61 +468,33 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
         raise UnsatisfiableConditionError(
             "purity condition unsatisfiable; increase B_p, cut detuning, or W0p"
         )
-    return math.sqrt(
-        (math.cos(geom.theta_s) ** 2 + math.cos(geom.theta_i) ** 2) / radicand
-    )
-
-
-def sinc_gaussian(x):
-    """Gaussian stand-in for sinc with matched curvature: exp(-0.455 x^2)."""
-    return np.exp(-SINC_GAUSS_ALPHA * np.asarray(x, dtype=float) ** 2)
-
-
-def gaussian_model_purity(delta):
-    """Analytic spectral purity of the Gaussian-model amplitude.
-
-    For Phi = exp(-(delta_s x^2 + delta_i y^2 + 2 delta_si x y)/2) the
-    Schmidt weights are geometric with ratio mu and the purity is
-    (1 - mu)/(1 + mu), where mu follows from the Mehler kernel of the
-    one-photon reduced state.
-    """
-    al, be, ga = delta.delta_s, delta.delta_i, delta.delta_si
-    if al * be <= ga * ga:
-        raise ValueError("quadratic form not positive definite")
-    A = al / 2.0 - ga * ga / (4.0 * be)
-    B = ga * ga / (4.0 * be)
-    mu = B / (A + math.sqrt(A * A - B * B))
-    return (1.0 - mu) / (1.0 + mu)
+    return math.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / radicand)
 
 
 def write_jsa_csv(grid, path):
     """Dump the grid as rows (omega_s, omega_i, Re Phi, Im Phi, |Phi|^2), one
     omega_s row at a time. The omega_i cells are formatted once into a row
-    template, and a real amplitude's Im Phi is one constant cell."""
-    A = grid.amplitude
-    real = not np.iscomplexobj(A)
-    tail = (",%.9e," + "%.9e" % 0.0 if real else ",%.9e,%.9e") + ",%.9e\r\n"
+    template, and Im Phi of the real amplitude is one constant cell."""
+    tail = ",%.9e," + "%.9e" % 0.0 + ",%.9e\r\n"
     row = "".join("\0,%.9e" % wi + tail for wi in grid.omega_i_samples.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("omega_s_rad_per_s,omega_i_rad_per_s,re_phi,im_phi,jsi\r\n")
-        for ws, a in zip(grid.omega_s_samples.tolist(), A):
+        for ws, a in zip(grid.omega_s_samples.tolist(), grid.amplitude):
             # for real floats a * a is bitwise abs(a) ** 2
-            cells = (a, a * a) if real else (a.real, a.imag, np.abs(a) ** 2)
-            fh.write(row.replace("\0", "%.9e" % ws) % tuple(np.column_stack(cells).ravel().tolist()))
+            cells = np.column_stack((a, a * a)).ravel().tolist()
+            fh.write(row.replace("\0", "%.9e" % ws) % tuple(cells))
 
 
 def write_jsa_json(grid, path):
     """Dump the grid as a plain-JSON document (no binary blobs): the bytes of
     ``json.dumps`` of the whole document with sorted keys, written one
-    amplitude row at a time. A real amplitude's imaginary rows are one text."""
+    amplitude row at a time. The imaginary rows of the real amplitude are one
+    text of zeros."""
     A = grid.amplitude
     # json.dumps runs the C encoder: the same float repr and ", " separators
     # as one dumps of the whole document
-    if np.iscomplexobj(A):
-        im_rows = (json.dumps(a.imag.tolist()) for a in A)
-    else:
-        im_rows = (json.dumps([0.0] * A.shape[1]),) * A.shape[0]
-    re_rows = (json.dumps(a.real.tolist()) for a in A)
+    im_rows = (json.dumps([0.0] * A.shape[1]),) * A.shape[0]
+    re_rows = (json.dumps(a.tolist()) for a in A)
     tail = (grid.normalization_N, grid.omega_i_samples.tolist(), grid.omega_s_samples.tolist())
     with open(path, "w") as fh:
         for head, rows in (('{"amplitude_im": [', im_rows), ('], "amplitude_re": [', re_rows)):

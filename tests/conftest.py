@@ -1,9 +1,12 @@
 import json
+import math
+from typing import NamedTuple
 
 import pytest
 
-from spdc_lab.cli import shipped_config_path
-from spdc_lab.config import load_config
+from spdc_lab.config import load_config, shipped_config_path
+from spdc_lab.dispersion import inverse_group_velocity
+from spdc_lab.jsa import SINC_GAUSS_ALPHA, geometry_factors
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +33,48 @@ def degenerate_with(tmp_path):
         return load_config(path)
 
     return load
+
+
+class GaussianModel(NamedTuple):
+    """The Gaussian model of the joint intensity, exp(-delta_s Omega_s^2 -
+    delta_i Omega_i^2 - 2 delta_si Omega_s Omega_i): its coefficients (s^2),
+    its analytic purity and the purity waist at the geometry's W0p (nan where
+    the condition delta_si = 0 has no real solution)."""
+
+    delta_s: float
+    delta_i: float
+    delta_si: float
+    purity: float
+    waist: float
+
+
+def _written_out_delta_terms(geom, crystal, conv):
+    # the sinc -> exp(-alpha x^2) replacement with the mismatches linearized in
+    # the detunings, multiplied out from the group velocities with nothing held
+    # between calls
+    N_s = inverse_group_velocity(geom.signal, 0.0, crystal)
+    N_i = inverse_group_velocity(geom.idler, 0.0, crystal)
+    N_p = inverse_group_velocity(geom.pump, crystal.cut_angle_theta, crystal)
+    ts, ti = geom.theta_s, geom.theta_i
+    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
+    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
+    alpha_eff = SINC_GAUSS_ALPHA ** (1 if conv == "consistent" else 2)
+    C, L2, bp2 = geometry_factors(geom).C, crystal.length_L**2, geom.pump_bandwidth_Bp**2
+    d_s = alpha_eff * a * a * L2 / 2.0 + u * u / (2.0 * C) + 1.0 / (2.0 * bp2)
+    d_i = alpha_eff * b * b * L2 / 2.0 + v * v / (2.0 * C) + 1.0 / (2.0 * bp2)
+    d_si = alpha_eff * a * b * L2 / 2.0 - u * v / (2.0 * C) + 1.0 / (2.0 * bp2)
+    # Phi = exp(-(d_s x^2 + d_i y^2 + 2 d_si x y) / 2) has geometric Schmidt
+    # weights of ratio mu, from the Mehler kernel of the one-photon state
+    A, B = d_s / 2.0 - d_si * d_si / (4.0 * d_i), d_si * d_si / (4.0 * d_i)
+    mu = B / (A + math.sqrt(A * A - B * B))
+    radicand = (u * v) / (1.0 / bp2 + alpha_eff * a * b * L2) - 1.0 / geom.W0p**2
+    waist = math.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / radicand) if radicand > 0 else math.nan
+    return GaussianModel(d_s, d_i, d_si, (1.0 - mu) / (1.0 + mu), waist)
+
+
+@pytest.fixture(scope="session")
+def written_out_delta_terms():
+    """``written_out_delta_terms(geom, crystal, conv)``: the GaussianModel of
+    ``geom`` under the alpha convention ``conv``, the Gaussian-model oracle
+    the library keeps only the purity waist of."""
+    return _written_out_delta_terms

@@ -12,12 +12,7 @@ import pytest
 
 from spdc_lab.config import Numerics
 from spdc_lab.dispersion import OpticalMode, inverse_group_velocity, wave_number
-from spdc_lab.jsa import (
-    delta_coefficients,
-    jsa_grid,
-    purity_waist,
-    walk_off_integral,
-)
+from spdc_lab.jsa import jsa_grid, purity_waist, walk_off_integral
 from spdc_lab.metrics import compute_metrics, pair_rate, singles_rate
 from spdc_lab.schmidt import schmidt_purity
 from spdc_lab.sweep import metrics_vs_waist_ratio, optimize, rate_vs_pump_waist
@@ -151,7 +146,7 @@ def test_criterion_6_walk_off_effect(degenerate, capsys):
     )
 
 
-def test_criterion_7_property_suite(degenerate, degenerate_with, capsys):
+def test_criterion_7_property_suite(degenerate, degenerate_with, written_out_delta_terms, capsys):
     cfg = degenerate
     t0 = time.monotonic()
     failures = []
@@ -165,7 +160,7 @@ def test_criterion_7_property_suite(degenerate, degenerate_with, capsys):
     # the closed-form collection waist zeroes the cross coefficient
     for conv in ("paper_literal", "consistent"):
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, alpha_convention=conv)
-        d = delta_coefficients(replace(cfg.geom, W0s=w), cfg.crystal, alpha_convention=conv)
+        d = written_out_delta_terms(replace(cfg.geom, W0s=w), cfg.crystal, conv)
         if abs(d.delta_si) > 1e-10 * max(d.delta_s, d.delta_i):
             failures.append("cross-coefficient zero (%s)" % conv)
 

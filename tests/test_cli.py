@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc_lab import cli
-from spdc_lab.cli import build_parser, main, shipped_config_path
-from spdc_lab.config import Numerics, load_config
+from spdc_lab.cli import build_parser, main
+from spdc_lab.config import Numerics, load_config, shipped_config_path
 from spdc_lab.errors import ConfigError, ConvergenceError
 
 # JSON values of every type but number

@@ -44,7 +44,8 @@ from pathlib import Path
 
 import pytest
 
-from spdc_lab.cli import main, shipped_config_path
+from spdc_lab.cli import main
+from spdc_lab.config import shipped_config_path
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_REL = 1e-9

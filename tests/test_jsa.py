@@ -13,17 +13,13 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
 from spdc_lab import jsa, schmidt
-from spdc_lab.cli import main, shipped_config_path
-from spdc_lab.config import Numerics, load_config
-from spdc_lab.dispersion import inverse_group_velocity
+from spdc_lab.cli import main
+from spdc_lab.config import Numerics, load_config, shipped_config_path
 from spdc_lab.errors import ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.jsa import (
-    SINC_GAUSS_ALPHA,
     BeamGeometry,
     JsaGrid,
     SpectralGrid,
-    delta_coefficients,
-    gaussian_model_purity,
     geometry_factors,
     jsa_grid,
     mode_function,
@@ -31,7 +27,6 @@ from spdc_lab.jsa import (
     phase_mismatch_linear,
     central_inverse_group_velocities,
     purity_waist,
-    sinc_gaussian,
     spectral_grid,
     walk_off_integral,
     write_jsa_csv,
@@ -356,7 +351,8 @@ class TestSpectralGrids:
         # the waist-free product replaces the held sinc and pump exponent
         assert not hasattr(grid, "sinc") and not hasattr(grid, "pump_term")
         held_arrays = (grid.negdky2, grid.pump_envelope, grid.sinc_envelope, grid.weight)
-        for held in (*held_arrays, *jsa._legendre(9), schmidt._probes(31, 6)):
+        axes = (grid.dky, grid.dkz, grid.w_s, grid.w_i, grid.Om_s, grid.Om_i)
+        for held in (*held_arrays, *axes, *jsa._legendre(9), schmidt._probes(31, 6)):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
 
@@ -470,6 +466,15 @@ class TestJsaGrid:
         T_p = original(np.add.outer(grid.w_s, grid.w_i), cfg.filters.pump)
         assert np.array_equal(grid.weight, T_s[:, None] * T_i[None, :] * T_p)
 
+    def test_complex_amplitude_rejected(self):
+        # the writers dump Im Phi as zeros, so a complex amplitude must not
+        # reach them
+        ws, wi = np.linspace(2.30e15, 2.34e15, 3), np.linspace(2.31e15, 2.37e15, 2)
+        amp = np.ones((3, 2)) + 0.5j
+        with pytest.raises(ValueError, match="amplitude must be real"):
+            JsaGrid(ws, wi, amp, 1.0)
+        JsaGrid(ws, wi, amp.real, 1.0)
+
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_real(self, degenerate, walk_off):
         cfg = degenerate
@@ -546,22 +551,17 @@ class TestJsaWriters:
             reference(grid, tmp_path / ("reference_" + name))
             assert (tmp_path / name).read_bytes() == (tmp_path / ("reference_" + name)).read_bytes()
 
-    @pytest.mark.parametrize("kind", ["complex", "signed_zero_and_subnormal"])
+    @pytest.mark.parametrize("kind", ["signed_zero_and_subnormal"])
     def test_hand_built_grids_match_reference(self, tmp_path, kind):
-        # a complex amplitude takes the three-cell row, and axes that differ
-        # in length and values show a transposed or misaligned cell
-        if kind == "complex":
-            rng = np.random.default_rng(7)
-            amp = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-            amp[2, 3] = -0.0 - 1.5j
-        else:
-            amp = np.array(
-                [
-                    [-0.0, 5e-324, 1e-300, -2.5, 0.0],
-                    [0.0, -5e-324, -1e-300, 3.0e-5, -7.0],
-                    [1.0, -1.0, 7.25e12, -0.0, 2.0],
-                ]
-            )
+        # axes that differ in length and values show a transposed or
+        # misaligned cell
+        amp = np.array(
+            [
+                [-0.0, 5e-324, 1e-300, -2.5, 0.0],
+                [0.0, -5e-324, -1e-300, 3.0e-5, -7.0],
+                [1.0, -1.0, 7.25e12, -0.0, 2.0],
+            ]
+        )
         ws = np.linspace(2.30e15, 2.34e15, amp.shape[0])
         wi = np.linspace(2.31e15, 2.37e15, amp.shape[1])
         grid = JsaGrid(ws, wi, amp, 1.234e-29)
@@ -603,29 +603,9 @@ class TestJsaWriters:
         assert peak <= 64 * n * np.dtype(float).itemsize
 
 
-def written_out_delta_terms(geom, crystal, conv, W0p):
-    """(delta_s, delta_i, delta_si) and the purity waist at ``W0p`` from the
-    group velocities, multiplied out with nothing held between calls."""
-    N_s = inverse_group_velocity(geom.signal, 0.0, crystal)
-    N_i = inverse_group_velocity(geom.idler, 0.0, crystal)
-    N_p = inverse_group_velocity(geom.pump, crystal.cut_angle_theta, crystal)
-    ts, ti = geom.theta_s, geom.theta_i
-    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
-    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
-    alpha_eff = SINC_GAUSS_ALPHA ** (1 if conv == "consistent" else 2)
-    C, L2, bp2 = geometry_factors(geom).C, crystal.length_L**2, geom.pump_bandwidth_Bp**2
-    deltas = (
-        alpha_eff * a * a * L2 / 2.0 + u * u / (2.0 * C) + 1.0 / (2.0 * bp2),
-        alpha_eff * b * b * L2 / 2.0 + v * v / (2.0 * C) + 1.0 / (2.0 * bp2),
-        alpha_eff * a * b * L2 / 2.0 - u * v / (2.0 * C) + 1.0 / (2.0 * bp2),
-    )
-    c_star = (u * v) / (1.0 / bp2 + alpha_eff * a * b * L2)
-    return deltas, math.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / (c_star - 1.0 / W0p**2))
-
-
 @pytest.mark.parametrize("conv", ["paper_literal", "consistent"])
 @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
-def test_delta_terms_match_written_out(which_cfg, conv, request):
+def test_delta_terms_match_written_out(which_cfg, conv, request, written_out_delta_terms):
     # the group velocities are held per modes and crystal; crystal variants
     # asked for between calls on the base show a stale entry
     cfg = request.getfixturevalue(which_cfg)
@@ -639,44 +619,31 @@ def test_delta_terms_match_written_out(which_cfg, conv, request):
     for cr in crystals:
         for scale in np.geomspace(1.0, 3.0, 5):
             geom = replace(cfg.geom, W0p=scale * cfg.geom.W0p, W0s=cfg.geom.W0s / scale)
-            deltas, waist = written_out_delta_terms(geom, cr, conv, geom.W0p)
-            d = delta_coefficients(geom, cr, conv)
-            for got, want in zip((d.delta_s, d.delta_i, d.delta_si), deltas):
-                assert abs(got - want) <= 1e-15 * abs(want)
+            waist = written_out_delta_terms(geom, cr, conv).waist
             assert abs(purity_waist(geom.W0p, geom, cr, conv) - waist) <= 1e-15 * waist
 
 
 class TestDeltaCoefficients:
-    def test_frozen_degenerate(self, degenerate):
-        d = delta_coefficients(degenerate.geom, degenerate.crystal, "paper_literal")
-        assert d.delta_s == pytest.approx(1.814861e-27, rel=1e-6)
-        assert d.delta_i == pytest.approx(d.delta_s, rel=1e-12)
-        assert d.delta_si == pytest.approx(7.390311e-28, rel=1e-6)
-
-    def test_frozen_consistent(self, degenerate):
-        d = delta_coefficients(
-            degenerate.geom, degenerate.crystal, alpha_convention="consistent"
-        )
-        assert d.delta_s == pytest.approx(2.678944e-27, rel=1e-6)
-        assert d.delta_si == pytest.approx(1.603114e-27, rel=1e-6)
+    """The oracle's Gaussian-model coefficients at ``purity_waist``."""
 
     def test_unknown_convention(self, degenerate):
         with pytest.raises(ValueError):
-            delta_coefficients(degenerate.geom, degenerate.crystal, "other")
+            purity_waist(degenerate.geom.W0p, degenerate.geom, degenerate.crystal, "other")
 
-    def test_collinear_cross_term_positive(self, degenerate):
+    def test_collinear_cross_term_positive(self, degenerate, written_out_delta_terms):
         # with zero emission angles the angular terms vanish and the cross
         # coefficient is strictly positive, so no separable point exists
         geom = collinear(degenerate.geom)
-        d = delta_coefficients(geom, degenerate.crystal, "paper_literal")
-        assert d.delta_si > 0
+        model = written_out_delta_terms(geom, degenerate.crystal, "paper_literal")
+        assert model.delta_si > 0 and math.isnan(model.waist)
+        with pytest.raises(UnsatisfiableConditionError):
+            purity_waist(geom.W0p, geom, degenerate.crystal, "paper_literal")
 
     @pytest.mark.parametrize("conv", ["paper_literal", "consistent"])
-    def test_cross_term_vanishes_at_closed_form_waist(self, degenerate, conv):
+    def test_cross_term_vanishes_at_closed_form_waist(self, degenerate, conv, written_out_delta_terms):
         cfg = degenerate
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, alpha_convention=conv)
-        geom = replace(cfg.geom, W0s=w)
-        d = delta_coefficients(geom, cfg.crystal, alpha_convention=conv)
+        d = written_out_delta_terms(replace(cfg.geom, W0s=w), cfg.crystal, conv)
         assert abs(d.delta_si) <= 1e-10 * max(d.delta_s, d.delta_i)
 
 
@@ -716,28 +683,18 @@ class TestPurityWaist:
 
 
 class TestGaussianModel:
-    def test_sinc_gaussian_values(self):
-        assert float(sinc_gaussian(0.0)) == 1.0
-        assert float(sinc_gaussian(1.0)) == pytest.approx(
-            math.exp(-SINC_GAUSS_ALPHA), rel=1e-12
-        )
-        x_e = 1.0 / math.sqrt(SINC_GAUSS_ALPHA)
-        assert float(sinc_gaussian(x_e)) == pytest.approx(1.0 / math.e, rel=1e-12)
-        assert x_e == pytest.approx(1.4825, abs=1e-4)
-
-    def test_separable_form_is_pure(self, degenerate):
+    def test_separable_form_is_pure(self, degenerate, written_out_delta_terms):
         cfg = degenerate
         w = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, "paper_literal")
         geom = replace(cfg.geom, W0s=w)
-        d = delta_coefficients(geom, cfg.crystal, "paper_literal")
-        assert gaussian_model_purity(d) == pytest.approx(1.0, abs=1e-12)
+        assert written_out_delta_terms(geom, cfg.crystal, "paper_literal").purity == pytest.approx(
+            1.0, abs=1e-12
+        )
 
-    def test_analytic_vs_svd(self, degenerate):
+    def test_analytic_vs_svd(self, degenerate, written_out_delta_terms):
         # the closed-form Mehler-kernel purity must agree with a dense SVD of
         # the same Gaussian amplitude
-        d = delta_coefficients(
-            degenerate.geom, degenerate.crystal, alpha_convention="consistent"
-        )
+        d = written_out_delta_terms(degenerate.geom, degenerate.crystal, "consistent")
         s = math.sqrt(max(d.delta_s, d.delta_i))
         x = np.linspace(-6, 6, 801) / s
         X, Y = np.meshgrid(x, x, indexing="ij")
@@ -745,13 +702,7 @@ class TestGaussianModel:
             -(d.delta_s * X**2 + d.delta_i * Y**2 + 2 * d.delta_si * X * Y) / 2.0
         )
         svd_p = schmidt_purity(amp, "amplitude").purity
-        assert gaussian_model_purity(d) == pytest.approx(svd_p, abs=1e-3)
-
-    def test_not_positive_definite(self):
-        from spdc_lab.jsa import DeltaCoefficients
-
-        with pytest.raises(ValueError):
-            gaussian_model_purity(DeltaCoefficients(1.0, 1.0, 1.5))
+        assert d.purity == pytest.approx(svd_p, abs=1e-3)
 
 
 class TestBeamGeometry:

@@ -12,8 +12,7 @@ from scipy.constants import c, epsilon_0
 from scipy.special import eval_hermite
 
 from spdc_lab import jsa, metrics, sweep
-from spdc_lab.cli import shipped_config_path
-from spdc_lab.config import _INT_RANGES, Numerics, load_config
+from spdc_lab.config import _INT_RANGES, Numerics, load_config, shipped_config_path
 from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission

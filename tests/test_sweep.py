@@ -8,7 +8,7 @@ import pytest
 from spdc_lab import jsa, metrics, sweep
 from spdc_lab.config import Numerics
 from spdc_lab.errors import UnsatisfiableConditionError
-from spdc_lab.jsa import delta_coefficients, gaussian_model_purity, purity_waist
+from spdc_lab.jsa import purity_waist
 from spdc_lab.sweep import (
     SweepRow,
     golden_section_maximize,
@@ -158,18 +158,14 @@ class TestMetricsVsWaistRatio:
 
 class TestGaussianModelSelfConsistency:
     @pytest.mark.parametrize("conv", ["paper_literal", "consistent"])
-    def test_closed_form_waist_maximizes_model_purity(self, degenerate, conv):
+    def test_closed_form_waist_maximizes_model_purity(self, degenerate, conv, written_out_delta_terms):
+        # the model purity is (1 - mu)/(1 + mu) of the oracle's coefficients
         cfg = degenerate
         w_star = purity_waist(cfg.geom.W0p, cfg.geom, cfg.crystal, alpha_convention=conv)
         scan = np.linspace(0.7 * w_star, 1.3 * w_star, 241)
-
-        def model_purity(w):
-            geom = replace(cfg.geom, W0s=w)
-            return gaussian_model_purity(
-                delta_coefficients(geom, cfg.crystal, alpha_convention=conv)
-            )
-
-        purities = [model_purity(w) for w in scan]
+        purities = [
+            written_out_delta_terms(replace(cfg.geom, W0s=w), cfg.crystal, conv).purity for w in scan
+        ]
         best = scan[int(np.argmax(purities))]
         assert abs(best - w_star) <= scan[1] - scan[0]
         assert max(purities) == pytest.approx(1.0, abs=1e-10)
