@@ -1,6 +1,8 @@
 """spdc_lab: pair rate, heralding efficiency, and spectral purity of
 bulk-crystal SPDC sources as functions of beam focal parameters."""
 
+from types import ModuleType as _ModuleType
+
 from .dispersion import (
     CrystalSpec,
     OpticalMode,
@@ -66,4 +68,5 @@ from .config import Numerics, RunConfig, load_config, shipped_config_path
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules stay attributes (spdc_lab.jsa) but are not exported names
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

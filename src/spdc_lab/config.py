@@ -209,6 +209,8 @@ def load_config(path):
         )
     if "idler_wavelength_nm" in coll:
         lam_i = nm_to_m(_positive(coll, "collection", "idler_wavelength_nm"))
+        if degenerate and abs(lam_s / lam_i - 1.0) > 1e-6:
+            raise ConfigError("collection.degenerate: true, but the idler differs from the signal")
     else:
         lam_i = lam_s if degenerate else 1.0 / inv
     if abs(inv - 1.0 / lam_i) * lam_p > 1e-6:

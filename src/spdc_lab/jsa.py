@@ -283,7 +283,7 @@ class SpectralTerms:
     waists. ``amplitude`` applies one geometry's curvatures to them. Held
     read-only: dk_y, dk_z, -dk_y^2 and, from its first use, each of
     ``pump_envelope`` and ``sinc_envelope``, L sinc(dk_z L / 2) times the pump
-    envelope.
+    envelope. ``z_moments`` holds the mode-sum kernel's (key, {n_z: R}) pair.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
@@ -298,6 +298,7 @@ class SpectralTerms:
         self.length_L = crystal.length_L
         self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
         self.negdky2 = _read_only(-self.dky**2)
+        self.z_moments = (None, None)
 
     def _pump_envelope(self):
         Omega_s, Omega_i, Bp = self._pump
@@ -345,7 +346,6 @@ class SpectralGrid(SpectralTerms):
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
-        self.key = (resolution, _spectral_key(geom, crystal, filters, dispersion_mode))
         self.w_s = _read_only(np.linspace(*filters.signal.support, resolution))
         self.w_i = _read_only(np.linspace(*filters.idler.support, resolution))
         self.Om_s = _read_only(self.w_s - geom.signal.central_angular_frequency)

@@ -25,8 +25,8 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, _check_z_order, _spectral_key, check_rayleigh,
-    geometry_factors, spectral_grid, z_nodes, z_order,
+    _Z_RAISE, _Z_TOL, _check_z_order, check_rayleigh, geometry_factors,
+    spectral_grid, z_nodes, z_order,
 )
 from .schmidt import purity
 from .units import c, epsilon_0
@@ -190,15 +190,15 @@ class _ModeSumKernel:
     nodes are symmetric and env even, so M[j] = i^(j mod 2) R[j] with R real
     (``_z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
     of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). Both arms
-    share W = W0s and A, C, D and H, so one kernel serves both (see
-    ``_arm``). ``terms`` (SpectralTerms on a 2-D detuning grid) supplies the
-    phase mismatch and the pump factors, and holds R for the last key
-    (D/(2C), H), all of the geometry R depends on: every waist of a
-    degenerate pair without walk-off has the key (0.0, 0.0).
+    share W = W0s and A, C, D and H (see ``_arm``). ``terms`` (SpectralTerms
+    on a 2-D detuning grid) supplies the phase mismatch and the pump factors,
+    and holds R in ``z_moments`` for the last key (D/(2C), H), all of the
+    geometry R depends on: every waist of a degenerate pair without walk-off
+    has the key (0.0, 0.0).
     """
 
     def __init__(self, geom, terms, walk_off):
-        self.geom, self.terms, self.walk_off = geom, terms, walk_off
+        self.geom, self.terms = geom, terms
         self.g = g = geometry_factors(geom)
         self.shape = terms.dky.shape
         self.dky = terms.dky.ravel()
@@ -209,7 +209,7 @@ class _ModeSumKernel:
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
         self.spread = self.H * terms.length_L**2 / 4.0
         key = (g.D / (2.0 * g.C), self.H)  # all of the geometry R depends on
-        pair = getattr(terms, "z_moments", (None, None))
+        pair = terms.z_moments
         if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
             pair = terms.z_moments = (key, {})
         self.moments, self._hermite = pair[1], {}  # arm: rows G_0..G_tier
@@ -269,7 +269,7 @@ class _ModeSumKernel:
         return self.yz_pref * (np.array(coef) @ (self._hermite[arm][: m + 1] * R[m::-1]))
 
 
-def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None):
+def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
     """Mode-summed singles rate for one arm, in counts/(s mW).
 
     Sums per-mode rates over constant-(n + m) shells until the newest shell
@@ -278,26 +278,16 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics(), kernel=None
     normalization divides the squared fundamental normalization by
     2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
     more z nodes, and a relative change beyond _Z_TOL raises
-    ConvergenceError.
-
-    ``kernel`` is this geometry's mode-sum kernel on a SpectralGrid whose
-    ``key`` matches these settings, shared by both arms (see
-    ``heralding_rates``). Without one it is built on the ``spectral_grid`` slot.
+    ConvergenceError. The kernel is built on the ``spectral_grid`` slot, whose
+    z moments both arms share.
     """
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
-    resolution, mode = numerics.singles_resolution, numerics.dispersion_mode
-    if kernel is None:
-        grid = spectral_grid(resolution, geom, crystal, filters, mode)
-        kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
-    elif (
-        kernel.geom != geom
-        or kernel.walk_off != numerics.walk_off_enabled
-        or kernel.terms.key != (resolution, _spectral_key(geom, crystal, filters, mode))
-    ):
-        raise ValueError("mode-sum kernel was built for another geometry or grid")
-    grid = kernel.terms
+    grid = spectral_grid(
+        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
+    )
+    kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
 
     def d_term(m, n_z=None):
         yz = kernel.yz_integral(m, arm, n_z)
@@ -346,16 +336,10 @@ def heralding_efficiency(R, Rs, Ri):
 
 
 def heralding_rates(geom, crystal, filters, numerics):
-    """(R, signal and idler SinglesResult, eta) of one geometry. The two
-    singles arms share one mode-sum kernel, which is dropped on return."""
+    """(R, signal and idler SinglesResult, eta) of one geometry."""
     R = pair_rate(geom, crystal, filters, numerics)
-    grid = spectral_grid(
-        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
-    )
-    kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
     res_s, res_i = (
-        singles_rate(which, geom, crystal, filters, numerics, kernel)
-        for which in ("signal", "idler")
+        singles_rate(which, geom, crystal, filters, numerics) for which in ("signal", "idler")
     )
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
 

@@ -102,6 +102,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="energy-conserving value is 773.59"):
             load_config(dump(doc, tmp_path))
 
+    def test_degenerate_flag_contradicts_another_idler(self, tmp_path):
+        # the idler conserves energy but is not the signal, so the flag cannot hold
+        doc = read_shipped("degenerate_810")
+        assert doc["collection"]["degenerate"] is True and doc["pump"]["wavelength_nm"] == 405.0
+        doc["collection"]["signal_wavelength_nm"] = 800.0
+        doc["collection"]["idler_wavelength_nm"] = 820.253
+        with pytest.raises(ConfigError, match="^collection.degenerate: "):
+            load_config(dump(doc, tmp_path))
+        doc["collection"]["degenerate"] = False
+        idler = load_config(dump(doc, tmp_path)).geom.idler
+        assert idler.central_wavelength == pytest.approx(820.253e-9, rel=1e-12)
+
     @pytest.mark.parametrize("idler_nm", [None, 700.0])
     def test_signal_shorter_than_pump_has_no_idler(self, tmp_path, idler_nm):
         # 1/lambda_p - 1/lambda_s <= 0: no positive idler wavelength conserves

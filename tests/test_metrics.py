@@ -523,42 +523,33 @@ class TestModeSumKernel:
     def test_z_order_grows_with_the_ladder(self, degenerate, monkeypatch):
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), False)
+        # the kernel singles_rate builds on the slot grid at resolution 31
+        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
         assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
         monkeypatch.setattr(metrics, "_SHELL_TOL", 1e-9)
-        deep = singles_rate(
-            "signal", geom, crystal, filters, Numerics(singles_resolution=31), kernel=kern
-        )
+        deep = singles_rate("signal", geom, crystal, filters, Numerics(singles_resolution=31))
         assert deep.max_shell > metrics._FIRST_MAX_M
         assert deep.z_order == kern.z_order(deep.max_shell) > first
         assert 0.0 <= deep.z_change <= metrics._Z_TOL
         # a term does not depend on the orders requested before it
-        fresh = _ModeSumKernel(geom, kern.terms, False)
         arm = _arm(geom, "signal")
+        kern.yz_integral(deep.max_shell, arm)
+        fresh = _ModeSumKernel(geom, kern.terms, False)
         assert np.array_equal(fresh.yz_integral(3, arm), kern.yz_integral(3, arm))
 
-    def test_singles_rate_on_shared_kernel(self, degenerate, nondegenerate):
+    def test_singles_rate_after_the_slot_moves(self, degenerate, nondegenerate):
         cfg = nondegenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), False)
         numerics = Numerics(singles_resolution=31)
         own = [singles_rate(which, geom, crystal, filters, numerics) for which in ("signal", "idler")]
-        # the kernel serves its own setting after the slot moved to another
+        # the slot moves to another setting and back: the kernels rebuilt on
+        # the new grid give the same rates
         d = degenerate
         spectral_grid(31, d.geom, d.crystal, d.filters, "exact")
         for which, want in zip(("signal", "idler"), own):
-            assert singles_rate(which, geom, crystal, filters, numerics, kernel=kern) == want
-        for other_geom, other_numerics in (
-            (geom, replace(numerics, singles_resolution=21)),
-            (replace(geom, W0p=2 * geom.W0p), numerics),
-            (geom, replace(numerics, dispersion_mode="linear")),
-            # a kernel without the walk-off envelope must not serve a walk-off rate
-            (geom, replace(numerics, walk_off_enabled=True)),
-        ):
-            with pytest.raises(ValueError, match="another geometry"):
-                singles_rate("signal", other_geom, crystal, filters, other_numerics, kernel=kern)
+            assert singles_rate(which, geom, crystal, filters, numerics) == want
 
 
 class TestSinglesRate:

@@ -214,6 +214,30 @@ class TestOptimize:
         optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert len(calls) == 123
 
+    def test_crossing_search_bisects_between_coarse_points(self, result, degenerate, monkeypatch):
+        # eta is stubbed as the SVD purity plus a line through W_x, so eta - P
+        # changes sign once in the scan window, between two coarse points
+        cfg = degenerate
+        cf = result.W0s_closed_form
+        W_x = 0.83 * cf
+
+        def stub(geom, crystal, filters, numerics):
+            P = metrics.jsa_purity(geom, crystal, filters, numerics)
+            return None, None, None, P + (geom.W0s - W_x) / cf
+
+        monkeypatch.setattr(sweep, "heralding_rates", stub)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters)
+        assert got.W0s_closed_form == cf
+        coarse = np.linspace(0.5 * cf, 1.2 * cf, sweep._SCAN_POINTS)[
+            :: (sweep._SCAN_POINTS - 1) // (sweep._ETA_COARSE_POINTS - 1)
+        ]
+        j = int(np.searchsorted(coarse, W_x)) - 1
+        assert coarse[j] < got.W0s_intersection < coarse[j + 1]
+        at = replace(cfg.geom, W0p=got.W0p_star, W0s=got.W0s_intersection)
+        eta = stub(at, cfg.crystal, cfg.filters, Numerics())[3]
+        assert abs(eta - metrics.jsa_purity(at, cfg.crystal, cfg.filters, Numerics())) < 1e-3
+        assert "at_W0s_intersection" in got.metrics
+
     @pytest.mark.xfail(
         reason="published refined collection waist of about 280 um and an "
         "efficiency/purity crossing near 145 um are not reproduced; this "
