@@ -31,6 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .dispersion import inverse_group_velocity, wave_number
 from .errors import ConvergenceError, UnsatisfiableConditionError
 from .filters import filter_transmission
+from .schmidt import purity
 
 # curvature-matching constant for the sinc -> Gaussian replacement
 # sinc(x) ~= exp(-SINC_GAUSS_ALPHA * x^2)
@@ -42,6 +43,7 @@ MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 
 # the z order check redoes a quadrature at _Z_RAISE more nodes, to _Z_TOL
 _Z_RAISE, _Z_TOL = 8, 1e-6
+_FIGURE_KEYS = 16  # shape keys a SpectralGrid's figure memo holds at most
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,7 @@ class JsaGrid:
 
     ``omega_s_samples`` and ``omega_i_samples`` are absolute frequencies in
     rad/s spanning the filter windows; ``amplitude[j, k]`` is Phi at
-    (omega_s_samples[j], omega_i_samples[k]), read-only when it comes from a
-    SpectralGrid. ``normalization_N`` scales
+    (omega_s_samples[j], omega_i_samples[k]). ``normalization_N`` scales
     |amplitude|^2 to a unit-probability joint spectral density:
     normalization_N * sum |Phi|^2 dOmega_s dOmega_i = 1 (trapezoid rule).
     """
@@ -280,7 +281,8 @@ class SpectralTerms:
     The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump envelope
     exp(-(Omega_s + Omega_i)^2 / (4 B_p^2)) and L sinc(dk_z L / 2) depend on
     the crystal, the modes, the emission angles and B_p but not on the
-    waists. ``amplitude`` applies one geometry's curvatures to them. Held
+    waists. ``shape`` applies a geometry's C (and H) to them, and
+    ``amplitude`` scales it by the waists' pi / sqrt(A C). Held
     read-only: dk_y, dk_z, -dk_y^2 and, from its first use, each of
     ``pump_envelope`` and ``sinc_envelope``, L sinc(dk_z L / 2) times the pump
     envelope. ``z_moments`` holds the mode-sum kernel's (key, {n_z: R}) pair.
@@ -314,18 +316,22 @@ class SpectralTerms:
         L = self.length_L
         return _read_only(L * np.sinc(self.dkz * L / 2.0 / math.pi) * self._pump_envelope())
 
-    def amplitude(self, geom, walk_off, factors=None):
-        """Phi for the waists of ``geom``, whose geometry_factors a caller may
-        pass as ``factors``; with ``walk_off``, ``walk_off_integral`` (the
-        exp(-H z^2) envelope) times the pump envelope replaces ``sinc_envelope``."""
-        g = geometry_factors(geom) if factors is None else factors
-        amp = np.exp(self.negdky2 / (4.0 * g.C))
+    def shape(self, factors, walk_off):
+        """Phi over its scalar pi / sqrt(A C): exp(-dk_y^2 / (4 C)) times
+        ``sinc_envelope`` or, with ``walk_off``, ``walk_off_integral`` (the
+        exp(-H z^2) envelope) times the pump envelope. Of the GeometryFactors
+        ``factors`` it reads C, and H with walk-off."""
+        psi = np.exp(self.negdky2 / (4.0 * factors.C))
         if walk_off:
-            amp *= walk_off_integral(self.dkz, g.H, self.length_L) * self.pump_envelope
+            psi *= walk_off_integral(self.dkz, factors.H, self.length_L) * self.pump_envelope
         else:
-            amp *= self.sinc_envelope
-        amp *= math.pi / math.sqrt(g.A * g.C)
-        return amp
+            psi *= self.sinc_envelope
+        return psi
+
+    def amplitude(self, geom, walk_off):
+        """Phi for the waists of ``geom``: ``shape`` times pi / sqrt(A C)."""
+        g = geometry_factors(geom)
+        return self.shape(g, walk_off) * (math.pi / math.sqrt(g.A * g.C))
 
 
 def _spectral_key(geom, crystal, filters, dispersion_mode):
@@ -340,9 +346,10 @@ class SpectralGrid(SpectralTerms):
 
     Holds, read-only, the absolute axes ``w_s``, ``w_i``, the detuning axes
     ``Om_s``, ``Om_i`` and, from its first use by a rate, the filter weight
-    T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid.
-    ``amplitude`` keeps the last geometry's amplitude, so the pair rate and
-    the purity at one waist evaluate it once.
+    T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid. ``figure``
+    holds the scalars of the shape per C (and H), so a waist sweep along the
+    separability tie, which fixes C, builds Psi and its purity once per bit
+    pattern of C rather than at every waist.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -358,7 +365,7 @@ class SpectralGrid(SpectralTerms):
         # trapezoid weights of each axis: w_s @ f == np.trapezoid(f, Om_s)
         halves = (np.diff(self.Om_s) / 2.0, np.diff(self.Om_i) / 2.0)
         self._w_s, self._w_i = (np.pad(h, (0, 1)) + np.pad(h, (1, 0)) for h in halves)
-        self._amplitude_slot = (None, None)
+        self._shape_slot, self._figures = (None, None), {}
 
     @cached_property
     def weight(self):
@@ -368,15 +375,25 @@ class SpectralGrid(SpectralTerms):
         T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), f.pump)
         return _read_only(T_s[:, None] * T_i[None, :] * T_p)
 
-    def amplitude(self, geom, walk_off):
-        """SpectralTerms.amplitude, read-only, held as one pair with its key:
-        ``walk_off`` and ``geometry_factors``, the only way it sees ``geom``."""
-        key = (geometry_factors(geom), walk_off)
-        held, amp = self._amplitude_slot
-        if held != key:
-            amp = _read_only(super().amplitude(geom, walk_off, key[0]))
-            self._amplitude_slot = (key, amp)
-        return amp
+    def figure(self, factors, walk_off, decompose=None):
+        """The trapezoid sum of weight Psi^2 (``decompose`` None) or
+        ``purity(Psi, decompose)`` of the ``shape`` Psi, held per key (C, and
+        H with ``walk_off``) in a memo of at most _FIGURE_KEYS keys, copied
+        to add a key, and emptied first when full. The last key's Psi is held
+        read-only, so the rate and the purity at one key build it once."""
+        key, memo = (factors.C, factors.H if walk_off else None), self._figures
+        if key not in memo:
+            memo = self._figures = {**(memo if len(memo) < _FIGURE_KEYS else {}), key: {}}
+        figures = memo[key]
+        if decompose not in figures:
+            held, psi = self._shape_slot
+            if held != key:
+                psi = _read_only(self.shape(factors, walk_off))
+                self._shape_slot = (key, psi)
+            figures[decompose] = (
+                self.integrate(self.weight * psi**2) if decompose is None else purity(psi, decompose)
+            )
+        return figures[decompose]
 
     def integrate(self, density):
         return float(self._w_s @ density @ self._w_i)

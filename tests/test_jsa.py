@@ -300,21 +300,32 @@ class TestSpectralGrids:
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
         assert np.array_equal(grid.amplitude(geom, walk_off), want)
 
-    def test_amplitude_slot_holds_the_last_waist(self, nondegenerate):
+    def test_shape_slot_holds_the_last_key(self, nondegenerate):
+        # the figures of one key build one read-only shape, which the next
+        # key replaces; the slot is keyed on C, and on H with walk-off
         cfg = nondegenerate
         grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
-        first = grid.amplitude(cfg.geom, False)
-        assert grid.amplitude(replace(cfg.geom), False) is first
+        g = geometry_factors(cfg.geom)
+        grid.figure(g, False)
+        key, first = grid._shape_slot
+        assert key == (g.C, None)
+        grid.figure(geometry_factors(replace(cfg.geom)), False, "amplitude")
+        assert grid._shape_slot[1] is first
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0] = 0.0
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         for geom, walk_off in ((narrow, False), (narrow, True), (cfg.geom, True)):
-            amp = grid.amplitude(geom, walk_off)
-            assert amp is not first and not amp.flags.writeable
-            assert np.array_equal(amp, mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off))
-            first = amp
+            f = geometry_factors(geom)
+            grid.figure(f, walk_off)
+            key, psi = grid._shape_slot
+            assert key == (f.C, f.H if walk_off else None)
+            assert psi is not first and not psi.flags.writeable
+            scale = math.pi / math.sqrt(f.A * f.C)
+            want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
+            assert np.array_equal(psi * scale, want)
+            first = psi
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_runs_geometry_factors_once(self, degenerate, walk_off, monkeypatch):
@@ -411,28 +422,54 @@ class TestSpectralGrids:
             grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             assert grid.w_s.size == n and built_for(grid, cfg), n
 
-    def test_interleaved_amplitude_is_its_own_waists(self, nondegenerate, monkeypatch):
-        # while one waist's amplitude is being stored, another waist's is
-        # asked for on the same grid, as another thread could; each call
-        # must return its own waist's amplitude, and so must the next ones
+    def test_interleaved_figure_is_its_own_key(self, nondegenerate, monkeypatch):
+        # while one key's shape or memo is being stored, another key's
+        # figures are asked for on the same grid, as another thread could;
+        # each call must return its own key's figure, and so must the next ones
         cfg = nondegenerate
         grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
-        OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
-        wide_amp, narrow_amp = (mode_function(OS, OI, g, cfg.crystal) for g in (cfg.geom, narrow))
+        wide, narrow = (
+            geometry_factors(g) for g in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s))
+        )
+        fresh = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        want = {
+            (f, d): fresh.figure(f, False, d) for f in (wide, narrow) for d in (None, "amplitude")
+        }
+        assert want[wide, None] != want[narrow, None]
         nested = []
 
         def interleaved(self, name, value):
             object.__setattr__(self, name, value)
-            if not nested:
+            if len(nested) < 2:
+                k = len(nested)
                 nested.append(None)
-                nested[0] = self.amplitude(narrow, False)
+                nested[k] = self.figure(narrow, False), self.figure(narrow, False, "amplitude")
 
         monkeypatch.setattr(SpectralGrid, "__setattr__", interleaved)
-        assert np.array_equal(grid.amplitude(cfg.geom, False), wide_amp)
-        assert np.array_equal(nested[0], narrow_amp)
-        for geom, want in ((cfg.geom, wide_amp), (narrow, narrow_amp), (narrow, narrow_amp)):
-            assert np.array_equal(grid.amplitude(geom, False), want)
+        assert grid.figure(wide, False) == want[wide, None]
+        assert grid.figure(wide, False, "amplitude") == want[wide, "amplitude"]
+        assert nested == [(want[narrow, None], want[narrow, "amplitude"])] * 2
+        for f in (wide, narrow, narrow, wide):
+            for d in (None, "amplitude"):
+                assert grid.figure(f, False, d) == want[f, d]
+
+    def test_figure_memo_never_exceeds_its_bound(self, degenerate):
+        # every new key adds one entry until _FIGURE_KEYS, and the key past
+        # the bound starts a fresh memo; the figures never change
+        cfg = degenerate
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        factors = [
+            geometry_factors(replace(cfg.geom, W0s=(1.0 + 0.01 * k) * cfg.geom.W0s))
+            for k in range(jsa._FIGURE_KEYS + 3)
+        ]
+        first = {}
+        for rounds in range(2):
+            for k, f in enumerate(factors):
+                figures = (grid.figure(f, False), grid.figure(f, False, "amplitude"))
+                assert first.setdefault(k, figures) == figures
+                assert (f.C, None) in grid._figures
+                step = rounds * len(factors) + k
+                assert len(grid._figures) == step % jsa._FIGURE_KEYS + 1
 
 class TestJsaGrid:
     def test_normalization(self, degenerate):

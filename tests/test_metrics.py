@@ -12,7 +12,9 @@ from scipy.constants import c, epsilon_0
 from scipy.special import eval_hermite
 
 from spdc_lab import jsa, metrics, sweep
-from spdc_lab.config import _INT_RANGES, Numerics, load_config, shipped_config_path
+from spdc_lab.config import (
+    _INT_RANGES, MAX_RATE_RESOLUTION, Numerics, load_config, shipped_config_path,
+)
 from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
 from spdc_lab.errors import ConsistencyError, ConvergenceError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
@@ -25,6 +27,7 @@ from spdc_lab.jsa import (
     phase_mismatch_exact,
     phase_mismatch_linear,
     spectral_grid,
+    walk_off_integral,
     z_nodes,
 )
 from spdc_lab.metrics import (
@@ -38,6 +41,7 @@ from spdc_lab.metrics import (
     rate_prefactor,
     singles_rate,
 )
+from spdc_lab.schmidt import purity
 
 COLLINEAR_CUT = 0.502931589050  # rad, degenerate collinear angle of the shipped data
 
@@ -181,33 +185,36 @@ class TestPairRate:
 
     def test_shares_the_jsa_amplitude(self, degenerate, monkeypatch):
         # the 201-point doubling level and the 201-point JSA at one waist
-        # evaluate the amplitude once, on the factors the grid keyed it on
+        # evaluate the shape once, on the waist's own factors
         cfg = degenerate
         shapes = []
-        amplitude = SpectralTerms.amplitude
+        shape = SpectralTerms.shape
 
-        def counted(self, geom, walk_off, factors=None):
-            assert factors == geometry_factors(geom)
-            shapes.append(self.dky.shape)
-            return amplitude(self, geom, walk_off, factors)
+        def counted(self, factors, walk_off):
+            shapes.append((self.dky.shape, factors))
+            return shape(self, factors, walk_off)
 
-        monkeypatch.setattr(SpectralTerms, "amplitude", counted)
+        monkeypatch.setattr(SpectralTerms, "shape", counted)
         monkeypatch.setattr(jsa, "_slot", (None, {}))
+        want = []
         for W0s in (cfg.geom.W0s, 0.9 * cfg.geom.W0s):
             geom = replace(cfg.geom, W0s=W0s)
             pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
             jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
-        assert shapes == [(101, 101), (201, 201)] * 2
+            want += [((n, n), geometry_factors(geom)) for n in (101, 201)]
+        assert shapes == want
 
     def test_threads_at_two_waists_match_serial_runs(self, degenerate):
-        # four threads read one setting's slot grids at two waists, with and
-        # without walk-off: the kernels of the two waists without walk-off
-        # share the z moments held on the singles grid, and the walk-off ones
-        # replace them with their own key's
+        # six threads read one setting's slot grids at two waists, with and
+        # without walk-off, and at two tied waists of one C: the kernels of
+        # the waists without walk-off share the z moments held on the
+        # singles grid, and the walk-off ones replace them with their own
+        # key's; the two tied waists share one figure-memo entry per grid
         cfg = degenerate
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         walk_off = replace(cfg.numerics, walk_off_enabled=True)
         cases = [(geom, n) for n in (cfg.numerics, walk_off) for geom in (cfg.geom, narrow)]
+        cases += [(geom, cfg.numerics) for geom in tied_pair_sharing_c(cfg)]
 
         def figures(geom, numerics):
             R, res_s, res_i, eta = heralding_rates(geom, cfg.crystal, cfg.filters, numerics)
@@ -236,6 +243,9 @@ class TestPairRate:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
+        for n in (101, 201):
+            grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            assert len(grid._figures) <= jsa._FIGURE_KEYS
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -243,6 +253,80 @@ class TestPairRate:
         monkeypatch.setattr(metrics, "MAX_RATE_RESOLUTION", 21)
         with pytest.raises(ConvergenceError):
             pair_rate(cfg.geom, cfg.crystal, cfg.filters, Numerics(rate_resolution=11))
+
+
+def tied_pair_sharing_c(cfg):
+    """The two tied geometries furthest apart in W0p among the sweep-rate
+    waists from 300 um (where the mode sum converges on both shipped
+    configs) whose curvature C has the commonest bit pattern: one C, but
+    another W0s, A and walk-off factor H."""
+    groups = {}
+    for W0p in np.linspace(300e-6, 800e-6, 51):
+        geom = sweep._tied(W0p, cfg.geom, cfg.crystal)
+        if geom is not None:
+            groups.setdefault(geometry_factors(geom).C, []).append(geom)
+    tied = max(groups.values(), key=len)
+    return tied[0], tied[-1]
+
+
+def written_out_amplitude(grid, geom, crystal, walk_off):
+    """Phi on the grid's axes as the closed form writes it, without the
+    shape/scalar split: pi / sqrt(A C) exp(-dk_y^2 / (4 C)) Phi_z(dk_z) times
+    the pump envelope, Phi_z = L sinc(dk_z L / 2) or the walk-off integral."""
+    g, L = geometry_factors(geom), crystal.length_L
+    OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
+    dky, dkz = phase_mismatch_exact(OS, OI, geom, crystal)
+    phi_z = walk_off_integral(dkz, g.H, L) if walk_off else L * np.sinc(dkz * L / (2 * math.pi))
+    pump = np.exp(-((OS + OI) ** 2) / (4 * geom.pump_bandwidth_Bp**2))
+    return math.pi / math.sqrt(g.A * g.C) * np.exp(-(dky**2) / (4 * g.C)) * phi_z * pump
+
+
+def written_out_figures(geom, cfg, numerics):
+    """(pair rate, purity) by the formulas before the figure memo: each
+    doubling level is the nested trapezoid of T_s T_i T_p Phi^2 on a fresh
+    grid, and the purity is schmidt.purity of Phi itself."""
+    f, prev, n = cfg.filters, None, numerics.rate_resolution
+    while n <= MAX_RATE_RESOLUTION:
+        grid = SpectralGrid(n, geom, cfg.crystal, f, numerics.dispersion_mode)
+        T = (filter_transmission(grid.w_s, f.signal)[:, None]
+             * filter_transmission(grid.w_i, f.idler)[None, :]
+             * filter_transmission(np.add.outer(grid.w_s, grid.w_i), f.pump))
+        density = T * written_out_amplitude(grid, geom, cfg.crystal, numerics.walk_off_enabled) ** 2
+        cur = np.trapezoid(np.trapezoid(density, grid.Om_i, axis=1), grid.Om_s)
+        if prev is not None and abs(cur - prev) <= metrics._RATE_TOL * max(cur, prev):
+            break
+        prev, n = cur, 2 * n - 1
+    grid = SpectralGrid(numerics.grid_resolution, geom, cfg.crystal, f, numerics.dispersion_mode)
+    amp = written_out_amplitude(grid, geom, cfg.crystal, numerics.walk_off_enabled)
+    return rate_prefactor(geom, cfg.crystal) * cur, purity(amp, numerics.decompose)
+
+
+class TestFigureMemo:
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_figures_match_the_written_out_formulas(self, name, walk_off, request, monkeypatch):
+        # at two untied waists and at two tied waists of one C (and, with
+        # walk-off, two H), evaluated in turn on one slot so that the second
+        # tied waist meets the first one's memo: every figure matches the
+        # written-out formulas, and equals the figure of a cold slot bitwise
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        geoms = (cfg.geom, replace(cfg.geom, W0s=0.9 * cfg.geom.W0s), *tied_pair_sharing_c(cfg))
+
+        def figures(geom):
+            return (pair_rate(geom, cfg.crystal, cfg.filters, numerics),
+                    jsa_purity(geom, cfg.crystal, cfg.filters, numerics))
+
+        cold = []
+        for geom in geoms:
+            monkeypatch.setattr(jsa, "_slot", (None, {}))
+            cold.append(figures(geom))
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        warm = [figures(geom) for geom in geoms]
+        assert warm == cold
+        for geom, got in zip(geoms, warm):
+            want = written_out_figures(geom, cfg, numerics)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def one_point_overlap(n, m, Om_s, Om_i, geom, crystal, which="signal", walk_off=False):

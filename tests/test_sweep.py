@@ -115,6 +115,34 @@ class TestRateVsPumpWaist:
         assert sorted(sizes) == [101**2, 201**2]
 
 
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_tied_sweep_builds_each_c_once(self, name, request, monkeypatch):
+        # the tie fixes C up to its last bits: the 201-point shape and the
+        # purity are computed once per distinct C, not once per waist
+        cfg = request.getfixturevalue(name)
+        waists = np.linspace(50e-6, 800e-6, 76)
+        tied = [g for g in (sweep._tied(w, cfg.geom, cfg.crystal) for w in waists) if g]
+        distinct_c = {jsa.geometry_factors(g).C for g in tied}
+        shapes, purities = [], []
+        shape, purity = jsa.SpectralTerms.shape, jsa.purity
+
+        def counted_shape(self, factors, walk_off):
+            shapes.append(self.dky.shape[0])
+            return shape(self, factors, walk_off)
+
+        def counted_purity(matrix, decompose):
+            purities.append(matrix.shape)
+            return purity(matrix, decompose)
+
+        monkeypatch.setattr(jsa.SpectralTerms, "shape", counted_shape)
+        monkeypatch.setattr(jsa, "purity", counted_purity)
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        result = rate_vs_pump_waist((50e-6, 800e-6), 76, cfg.geom, cfg.crystal, cfg.filters)
+        assert len(result.rows) == len(tied) > 4 * len(distinct_c)
+        assert shapes.count(201) == len(purities) == len(distinct_c)
+        assert purities == [(201, 201)] * len(distinct_c)
+
+
 class TestMetricsVsWaistRatio:
     def test_rate_decreases_with_ratio(self, degenerate):
         cfg = degenerate
