@@ -122,20 +122,21 @@ def pair_rate(geom, crystal, filters, numerics=Numerics()):
     filter inside the integrand), with the grid refined from
     ``numerics.rate_resolution`` points as N -> 2N - 1, up to
     MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL. Every
-    doubling level is pi^2 / (A C) times the ``figure`` of its ``spectral_grid``.
+    doubling level is pi^2 / (A C) times the ``figure`` of its ``spectral_grid``,
+    the first at stride 2 on the second's grid.
     """
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
     g = geometry_factors(geom)
-    prev = None
-    n = numerics.rate_resolution
+    n, level = 2 * numerics.rate_resolution - 1, math.pi**2 / (g.A * g.C)
+    grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
+    prev = level * grid.figure(g, numerics.walk_off_enabled, stride=2)
     while n <= MAX_RATE_RESOLUTION:
         grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-        cur = math.pi**2 / (g.A * g.C) * grid.figure(g, numerics.walk_off_enabled)
-        if prev is not None:
-            scale = max(abs(cur), abs(prev))
-            if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
-                return pref * cur
+        cur = level * grid.figure(g, numerics.walk_off_enabled)
+        scale = max(abs(cur), abs(prev))
+        if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
+            return pref * cur
         prev = cur
         n = 2 * n - 1
     raise ConvergenceError(

@@ -87,10 +87,11 @@ def _sweep(value_range, name, steps, evaluate):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rows = []
-    for value in np.linspace(lo, hi, steps):
+    # Python floats: each sample's scalar math skips numpy scalars
+    for value in np.linspace(lo, hi, steps).tolist():
         figures = evaluate(value)
         if figures is not None:
-            rows.append(SweepRow(float(value), *figures))
+            rows.append(SweepRow(value, *figures))
     if not rows:
         raise UnsatisfiableConditionError(
             "separability condition unsatisfiable over the whole waist range"

@@ -662,7 +662,8 @@ class TestConsoleScript:
         # not only in the benchmark. `sweep-rate` and `optimize` cover the
         # sweep layer, `metrics` the rate layers and `jsa` covers jsa_grid,
         # all in one process. `sweep-rate` runs first, so it evaluates the
-        # phase mismatch on an empty spectral-grid slot: once per resolution
+        # phase mismatch on an empty spectral-grid slot: once, on the 201-point
+        # grid, whose every other point is the 101-point grid
         root = Path(cli.__file__).parents[2]
         script = (
             "import json, sys\n"
@@ -688,7 +689,7 @@ class TestConsoleScript:
         runs = json.loads(proc.stdout.splitlines()[-1])
         assert [code for code, _ in runs] == [0, 0, 0, 0]
         (_, rate_summary), (_, optimize_summary), (_, metrics_summary), (_, jsa_summary) = runs
-        counts = {"metrics.pair_rate.calls": 61, "jsa.phase_mismatch_exact.calls": 2}
+        counts = {"metrics.pair_rate.calls": 61, "jsa.phase_mismatch_exact.calls": 1}
         assert {key: rate_summary[key] for key in counts} == counts
         counts = {
             "sweep.golden_section_maximize.evals": 20,
@@ -707,15 +708,17 @@ class TestConsoleScript:
         assert jsa_summary["jsa.jsa_grid.calls"] == 1
 
     def test_import_loads_no_scipy(self):
-        # the constants are literals and only the walk-off path imports
-        # scipy.special, so importing the package loads no scipy module
+        # the constants are literals, so importing the package loads no
+        # scipy module; nor numpy.polynomial, which the z rule imports for
+        # its first Gauss-Legendre order
         src = str(Path(cli.__file__).parents[1])
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import sys; sys.path.insert(0, %r); import spdc_lab.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m.startswith('numpy.polynomial')))"
                 % src,
             ],
             capture_output=True,

@@ -32,6 +32,7 @@ from spdc_lab.jsa import (
     write_jsa_csv,
     write_jsa_json,
 )
+from spdc_lab.metrics import singles_rate
 from spdc_lab.schmidt import schmidt_purity
 
 
@@ -292,6 +293,47 @@ class TestSpectralGrids:
         assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact") is grid
 
     @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_every_other_point_is_the_fresh_grid(self, name, walk_off, request, monkeypatch):
+        # with the 201-point grid held, the 101-point grid is derived from
+        # its even rows and columns; it must be the grid built at 101 points
+        # bit for bit: every held array, both figures and both singles rates.
+        # The 201-point grid's rate sum at stride 2 is the 101-point one too
+        cfg = request.getfixturevalue(name)
+        setting = (cfg.geom, cfg.crystal, cfg.filters, "exact")
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+
+        def singles():
+            return [singles_rate(arm, *setting[:3], numerics) for arm in ("signal", "idler")]
+
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        fine = spectral_grid(201, *setting)
+        derived = spectral_grid(101, *setting)
+        assert derived._fine is fine
+        derived_singles = singles()
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        fresh = spectral_grid(101, *setting)
+        assert fresh._fine is None
+        assert derived_singles == singles()
+        for geom in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)):
+            f = geometry_factors(geom)
+            for decompose in (None, "amplitude"):
+                assert derived.figure(f, walk_off, decompose) == fresh.figure(f, walk_off, decompose)
+            assert fine.figure(f, walk_off, stride=2) == fresh.figure(f, walk_off)
+
+        def held(grid):
+            grid.sinc_envelope, grid.pump_envelope, grid.weight  # read every lazy array
+            arrays = {k: v for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+            trapezoid = {(k, j): w for k, ws in grid._weights.items() for j, w in enumerate(ws)}
+            return {**arrays, **trapezoid, "pump_s": grid._pump[0], "pump_i": grid._pump[1]}
+
+        got, want = held(derived), held(fresh)
+        assert got.keys() == want.keys() and len(want) == 16
+        for k, a in want.items():
+            assert got[k].shape == a.shape and got[k].tobytes() == a.tobytes(), k
+            assert got[k].flags.c_contiguous, k
+
+    @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
         cfg = nondegenerate
         grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
@@ -407,11 +449,11 @@ class TestSpectralGrids:
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         init, nested = SpectralGrid.__init__, []
 
-        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode):
+        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode, fine=None):
             if filters is degenerate.filters and not nested:
                 b = nondegenerate
                 nested.append(spectral_grid(15, b.geom, b.crystal, b.filters, "exact"))
-            init(self, resolution, geom, crystal, filters, dispersion_mode)
+            init(self, resolution, geom, crystal, filters, dispersion_mode, fine)
 
         monkeypatch.setattr(SpectralGrid, "__init__", interleaved)
         a = degenerate

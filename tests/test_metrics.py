@@ -184,8 +184,9 @@ class TestPairRate:
         )
 
     def test_shares_the_jsa_amplitude(self, degenerate, monkeypatch):
-        # the 201-point doubling level and the 201-point JSA at one waist
-        # evaluate the shape once, on the waist's own factors
+        # both doubling levels (the 101-point one is the 201-point grid's
+        # every other point) and the 201-point JSA at one waist evaluate the
+        # shape once, on the waist's own factors
         cfg = degenerate
         shapes = []
         shape = SpectralTerms.shape
@@ -201,15 +202,17 @@ class TestPairRate:
             geom = replace(cfg.geom, W0s=W0s)
             pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
             jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
-            want += [((n, n), geometry_factors(geom)) for n in (101, 201)]
+            want.append(((201, 201), geometry_factors(geom)))
         assert shapes == want
 
-    def test_threads_at_two_waists_match_serial_runs(self, degenerate):
+    def test_threads_at_two_waists_match_serial_runs(self, degenerate, monkeypatch):
         # six threads read one setting's slot grids at two waists, with and
         # without walk-off, and at two tied waists of one C: the kernels of
         # the waists without walk-off share the z moments held on the
         # singles grid, and the walk-off ones replace them with their own
-        # key's; the two tied waists share one figure-memo entry per grid
+        # key's; the two tied waists share one figure-memo entry per grid.
+        # The threads start with only a fresh 201-point grid held, so they
+        # derive the 101-point grid from it concurrently
         cfg = degenerate
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         walk_off = replace(cfg.numerics, walk_off_enabled=True)
@@ -233,6 +236,8 @@ class TestPairRate:
                     wrong.append(k)
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        fine = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -243,6 +248,7 @@ class TestPairRate:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
+        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")._fine is fine
         for n in (101, 201):
             grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             assert len(grid._figures) <= jsa._FIGURE_KEYS
