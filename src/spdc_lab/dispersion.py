@@ -167,9 +167,8 @@ def index_extraordinary(lam_m, theta, crystal):
     so it runs monotonically from n_o at theta=0 to the principal value at
     theta=pi/2.
     """
-    _check_window(lam_m, crystal)
-    n_o = _sellmeier_index(crystal.sellmeier_o, lam_m)
-    n_ep = _sellmeier_index(crystal.sellmeier_e, lam_m)
+    n_o = index_ordinary(lam_m, crystal)
+    n_ep = index_extraordinary_principal(lam_m, crystal)
     return 1.0 / np.sqrt(
         np.cos(theta) ** 2 / n_o**2 + np.sin(theta) ** 2 / n_ep**2
     )

@@ -236,9 +236,12 @@ def _legendre(n):
     return tuple(map(_read_only, leggauss(n)))
 
 
-def _even(a):
-    # rows and columns 0, 2, 4, ... of ``a``, copied contiguous and read-only
-    return _read_only(np.ascontiguousarray(a[::2, ::2]))
+def _trapezoid(x):
+    # weights w of the trapezoid rule on the axis x: w @ f == np.trapezoid(f, x)
+    h, w = np.diff(x) / 2.0, np.zeros(len(x))
+    w[:-1] += h
+    w[1:] += h
+    return w
 
 
 def z_nodes(n, L, H):
@@ -293,10 +296,8 @@ class SpectralTerms:
     envelope. ``z_moments`` holds the mode-sum kernel's (key, {n_z: R}) pair.
     """
 
-    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode, mismatch=None):
-        if mismatch is not None:  # (dk_y, dk_z) already evaluated at the detunings
-            dky, dkz = mismatch
-        elif dispersion_mode == "exact":
+    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
+        if dispersion_mode == "exact":
             dky, dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
         elif dispersion_mode == "linear":
             ngv = central_inverse_group_velocities(geom, crystal)
@@ -356,13 +357,10 @@ class SpectralGrid(SpectralTerms):
     T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid. ``figure``
     holds the scalars of the shape per C (and H), so a waist sweep along the
     separability tie, which fixes C, builds Psi and its purity once per bit
-    pattern of C rather than at every waist. ``fine``, the setting's grid at
-    2 ``resolution`` - 1 points, supplies dk_y, dk_z and (when first read) the
-    weight as their even rows and columns, bit for bit those of a grid built
-    at ``resolution``: linspace(lo, hi, 2 n - 1)[::2] is linspace(lo, hi, n).
+    pattern of C rather than at every waist.
     """
 
-    def __init__(self, resolution, geom, crystal, filters, dispersion_mode, fine=None):
+    def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
         self.w_s = _read_only(np.linspace(*filters.signal.support, resolution))
         self.w_i = _read_only(np.linspace(*filters.idler.support, resolution))
         self.Om_s = _read_only(self.w_s - geom.signal.central_angular_frequency)
@@ -370,18 +368,13 @@ class SpectralGrid(SpectralTerms):
         # sparse axes: the signal and idler wave numbers are evaluated once
         # per axis point, and only the sums fill the grid
         OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
-        mismatch = None if fine is None else (_even(fine.dky), _even(fine.dkz))
-        super().__init__(OS, OI, geom, crystal, dispersion_mode, mismatch)
-        self._filters, self._fine = filters, fine
-        # trapezoid weights w of each axis at strides k = 1, 2: w @ f == np.trapezoid(f, x[::k])
-        h = {k: [np.diff(x[::k]) / 2.0 for x in (self.Om_s, self.Om_i)] for k in (1, 2)}
-        self._weights = {k: [np.pad(d, (0, 1)) + np.pad(d, (1, 0)) for d in h[k]] for k in h}
+        super().__init__(OS, OI, geom, crystal, dispersion_mode)
+        self._filters = filters
+        self._w_s, self._w_i = _trapezoid(self.Om_s), _trapezoid(self.Om_i)
         self._shape_slot, self._figures = (None, None), {}
 
     @cached_property
     def weight(self):
-        if self._fine is not None:
-            return _even(self._fine.weight)
         f = self._filters
         T_s = filter_transmission(self.w_s, f.signal)
         T_i = filter_transmission(self.w_i, f.idler)
@@ -389,13 +382,19 @@ class SpectralGrid(SpectralTerms):
         return _read_only(T_s[:, None] * T_i[None, :] * T_p)
 
     def figure(self, factors, walk_off, decompose=None, stride=1):
-        """The trapezoid sum of weight Psi^2 on every ``stride``-th row and
-        column, 1 or 2 (``decompose`` None; at 2, the sum of the grid at
-        (n + 1) / 2 points), or ``purity(Psi, decompose)`` of the ``shape``
-        Psi, held per key (C, and H with ``walk_off``) in a memo of at most
-        _FIGURE_KEYS keys, copied to add a key, and emptied first when full.
-        The last key's Psi is held read-only, so the rate and the purity at
-        one key build it once."""
+        """The trapezoid sum of weight Psi^2 (``decompose`` None) or
+        ``purity(Psi, decompose)`` of the ``shape`` Psi, held per key (C, and
+        H with ``walk_off``) in a memo of at most _FIGURE_KEYS keys, copied
+        to add a key, and emptied first when full. The last key's Psi is held
+        read-only, so the rate and the purity at one key build it once.
+
+        ``stride`` 2 takes the sum on the even rows and columns alone. Since
+        linspace(lo, hi, 2 m - 1)[::2] is linspace(lo, hi, m), that is the sum
+        of the grid at (n + 1) / 2 points bit for bit; with walk-off, only when
+        max|dk_z| on the even points gives ``walk_off_integral`` the z order it
+        gives on all points (it does on the shipped configs)."""
+        if stride not in (1, 2) or (stride == 2 and decompose is not None):
+            raise ValueError("stride is 1, or 2 for the trapezoid sum alone")
         key, memo = (factors.C, factors.H if walk_off else None), self._figures
         if key not in memo:
             memo = self._figures = {**(memo if len(memo) < _FIGURE_KEYS else {}), key: {}}
@@ -405,17 +404,18 @@ class SpectralGrid(SpectralTerms):
             if held != key:
                 psi = _read_only(self.shape(factors, walk_off))
                 self._shape_slot = (key, psi)
-            every = np.s_[::stride, ::stride]
-            figures[decompose, stride] = (
-                self.integrate(self.weight[every] * psi[every] ** 2, stride)
-                if decompose is None else purity(psi, decompose)
-            )
+            if decompose is not None:
+                figures[decompose, stride] = purity(psi, decompose)
+            elif stride == 1:
+                figures[decompose, stride] = self.integrate(self.weight * psi**2)
+            else:
+                density = self.weight[::2, ::2] * psi[::2, ::2] ** 2
+                w_s, w_i = _trapezoid(self.Om_s[::2]), _trapezoid(self.Om_i[::2])
+                figures[decompose, stride] = float(w_s @ density @ w_i)
         return figures[decompose, stride]
 
-    def integrate(self, density, stride=1):
-        """Trapezoid rule over every ``stride``-th row and column, 1 or 2."""
-        w_s, w_i = self._weights[stride]
-        return float(w_s @ density @ w_i)
+    def integrate(self, density):
+        return float(self._w_s @ density @ self._w_i)
 
 
 # (key, {resolution: SpectralGrid}) of the last spectral setting requested
@@ -425,10 +425,9 @@ _slot = (None, {})
 def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
     """The SpectralGrid at ``resolution`` for this setting (``_spectral_key``:
     everything but the waists), held in one module slot with the setting's
-    other resolutions, and derived from the one at 2 ``resolution`` - 1 if held.
-    Another setting replaces the slot before its grid is built. The key and its
-    dict are read and replaced together, so a caller on another thread may
-    rebuild a grid but never gets another setting's.
+    other resolutions. Another setting replaces the slot before its grid is
+    built. The key and its dict are read and replaced together, so a caller
+    on another thread may rebuild a grid but never gets another setting's.
     """
     global _slot
     key = _spectral_key(geom, crystal, filters, dispersion_mode)
@@ -437,8 +436,7 @@ def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
         grids = {}
         _slot = (key, grids)
     if resolution not in grids:
-        fine = grids.get(2 * resolution - 1)
-        grids[resolution] = SpectralGrid(resolution, geom, crystal, filters, dispersion_mode, fine)
+        grids[resolution] = SpectralGrid(resolution, geom, crystal, filters, dispersion_mode)
     return grids[resolution]
 
 

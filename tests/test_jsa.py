@@ -32,7 +32,6 @@ from spdc_lab.jsa import (
     write_jsa_csv,
     write_jsa_json,
 )
-from spdc_lab.metrics import singles_rate
 from spdc_lab.schmidt import schmidt_purity
 
 
@@ -294,44 +293,33 @@ class TestSpectralGrids:
 
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
-    def test_every_other_point_is_the_fresh_grid(self, name, walk_off, request, monkeypatch):
-        # with the 201-point grid held, the 101-point grid is derived from
-        # its even rows and columns; it must be the grid built at 101 points
-        # bit for bit: every held array, both figures and both singles rates.
-        # The 201-point grid's rate sum at stride 2 is the 101-point one too
+    def test_stride_two_sum_is_the_fresh_grid_sum(self, name, walk_off, request, monkeypatch):
+        # the 201-point grid's even rows and columns are the grid built at 101
+        # points, so its trapezoid sum at stride 2 must be the 101-point rate
+        # sum bit for bit at two waists; with walk-off, both grids' max|dk_z|
+        # give walk_off_integral one z order
         cfg = request.getfixturevalue(name)
         setting = (cfg.geom, cfg.crystal, cfg.filters, "exact")
-        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
-
-        def singles():
-            return [singles_rate(arm, *setting[:3], numerics) for arm in ("signal", "idler")]
-
         monkeypatch.setattr(jsa, "_slot", (None, {}))
-        fine = spectral_grid(201, *setting)
-        derived = spectral_grid(101, *setting)
-        assert derived._fine is fine
-        derived_singles = singles()
-        monkeypatch.setattr(jsa, "_slot", (None, {}))
-        fresh = spectral_grid(101, *setting)
-        assert fresh._fine is None
-        assert derived_singles == singles()
+        fine, fresh = spectral_grid(201, *setting), spectral_grid(101, *setting)
+        for k in ("dky", "dkz", "weight", "sinc_envelope", "pump_envelope"):
+            assert getattr(fine, k)[::2, ::2].tobytes() == getattr(fresh, k).tobytes(), k
+        L = cfg.crystal.length_L
         for geom in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)):
             f = geometry_factors(geom)
-            for decompose in (None, "amplitude"):
-                assert derived.figure(f, walk_off, decompose) == fresh.figure(f, walk_off, decompose)
-            assert fine.figure(f, walk_off, stride=2) == fresh.figure(f, walk_off)
+            phases = [float(np.max(np.abs(g.dkz))) * L / 2.0 for g in (fine, fresh)]
+            assert len({jsa.z_order(0, q, f.H * L**2 / 4.0) for q in phases}) == 1
+            full = fine.figure(f, walk_off)
+            assert fine.figure(f, walk_off, stride=2) == fresh.figure(f, walk_off) != full
+            assert fine.figure(f, walk_off) == full
 
-        def held(grid):
-            grid.sinc_envelope, grid.pump_envelope, grid.weight  # read every lazy array
-            arrays = {k: v for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
-            trapezoid = {(k, j): w for k, ws in grid._weights.items() for j, w in enumerate(ws)}
-            return {**arrays, **trapezoid, "pump_s": grid._pump[0], "pump_i": grid._pump[1]}
-
-        got, want = held(derived), held(fresh)
-        assert got.keys() == want.keys() and len(want) == 16
-        for k, a in want.items():
-            assert got[k].shape == a.shape and got[k].tobytes() == a.tobytes(), k
-            assert got[k].flags.c_contiguous, k
+    def test_stride_is_the_rate_sum_alone(self, degenerate):
+        cfg = degenerate
+        grid = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        f = geometry_factors(cfg.geom)
+        for stride, decompose in ((2, "amplitude"), (3, None), (0, None)):
+            with pytest.raises(ValueError):
+                grid.figure(f, False, decompose, stride)
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
@@ -449,11 +437,11 @@ class TestSpectralGrids:
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         init, nested = SpectralGrid.__init__, []
 
-        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode, fine=None):
+        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode):
             if filters is degenerate.filters and not nested:
                 b = nondegenerate
                 nested.append(spectral_grid(15, b.geom, b.crystal, b.filters, "exact"))
-            init(self, resolution, geom, crystal, filters, dispersion_mode, fine)
+            init(self, resolution, geom, crystal, filters, dispersion_mode)
 
         monkeypatch.setattr(SpectralGrid, "__init__", interleaved)
         a = degenerate

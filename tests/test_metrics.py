@@ -212,7 +212,7 @@ class TestPairRate:
         # singles grid, and the walk-off ones replace them with their own
         # key's; the two tied waists share one figure-memo entry per grid.
         # The threads start with only a fresh 201-point grid held, so they
-        # derive the 101-point grid from it concurrently
+        # take the first rate level from its even points concurrently
         cfg = degenerate
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         walk_off = replace(cfg.numerics, walk_off_enabled=True)
@@ -248,7 +248,7 @@ class TestPairRate:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
-        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")._fine is fine
+        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact") is fine
         for n in (101, 201):
             grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             assert len(grid._figures) <= jsa._FIGURE_KEYS
