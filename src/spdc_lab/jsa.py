@@ -22,6 +22,7 @@ that waist drives the cross coefficient delta_si to zero.
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -43,16 +44,17 @@ MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 # the z order check redoes a quadrature at _Z_RAISE more nodes, to _Z_TOL
 _Z_RAISE, _Z_TOL = 8, 1e-6
 _FIGURE_KEYS = 16  # shape keys a SpectralGrid's figure memo holds at most
+_FigureKey = namedtuple("_FigureKey", "C H")  # what ``SpectralGrid.figure`` reads
 
 
 @dataclass(frozen=True)
 class BeamGeometry:
     """Waists, emission angles, and pump bandwidth of one configuration.
 
-    Waists are 1/e field radii in meters; W0s is the collection waist of
-    both arms. Angles are internal emission angles in radians;
-    pump_bandwidth_Bp in rad/s. ``modes`` is the (pump, signal, idler) triple
-    of OpticalMode records.
+    Waists are 1/e field radii in meters, floats or arrays broadcasting to
+    one 1-D batch; W0s is the collection waist of both arms. Angles are
+    internal emission angles in radians; pump_bandwidth_Bp in rad/s.
+    ``modes`` is the (pump, signal, idler) triple of OpticalMode records.
     """
 
     W0p: float
@@ -64,7 +66,7 @@ class BeamGeometry:
 
     def __post_init__(self):
         for w in (self.W0p, self.W0s):
-            if w <= 0:
+            if np.count_nonzero(w <= 0):
                 raise ValueError("waists must be positive")
         for th in (self.theta_s, self.theta_i):
             if not 0.0 <= th < MAX_EMISSION_ANGLE:
@@ -88,24 +90,37 @@ class BeamGeometry:
         return self.modes[2]
 
 
+def _square(w):
+    # libm pow, as Python's w**2 is: numpy's array w**2, w * w, can differ in
+    # the last bit; a float keeps Python's w**2, as a numpy call costs microseconds
+    return np.float_power(w, 2) if isinstance(w, np.ndarray) else w**2
+
+
+def _one_waist(geom):
+    for name in ("W0p", "W0s"):
+        if np.ndim(getattr(geom, name)):
+            raise ValueError("%s: one waist here, not an array" % name)
+
+
 def check_rayleigh(geom, length_L):
     """Warn when any Rayleigh range is not large against the crystal length.
 
     The thin-beam factorization used throughout assumes z_r = pi W0^2 /
-    lambda >> L; enforce z_r > 10 L with a warning.
+    lambda >> L; enforce z_r > 10 L with a warning per waist and mode.
     """
-    for w0, mode in zip((geom.W0p, geom.W0s, geom.W0s), geom.modes):
-        z_r = math.pi * w0**2 / mode.central_wavelength
-        if z_r <= 10.0 * length_L:
-            warnings.warn(
-                "%s Rayleigh range %.2e m is not >> crystal length %.2e m"
-                % (mode.role, z_r, length_L)
-            )
+    for waists in np.broadcast(geom.W0p, geom.W0s, geom.W0s):  # waist by waist
+        for w0, mode in zip(waists, geom.modes):
+            z_r = math.pi * float(w0) ** 2 / mode.central_wavelength
+            if z_r <= 10.0 * length_L:
+                warnings.warn(
+                    "%s Rayleigh range %.2e m is not >> crystal length %.2e m"
+                    % (mode.role, z_r, length_L)
+                )
 
 
 @dataclass(frozen=True)
 class GeometryFactors:
-    """Transverse-overlap curvatures, all in 1/m^2."""
+    """Transverse-overlap curvatures, all in 1/m^2, per waist of a batch."""
 
     A: float
     C: float
@@ -114,9 +129,9 @@ class GeometryFactors:
     H: float
 
     def __post_init__(self):
-        if not self.A >= self.C > 0:
+        if np.count_nonzero(np.logical_not((self.A >= self.C) & (self.C > 0))):
             raise ValueError("require A >= C > 0")
-        if self.F < -1e-30 or self.H < -1e-12 * max(self.F, self.C):
+        if np.count_nonzero((self.F < -1e-30) | (self.H < -1e-12 * np.maximum(self.F, self.C))):
             raise ValueError("require F >= 0 and H >= 0")
 
 
@@ -152,14 +167,14 @@ class JsaGrid:
 
 def geometry_factors(geom):
     """Transverse-overlap curvatures A, C, D, F and the walk-off factor H."""
-    wp2, ws2 = geom.W0p**2, geom.W0s**2
+    wp2, ws2 = _square(geom.W0p), _square(geom.W0s)
     ts, ti = geom.theta_s, geom.theta_i
     A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / ws2
     C = 1.0 / wp2 + math.cos(ts) ** 2 / ws2 + math.cos(ti) ** 2 / ws2
     D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / ws2
     F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / ws2
-    H = F - D**2 / (4.0 * C)
-    return GeometryFactors(A=A, C=C, D=D, F=F, H=max(H, 0.0))
+    H = F - _square(D) / (4.0 * C)
+    return GeometryFactors(A=A, C=C, D=D, F=F, H=np.maximum(H, 0.0))
 
 
 def phase_mismatch_exact(Omega_s, Omega_i, geom, crystal):
@@ -327,8 +342,8 @@ class SpectralTerms:
     def shape(self, factors, walk_off):
         """Phi over its scalar pi / sqrt(A C): exp(-dk_y^2 / (4 C)) times
         ``sinc_envelope`` or, with ``walk_off``, ``walk_off_integral`` (the
-        exp(-H z^2) envelope) times the pump envelope. Of the GeometryFactors
-        ``factors`` it reads C, and H with walk-off."""
+        exp(-H z^2) envelope) times the pump envelope. Of ``factors`` (a waist's
+        GeometryFactors or a ``figure_keys`` key) it reads C, and H with walk-off."""
         psi = np.exp(self.negdky2 / (4.0 * factors.C))
         if walk_off:
             psi *= walk_off_integral(self.dkz, factors.H, self.length_L) * self.pump_envelope
@@ -418,6 +433,16 @@ class SpectralGrid(SpectralTerms):
         return float(self._w_s @ density @ self._w_i)
 
 
+def figure_keys(factors, walk_off):
+    """{``figure`` key (C, and H with ``walk_off``): indices} of the waists of ``factors``."""
+    C = np.ravel(factors.C).tolist()
+    H = np.ravel(factors.H).tolist() if walk_off else [None] * len(C)
+    keys = {}
+    for j, key in enumerate(zip(C, H)):
+        keys.setdefault(key, []).append(j)
+    return {_FigureKey(*key): idx for key, idx in keys.items()}
+
+
 # (key, {resolution: SpectralGrid}) of the last spectral setting requested
 _slot = (None, {})
 
@@ -455,8 +480,9 @@ def jsa_grid(geom, crystal, filters, numerics):
     windows of the FilterBank ``filters`` (no transmission applied), at the
     ``grid_resolution``, ``dispersion_mode`` and ``walk_off_enabled`` of
     the Numerics ``numerics``. The grid is built for this call and not
-    held in the ``spectral_grid`` slot.
+    held in the ``spectral_grid`` slot. Array waists raise ValueError.
     """
+    _one_waist(geom)
     check_rayleigh(geom, crystal.length_L)
     grid = SpectralGrid(
         numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
@@ -484,7 +510,8 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
     has a real solution when C* exceeds 1/W0p^2. ``consistent`` takes
     alpha_eff = SINC_GAUSS_ALPHA, the single power that follows from squaring
     the Gaussian-replaced amplitude; ``paper_literal`` keeps the squared
-    constant of the printed closed-form waist relation.
+    constant of the printed closed-form waist relation. An array W0p gets NaN
+    where a waist has no solution; it raises only if none has one.
     """
     if alpha_convention not in ALPHA_CONVENTIONS:
         raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
@@ -499,12 +526,13 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
             "increase the cut detuning"
         )
     c_star = (u * v) / (1.0 / geom.pump_bandwidth_Bp**2 + alpha_eff * a * b * crystal.length_L**2)
-    radicand = c_star - 1.0 / W0p**2
-    if radicand <= 0:
+    radicand = c_star - 1.0 / _square(W0p)
+    solvable = radicand > 0
+    if not np.count_nonzero(solvable):
         raise UnsatisfiableConditionError(
             "purity condition unsatisfiable; increase B_p, cut detuning, or W0p"
         )
-    return math.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / radicand)
+    return np.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / np.where(solvable, radicand, np.nan))
 
 
 def write_jsa_csv(grid, path):

@@ -25,8 +25,8 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, _check_z_order, check_rayleigh, geometry_factors,
-    spectral_grid, z_nodes, z_order,
+    _Z_RAISE, _Z_TOL, _check_z_order, _one_waist, _square, check_rayleigh,
+    figure_keys, geometry_factors, spectral_grid, z_nodes, z_order,
 )
 from .units import c, epsilon_0
 
@@ -95,8 +95,8 @@ def rate_prefactor(geom, crystal):
     P = 1e-3 W. Times the joint-density integral (units m^6 (rad/s)^2) it
     yields pairs per second per milliwatt, whatever the pump power.
     """
-    alpha2 = (2.0 / (math.pi * w**2) for w in (geom.W0s, geom.W0s, geom.W0p))
-    return _waist_free_prefactor(*geom.modes, crystal, geom.pump_bandwidth_Bp) * math.prod(alpha2)
+    a_s, a_p = (2.0 / (math.pi * _square(w)) for w in (geom.W0s, geom.W0p))
+    return _waist_free_prefactor(*geom.modes, crystal, geom.pump_bandwidth_Bp) * (a_s * a_s * a_p)
 
 
 @lru_cache(maxsize=8)
@@ -114,8 +114,9 @@ def _waist_free_prefactor(pump, signal, idler, crystal, pump_bandwidth_Bp):
     )
 
 
-def pair_rate(geom, crystal, filters, numerics=Numerics()):
-    """Pair rate in pairs/(s mW), converged by grid doubling.
+def pair_rates_by_key(geom, crystal, filters, numerics):
+    """Pair rates in pairs/(s mW), converged by grid doubling, key by key:
+    yields (key, waist indices, rates) for each key of ``figure_keys``.
 
     The joint density is integrated over the rectangle of the signal and
     idler filter windows (the sum-frequency variable is bounded by the pump
@@ -123,26 +124,41 @@ def pair_rate(geom, crystal, filters, numerics=Numerics()):
     ``numerics.rate_resolution`` points as N -> 2N - 1, up to
     MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL. Every
     doubling level is pi^2 / (A C) times the ``figure`` of its ``spectral_grid``,
-    the first at stride 2 on the second's grid.
+    the first at stride 2 on the second's grid. Each waist stops at its own
+    level; the first one left unconverged raises ConvergenceError at the end.
     """
     check_rayleigh(geom, crystal.length_L)
-    pref = rate_prefactor(geom, crystal)
-    g = geometry_factors(geom)
-    n, level = 2 * numerics.rate_resolution - 1, math.pi**2 / (g.A * g.C)
-    grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-    prev = level * grid.figure(g, numerics.walk_off_enabled, stride=2)
-    while n <= MAX_RATE_RESOLUTION:
+    g, walk_off, unconverged = geometry_factors(geom), numerics.walk_off_enabled, {}
+    pref, level = np.ravel(rate_prefactor(geom, crystal)), np.ravel(math.pi**2 / (g.A * g.C))
+    for key, idx in figure_keys(g, walk_off).items():
+        n, lev, p = 2 * numerics.rate_resolution - 1, level[idx], pref[idx]
         grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-        cur = level * grid.figure(g, numerics.walk_off_enabled)
-        scale = max(abs(cur), abs(prev))
-        if scale == 0.0 or abs(cur - prev) <= _RATE_TOL * scale:
-            return pref * cur
-        prev = cur
-        n = 2 * n - 1
-    raise ConvergenceError(
-        "pair-rate integral did not converge under grid doubling",
-        estimates=(pref * prev,),
-    )
+        prev, rate = lev * grid.figure(key, walk_off, stride=2), np.full(len(idx), np.nan)
+        while np.isnan(rate).any():  # NaN until the waist converges
+            if n > MAX_RATE_RESOLUTION:
+                unconverged.update((j, e) for j, r, e in zip(idx, rate, p * prev) if math.isnan(r))
+                break
+            grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
+            cur = lev * grid.figure(key, walk_off)
+            done = abs(cur - prev) <= _RATE_TOL * np.maximum(abs(cur), abs(prev))
+            rate = np.where(np.isnan(rate) & done, p * cur, rate)
+            prev, n = cur, 2 * n - 1
+        yield key, idx, rate
+    if unconverged:
+        j = min(unconverged)
+        raise ConvergenceError(
+            "pair-rate integral did not converge under grid doubling at waist %d" % j,
+            estimates=(float(unconverged[j]),),
+        )
+
+
+def pair_rate(geom, crystal, filters, numerics=Numerics()):
+    """Pair rate in pairs/(s mW) of each waist (``pair_rates_by_key``)."""
+    waists = np.broadcast(geom.W0p, geom.W0s)
+    rate = np.empty(waists.size)
+    for _, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics):
+        rate[idx] = rates
+    return rate if waists.ndim else float(rate[0])
 
 
 def _scaled_hermite(m, u, c):
@@ -278,8 +294,9 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
     2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
     more z nodes, and a relative change beyond _Z_TOL raises
     ConvergenceError. The kernel is built on the ``spectral_grid`` slot, whose
-    z moments both arms share.
+    z moments both arms share. Array waists raise ValueError.
     """
+    _one_waist(geom)
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
@@ -345,12 +362,17 @@ def heralding_rates(geom, crystal, filters, numerics):
 
 def jsa_purity(geom, crystal, filters, numerics):
     """Purity, in the ``numerics.decompose`` mode, of the amplitude that
-    ``jsa_grid`` samples: the ``figure`` of its shape on the slot grid."""
+    ``jsa_grid`` samples: the ``figure`` of its shape on the slot grid, once
+    per key of ``figure_keys``."""
     check_rayleigh(geom, crystal.length_L)
     grid = spectral_grid(
         numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
-    return grid.figure(geometry_factors(geom), numerics.walk_off_enabled, numerics.decompose)
+    waists, g = np.broadcast(geom.W0p, geom.W0s), geometry_factors(geom)
+    purity = np.empty(waists.size)
+    for key, idx in figure_keys(g, numerics.walk_off_enabled).items():
+        purity[idx] = grid.figure(key, numerics.walk_off_enabled, numerics.decompose)
+    return purity if waists.ndim else float(purity[0])
 
 
 def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapshot=None):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import Numerics
 from .errors import UnsatisfiableConditionError
-from .jsa import purity_waist
-from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate
+from .jsa import purity_waist, spectral_grid
+from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate, pair_rates_by_key
 
 # the Gaussian-model convention that ties the collection waist to the pump
 # waist while the pair rate is maximized, and the pump-waist search interval
@@ -68,36 +68,33 @@ class OptimizationResult:
 
 
 def _tied(W0p, geom, crystal):
-    """``geom`` at pump waist W0p with the collection waist tied to it by
-    the separability condition under _TIE_ALPHA; None where that condition
-    is unsatisfiable."""
+    """``geom`` at pump waist W0p (a float or an array) with the collection
+    waist tied to it by the separability condition under _TIE_ALPHA, without
+    the waists where it is unsatisfiable; None if it is at every waist."""
     try:
-        return replace(geom, W0p=W0p, W0s=purity_waist(W0p, geom, crystal, _TIE_ALPHA))
+        W0s = purity_waist(W0p, geom, crystal, _TIE_ALPHA)
     except UnsatisfiableConditionError:
         return None
+    keep = W0s > 0  # NaN where unsatisfiable; one waist stays a Python float
+    W0p, W0s = (W0p[keep], W0s[keep]) if np.ndim(W0s) else (W0p, float(W0s))
+    return replace(geom, W0p=W0p, W0s=W0s)
 
 
-def _sweep(value_range, name, steps, evaluate):
-    """Rows of ``evaluate(value)``, an (R, eta, purity) triple or None to skip
-    the value, at ``steps`` values spanning ``value_range`` (argument ``name``);
-    the argmax is the first maximum of R, so ties go to the smallest value."""
+def _samples(value_range, name, steps):
+    """``steps`` values spanning ``value_range`` (argument ``name``)."""
     lo, hi = value_range
     if not 0 < lo < hi:
         raise ValueError("%s must satisfy 0 < lo < hi" % name)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rows = []
-    # Python floats: each sample's scalar math skips numpy scalars
-    for value in np.linspace(lo, hi, steps).tolist():
-        figures = evaluate(value)
-        if figures is not None:
-            rows.append(SweepRow(value, *figures))
-    if not rows:
-        raise UnsatisfiableConditionError(
-            "separability condition unsatisfiable over the whole waist range"
-        )
-    idx = int(np.argmax([row.R for row in rows]))
-    return SweepResult(rows=tuple(rows), argmax_index=idx)
+    return np.linspace(lo, hi, steps)
+
+
+def _sweep(values, R, eta, purity):
+    """Rows of the sampled ``values`` and their figure columns (``eta`` may be
+    None); the argmax is the first maximum of R, so ties go to the smallest value."""
+    rows = zip(values, R, eta or [None] * len(R), purity)
+    return SweepResult(rows=tuple(SweepRow(*row) for row in rows), argmax_index=int(np.argmax(R)))
 
 
 def golden_section_maximize(f, lo, hi, tol):
@@ -129,29 +126,27 @@ def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics
     The collection waist follows each sample through ``_tied``; waists where
     the separability condition is unsatisfiable are skipped. All samples
     share the ``spectral_grid`` of each resolution, so the phase mismatch is
-    evaluated once per grid resolution, not per sample.
+    evaluated once per grid resolution, not per sample. The tied waists are one
+    batch; each key's purity follows its rates, so its shape is built once.
     """
-
-    def sample(W0p):
-        geom = _tied(W0p, geom_base, crystal)
-        if geom is None:
-            return None
-        # pair rate first: the allocation order alone moves scan time (heap layout)
-        R = pair_rate(geom, crystal, filters, numerics)
-        return R, None, jsa_purity(geom, crystal, filters, numerics)
-
-    return _sweep(waist_range, "waist_range", steps, sample)
+    geom = _tied(_samples(waist_range, "waist_range", steps), geom_base, crystal)
+    if geom is None:
+        raise UnsatisfiableConditionError(
+            "separability condition unsatisfiable over the whole waist range"
+        )
+    grid = spectral_grid(numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode)
+    R, P = np.empty(geom.W0p.size), np.empty(geom.W0p.size)
+    for key, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics):
+        R[idx], P[idx] = rates, grid.figure(key, numerics.walk_off_enabled, numerics.decompose)
+    return _sweep(geom.W0p.tolist(), R.tolist(), None, P.tolist())
 
 
 def metrics_vs_waist_ratio(ratio_range, steps, geom_base, crystal, filters, numerics=Numerics()):
     """Full metrics versus the collection-to-pump waist ratio at the pump waist of geom_base."""
-
-    def sample(ratio):
-        geom = replace(geom_base, W0s=ratio * geom_base.W0p)
-        report = compute_metrics(geom, crystal, filters, numerics)
-        return report.pair_rate_R, report.heralding_eta, report.purity_P
-
-    return _sweep(ratio_range, "ratio_range", steps, sample)
+    ratios = _samples(ratio_range, "ratio_range", steps).tolist()
+    geoms = (replace(geom_base, W0s=r * geom_base.W0p) for r in ratios)
+    reports = [compute_metrics(g, crystal, filters, numerics) for g in geoms]
+    return _sweep(ratios, *zip(*((m.pair_rate_R, m.heralding_eta, m.purity_P) for m in reports)))
 
 
 def optimize(geom_template, crystal, filters, numerics=Numerics()):
@@ -183,7 +178,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
-    purities = np.array([purity_at(w) for w in scan])
+    purities = purity_at(scan)
     k = int(np.argmax(purities))
     if 0 < k < _SCAN_POINTS - 1:
         # quadratic refinement through the three points around the maximum

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -186,13 +187,13 @@ class TestPairRate:
     def test_shares_the_jsa_amplitude(self, degenerate, monkeypatch):
         # both doubling levels (the 101-point one is the 201-point grid's
         # every other point) and the 201-point JSA at one waist evaluate the
-        # shape once, on the waist's own factors
+        # shape once, on the waist's own C (all it reads without walk-off)
         cfg = degenerate
         shapes = []
         shape = SpectralTerms.shape
 
         def counted(self, factors, walk_off):
-            shapes.append((self.dky.shape, factors))
+            shapes.append((self.dky.shape, factors.C))
             return shape(self, factors, walk_off)
 
         monkeypatch.setattr(SpectralTerms, "shape", counted)
@@ -202,7 +203,7 @@ class TestPairRate:
             geom = replace(cfg.geom, W0s=W0s)
             pair_rate(geom, cfg.crystal, cfg.filters, cfg.numerics)
             jsa_purity(geom, cfg.crystal, cfg.filters, cfg.numerics)
-            want.append(((201, 201), geometry_factors(geom)))
+            want.append(((201, 201), geometry_factors(geom).C))
         assert shapes == want
 
     def test_threads_at_two_waists_match_serial_runs(self, degenerate, monkeypatch):
@@ -333,6 +334,101 @@ class TestFigureMemo:
         for geom, got in zip(geoms, warm):
             want = written_out_figures(geom, cfg, numerics)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def waist_batches(cfg):
+    """(name, batch geometry, numerics) of three kinds of waist batch: tied
+    waists of which some share the figure key C; free (W0p, W0s) pairs; and
+    one pump waist with collection waists whose pair rates stop at different
+    doubling levels under rate_resolution 5."""
+    tied = sweep._tied(np.linspace(300e-6, 800e-6, 12), cfg.geom, cfg.crystal)
+    free = replace(cfg.geom, W0p=np.array([250e-6, 310e-6, 400e-6]),
+                   W0s=np.array([120e-6, 145.4e-6, 200e-6]))
+    levels = replace(cfg.geom, W0p=500e-6, W0s=np.array([145e-6, 500e-6, 250e-6]))
+    return [("tied", tied, cfg.numerics), ("free", free, cfg.numerics),
+            ("levels", levels, Numerics(rate_resolution=5))]
+
+
+def one_at_a_time(geom):
+    """The waists of a batch geometry as one-waist geometries (floats)."""
+    pairs = zip(*(np.broadcast_to(w, np.broadcast(geom.W0p, geom.W0s).shape).tolist()
+                  for w in (geom.W0p, geom.W0s)))
+    return [replace(geom, W0p=W0p, W0s=W0s) for W0p, W0s in pairs]
+
+
+class TestWaistBatch:
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_batch_equals_its_waists_one_at_a_time(self, name, walk_off, request, monkeypatch):
+        # pair_rate and jsa_purity (both decompose modes) of K waists equal
+        # K one-waist calls bit for bit, each from a cold spectral-grid slot
+        cfg = request.getfixturevalue(name)
+        batches = waist_batches(cfg)
+        tied = batches[0][1]
+        assert len(jsa.figure_keys(geometry_factors(tied), False)) < tied.W0p.size
+        assert [sweep._tied(w, cfg.geom, cfg.crystal).W0s for w in tied.W0p.tolist()] == \
+            tied.W0s.tolist()
+        levels = set()
+        for kind, geom, numerics in batches:
+            numerics = replace(numerics, walk_off_enabled=walk_off)
+            for f, decompose in ((pair_rate, None), (jsa_purity, "amplitude"),
+                                 (jsa_purity, "intensity")):
+                n = replace(numerics, decompose=decompose or numerics.decompose)
+                monkeypatch.setattr(jsa, "_slot", (None, {}))
+                batch = f(geom, cfg.crystal, cfg.filters, n)
+                singles = []
+                for one in one_at_a_time(geom):
+                    monkeypatch.setattr(jsa, "_slot", (None, {}))
+                    singles.append(f(one, cfg.crystal, cfg.filters, n))
+                    if kind == "levels" and f is pair_rate:
+                        levels.add(max(jsa._slot[1]))
+                assert all(isinstance(v, float) for v in singles)
+                assert isinstance(batch, np.ndarray) and batch.tolist() == singles, (kind, f)
+        assert len(levels) == 2  # the "levels" waists stop at different levels
+
+    def test_batch_raises_at_its_first_unconverged_waist(self, degenerate, monkeypatch):
+        # at rate_resolution 5 the waist W0s = 145 um converges on the 9-point
+        # grid and W0s = 500 um needs the 17-point one, which is cut off here
+        cfg = degenerate
+        monkeypatch.setattr(metrics, "MAX_RATE_RESOLUTION", 9)
+        numerics = Numerics(rate_resolution=5)
+        geom = replace(cfg.geom, W0p=500e-6, W0s=np.array([145e-6, 500e-6, 550e-6]))
+        first, second, _ = one_at_a_time(geom)
+        assert isinstance(pair_rate(first, cfg.crystal, cfg.filters, numerics), float)
+        with pytest.raises(ConvergenceError, match="at waist 0$") as one:
+            pair_rate(second, cfg.crystal, cfg.filters, numerics)
+        with pytest.raises(ConvergenceError, match="at waist 1$") as batch:
+            pair_rate(geom, cfg.crystal, cfg.filters, numerics)
+        assert batch.value.estimates == one.value.estimates
+
+    @pytest.mark.parametrize("f", [pair_rate, jsa_purity])
+    def test_batch_warns_as_its_waists_do(self, degenerate, f):
+        # Rayleigh ranges under 10 L: the pump at the first and last waists,
+        # the signal and idler modes at the last two: six warnings in order
+        cfg = degenerate
+        geom = replace(cfg.geom, W0p=np.array([20e-6, 300e-6, 15e-6]),
+                       W0s=np.array([300e-6, 30e-6, 25e-6]))
+        caught = []
+        for calls in ([geom], one_at_a_time(geom)):
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                for g in calls:
+                    f(g, cfg.crystal, cfg.filters, cfg.numerics)
+            caught.append([str(w.message) for w in got])
+        assert len(caught[0]) == 6 and caught[0] == caught[1]
+
+    @pytest.mark.parametrize("field", ["W0p", "W0s"])
+    def test_per_waist_layers_refuse_arrays(self, degenerate, field):
+        cfg = degenerate
+        geom = replace(cfg.geom, **{field: np.array([1.0, 1.1]) * getattr(cfg.geom, field)})
+        calls = [
+            lambda: singles_rate("signal", geom, cfg.crystal, cfg.filters, cfg.numerics),
+            lambda: jsa.jsa_grid(geom, cfg.crystal, cfg.filters, cfg.numerics),
+            lambda: compute_metrics(geom, cfg.crystal, cfg.filters, cfg.numerics),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=field):
+                call()
 
 
 def one_point_overlap(n, m, Om_s, Om_i, geom, crystal, which="signal", walk_off=False):

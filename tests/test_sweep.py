@@ -23,10 +23,16 @@ STUB_PURITY = 0.5
 
 
 def stub_rate(monkeypatch, rate_fn):
-    """Replace the sweeps' pair-rate integral by ``rate_fn(geom)`` and their
-    purity by STUB_PURITY."""
-    monkeypatch.setattr(sweep, "pair_rate", lambda geom, *args, **kwargs: rate_fn(geom))
-    monkeypatch.setattr(sweep, "jsa_purity", lambda *args, **kwargs: STUB_PURITY)
+    """Replace the rate scan's pair rates by ``rate_fn(geom)`` at each waist of
+    the batch geometry ``geom``, all under one key, and its purity by
+    STUB_PURITY."""
+
+    def rates_by_key(geom, *args, **kwargs):
+        yield None, list(range(geom.W0p.size)), np.broadcast_to(rate_fn(geom), geom.W0p.shape)
+
+    grid = SimpleNamespace(figure=lambda *args, **kwargs: STUB_PURITY)
+    monkeypatch.setattr(sweep, "pair_rates_by_key", rates_by_key)
+    monkeypatch.setattr(sweep, "spectral_grid", lambda *args, **kwargs: grid)
 
 
 class TestGoldenSection:
@@ -71,7 +77,7 @@ class TestRateVsPumpWaist:
         seen = []
 
         def rate_fn(geom):
-            seen.append((geom.W0p, geom.W0s))
+            seen.extend(zip(geom.W0p, geom.W0s))
             return 1.0
 
         stub_rate(monkeypatch, rate_fn)
@@ -229,19 +235,20 @@ class TestOptimize:
 
     def test_coarse_scan_reads_the_scan_purities(self, degenerate, monkeypatch):
         # the 11 coarse eta - P points are every 12th of the 121 scan points,
-        # whose purities the scan already has: 121 scan and 2 report purities
+        # whose purities the scan already has: one call for the 121 scan
+        # waists and one for each of the 2 report purities
         cfg = degenerate
         calls = []
         purity = metrics.jsa_purity
 
         def counted(geom, *args):
-            calls.append(geom.W0s)
+            calls.append(np.size(geom.W0s))
             return purity(geom, *args)
 
         monkeypatch.setattr(sweep, "jsa_purity", counted)
         monkeypatch.setattr(metrics, "jsa_purity", counted)
         optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
-        assert len(calls) == 123
+        assert calls == [121, 1, 1]
 
     def test_crossing_search_bisects_between_coarse_points(self, result, degenerate, monkeypatch):
         # eta is stubbed as the SVD purity plus a line through W_x, so eta - P
