@@ -11,6 +11,8 @@ error, 3 I/O error.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import numbers
@@ -234,7 +236,25 @@ def _run(args):
     return 0
 
 
+@functools.cache
+def _keep_freed_heap():
+    """On glibc, keep freed heap for reuse, so that each new spectral grid does
+    not fault in again the pages its predecessor handed back. Arrays up to
+    32 MiB, glibc's ceiling for its dynamic mmap threshold, stay on the heap,
+    and up to 64 MiB of free heap top is kept. Alone, the trim threshold would
+    freeze the mmap threshold where it stands, so it follows that one."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+                mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, ValueError):  # not glibc, or no mallopt
+        pass
+
+
 def main(argv=None):
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

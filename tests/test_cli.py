@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from spdc_lab import cli
 from spdc_lab.cli import build_parser, main
 from spdc_lab.config import Numerics, load_config, shipped_config_path
 from spdc_lab.errors import ConfigError, ConvergenceError
+from spdc_lab.metrics import compute_metrics, pair_rate
+from spdc_lab.sweep import optimize
 
 # JSON values of every type but number
 JSON_JUNK = st.one_of(
@@ -741,3 +745,91 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 []"
+
+
+MIB = 1 << 20
+
+
+class Calls(list):
+    result = 1
+
+
+class TestHeapPolicy:
+    @pytest.fixture
+    def mallopt(self, monkeypatch):
+        """The (param, value) pairs the CLI hands to a fake libc's mallopt,
+        on glibc's confstr, with the once-per-process guard reset around the
+        test. ``calls.result`` is what the fake returns."""
+        calls = Calls()
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return calls.result
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=fake_mallopt))
+        monkeypatch.setattr(cli.os, "confstr", {"CS_GNU_LIBC_VERSION": "glibc 2.36"}.get)
+        cli._keep_freed_heap.cache_clear()
+        yield calls
+        cli._keep_freed_heap.cache_clear()
+
+    def test_main_sets_both_thresholds_once(self, tmp_path, mallopt):
+        config = cheap_config(tmp_path)
+        assert run_cli("dispersion-report", config, tmp_path / "a") == 0
+        assert run_cli("dispersion-report", config, tmp_path / "b") == 0
+        assert mallopt == [(-3, 32 * MIB), (-1, 64 * MIB)]
+
+    @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
+    def test_no_call_off_glibc(self, tmp_path, monkeypatch, mallopt, error):
+        # confstr gives None off glibc, and raises where the name is unknown;
+        # it is missing where the platform has no confstr at all
+        def confstr(name):
+            if error is not None:
+                raise error(name)
+
+        if error is AttributeError:
+            monkeypatch.delattr(cli.os, "confstr")
+        else:
+            monkeypatch.setattr(cli.os, "confstr", confstr)
+        assert run_cli("dispersion-report", cheap_config(tmp_path), tmp_path / "d") == 0
+        assert mallopt == []
+
+    def test_refused_threshold_is_not_followed(self, tmp_path, mallopt):
+        # the trim threshold alone would freeze the mmap threshold where it
+        # stands, so a refused mmap threshold sets nothing more
+        mallopt.result = 0
+        assert run_cli("dispersion-report", cheap_config(tmp_path), tmp_path / "d") == 0
+        assert mallopt == [(-3, 32 * MIB)]
+
+    @pytest.mark.parametrize("libc", [SimpleNamespace(), OSError])
+    def test_missing_mallopt_is_ignored(self, tmp_path, monkeypatch, mallopt, libc):
+        def cdll(name):
+            if libc is OSError:
+                raise OSError(name)
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert run_cli("dispersion-report", cheap_config(tmp_path), tmp_path / "d") == 0
+
+    def test_library_calls_leave_the_allocator_alone(self, tmp_path, mallopt):
+        cfg = load_config(cheap_config(tmp_path))
+        args = (cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        compute_metrics(*args)
+        pair_rate(*args)
+        optimize(*args)
+        assert mallopt == []
+        assert run_cli("dispersion-report", cheap_config(tmp_path), tmp_path / "d") == 0
+        assert len(mallopt) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_new_spectral_setting_reuses_freed_heap(self, tmp_path):
+        # each run replaces the spectral-grid slot; with glibc's default
+        # thresholds the replaced grids go back to the kernel, and the third
+        # run faulted about 930 pages in again
+        import resource
+
+        faults = []
+        for i, name in enumerate(("degenerate_810", "nondegenerate_850_609", "degenerate_810")):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert run_cli("sweep-rate", shipped_config_path(name), tmp_path / str(i)) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[2] < 100, faults
