@@ -253,9 +253,14 @@ def _keep_freed_heap():
         pass
 
 
+@functools.cache
+def _parser():  # once per process: building a parser costs ten parses
+    return build_parser()
+
+
 def main(argv=None):
     _keep_freed_heap()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (SpdcLabError, ValueError, ArithmeticError) as exc:

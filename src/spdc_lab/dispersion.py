@@ -14,6 +14,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -57,19 +58,23 @@ class CrystalSpec:
             raise ValueError("length_L must be positive")
         if not 0.0 < self.cut_angle_theta < math.pi / 2:
             raise ValueError("cut_angle_theta must lie in (0, pi/2)")
-        lo, hi = self.validity_window
-        if not 0 < lo < hi:
-            raise ValueError("validity window must satisfy 0 < lo < hi")
-        # spot-check the dataset over the window: n > 1 everywhere and the
-        # extraordinary principal index below the ordinary one (negative
-        # uniaxial)
-        lam = np.linspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 64)
-        n_o = _sellmeier_index(self.sellmeier_o, lam)
-        n_e = _sellmeier_index(self.sellmeier_e, lam)
-        if not (np.all(n_o > 1.0) and np.all(n_e > 1.0)):
-            raise ValueError("Sellmeier data yields n <= 1 inside the window")
-        if not np.all(n_e < n_o):
-            raise ValueError("dataset is not negative uniaxial (n_e >= n_o)")
+        _check_dataset(*map(tuple, (self.sellmeier_o, self.sellmeier_e, self.validity_window)))
+
+
+@lru_cache(maxsize=8)
+def _check_dataset(sellmeier_o, sellmeier_e, validity_window):
+    """Spot-check a dataset over its window: n > 1, and n_e < n_o (negative
+    uniaxial). Held once passed, so ``replace`` of a crystal skips it."""
+    lo, hi = validity_window
+    if not 0 < lo < hi:
+        raise ValueError("validity window must satisfy 0 < lo < hi")
+    lam = np.linspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 64)
+    n_o = _sellmeier_index(sellmeier_o, lam)
+    n_e = _sellmeier_index(sellmeier_e, lam)
+    if not (np.all(n_o > 1.0) and np.all(n_e > 1.0)):
+        raise ValueError("Sellmeier data yields n <= 1 inside the window")
+    if not np.all(n_e < n_o):
+        raise ValueError("dataset is not negative uniaxial (n_e >= n_o)")
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,12 @@ def _sellmeier_index(coeffs, lam_m):
 
 def _check_window(lam_m, crystal):
     lo, hi = crystal.validity_window
-    lam = np.asarray(lam_m)
-    if np.any(lam < lo) or np.any(lam > hi):
+    if isinstance(lam_m, float):  # a float skips numpy's array calls; NaN passes
+        outside = lam_m < lo or lam_m > hi
+    else:
+        lam = np.asarray(lam_m)
+        outside = np.any(lam < lo) or np.any(lam > hi)
+    if outside:
         raise WavelengthWindowError(
             "wavelength outside the %s dispersion-data window [%.1f, %.1f] nm"
             % (crystal.name, lo * 1e9, hi * 1e9)
@@ -278,6 +287,8 @@ def emission_angles(cut_detuning, lam_s, lam_i, crystal):
             )
         return 0.0, 0.0
     theta_s = 2.0 * math.asin(math.sqrt(excess * (k_p + k_i - k_s) / (4.0 * k_p * k_s)))
+    if lam_s == lam_i:  # k_s == k_i: theta_i is theta_s, not an asin a bit off it
+        return theta_s, theta_s
     return theta_s, math.asin(k_s * math.sin(theta_s) / k_i)
 
 

@@ -371,8 +371,8 @@ class SpectralGrid(SpectralTerms):
     ``Om_s``, ``Om_i`` and, from its first use by a rate, the filter weight
     T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid. ``figure``
     holds the scalars of the shape per C (and H), so a waist sweep along the
-    separability tie, which fixes C, builds Psi and its purity once per bit
-    pattern of C rather than at every waist.
+    separability tie, keyed on the C that the tie fixes, builds Psi and its
+    purity once (once per H with walk-off) rather than at every waist.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -433,9 +433,10 @@ class SpectralGrid(SpectralTerms):
         return float(self._w_s @ density @ self._w_i)
 
 
-def figure_keys(factors, walk_off):
-    """{``figure`` key (C, and H with ``walk_off``): indices} of the waists of ``factors``."""
-    C = np.ravel(factors.C).tolist()
+def figure_keys(factors, walk_off, C=None):
+    """{``figure`` key (C, and H with ``walk_off``): indices} of the waists of
+    ``factors``; a float ``C`` (``_tie_curvature``) replaces each waist's own."""
+    C = np.ravel(factors.C).tolist() if C is None else [C] * np.size(factors.C)
     H = np.ravel(factors.H).tolist() if walk_off else [None] * len(C)
     keys = {}
     for j, key in enumerate(zip(C, H)):
@@ -496,6 +497,23 @@ def jsa_grid(geom, crystal, filters, numerics):
     )
 
 
+def _tie_curvature(geom, crystal, alpha_convention):
+    """``purity_waist``'s C*, the curvature C of every waist the tie sets."""
+    if alpha_convention not in ALPHA_CONVENTIONS:
+        raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
+    N_s, N_i, N_p = central_inverse_group_velocities(geom, crystal)
+    ts, ti = geom.theta_s, geom.theta_i
+    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
+    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
+    alpha_eff = SINC_GAUSS_ALPHA ** (1 if alpha_convention == "consistent" else 2)
+    if u * v <= 0:
+        raise UnsatisfiableConditionError(
+            "purity condition unsatisfiable at zero emission angle; "
+            "increase the cut detuning"
+        )
+    return (u * v) / (1.0 / geom.pump_bandwidth_Bp**2 + alpha_eff * a * b * crystal.length_L**2)
+
+
 def purity_waist(W0p, geom, crystal, alpha_convention):
     """Collection waist W0s that zeroes the cross coefficient delta_si.
 
@@ -513,25 +531,13 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
     constant of the printed closed-form waist relation. An array W0p gets NaN
     where a waist has no solution; it raises only if none has one.
     """
-    if alpha_convention not in ALPHA_CONVENTIONS:
-        raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
-    N_s, N_i, N_p = central_inverse_group_velocities(geom, crystal)
-    ts, ti = geom.theta_s, geom.theta_i
-    u, v = N_s * math.sin(ts), N_i * math.sin(ti)
-    a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)
-    alpha_eff = SINC_GAUSS_ALPHA ** (1 if alpha_convention == "consistent" else 2)
-    if u * v <= 0:
-        raise UnsatisfiableConditionError(
-            "purity condition unsatisfiable at zero emission angle; "
-            "increase the cut detuning"
-        )
-    c_star = (u * v) / (1.0 / geom.pump_bandwidth_Bp**2 + alpha_eff * a * b * crystal.length_L**2)
-    radicand = c_star - 1.0 / _square(W0p)
+    radicand = _tie_curvature(geom, crystal, alpha_convention) - 1.0 / _square(W0p)
     solvable = radicand > 0
     if not np.count_nonzero(solvable):
         raise UnsatisfiableConditionError(
             "purity condition unsatisfiable; increase B_p, cut detuning, or W0p"
         )
+    ts, ti = geom.theta_s, geom.theta_i
     return np.sqrt((math.cos(ts) ** 2 + math.cos(ti) ** 2) / np.where(solvable, radicand, np.nan))
 
 

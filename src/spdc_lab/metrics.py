@@ -114,9 +114,9 @@ def _waist_free_prefactor(pump, signal, idler, crystal, pump_bandwidth_Bp):
     )
 
 
-def pair_rates_by_key(geom, crystal, filters, numerics):
+def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     """Pair rates in pairs/(s mW), converged by grid doubling, key by key:
-    yields (key, waist indices, rates) for each key of ``figure_keys``.
+    yields (key, waist indices, rates) for each key of ``figure_keys(g, walk_off, C)``.
 
     The joint density is integrated over the rectangle of the signal and
     idler filter windows (the sum-frequency variable is bounded by the pump
@@ -130,7 +130,7 @@ def pair_rates_by_key(geom, crystal, filters, numerics):
     check_rayleigh(geom, crystal.length_L)
     g, walk_off, unconverged = geometry_factors(geom), numerics.walk_off_enabled, {}
     pref, level = np.ravel(rate_prefactor(geom, crystal)), np.ravel(math.pi**2 / (g.A * g.C))
-    for key, idx in figure_keys(g, walk_off).items():
+    for key, idx in figure_keys(g, walk_off, C).items():
         n, lev, p = 2 * numerics.rate_resolution - 1, level[idx], pref[idx]
         grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
         prev, rate = lev * grid.figure(key, walk_off, stride=2), np.full(len(idx), np.nan)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Numerics
 from .errors import UnsatisfiableConditionError
-from .jsa import purity_waist, spectral_grid
+from .jsa import _tie_curvature, purity_waist, spectral_grid
 from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate, pair_rates_by_key
 
 # the Gaussian-model convention that ties the collection waist to the pump
@@ -127,7 +127,9 @@ def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics
     the separability condition is unsatisfiable are skipped. All samples
     share the ``spectral_grid`` of each resolution, so the phase mismatch is
     evaluated once per grid resolution, not per sample. The tied waists are one
-    batch; each key's purity follows its rates, so its shape is built once.
+    batch keyed on the C the tie fixes (``_tie_curvature``), which their own C
+    rounds to a few bit patterns of, so the shape, the rate doubling and the
+    purity are taken once (once per H with walk-off).
     """
     geom = _tied(_samples(waist_range, "waist_range", steps), geom_base, crystal)
     if geom is None:
@@ -136,7 +138,8 @@ def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics
         )
     grid = spectral_grid(numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode)
     R, P = np.empty(geom.W0p.size), np.empty(geom.W0p.size)
-    for key, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics):
+    C = _tie_curvature(geom, crystal, _TIE_ALPHA)
+    for key, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics, C):
         R[idx], P[idx] = rates, grid.figure(key, numerics.walk_off_enabled, numerics.decompose)
     return _sweep(geom.W0p.tolist(), R.tolist(), None, P.tolist())
 

@@ -579,12 +579,22 @@ class TestCliErrors:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fourier", "--config", "x", "--out", "y"])
 
+    def test_unknown_command_exits_2_on_each_call(self, capsys):
+        # main parses with one parser per process, which a rejected command
+        # leaves as it was
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["fourier", "--config", "x", "--out", "y"])
+            assert exc.value.code == 2
+        assert "invalid choice: 'fourier'" in capsys.readouterr().err
 
-def write_dataset(directory, name, drop=None):
+
+def write_dataset(directory, name, drop=None, **fields):
     """A copy of the packaged bbo.json as ``directory/<name>.json``, without
-    the field ``drop``."""
+    the field ``drop`` and with ``fields`` set."""
     raw = json.loads((Path(cli.__file__).parent / "data" / "bbo.json").read_text())
     raw.pop(drop, None)
+    raw.update(fields)
     directory.mkdir(exist_ok=True)
     path = directory / (name + ".json")
     path.write_text(json.dumps(raw))
@@ -614,6 +624,21 @@ class TestCrystalLookup:
         assert err["type"] == "ConfigError"
         assert err["error"].startswith("crystal.name:")
         assert "validity_window_nm" in err["error"]
+
+    def test_malformed_dataset_fails_every_load(self, tmp_path, monkeypatch):
+        # a dataset is checked once per process only when it passes: swapped
+        # ordinary and extraordinary indices fail their spot check each time
+        monkeypatch.setenv("SPDC_LAB_CRYSTAL_DIR", str(tmp_path / "data"))
+        bbo = load_config(shipped_config_path("degenerate_810")).crystal
+        write_dataset(
+            tmp_path / "data", "swapped", sellmeier_o=bbo.sellmeier_e, sellmeier_e=bbo.sellmeier_o
+        )
+        doc = read_shipped("degenerate_810")
+        doc["crystal"]["name"] = "swapped"
+        config = dump(doc, tmp_path)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="^crystal.name: .*not negative uniaxial"):
+                load_config(config)
 
     def test_path_is_not_a_name(self, tmp_path):
         doc = read_shipped("degenerate_810")

@@ -28,6 +28,7 @@ from spdc_lab.errors import (
     WavelengthWindowError,
 )
 from spdc_lab import units
+from spdc_lab.jsa import geometry_factors
 from spdc_lab.units import wavelength_to_angular_frequency
 
 # bracketed root solves to the last bit (brentq's smallest rtol is 4 eps)
@@ -307,6 +308,15 @@ class TestPhaseMatching:
         ts, ti = emission_angles(math.radians(1.5), 810e-9, 810e-9, degenerate.crystal)
         assert ts == pytest.approx(ti, rel=1e-12)
         assert ts == pytest.approx(5.978056426519e-2, rel=1e-8)
+
+    def test_degenerate_angles_exactly_equal(self, degenerate_with):
+        # k_s sin(theta_s) = k_i sin(theta_i) with k_s = k_i: theta_i is
+        # theta_s itself, not an asin one ulp off it, so D = 0 exactly over
+        # the cut detunings of the perfbench design box
+        for cut_deg in np.linspace(1.2, 2.0, 81).tolist():
+            geom = degenerate_with("collection", "cut_detuning_deg", cut_deg).geom
+            assert geom.theta_s == geom.theta_i, cut_deg
+            assert geometry_factors(geom).D == 0.0, cut_deg
 
     def test_emission_angles_residuals(self, nondegenerate):
         cr = nondegenerate.crystal

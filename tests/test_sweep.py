@@ -124,12 +124,10 @@ class TestRateVsPumpWaist:
 
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
     def test_tied_sweep_builds_each_c_once(self, name, request, monkeypatch):
-        # the tie fixes C up to its last bits: the 201-point shape and the
-        # purity are computed once per distinct C, not once per waist
+        # the tie fixes C; its waists round C to a few bit patterns, but the
+        # sweep keys them all on the tie's own C: one 201-point shape and one
+        # purity, or one per distinct H with walk-off
         cfg = request.getfixturevalue(name)
-        waists = np.linspace(50e-6, 800e-6, 76)
-        tied = [g for g in (sweep._tied(w, cfg.geom, cfg.crystal) for w in waists) if g]
-        distinct_c = {jsa.geometry_factors(g).C for g in tied}
         shapes, purities = [], []
         shape, purity = jsa.SpectralTerms.shape, jsa.purity
 
@@ -143,11 +141,38 @@ class TestRateVsPumpWaist:
 
         monkeypatch.setattr(jsa.SpectralTerms, "shape", counted_shape)
         monkeypatch.setattr(jsa, "purity", counted_purity)
-        monkeypatch.setattr(jsa, "_slot", (None, {}))
-        result = rate_vs_pump_waist((50e-6, 800e-6), 76, cfg.geom, cfg.crystal, cfg.filters)
-        assert len(result.rows) == len(tied) > 4 * len(distinct_c)
-        assert shapes.count(201) == len(purities) == len(distinct_c)
-        assert purities == [(201, 201)] * len(distinct_c)
+        for walk_off, steps in ((False, 76), (True, 12)):
+            tied = sweep._tied(np.linspace(50e-6, 800e-6, steps), cfg.geom, cfg.crystal)
+            g = jsa.geometry_factors(tied)
+            keys = len(set(g.H.tolist())) if walk_off else 1
+            assert walk_off or len(set(g.C.tolist())) > 1  # the bit patterns the key replaces
+            shapes.clear()
+            purities.clear()
+            monkeypatch.setattr(jsa, "_slot", (None, {}))
+            result = rate_vs_pump_waist(
+                (50e-6, 800e-6), steps, cfg.geom, cfg.crystal, cfg.filters,
+                Numerics(walk_off_enabled=walk_off),
+            )
+            assert len(result.rows) == tied.W0p.size
+            assert shapes.count(201) == len(purities) == keys
+            assert purities == [(201, 201)] * keys
+
+    @pytest.mark.parametrize("walk_off, steps", [(False, 40), (True, 8)])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_rows_match_one_waist_calls(self, name, walk_off, steps, request):
+        # keyed on the tie's C, each row still gives the pair rate and purity
+        # of its own tied geometry
+        cfg = request.getfixturevalue(name)
+        numerics = Numerics(walk_off_enabled=walk_off)
+        result = rate_vs_pump_waist(
+            (50e-6, 800e-6), steps, cfg.geom, cfg.crystal, cfg.filters, numerics
+        )
+        assert len(result.rows) > steps // 2
+        for row in result.rows:
+            geom = sweep._tied(row.swept_value, cfg.geom, cfg.crystal)
+            R = metrics.pair_rate(geom, cfg.crystal, cfg.filters, numerics)
+            P = metrics.jsa_purity(geom, cfg.crystal, cfg.filters, numerics)
+            assert abs(row.R / R - 1) <= 1e-14 and abs(row.purity / P - 1) <= 1e-14
 
 
 class TestMetricsVsWaistRatio:
