@@ -106,8 +106,18 @@ def check_rayleigh(geom, length_L):
     """Warn when any Rayleigh range is not large against the crystal length.
 
     The thin-beam factorization used throughout assumes z_r = pi W0^2 /
-    lambda >> L; enforce z_r > 10 L with a warning per waist and mode.
+    lambda >> L; enforce z_r > 10 L with a warning per waist and mode. The
+    per-waist loop runs only when some waist's z_r is below that bound or
+    within a relative 1e-9 of it: z_r grows with the squared waist, so the
+    smallest square of each mode's waists decides.
     """
+    bound = 10.0 * length_L * (1.0 + 1e-9)
+    squares = (
+        np.square(w).min(initial=math.inf) if isinstance(w, np.ndarray) else w * w
+        for w in (geom.W0p, geom.W0s, geom.W0s)
+    )
+    if all(math.pi * w2 / mode.central_wavelength > bound for w2, mode in zip(squares, geom.modes)):
+        return
     for waists in np.broadcast(geom.W0p, geom.W0s, geom.W0s):  # waist by waist
         for w0, mode in zip(waists, geom.modes):
             z_r = math.pi * float(w0) ** 2 / mode.central_wavelength
@@ -561,10 +571,10 @@ def write_jsa_json(grid, path):
     amplitude row at a time. The imaginary rows of the real amplitude are one
     text of zeros."""
     A = grid.amplitude
-    # json.dumps runs the C encoder: the same float repr and ", " separators
-    # as one dumps of the whole document
-    im_rows = (json.dumps([0.0] * A.shape[1]),) * A.shape[0]
-    re_rows = (json.dumps(a.tolist()) for a in A)
+    # a list's repr has the float repr and ", " separators of json.dumps, and
+    # the same text for the finite floats JsaGrid holds
+    im_rows = (repr([0.0] * A.shape[1]),) * A.shape[0]
+    re_rows = (repr(a.tolist()) for a in A)
     tail = (grid.normalization_N, grid.omega_i_samples.tolist(), grid.omega_s_samples.tolist())
     with open(path, "w") as fh:
         for head, rows in (('{"amplitude_im": [', im_rows), ('], "amplitude_re": [', re_rows)):

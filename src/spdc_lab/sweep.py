@@ -7,7 +7,6 @@ then evaluate the closed-form collection waist, then refine it by scanning
 the purity and locating the efficiency/purity crossing.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -160,10 +159,14 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     separability condition under _TIE_ALPHA. Stage 2 evaluates the
     closed-form collection waist at the optimum under
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
-    [0.5, 1.2] times the closed-form value at _SCAN_POINTS points,
+    [0.5, 1.2] times the closed-form value on a grid of _SCAN_POINTS points,
     maximizing the purity (with local quadratic refinement), and locates the
     efficiency/purity crossing by bisection from _ETA_COARSE_POINTS evenly
-    spaced points of that scan, whose purities it already has.
+    spaced points of that grid. It takes the purity at those coarse points,
+    then only at the grid points between the coarse maximum's two coarse
+    neighbours, and maximizes over that window. That is the maximum of all
+    _SCAN_POINTS purities whenever the sampled purity has one peak over the
+    scan, as stage 1 assumes of the pair rate.
     """
 
     def tied_rate(W0p):
@@ -181,7 +184,16 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
-    purities = purity_at(scan)
+    # the coarse points first, then the scan points between the coarse
+    # maximum's two coarse neighbours (-inf elsewhere); that maximum is the
+    # first, so only a scan edge can hold the window's argmax at the window's
+    # edge, and the argmax's two neighbours lie in the window
+    stride = (_SCAN_POINTS - 1) // (_ETA_COARSE_POINTS - 1)
+    purities = np.full(_SCAN_POINTS, -math.inf)
+    purities[::stride] = purity_at(scan[::stride])
+    top = stride * int(np.argmax(purities[::stride]))
+    window = slice(max(top - stride, 0), top + stride + 1)
+    purities[window] = purity_at(scan[window])
     k = int(np.argmax(purities))
     if 0 < k < _SCAN_POINTS - 1:
         # quadratic refinement through the three points around the maximum
@@ -196,7 +208,6 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def eta_at(W0s):
         return heralding_rates(at_waist(W0s), crystal, filters, numerics)[3]
 
-    stride = (_SCAN_POINTS - 1) // (_ETA_COARSE_POINTS - 1)
     coarse = scan[::stride]
     diffs = [eta_at(w) - p for w, p in zip(coarse, purities[::stride])]
     W0s_intersection = None
@@ -238,10 +249,10 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
 
 
 def write_sweep_csv(rows, path):
-    """CSV with header (swept_value, R, eta, purity); blanks when absent."""
+    """CSV with header (swept_value, R, eta, purity); blanks when absent. The
+    bytes ``csv.writer`` writes: no cell needs quoting, and lines end in \\r\\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["swept_value", "R", "eta", "purity"])
+        fh.write("swept_value,R,eta,purity\r\n")
         for row in rows:
             values = (row.swept_value, row.R, row.eta, row.purity)
-            writer.writerow(["" if v is None else "%.9e" % v for v in values])
+            fh.write(",".join("" if v is None else "%.9e" % v for v in values) + "\r\n")

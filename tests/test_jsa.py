@@ -787,3 +787,54 @@ class TestBeamGeometry:
         assert geom.pump.role == "pump"
         assert geom.signal.role == "signal"
         assert geom.idler.role == "idler"
+
+
+def _reference_rayleigh_warnings(geom, length_L):
+    """The per-waist, per-mode warnings of check_rayleigh, from its loop alone."""
+    got = []
+    for waists in np.broadcast(geom.W0p, geom.W0s, geom.W0s):
+        for w0, mode in zip(waists, geom.modes):
+            z_r = math.pi * float(w0) ** 2 / mode.central_wavelength
+            if z_r <= 10.0 * length_L:
+                got.append(
+                    "%s Rayleigh range %.2e m is not >> crystal length %.2e m"
+                    % (mode.role, z_r, length_L)
+                )
+    return got
+
+
+class TestRayleighCheck:
+    @staticmethod
+    def at_bound(mode, length_L, rel):
+        """The waist whose Rayleigh range is (1 + rel) * 10 L in ``mode``."""
+        return math.sqrt(10.0 * length_L * (1.0 + rel) * mode.central_wavelength / math.pi)
+
+    @pytest.mark.parametrize("config", ["degenerate", "nondegenerate"])
+    def test_batches_warn_as_the_per_waist_loop(self, request, config):
+        # pump and collection waists below, at, within 1e-9 of and above the
+        # z_r > 10 L bound, in batches that straddle it and batches clear of it
+        cfg = request.getfixturevalue(config)
+        geom, L = cfg.geom, cfg.crystal.length_L
+        p = [self.at_bound(geom.pump, L, rel) for rel in (-0.5, -1e-12, 0.0, 1e-12, 5e-10, 0.5)]
+        s = [self.at_bound(geom.signal, L, rel) for rel in (-0.5, -1e-12, 0.0, 1e-12, 5e-10, 0.5)]
+        far = 10.0 * max(p + s)
+        batches = [
+            (np.array(p), far),
+            (far, np.array(s)),
+            (np.array(p), np.array(s)),
+            (np.array(p[::-1]), np.array(s)),
+            (np.array([far, 2 * far]), np.array([far, s[1]])),
+            (np.array([far, 2 * far]), np.array([far, 3 * far])),
+            (p[1], s[3]),
+            (far, far),
+        ]
+        lists = []
+        for W0p, W0s in batches:
+            g = replace(geom, W0p=W0p, W0s=W0s)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                jsa.check_rayleigh(g, L)
+            lists.append([str(w.message) for w in got])
+            assert lists[-1] == _reference_rayleigh_warnings(g, L)
+        assert [len(x) > 0 for x in lists] == [True] * 5 + [False, True, False]
+        assert len(lists[2]) > len(lists[0])

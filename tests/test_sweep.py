@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from spdc_lab import jsa, metrics, sweep
-from spdc_lab.config import Numerics
+from spdc_lab.config import Numerics, load_config, shipped_config_path
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import purity_waist
 from spdc_lab.sweep import (
@@ -231,6 +233,57 @@ class TestGaussianModelSelfConsistency:
         assert max(purities) == pytest.approx(1.0, abs=1e-10)
 
 
+def _refined_purity_star(scan, purities):
+    """The waist of the first maximum of ``purities`` over ``scan``, with
+    optimize's quadratic refinement through it and its two neighbours."""
+    k = int(np.argmax(purities))
+    if not 0 < k < scan.size - 1:
+        return scan[k]
+    y0, y1, y2 = purities[k - 1], purities[k], purities[k + 1]
+    denom = y0 - 2 * y1 + y2
+    shift = 0.5 * (y0 - y2) / denom if denom < 0 else 0.0
+    return scan[k] + min(max(shift, -1.0), 1.0) * (scan[1] - scan[0])
+
+
+def _exhaustive_purity_star(got, cfg, numerics):
+    """The refined purity waist from the purity at every one of the 121 scan
+    waists around ``got``'s closed-form waist, at its pump waist."""
+    cf = got.W0s_closed_form
+    scan = np.linspace(0.5 * cf, 1.2 * cf, 121)
+    at = replace(cfg.geom, W0p=got.W0p_star, W0s=scan)
+    return _refined_purity_star(scan, metrics.jsa_purity(at, cfg.crystal, cfg.filters, numerics))
+
+
+# (shipped config, {section: {key: value}}) inside the benchmark's design box
+BOX_DESIGNS = [
+    ("degenerate_810", {"crystal": {"length_um": 600.0}, "collection": {"cut_detuning_deg": 1.2},
+                        "filters": {"signal_halfwidth_thz": 4.0, "idler_halfwidth_thz": 6.5},
+                        "pump": {"filter_halfwidth_thz": 8.0}}),
+    ("degenerate_810", {"crystal": {"length_um": 350.0}, "collection": {"cut_detuning_deg": 2.0},
+                        "filters": {"signal_halfwidth_thz": 6.0, "idler_halfwidth_thz": 4.5},
+                        "pump": {"filter_halfwidth_thz": 12.0}}),
+    ("nondegenerate_850_609", {"crystal": {"length_um": 520.0},
+                               "collection": {"cut_detuning_deg": 1.8, "signal_wavelength_nm": 870.0},
+                               "filters": {"signal_halfwidth_thz": 6.5, "idler_halfwidth_thz": 4.0},
+                               "pump": {"filter_halfwidth_thz": 13.0}}),
+    ("nondegenerate_850_609", {"crystal": {"length_um": 380.0},
+                               "collection": {"cut_detuning_deg": 1.3, "signal_wavelength_nm": 832.0},
+                               "filters": {"signal_halfwidth_thz": 4.2, "idler_halfwidth_thz": 5.8},
+                               "pump": {"filter_halfwidth_thz": 8.4}}),
+]
+
+
+def _design_config(design, tmp_path):
+    name, fields = design
+    with open(shipped_config_path(name)) as fh:
+        raw = json.load(fh)
+    for section, values in fields.items():
+        raw[section].update(values)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path)
+
+
 @pytest.fixture(scope="module")
 def result(degenerate):
     cfg = degenerate
@@ -260,8 +313,9 @@ class TestOptimize:
 
     def test_coarse_scan_reads_the_scan_purities(self, degenerate, monkeypatch):
         # the 11 coarse eta - P points are every 12th of the 121 scan points,
-        # whose purities the scan already has: one call for the 121 scan
-        # waists and one for each of the 2 report purities
+        # whose purities the scan already has: one call for the 11 coarse
+        # waists, one for the at most 25 between the coarse maximum's two
+        # coarse neighbours and one for each of the 2 report purities
         cfg = degenerate
         calls = []
         purity = metrics.jsa_purity
@@ -273,7 +327,7 @@ class TestOptimize:
         monkeypatch.setattr(sweep, "jsa_purity", counted)
         monkeypatch.setattr(metrics, "jsa_purity", counted)
         optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
-        assert calls == [121, 1, 1]
+        assert len(calls) == 4 and calls[0] == 11 and calls[1] <= 25 and calls[2:] == [1, 1]
 
     def test_crossing_search_bisects_between_coarse_points(self, result, degenerate, monkeypatch):
         # eta is stubbed as the SVD purity plus a line through W_x, so eta - P
@@ -298,6 +352,49 @@ class TestOptimize:
         eta = stub(at, cfg.crystal, cfg.filters, Numerics())[3]
         assert abs(eta - metrics.jsa_purity(at, cfg.crystal, cfg.filters, Numerics())) < 1e-3
         assert "at_W0s_intersection" in got.metrics
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_purity_star_matches_exhaustive_scan_on_shipped_configs(self, name, walk_off, request):
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters, numerics)
+        assert got.W0s_purity_star == _exhaustive_purity_star(got, cfg, numerics)
+
+    @pytest.mark.parametrize("design", BOX_DESIGNS, ids=range(len(BOX_DESIGNS)))
+    def test_purity_star_matches_exhaustive_scan_in_design_box(self, design, tmp_path):
+        # designs inside the box the benchmark draws from, away from the
+        # shipped ones: crystal length, cut detuning, filters and signal
+        cfg = _design_config(design, tmp_path)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        assert got.W0s_purity_star == _exhaustive_purity_star(got, cfg, cfg.numerics)
+
+    @pytest.mark.parametrize(
+        "peak, window",
+        [(-5.0, 13), (0.4, 13), (17.9, 25), (30.37, 25), (60.0, 25), (119.6, 13), (125.0, 13)],
+        ids=["beyond_low_edge", "at_low_edge", "near_coarse_midpoint", "between_coarse_points",
+             "on_coarse_point", "at_high_edge", "beyond_high_edge"],
+    )
+    def test_stubbed_purity_maximum_anywhere_in_scan(self, result, degenerate, monkeypatch, peak, window):
+        # a parabola in W0s peaking at scan index ``peak``, flat enough that
+        # eta stays below it, so no crossing search runs; stages 1 and 2 do
+        # not read the purity, so the scan is the one of ``result``
+        cfg = degenerate
+        cf = result.W0s_closed_form
+        scan = np.linspace(0.5 * cf, 1.2 * cf, sweep._SCAN_POINTS)
+        at = scan[0] + peak * (scan[1] - scan[0])
+        calls = []
+
+        def stub(geom, *args):
+            calls.append(np.size(geom.W0s))
+            return 1.0 - 1e-4 * ((geom.W0s - at) / cf) ** 2
+
+        monkeypatch.setattr(sweep, "jsa_purity", stub)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters)
+        assert got.W0s_closed_form == cf
+        assert calls == [11, window]
+        assert got.W0s_purity_star == _refined_purity_star(scan, stub(replace(cfg.geom, W0s=scan)))
+        assert got.W0s_intersection is None
 
     @pytest.mark.xfail(
         reason="published refined collection waist of about 280 um and an "
@@ -326,3 +423,21 @@ class TestCsv:
         assert lines[1].endswith(",,")
         assert lines[2].endswith(",,5.000000000e-01")
         assert lines[3].endswith(",9.000000000e-01,5.000000000e-01")
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # every pattern of blank columns, signs and three-digit exponents
+        values = [3e-4, -1.5e-300, 12.25, 7.5e250]
+        rows = [
+            SweepRow(values[j % 4], -values[j % 3], *(0.5 ** j if (j >> b) & 1 else None for b in (0, 1)))
+            for j in range(8)
+        ]
+        out, ref = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+        write_sweep_csv(rows, out)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["swept_value", "R", "eta", "purity"])
+            for row in rows:
+                cells = (row.swept_value, row.R, row.eta, row.purity)
+                writer.writerow(["" if v is None else "%.9e" % v for v in cells])
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_bytes().count(b"\r\n") == 9
