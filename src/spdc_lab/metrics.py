@@ -13,7 +13,7 @@ All rates are reported per milliwatt of pump power.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -284,18 +284,10 @@ class _ModeSumKernel:
         return self.yz_pref * (np.array(coef) @ (self._hermite[arm][: m + 1] * R[m::-1]))
 
 
-def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
-    """Mode-summed singles rate for one arm, in counts/(s mW).
-
-    Sums per-mode rates over constant-(n + m) shells until the newest shell
-    contributes less than _SHELL_TOL of the running sum;
-    ``numerics.truncation_max_order`` caps the per-axis order. The per-mode
-    normalization divides the squared fundamental normalization by
-    2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
-    more z nodes, and a relative change beyond _Z_TOL raises
-    ConvergenceError. The kernel is built on the ``spectral_grid`` slot, whose
-    z moments both arms share. Array waists raise ValueError.
-    """
+def _singles_shells(which, geom, crystal, filters, numerics):
+    """The mode sum of ``singles_rate``: yields (running rate, finish) after
+    each shell, through the one meeting the tail criterion, where finish() runs
+    the z-order check on that shell and returns its SinglesResult."""
     _one_waist(geom)
     arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
@@ -310,6 +302,13 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
         density = grid.weight * ((kernel.gp * yz) ** 2).reshape(kernel.shape)
         return grid.integrate(density) / (2**m * math.factorial(m))
 
+    def finish(shell, contrib, total):
+        n_z = kernel.z_order(shell)
+        raised = d_term(shell, n_z + _Z_RAISE)
+        z_change = _check_z_order(d_m[shell], raised, "mode-sum shell %d" % shell)
+        tail = contrib / total if total > 0 else 0.0
+        return SinglesResult(pref * total, shell, tail, n_z, z_change)
+
     # shell s adds c_s and d_s; its terms are c_n d_(s-n)
     c_n, d_m, total, shell = [], [], 0.0, 0
     while True:
@@ -317,26 +316,31 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
         d_m.append(d_term(shell))
         contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib
+        yield pref * total, partial(finish, shell, contrib, total)
         if shell > 0 and contrib < _SHELL_TOL * total:
-            break
+            return
         shell += 1
         if shell > numerics.truncation_max_order:
             raise ConvergenceError(
                 "mode-sum shell ceiling reached before the tail criterion",
                 estimates=(pref * total,),
             )
-    n_z = kernel.z_order(shell)
-    z_change = _check_z_order(
-        d_m[shell], d_term(shell, n_z + _Z_RAISE), "mode-sum shell %d" % shell
-    )
-    tail = contrib / total if total > 0 else 0.0
-    return SinglesResult(
-        rate=pref * total,
-        max_shell=shell,
-        tail_estimate=tail,
-        z_order=n_z,
-        z_change=z_change,
-    )
+
+
+def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
+    """Mode-summed singles rate for one arm, in counts/(s mW).
+
+    Sums per-mode rates over constant-(n + m) shells until the newest shell
+    contributes less than _SHELL_TOL of the running sum;
+    ``numerics.truncation_max_order`` caps the per-axis order. The per-mode
+    normalization divides the squared fundamental normalization by
+    2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
+    more z nodes, and a relative change beyond _Z_TOL raises
+    ConvergenceError. The kernel is built on the ``spectral_grid`` slot, whose
+    z moments both arms share. Array waists raise ValueError.
+    """
+    *_, (_, finish) = _singles_shells(which, geom, crystal, filters, numerics)
+    return finish()
 
 
 def heralding_efficiency(R, Rs, Ri):
@@ -358,6 +362,24 @@ def heralding_rates(geom, crystal, filters, numerics):
         singles_rate(which, geom, crystal, filters, numerics) for which in ("signal", "idler")
     )
     return R, res_s, res_i, heralding_efficiency(R, res_s.rate, res_i.rate)
+
+
+def heralding_margin(geom, crystal, filters, numerics, P):
+    """heralding_rates' eta - P, or R / sqrt(rs ri) - P once that is negative
+    for the singles rs, ri summed so far, one shell per arm at a time: the
+    terms are nonnegative, so it bounds eta from above, in floating point too.
+    It then runs the z-order check on each arm's newest shell and stops."""
+    R = pair_rate(geom, crystal, filters, numerics)
+    arms = [_singles_shells(w, geom, crystal, filters, numerics) for w in ("signal", "idler")]
+    shells = [next(arm) for arm in arms]
+    while (bound := R / math.sqrt(shells[0][0] * shells[1][0]) - P) >= 0:
+        newer = [next(arm, None) for arm in arms]
+        if newer == [None, None]:
+            return heralding_efficiency(R, *(finish().rate for _, finish in shells)) - P
+        shells = [new or old for new, old in zip(newer, shells)]
+    for _, finish in shells:
+        finish()
+    return bound
 
 
 def jsa_purity(geom, crystal, filters, numerics):

@@ -15,7 +15,8 @@ import numpy as np
 from .config import Numerics
 from .errors import UnsatisfiableConditionError
 from .jsa import _tie_curvature, purity_waist, spectral_grid
-from .metrics import compute_metrics, heralding_rates, jsa_purity, pair_rate, pair_rates_by_key
+from .metrics import (compute_metrics, heralding_margin, heralding_rates, jsa_purity, pair_rate,
+                      pair_rates_by_key)
 
 # the Gaussian-model convention that ties the collection waist to the pump
 # waist while the pair rate is maximized, and the pump-waist search interval
@@ -163,10 +164,14 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     maximizing the purity (with local quadratic refinement), and locates the
     efficiency/purity crossing by bisection from _ETA_COARSE_POINTS evenly
     spaced points of that grid. It takes the purity at those coarse points,
-    then only at the grid points between the coarse maximum's two coarse
-    neighbours, and maximizes over that window. That is the maximum of all
-    _SCAN_POINTS purities whenever the sampled purity has one peak over the
-    scan, as stage 1 assumes of the pair rate.
+    then only at the other grid points between the coarse maximum's two
+    coarse neighbours, and maximizes over that window. That is the maximum of
+    all _SCAN_POINTS purities whenever the sampled purity has one peak over
+    the scan, as stage 1 assumes of the pair rate.
+
+    The coarse points read the sign of eta - P from ``heralding_margin``, which
+    stops summing singles shells once the partial sums prove eta < P; the
+    bisection takes the exact eta of ``heralding_rates``.
     """
 
     def tied_rate(W0p):
@@ -184,7 +189,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
-    # the coarse points first, then the scan points between the coarse
+    # the coarse points first, then the other scan points between the coarse
     # maximum's two coarse neighbours (-inf elsewhere); that maximum is the
     # first, so only a scan edge can hold the window's argmax at the window's
     # edge, and the argmax's two neighbours lie in the window
@@ -192,7 +197,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     purities = np.full(_SCAN_POINTS, -math.inf)
     purities[::stride] = purity_at(scan[::stride])
     top = stride * int(np.argmax(purities[::stride]))
-    window = slice(max(top - stride, 0), top + stride + 1)
+    window = [k for k in range(_SCAN_POINTS)[max(top - stride, 0):top + stride + 1] if k % stride]
     purities[window] = purity_at(scan[window])
     k = int(np.argmax(purities))
     if 0 < k < _SCAN_POINTS - 1:
@@ -205,11 +210,9 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     else:
         W0s_purity_star = scan[k]
 
-    def eta_at(W0s):
-        return heralding_rates(at_waist(W0s), crystal, filters, numerics)[3]
-
     coarse = scan[::stride]
-    diffs = [eta_at(w) - p for w, p in zip(coarse, purities[::stride])]
+    diffs = [heralding_margin(at_waist(w), crystal, filters, numerics, p)
+             for w, p in zip(coarse, purities[::stride])]
     W0s_intersection = None
     for j in range(len(coarse) - 1):
         if diffs[j] == 0.0:
@@ -220,7 +223,7 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
             fa = diffs[j]
             for _ in range(40):
                 mid = 0.5 * (a + b)
-                fm = eta_at(mid) - purity_at(mid)
+                fm = heralding_rates(at_waist(mid), crystal, filters, numerics)[3] - purity_at(mid)
                 if abs(fm) < 1e-3 or (b - a) < 1e-8:
                     break
                 if fa * fm < 0:

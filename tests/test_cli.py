@@ -725,7 +725,9 @@ class TestConsoleScript:
         counts = {
             "sweep.golden_section_maximize.evals": 20,
             "metrics.pair_rate.calls": 33,
-            "metrics.singles_rate.calls": 26,
+            # the 2 reports' ladders; heralding_margin drives the 11 coarse
+            # points' ladders without singles_rate
+            "metrics.singles_rate.calls": 4,
             "metrics.compute_metrics.calls": 2,
             "sweep.optimize.eta_evals": 11,
         }

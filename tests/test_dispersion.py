@@ -384,7 +384,7 @@ class TestWalkOff:
     @pytest.mark.xfail(
         reason="walk-off growth over the 1.5 deg detuning evaluates to 0.108 deg "
         "with the shipped dispersion data, outside 0.078 deg +/- 20%; "
-        "dispersion-data dependent (see decisions ledger)",
+        "dispersion-data dependent (see README, Tests)",
         strict=True,
     )
     def test_detuning_growth(self, degenerate):

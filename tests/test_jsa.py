@@ -732,7 +732,7 @@ class TestPurityWaist:
     @pytest.mark.xfail(
         reason="published closed-form collection waist of about 309 um for the "
         "degenerate layout is not reproduced; this implementation yields "
-        "243.2 um (see decisions ledger)",
+        "243.2 um (see README, Tests)",
         strict=True,
     )
     def test_published_degenerate_value(self, degenerate):

@@ -36,6 +36,7 @@ from spdc_lab.metrics import (
     _ModeSumKernel,
     compute_metrics,
     heralding_efficiency,
+    heralding_margin,
     heralding_rates,
     jsa_purity,
     pair_rate,
@@ -776,6 +777,43 @@ class TestHeralding:
     def test_invalid_singles(self):
         with pytest.raises(ValueError):
             heralding_efficiency(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.8, 1.2])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_partial_sum_bound_is_at_least_eta(self, name, scale, request):
+        # heralding_margin's certificate: R / sqrt(rs ri) over the singles
+        # summed to any shell is at least the eta of the full sums, in
+        # floating point; the last partial sums and their finish() are
+        # singles_rate's, bit for bit
+        cfg = request.getfixturevalue(name)
+        geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
+        args = (geom, cfg.crystal, cfg.filters, cfg.numerics)
+        R, full = pair_rate(*args), [singles_rate(w, *args) for w in ("signal", "idler")]
+        eta = heralding_efficiency(R, full[0].rate, full[1].rate)
+        ladders = [list(metrics._singles_shells(w, *args)) for w in ("signal", "idler")]
+        for ladder, result in zip(ladders, full):
+            rates = [rate for rate, _ in ladder]
+            assert rates == sorted(rates) and rates[-1] == result.rate
+            assert ladder[-1][1]() == result and len(ladder) == result.max_shell + 1
+        for k in range(max(map(len, ladders))):
+            rs, ri = (ladder[min(k, len(ladder) - 1)][0] for ladder in ladders)
+            assert R / math.sqrt(rs * ri) >= eta
+
+    @pytest.mark.parametrize("P", [0.0, 0.5, 0.97])
+    def test_uncertified_margin_is_exact(self, degenerate, P):
+        # eta = 0.98233 is above each P, so no partial bound drops below P
+        # and the margin is heralding_rates' eta - P bit for bit
+        args = (degenerate.geom, degenerate.crystal, degenerate.filters, degenerate.numerics)
+        assert heralding_margin(*args, P) == heralding_rates(*args)[3] - P
+
+    def test_margin_never_certifies_eta_above_1(self, tmp_path):
+        # the bound is at least eta = 1.00241 > 1 >= P: the ConsistencyError
+        # of the full sums is raised, not skipped
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(ETA_ABOVE_1_AT_120_UM))
+        cfg = load_config(path)
+        with pytest.raises(ConsistencyError, match="eta = 1.002"):
+            heralding_margin(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics, 1.0)
 
     def test_fundamental_mode_limit(self, degenerate):
         # with a collinear cut and a near-plane-wave pump every pair lands in

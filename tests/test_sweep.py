@@ -2,15 +2,17 @@ import csv
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spdc_lab import jsa, metrics, sweep
+from spdc_lab import cli, jsa, metrics, sweep
 from spdc_lab.config import Numerics, load_config, shipped_config_path
 from spdc_lab.errors import UnsatisfiableConditionError
 from spdc_lab.jsa import purity_waist
+from spdc_lab.metrics import heralding_rates
 from spdc_lab.sweep import (
     SweepRow,
     golden_section_maximize,
@@ -314,20 +316,22 @@ class TestOptimize:
     def test_coarse_scan_reads_the_scan_purities(self, degenerate, monkeypatch):
         # the 11 coarse eta - P points are every 12th of the 121 scan points,
         # whose purities the scan already has: one call for the 11 coarse
-        # waists, one for the at most 25 between the coarse maximum's two
-        # coarse neighbours and one for each of the 2 report purities
+        # waists, one for the at most 22 other waists between the coarse
+        # maximum's two coarse neighbours and one for each of the 2 report
+        # purities
         cfg = degenerate
         calls = []
         purity = metrics.jsa_purity
 
         def counted(geom, *args):
-            calls.append(np.size(geom.W0s))
+            calls.append(np.atleast_1d(geom.W0s))
             return purity(geom, *args)
 
         monkeypatch.setattr(sweep, "jsa_purity", counted)
         monkeypatch.setattr(metrics, "jsa_purity", counted)
         optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
-        assert len(calls) == 4 and calls[0] == 11 and calls[1] <= 25 and calls[2:] == [1, 1]
+        assert [w.size for w in calls[:1] + calls[2:]] == [11, 1, 1] and len(calls) == 4
+        assert 0 < calls[1].size <= 22 and not np.isin(calls[1], calls[0]).any()
 
     def test_crossing_search_bisects_between_coarse_points(self, result, degenerate, monkeypatch):
         # eta is stubbed as the SVD purity plus a line through W_x, so eta - P
@@ -340,6 +344,11 @@ class TestOptimize:
             P = metrics.jsa_purity(geom, crystal, filters, numerics)
             return None, None, None, P + (geom.W0s - W_x) / cf
 
+        def margin_stub(geom, crystal, filters, numerics, P):
+            return stub(geom, crystal, filters, numerics)[3] - P
+
+        # the coarse points read heralding_margin, the bisection heralding_rates
+        monkeypatch.setattr(sweep, "heralding_margin", margin_stub)
         monkeypatch.setattr(sweep, "heralding_rates", stub)
         got = optimize(cfg.geom, cfg.crystal, cfg.filters)
         assert got.W0s_closed_form == cf
@@ -371,7 +380,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "peak, window",
-        [(-5.0, 13), (0.4, 13), (17.9, 25), (30.37, 25), (60.0, 25), (119.6, 13), (125.0, 13)],
+        [(-5.0, 11), (0.4, 11), (17.9, 22), (30.37, 22), (60.0, 22), (119.6, 11), (125.0, 11)],
         ids=["beyond_low_edge", "at_low_edge", "near_coarse_midpoint", "between_coarse_points",
              "on_coarse_point", "at_high_edge", "beyond_high_edge"],
     )
@@ -400,12 +409,77 @@ class TestOptimize:
         reason="published refined collection waist of about 280 um and an "
         "efficiency/purity crossing near 145 um are not reproduced; this "
         "implementation refines to about 221 um with no crossing in the "
-        "window (see decisions ledger)",
+        "window (see README, Tests)",
         strict=True,
     )
     def test_published_refined_waist(self, result):
         assert result.W0s_purity_star == pytest.approx(280e-6, rel=0.05)
         assert result.W0s_intersection is not None
+
+
+def _coarse_margins(cfg, numerics, monkeypatch):
+    """(geometry, P, margin, last shell) at each coarse eta - P point of
+    ``optimize`` on ``cfg``: what heralding_margin returned there and the
+    highest shell either of its singles ladders summed."""
+    points, margin, shells = [], metrics.heralding_margin, metrics._singles_shells
+
+    def recorded(geom, crystal, filters, numerics, P):
+        last = []
+
+        def counted(*args):
+            for k, step in enumerate(shells(*args)):
+                last.append(k)
+                yield step
+
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_singles_shells", counted)
+            points.append((geom, P, margin(geom, crystal, filters, numerics, P), max(last)))
+        return points[-1][2]
+
+    monkeypatch.setattr(sweep, "heralding_margin", recorded)
+    optimize(cfg.geom, cfg.crystal, cfg.filters, numerics)
+    assert len(points) == sweep._ETA_COARSE_POINTS
+    return points
+
+
+def _assert_margin_signs(cfg, numerics, points):
+    # the sign optimize reads equals that of eta - P from the full ladders;
+    # a certified margin is the bound minus P, at least eta - P, and an
+    # uncertified one is eta - P itself
+    for geom, P, margin, _ in points:
+        eta = heralding_rates(geom, cfg.crystal, cfg.filters, numerics)[3]
+        assert np.sign(margin) == np.sign(eta - P) != 0
+        assert margin >= eta - P and (margin < 0 or margin == eta - P)
+
+
+class TestCoarseMargin:
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_signs_and_shells_on_shipped_configs(self, name, walk_off, request, monkeypatch):
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        points = _coarse_margins(cfg, numerics, monkeypatch)
+        _assert_margin_signs(cfg, numerics, points)
+        # eta < P at every coarse point, proven by shell 1 of both ladders,
+        # where the full ladders run to shells 3-7
+        assert all(margin < 0 and last <= 1 for _, _, margin, last in points)
+
+    @pytest.mark.parametrize("design", BOX_DESIGNS, ids=range(len(BOX_DESIGNS)))
+    def test_signs_in_design_box(self, design, tmp_path, monkeypatch):
+        cfg = _design_config(design, tmp_path)
+        _assert_margin_signs(cfg, cfg.numerics, _coarse_margins(cfg, cfg.numerics, monkeypatch))
+
+    def test_eta_above_1_still_fails(self, tmp_path, capsys):
+        # the bound is at least eta > 1 >= P, so the point where eta > 1 is
+        # never certified and its ConsistencyError is raised
+        root = Path(cli.__file__).parents[2]
+        config = root / "perfbench" / "baseline" / "eta_above_1.json"
+        code = cli.main(["optimize", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "mode-sum truncation inconsistency: eta = 1.006505 > 1",
+            "type": "ConsistencyError",
+        }
 
 
 class TestCsv:
