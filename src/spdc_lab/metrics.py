@@ -182,6 +182,9 @@ def _arm(geom, which):
 
 # z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...
 _FIRST_MAX_M = 6
+# z moments as a power series in the phase up to this max|q| L/2, where
+# cancellation costs a few ulps; cos and sin of q z beyond it
+_SERIES_PHASE = 3.0
 
 
 class _ModeSumKernel:
@@ -233,6 +236,25 @@ class _ModeSumKernel:
         """R[j] = Re or Im M[j] (j even or odd), j <= J, on n_z nodes."""
         L = self.terms.length_L
         z, env = z_nodes(n_z, L, self.H)
+        R = np.empty((J + 1, self.q.size))
+        if self.phase <= _SERIES_PHASE:
+            # exp(i Q t) with Q = q L/2 is sum_p (i Q)^p / p! t^p, so M[j] is
+            # sum_p (i Q)^p / p! mu[j + p] over the node moments mu[k] = sum_z
+            # w_z env t^k, 0 for odd k; the first omitted term is <= 1e-17
+            P, term = 0, self.phase
+            while term > 1e-17:
+                P, term = P + 1, term * self.phase / (P + 2)
+            mu = np.zeros(J + P + 1)
+            mu[0::2] = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)
+            sign = [(-1) ** (p // 2) / math.factorial(p) for p in range(P + 1)]
+            A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1))] * sign
+            V, Q = np.empty((P + 1, self.q.size)), self.q * (L / 2.0)
+            V[0] = 1.0
+            for p in range(1, P + 1):  # V[p] = Q^p
+                np.multiply(V[p - 1], Q, out=V[p])
+            np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])
+            np.matmul(A[1::2, 1::2], V[1::2], out=R[1::2])
+            return R
         P = env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1)
         # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
         # of 0.0) and t^j has parity (-1)^j, so the nodes pair up:
@@ -240,7 +262,6 @@ class _ModeSumKernel:
         half = n_z // 2
         zq = np.outer(z[n_z - half:], self.q)
         P2 = 2.0 * P[n_z - half:].T
-        R = np.empty((J + 1, self.q.size))
         np.matmul(P2[0::2], np.cos(zq), out=R[0::2])
         R[0::2] += P[half:n_z - half, 0::2].sum(axis=0)[:, None]
         np.matmul(P2[1::2], np.sin(zq), out=R[1::2])

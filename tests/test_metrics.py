@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +520,23 @@ def assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
 
 
+def full_exponential_moments(kern, n_z, J):
+    """The moments R of ``kern`` with exp(i q z) evaluated on every z node."""
+    L = kern.terms.length_L
+    z, env = z_nodes(n_z, L, kern.H)
+    M = np.exp(1j * np.outer(kern.q, z)) @ (env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1))
+    return np.where(np.arange(J + 1) % 2, M.imag, M.real).T
+
+
+def long_crystal_design(cfg, length_L):
+    """(geom, crystal, filters) of ``cfg`` with a ``length_L`` crystal and
+    twice its signal and idler windows."""
+    f = cfg.filters
+    filters = replace(f, signal=replace(f.signal, half_width=2.0 * f.signal.half_width),
+                      idler=replace(f.idler, half_width=2.0 * f.idler.half_width))
+    return cfg.geom, replace(cfg.crystal, length_L=length_L), filters
+
+
 def detuning_mesh(geom, filters, n_s, n_i):
     Om_s = np.linspace(*filters.signal.support, n_s)
     Om_i = np.linspace(*filters.idler.support, n_i)
@@ -590,6 +609,50 @@ class TestModeSumKernel:
             want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
             diff = np.max(np.abs(got - want))
             assert diff <= 1e-15 * np.max(np.abs(want)), n_z
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_long_crystal_takes_cos_sin_and_matches_full_exponential(self, degenerate, walk_off):
+        # a 5 mm crystal with twice the filter windows puts max|q| L/2 above
+        # the series cap, so the moments take cos and sin of q z
+        geom, crystal, filters = long_crystal_design(degenerate, 5e-3)
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
+        assert kern.phase > metrics._SERIES_PHASE
+        for n_z in (kern.z_order(6), kern.z_order(6) + 1, 30):
+            got, want = kern._z_moments(n_z, 6), full_exponential_moments(kern, n_z, 6)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n_z
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    def test_series_and_cos_sin_agree_near_the_cap(self, degenerate, walk_off, monkeypatch):
+        # a 1.5 mm crystal: max|q| L/2 of about 2.8, just under the cap,
+        # where the series cancels most; both paths agree on every row to 1e-14
+        geom, crystal, filters = long_crystal_design(degenerate, 1.5e-3)
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
+        assert 2.5 < kern.phase <= metrics._SERIES_PHASE
+        for J in (6, 12, 24):
+            n_z = kern.z_order(J)
+            series = kern._z_moments(n_z, J)
+            monkeypatch.setattr(metrics, "_SERIES_PHASE", -1.0)
+            cos_sin = kern._z_moments(n_z, J)
+            monkeypatch.undo()
+            rows = np.max(np.abs(series - cos_sin), axis=1) / np.max(np.abs(cos_sin), axis=1)
+            assert np.all(rows <= 1e-14), (J, rows.max())
+
+    def test_shipped_and_benchmark_designs_take_the_series(self, tmp_path):
+        # max|q| L/2 of every shipped and perfbench seed-0 design on its
+        # singles grid, at its own waists and at half and twice its W0s
+        spec = importlib.util.spec_from_file_location(
+            "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
+        designs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(designs)
+        paths = [shipped_config_path(name) for name in ("degenerate_810", "nondegenerate_850_609")]
+        paths += designs.write_configs(designs.draw(0, 16), str(tmp_path))
+        for path in paths:
+            cfg = load_config(path)
+            grid = SpectralGrid(cfg.numerics.singles_resolution, cfg.geom, cfg.crystal,
+                                cfg.filters, cfg.numerics.dispersion_mode)
+            for scale in (0.5, 1.0, 2.0):
+                geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
+                assert _ModeSumKernel(geom, grid, False).phase <= metrics._SERIES_PHASE, path
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
