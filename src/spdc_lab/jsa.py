@@ -333,7 +333,7 @@ class SpectralTerms:
         self.length_L = crystal.length_L
         self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
         self.negdky2 = _read_only(-self.dky**2)
-        self.z_moments = (None, None)
+        self.z_moments = self.mode_kernel = (None, None)
 
     def _pump_envelope(self):
         Omega_s, Omega_i, Bp = self._pump

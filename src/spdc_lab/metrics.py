@@ -161,12 +161,12 @@ def pair_rate(geom, crystal, filters, numerics=Numerics()):
     return rate if waists.ndim else float(rate[0])
 
 
-def _scaled_hermite(m, u, c):
-    """[G_0, ..., G_m] at ``u``, where G_k(u; c) = c^(k/2) H_k(u / sqrt(c)) is
-    a polynomial in c (no branch cut for c < 0) obeying
-    G_(k+1) = 2 u G_k - 2 k c G_(k-1)."""
-    G = [1.0, 2.0 * u]
-    for k in range(1, m):
+def _scaled_hermite(m, u, c, G=(1.0,)):
+    """[G_0, ..., G_m] at ``u``, continuing the first orders ``G``, where
+    G_k(u; c) = c^(k/2) H_k(u / sqrt(c)) is a polynomial in c (no branch cut
+    for c < 0) obeying G_(k+1) = 2 u G_k - 2 k c G_(k-1)."""
+    G = [1.0, 2.0 * u] if len(G) == 1 else list(G)
+    for k in range(len(G) - 1, m):
         G.append(2.0 * u * G[k] - 2.0 * k * c * G[k - 1])
     return G[: m + 1]
 
@@ -230,7 +230,8 @@ class _ModeSumKernel:
         pair = terms.z_moments
         if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
             pair = terms.z_moments = (key, {})
-        self.moments, self._hermite = pair[1], {}  # arm: rows G_0..G_tier
+        # theta: rows G_0..G_m of that arm; (m, n_z, arm, or None at m = 0): term
+        self.moments, self._hermite, self._terms = pair[1], {}, {}
 
     def _z_moments(self, n_z, J):
         """R[j] = Re or Im M[j] (j even or odd), j <= J, on n_z nodes."""
@@ -292,17 +293,32 @@ class _ModeSumKernel:
         if R is None or R.shape[0] <= m:
             R = self.moments[n_z] = self._z_moments(n_z, self._tier(m))
         g, (theta, sign), W = self.g, arm, self.geom.W0s
-        if arm not in self._hermite or self._hermite[arm].shape[0] <= m:
+        G = self._hermite.get(theta, (1.0,))
+        if len(G) <= m:  # a longer list replaces the held one, never extends it
             a2 = 2.0 * math.cos(theta) ** 2 / W**2
             s = (math.sqrt(a2) / (2.0 * g.C)) * self.dky
-            G = _scaled_hermite(self._tier(m), s, a2 / g.C - 1.0)
-            self._hermite[arm] = np.stack(np.broadcast_arrays(*G))
+            G = self._hermite[theta] = _scaled_hermite(m, s, a2 / g.C - 1.0, G)
         beta = math.sqrt(2.0) * (sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)) / W
         bL = beta * self.terms.length_L  # (2 beta z)^j = bL^j t^j
         # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
         coef = [(-1) ** ((k + 1 - m % 2) // 2) * math.comb(m, k) * bL ** (m - k)
                 for k in range(m + 1)]
-        return self.yz_pref * (np.array(coef) @ (self._hermite[arm][: m + 1] * R[m::-1]))
+        GR = np.empty((m + 1, self.q.size))
+        for k in range(m + 1):
+            np.multiply(G[k], R[m - k], out=GR[k])
+        return self.yz_pref * (np.array(coef) @ GR)
+
+    def term(self, m, arm, n_z=None):
+        """d_m of the singles sum: the filtered integral of (gp r_m)^2 over
+        2^m m!, held per order, node count and arm; order 0 does not depend
+        on the arm, so both arms share it."""
+        n_z = self.z_order(m) if n_z is None else n_z
+        key = (m, n_z, arm if m else None)
+        if key not in self._terms:
+            grid, yz = self.terms, self.yz_integral(m, arm, n_z)
+            density = grid.weight * ((self.gp * yz) ** 2).reshape(self.shape)
+            self._terms[key] = grid.integrate(density) / (2**m * math.factorial(m))
+        return self._terms[key]
 
 
 def _singles_shells(which, geom, crystal, filters, numerics):
@@ -316,16 +332,14 @@ def _singles_shells(which, geom, crystal, filters, numerics):
     grid = spectral_grid(
         numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
-    kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
-
-    def d_term(m, n_z=None):
-        yz = kernel.yz_integral(m, arm, n_z)
-        density = grid.weight * ((kernel.gp * yz) ** 2).reshape(kernel.shape)
-        return grid.integrate(density) / (2**m * math.factorial(m))
+    key, (held, kernel) = (geom.W0p, geom.W0s, numerics.walk_off_enabled), grid.mode_kernel
+    if held != key:  # (key, kernel) of the last waist is read and replaced as one pair
+        kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
+        grid.mode_kernel = (key, kernel)
 
     def finish(shell, contrib, total):
         n_z = kernel.z_order(shell)
-        raised = d_term(shell, n_z + _Z_RAISE)
+        raised = kernel.term(shell, arm, n_z + _Z_RAISE)
         z_change = _check_z_order(d_m[shell], raised, "mode-sum shell %d" % shell)
         tail = contrib / total if total > 0 else 0.0
         return SinglesResult(pref * total, shell, tail, n_z, z_change)
@@ -334,7 +348,7 @@ def _singles_shells(which, geom, crystal, filters, numerics):
     c_n, d_m, total, shell = [], [], 0.0, 0
     while True:
         c_n.append(kernel.x_integral(shell) ** 2 / (2**shell * math.factorial(shell)))
-        d_m.append(d_term(shell))
+        d_m.append(kernel.term(shell, arm))
         contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib
         yield pref * total, partial(finish, shell, contrib, total)

@@ -209,15 +209,19 @@ class TestPairRate:
             want.append(((201, 201), geometry_factors(geom).C))
         assert shapes == want
 
-    def test_threads_at_two_waists_match_serial_runs(self, degenerate, monkeypatch):
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_threads_at_two_waists_match_serial_runs(self, name, request, monkeypatch):
         # six threads read one setting's slot grids at two waists, with and
-        # without walk-off, and at two tied waists of one C: the kernels of
-        # the waists without walk-off share the z moments held on the
-        # singles grid, and the walk-off ones replace them with their own
-        # key's; the two tied waists share one figure-memo entry per grid.
+        # without walk-off, and at two tied waists of one C: on degenerate
+        # the kernels of the waists without walk-off share the z moments
+        # held on the singles grid, and the walk-off ones replace them with
+        # their own key's; on nondegenerate every waist has its own moments
+        # and two arm angles. Each waist's kernel is held on the singles
+        # grid and shared by its two arms while another thread replaces it;
+        # the two tied waists share one figure-memo entry per grid.
         # The threads start with only a fresh 201-point grid held, so they
         # take the first rate level from its even points concurrently
-        cfg = degenerate
+        cfg = request.getfixturevalue(name)
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         walk_off = replace(cfg.numerics, walk_off_enabled=True)
         cases = [(geom, n) for n in (cfg.numerics, walk_off) for geom in (cfg.geom, narrow)]
@@ -840,6 +844,33 @@ class TestHeralding:
     def test_invalid_singles(self):
         with pytest.raises(ValueError):
             heralding_efficiency(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_arms_share_one_kernel_as_singles_on_an_emptied_slot(self, name, walk_off, request,
+                                                                 monkeypatch):
+        # both arms of heralding_rates read one kernel, held on the singles
+        # grid for the waist; each arm alone on an emptied slot builds its
+        # own, and the results agree bit for bit
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        args = (cfg.geom, cfg.crystal, cfg.filters, numerics)
+        built = []
+
+        class Counted(_ModeSumKernel):
+            def __init__(self, *a):
+                built.append(a[0])
+                super().__init__(*a)
+
+        monkeypatch.setattr(metrics, "_ModeSumKernel", Counted)
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        _, res_s, res_i, _ = heralding_rates(*args)
+        assert len(built) == 1
+        alone = []
+        for which in ("signal", "idler"):
+            monkeypatch.setattr(jsa, "_slot", (None, {}))
+            alone.append(singles_rate(which, *args))
+        assert [res_s, res_i] == alone and len(built) == 3
 
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.2])
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
