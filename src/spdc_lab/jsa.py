@@ -139,9 +139,11 @@ class GeometryFactors:
     H: float
 
     def __post_init__(self):
-        if np.count_nonzero(np.logical_not((self.A >= self.C) & (self.C > 0))):
+        # numpy reduces a batch; one waist's factors compare as floats
+        every, some, top = (np.all, np.any, np.maximum) if isinstance(self.C, np.ndarray) else (bool, bool, max)
+        if not every((self.A >= self.C) & (self.C > 0)):
             raise ValueError("require A >= C > 0")
-        if np.count_nonzero((self.F < -1e-30) | (self.H < -1e-12 * np.maximum(self.F, self.C))):
+        if some((self.F < -1e-30) | (self.H < -1e-12 * top(self.F, self.C))):
             raise ValueError("require F >= 0 and H >= 0")
 
 
@@ -184,7 +186,7 @@ def geometry_factors(geom):
     D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / ws2
     F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / ws2
     H = F - _square(D) / (4.0 * C)
-    return GeometryFactors(A=A, C=C, D=D, F=F, H=np.maximum(H, 0.0))
+    return GeometryFactors(A=A, C=C, D=D, F=F, H=np.maximum(H, 0.0) if isinstance(H, np.ndarray) else max(H, 0.0))
 
 
 def phase_mismatch_exact(Omega_s, Omega_i, geom, crystal):

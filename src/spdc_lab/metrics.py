@@ -129,19 +129,22 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     """
     check_rayleigh(geom, crystal.length_L)
     g, walk_off, unconverged = geometry_factors(geom), numerics.walk_off_enabled, {}
-    pref, level = np.ravel(rate_prefactor(geom, crystal)), np.ravel(math.pi**2 / (g.A * g.C))
+    # per waist, as floats: a one-waist call makes no numpy call here
+    pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+                   for x in (rate_prefactor(geom, crystal), math.pi**2 / (g.A * g.C)))
     for key, idx in figure_keys(g, walk_off, C).items():
-        n, lev, p = 2 * numerics.rate_resolution - 1, level[idx], pref[idx]
+        n, lev, p = 2 * numerics.rate_resolution - 1, [level[j] for j in idx], [pref[j] for j in idx]
         grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-        prev, rate = lev * grid.figure(key, walk_off, stride=2), np.full(len(idx), np.nan)
-        while np.isnan(rate).any():  # NaN until the waist converges
+        fig = grid.figure(key, walk_off, stride=2)
+        prev, rate = [v * fig for v in lev], [math.nan] * len(idx)  # NaN until the waist converges
+        while any(map(math.isnan, rate)):
             if n > MAX_RATE_RESOLUTION:
-                unconverged.update((j, e) for j, r, e in zip(idx, rate, p * prev) if math.isnan(r))
+                unconverged.update((j, a * e) for j, r, a, e in zip(idx, rate, p, prev) if math.isnan(r))
                 break
-            grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-            cur = lev * grid.figure(key, walk_off)
-            done = abs(cur - prev) <= _RATE_TOL * np.maximum(abs(cur), abs(prev))
-            rate = np.where(np.isnan(rate) & done, p * cur, rate)
+            fig = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode).figure(key, walk_off)
+            cur = [v * fig for v in lev]
+            rate = [a * c if math.isnan(r) and abs(c - e) <= _RATE_TOL * max(abs(c), abs(e)) else r
+                    for r, a, c, e in zip(rate, p, cur, prev)]
             prev, n = cur, 2 * n - 1
         yield key, idx, rate
     if unconverged:
@@ -154,11 +157,12 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
 
 def pair_rate(geom, crystal, filters, numerics=Numerics()):
     """Pair rate in pairs/(s mW) of each waist (``pair_rates_by_key``)."""
-    waists = np.broadcast(geom.W0p, geom.W0s)
-    rate = np.empty(waists.size)
+    rate = {}
     for _, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics):
-        rate[idx] = rates
-    return rate if waists.ndim else float(rate[0])
+        rate.update(zip(idx, rates))
+    if np.ndim(geom.W0p) or np.ndim(geom.W0s):
+        return np.array([rate[j] for j in range(len(rate))])
+    return float(rate[0])
 
 
 def _scaled_hermite(m, u, c, G=(1.0,)):

@@ -123,6 +123,36 @@ class TestGeometryFactors:
         # the walk-off factor never exceeds the bare transverse spread
         assert g.H <= g.F * (1 + 1e-12)
 
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_float_waist_equals_its_batch_entry(self, name, request):
+        # a float waist's factors are computed and checked without numpy, as
+        # floats equal bit for bit to its entry in a batch
+        cfg = request.getfixturevalue(name)
+        W0s = np.array([0.5, 1.0, 2.0]) * cfg.geom.W0s
+        batch = geometry_factors(replace(cfg.geom, W0s=W0s))
+        for k, w in enumerate(W0s.tolist()):
+            one = geometry_factors(replace(cfg.geom, W0s=w))
+            for field in "ACDFH":
+                value = getattr(one, field)
+                assert type(value) is float and value == np.broadcast_to(getattr(batch, field), 3)[k]
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_invalid_factors_raise(self, batch):
+        # each check holds for a float and for a batch where one entry fails;
+        # a NaN curvature fails the first
+        def factors(**fields):
+            values = {**dict(A=2.0, C=1.0, D=0.0, F=1.0, H=1.0), **fields}
+            if batch:
+                values = {k: np.array([v, 1.0 if k in "CFH" else 2.0]) for k, v in values.items()}
+            return jsa.GeometryFactors(**values)
+
+        factors()
+        for fields, message in (({"A": 0.5}, "A >= C"), ({"C": 0.0}, "A >= C"),
+                                ({"C": math.nan}, "A >= C"), ({"F": -1.0}, "F >= 0"),
+                                ({"H": -1e-6}, "H >= 0")):
+            with pytest.raises(ValueError, match=message):
+                factors(**fields)
+
 
 class TestPhaseMismatch:
     def test_centrally_matched(self, degenerate, nondegenerate):
