@@ -139,8 +139,8 @@ class GeometryFactors:
     H: float
 
     def __post_init__(self):
-        # numpy reduces a batch; one waist's factors compare as floats
-        every, some, top = (np.all, np.any, np.maximum) if isinstance(self.C, np.ndarray) else (bool, bool, max)
+        batch = isinstance(self.C, np.ndarray)  # one waist's factors compare as floats
+        every, some, top = (np.all, np.any, np.maximum) if batch else (bool, bool, max)
         if not every((self.A >= self.C) & (self.C > 0)):
             raise ValueError("require A >= C > 0")
         if some((self.F < -1e-30) | (self.H < -1e-12 * top(self.F, self.C))):
@@ -186,7 +186,7 @@ def geometry_factors(geom):
     D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / ws2
     F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / ws2
     H = F - _square(D) / (4.0 * C)
-    return GeometryFactors(A=A, C=C, D=D, F=F, H=np.maximum(H, 0.0) if isinstance(H, np.ndarray) else max(H, 0.0))
+    return GeometryFactors(A, C, D, F, (np.maximum if isinstance(H, np.ndarray) else max)(H, 0.0))
 
 
 def phase_mismatch_exact(Omega_s, Omega_i, geom, crystal):
@@ -320,7 +320,7 @@ class SpectralTerms:
     ``amplitude`` scales it by the waists' pi / sqrt(A C). Held
     read-only: dk_y, dk_z, -dk_y^2 and, from its first use, each of
     ``pump_envelope`` and ``sinc_envelope``, L sinc(dk_z L / 2) times the pump
-    envelope. ``z_moments`` holds the mode-sum kernel's (key, {n_z: R}) pair.
+    envelope. ``z_moments`` and ``mode_kernel`` hold the mode-sum kernel's pairs.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):

@@ -129,19 +129,19 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     """
     check_rayleigh(geom, crystal.length_L)
     g, walk_off, unconverged = geometry_factors(geom), numerics.walk_off_enabled, {}
-    # per waist, as floats: a one-waist call makes no numpy call here
-    pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+    pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]  # one waist: no numpy
                    for x in (rate_prefactor(geom, crystal), math.pi**2 / (g.A * g.C)))
     for key, idx in figure_keys(g, walk_off, C).items():
-        n, lev, p = 2 * numerics.rate_resolution - 1, [level[j] for j in idx], [pref[j] for j in idx]
+        n, (lev, p) = 2 * numerics.rate_resolution - 1, ([v[j] for j in idx] for v in (level, pref))
         grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
         fig = grid.figure(key, walk_off, stride=2)
         prev, rate = [v * fig for v in lev], [math.nan] * len(idx)  # NaN until the waist converges
         while any(map(math.isnan, rate)):
             if n > MAX_RATE_RESOLUTION:
-                unconverged.update((j, a * e) for j, r, a, e in zip(idx, rate, p, prev) if math.isnan(r))
+                unconverged.update((j, a * e) for j, r, a, e in zip(idx, rate, p, prev) if r != r)
                 break
-            fig = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode).figure(key, walk_off)
+            grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
+            fig = grid.figure(key, walk_off)
             cur = [v * fig for v in lev]
             rate = [a * c if math.isnan(r) and abs(c - e) <= _RATE_TOL * max(abs(c), abs(e)) else r
                     for r, a, c, e in zip(rate, p, cur, prev)]
@@ -157,12 +157,11 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
 
 def pair_rate(geom, crystal, filters, numerics=Numerics()):
     """Pair rate in pairs/(s mW) of each waist (``pair_rates_by_key``)."""
-    rate = {}
+    waists = np.broadcast(geom.W0p, geom.W0s)
+    rate = np.empty(waists.size)
     for _, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics):
-        rate.update(zip(idx, rates))
-    if np.ndim(geom.W0p) or np.ndim(geom.W0s):
-        return np.array([rate[j] for j in range(len(rate))])
-    return float(rate[0])
+        rate[idx] = rates
+    return rate if waists.ndim else float(rate[0])
 
 
 def _scaled_hermite(m, u, c, G=(1.0,)):
@@ -186,9 +185,7 @@ def _arm(geom, which):
 
 # z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...
 _FIRST_MAX_M = 6
-# z moments as a power series in the phase up to this max|q| L/2, where
-# cancellation costs a few ulps; cos and sin of q z beyond it
-_SERIES_PHASE = 3.0
+_SERIES_PHASE = 3.0  # max|q| L/2 up to which z moments are a series (few-ulp cancellation)
 
 
 class _ModeSumKernel:
@@ -216,7 +213,10 @@ class _ModeSumKernel:
     on a 2-D detuning grid) supplies the phase mismatch and the pump factors,
     and holds R in ``z_moments`` for the last key (D/(2C), H), all of the
     geometry R depends on: every waist of a degenerate pair without walk-off
-    has the key (0.0, 0.0).
+    has the key (0.0, 0.0). Up to a phase max|q| L/2 of _SERIES_PHASE, R is a
+    power series in q L/2 over waist-free node moments, else cos and sin of
+    q z (``_z_moments``). Both arms share the last waist's kernel, held on the
+    singles grid (``mode_kernel``), its order-0 ``term`` and per-angle rows G.
     """
 
     def __init__(self, geom, terms, walk_off):
@@ -234,8 +234,7 @@ class _ModeSumKernel:
         pair = terms.z_moments
         if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
             pair = terms.z_moments = (key, {})
-        # theta: rows G_0..G_m of that arm; (m, n_z, arm, or None at m = 0): term
-        self.moments, self._hermite, self._terms = pair[1], {}, {}
+        self.moments, self._hermite, self._terms = pair[1], {}, {}  # rows by angle; terms
 
     def _z_moments(self, n_z, J):
         """R[j] = Re or Im M[j] (j even or odd), j <= J, on n_z nodes."""
@@ -243,22 +242,18 @@ class _ModeSumKernel:
         z, env = z_nodes(n_z, L, self.H)
         R = np.empty((J + 1, self.q.size))
         if self.phase <= _SERIES_PHASE:
-            # exp(i Q t) with Q = q L/2 is sum_p (i Q)^p / p! t^p, so M[j] is
-            # sum_p (i Q)^p / p! mu[j + p] over the node moments mu[k] = sum_z
-            # w_z env t^k, 0 for odd k; the first omitted term is <= 1e-17
-            P, term = 0, self.phase
-            while term > 1e-17:
-                P, term = P + 1, term * self.phase / (P + 2)
-            mu = np.zeros(J + P + 1)
-            mu[0::2] = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)
+            # M[j] = sum_p (i Q)^p / p! mu[j + p] of mu[k] = sum_z w_z env t^k, 0 for odd k
+            P, omitted = 0, self.phase  # through the first omitted term <= 1e-17
+            while omitted > 1e-17:
+                P, omitted = P + 1, omitted * self.phase / (P + 2)
+            mu = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)  # of t^(2k)
             sign = [(-1) ** (p // 2) / math.factorial(p) for p in range(P + 1)]
-            A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1))] * sign
-            V, Q = np.empty((P + 1, self.q.size)), self.q * (L / 2.0)
-            V[0] = 1.0
+            A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1)) // 2] * sign
+            V, Q = np.ones((P + 1, self.q.size)), self.q * (L / 2.0)
             for p in range(1, P + 1):  # V[p] = Q^p
                 np.multiply(V[p - 1], Q, out=V[p])
-            np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])
-            np.matmul(A[1::2, 1::2], V[1::2], out=R[1::2])
+            np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])  # the terms of p = j (mod 2),
+            np.matmul(A[1::2, 1::2], V[1::2], out=R[1::2])  # signed (-1)^floor(p/2)
             return R
         P = env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1)
         # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
@@ -313,15 +308,12 @@ class _ModeSumKernel:
         return self.yz_pref * (np.array(coef) @ GR)
 
     def term(self, m, arm, n_z=None):
-        """d_m of the singles sum: the filtered integral of (gp r_m)^2 over
-        2^m m!, held per order, node count and arm; order 0 does not depend
-        on the arm, so both arms share it."""
-        n_z = self.z_order(m) if n_z is None else n_z
-        key = (m, n_z, arm if m else None)
+        """Singles term d_m per order, node count and arm; order 0 is both arms'."""
+        key = (m, self.z_order(m) if n_z is None else n_z, arm if m else None)
         if key not in self._terms:
-            grid, yz = self.terms, self.yz_integral(m, arm, n_z)
-            density = grid.weight * ((self.gp * yz) ** 2).reshape(self.shape)
-            self._terms[key] = grid.integrate(density) / (2**m * math.factorial(m))
+            yz = self.gp * self.yz_integral(m, arm, key[1])
+            density = self.terms.weight * (yz**2).reshape(self.shape)
+            self._terms[key] = self.terms.integrate(density) / (2**m * math.factorial(m))
         return self._terms[key]
 
 
@@ -375,8 +367,8 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
     normalization divides the squared fundamental normalization by
     2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
     more z nodes, and a relative change beyond _Z_TOL raises
-    ConvergenceError. The kernel is built on the ``spectral_grid`` slot, whose
-    z moments both arms share. Array waists raise ValueError.
+    ConvergenceError. Both arms share the kernel that the ``spectral_grid``
+    slot's singles grid holds for the waist. Array waists raise ValueError.
     """
     *_, (_, finish) = _singles_shells(which, geom, crystal, filters, numerics)
     return finish()
