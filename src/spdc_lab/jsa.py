@@ -9,7 +9,7 @@ to the rate prefactor handled in :mod:`spdc_lab.metrics`,
 where A, C (and D, F, H) collect the transverse Gaussian-beam overlap of the
 three modes, dk_y and dk_z are the transverse/longitudinal phase mismatches,
 and Phi_z is L sinc(dk_z L / 2) or, with the pump walk-off envelope exp(-H z^2),
-``walk_off_integral`` on the z rule the mode sum of :mod:`spdc_lab.metrics` shares.
+``walk_off_integral``, row 0 of the mode sum's ``z_moments`` (:mod:`spdc_lab.metrics`).
 
 ``purity_waist`` solves in closed form for the collection waist that makes
 the amplitude separable in the Gaussian model of the joint intensity: with the
@@ -43,7 +43,7 @@ MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 
 # the z order check redoes a quadrature at _Z_RAISE more nodes, to _Z_TOL
 _Z_RAISE, _Z_TOL = 8, 1e-6
-_FIGURE_KEYS = 16  # shape keys a SpectralGrid's figure memo holds at most
+_SERIES_PHASE = 3.0  # max|q| L/2 up to which z moments are a series (few-ulp cancellation)
 _FigureKey = namedtuple("_FigureKey", "C H")  # what ``SpectralGrid.figure`` reads
 
 
@@ -288,25 +288,58 @@ def _check_z_order(base, raised, what):
     return change
 
 
+def z_moments(q, n_z, L, H, J):
+    """R[j], j <= J, of the z moments M[j] = sum_z w_z exp(-H z^2) exp(i q z) t^j
+    of t = 2z/L on the ``z_nodes`` rule of n_z nodes, one column per entry of
+    the 1-D ``q``: the nodes are symmetric and the envelope even, so
+    M[j] = i^(j mod 2) R[j] with R real. Up to a phase max|q| L/2 of
+    _SERIES_PHASE, R is a power series in q L/2 over the q-free node moments;
+    above it, cos and sin of q z over the nodes z > 0."""
+    z, env = z_nodes(n_z, L, H)
+    phase = float(np.max(np.abs(q), initial=0.0)) * L / 2.0
+    R = np.empty((J + 1, q.size))
+    if phase <= _SERIES_PHASE:
+        # M[j] = sum_p (i Q)^p / p! mu[j + p] of mu[k] = sum_z w_z env t^k, 0 for odd k
+        P, omitted = 0, phase  # through the first omitted term <= 1e-17
+        while omitted > 1e-17:
+            P, omitted = P + 1, omitted * phase / (P + 2)
+        mu = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)  # of t^(2k)
+        sign = [(-1) ** (p // 2) / math.factorial(p) for p in range(P + 1)]
+        A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1)) // 2] * sign
+        V, Q = np.ones((P + 1, q.size)), q * (L / 2.0)
+        for p in range(1, P + 1):  # V[p] = Q^p
+            np.multiply(V[p - 1], Q, out=V[p])
+        np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])  # the terms of p = j (mod 2),
+        np.matmul(A[1::2, 1::2], V[1::2], out=R[1::2])  # signed (-1)^floor(p/2)
+        return R
+    P = env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1)
+    # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
+    # of 0.0) and t^j has parity (-1)^j, so the nodes pair up:
+    # even j take 2 cos(q z), odd j 2 sin(q z), over z > 0 only
+    half = n_z // 2
+    zq = np.outer(z[n_z - half:], q)
+    P2 = 2.0 * P[n_z - half:].T
+    np.matmul(P2[0::2], np.cos(zq), out=R[0::2])
+    R[0::2] += P[half:n_z - half, 0::2].sum(axis=0)[:, None]
+    np.matmul(P2[1::2], np.sin(zq), out=R[1::2])
+    return R
+
+
 def walk_off_integral(dk_z, H, L):
     """Longitudinal overlap integral of exp(-H z^2 - i dk_z z) over [-L/2, L/2].
 
     Real (the imaginary part vanishes by parity) and vectorized over dk_z:
-    the ``z_nodes`` rule at ``z_order(0, max|dk_z| L / 2, H L^2 / 4)``,
-    checked at _Z_RAISE more nodes.
+    row 0 of ``z_moments`` of q = dk_z at ``z_order(0, max|dk_z| L / 2,
+    H L^2 / 4)`` nodes, checked at _Z_RAISE more nodes.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
     dk_z = np.asarray(dk_z, dtype=float)
-    n = z_order(0, float(np.max(np.abs(dk_z), initial=0.0)) * L / 2.0, H * L**2 / 4.0)
-    sums = []
-    for z, w in (z_nodes(k, L, H) for k in (n, n + _Z_RAISE)):
-        # symmetric nodes, even integrand: sum over z >= 0 one node at a
-        # time, so the peak stays a few dk_z-sized arrays
-        w = np.where(z > 0, 2.0 * w, w)
-        sums.append(sum(w[k] * np.cos(dk_z * z[k]) for k in range(z.size // 2, z.size)))
-    _check_z_order(*sums, "walk-off integral")
-    return sums[0]
+    q = dk_z.ravel()
+    n = z_order(0, float(np.max(np.abs(q), initial=0.0)) * L / 2.0, H * L**2 / 4.0)
+    base, raised = (z_moments(q, k, L, H, 0)[0] for k in (n, n + _Z_RAISE))
+    _check_z_order(base, raised, "walk-off integral")
+    return base.reshape(dk_z.shape)[()]
 
 
 class SpectralTerms:
@@ -382,9 +415,9 @@ class SpectralGrid(SpectralTerms):
     Holds, read-only, the absolute axes ``w_s``, ``w_i``, the detuning axes
     ``Om_s``, ``Om_i`` and, from its first use by a rate, the filter weight
     T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid. ``figure``
-    holds the scalars of the shape per C (and H), so a waist sweep along the
-    separability tie, keyed on the C that the tie fixes, builds Psi and its
-    purity once (once per H with walk-off) rather than at every waist.
+    holds the shape and its scalars for the last C (and H), so a waist sweep
+    along the separability tie, keyed on the C that the tie fixes, builds Psi
+    and its purity once (once per H with walk-off), not at every waist.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -398,7 +431,7 @@ class SpectralGrid(SpectralTerms):
         super().__init__(OS, OI, geom, crystal, dispersion_mode)
         self._filters = filters
         self._w_s, self._w_i = _trapezoid(self.Om_s), _trapezoid(self.Om_i)
-        self._shape_slot, self._figures = (None, None), {}
+        self._figure_slot = (None, None, {})
 
     @cached_property
     def weight(self):
@@ -410,27 +443,24 @@ class SpectralGrid(SpectralTerms):
 
     def figure(self, factors, walk_off, decompose=None, stride=1):
         """The trapezoid sum of weight Psi^2 (``decompose`` None) or
-        ``purity(Psi, decompose)`` of the ``shape`` Psi, held per key (C, and
-        H with ``walk_off``) in a memo of at most _FIGURE_KEYS keys, copied
-        to add a key, and emptied first when full. The last key's Psi is held
-        read-only, so the rate and the purity at one key build it once.
+        ``purity(Psi, decompose)`` of the ``shape`` Psi. One slot holds the
+        (key, Psi, figures) of the last key (C, and H with ``walk_off``), read
+        and replaced as one, with Psi read-only: the rate and the purity at
+        one key build Psi once, and another key replaces the slot.
 
         ``stride`` 2 takes the sum on the even rows and columns alone. Since
         linspace(lo, hi, 2 m - 1)[::2] is linspace(lo, hi, m), that is the sum
         of the grid at (n + 1) / 2 points bit for bit; with walk-off, only when
-        max|dk_z| on the even points gives ``walk_off_integral`` the z order it
-        gives on all points (it does on the shipped configs)."""
+        max|dk_z| on the even points gives ``walk_off_integral`` the z order and
+        series it gives on all points (it does on the shipped configs)."""
         if stride not in (1, 2) or (stride == 2 and decompose is not None):
             raise ValueError("stride is 1, or 2 for the trapezoid sum alone")
-        key, memo = (factors.C, factors.H if walk_off else None), self._figures
-        if key not in memo:
-            memo = self._figures = {**(memo if len(memo) < _FIGURE_KEYS else {}), key: {}}
-        figures = memo[key]
+        key = (factors.C, factors.H if walk_off else None)
+        held, psi, figures = self._figure_slot
+        if held != key:
+            psi, figures = _read_only(self.shape(factors, walk_off)), {}
+            self._figure_slot = (key, psi, figures)
         if (decompose, stride) not in figures:
-            held, psi = self._shape_slot
-            if held != key:
-                psi = _read_only(self.shape(factors, walk_off))
-                self._shape_slot = (key, psi)
             if decompose is not None:
                 figures[decompose, stride] = purity(psi, decompose)
             elif stride == 1:

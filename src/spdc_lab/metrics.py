@@ -26,7 +26,7 @@ from .dispersion import (
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
     _Z_RAISE, _Z_TOL, _check_z_order, _one_waist, _square, check_rayleigh,
-    figure_keys, geometry_factors, spectral_grid, z_nodes, z_order,
+    figure_keys, geometry_factors, spectral_grid, z_moments, z_order,
 )
 from .units import c, epsilon_0
 
@@ -124,35 +124,29 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     ``numerics.rate_resolution`` points as N -> 2N - 1, up to
     MAX_RATE_RESOLUTION, until successive estimates agree to _RATE_TOL. Every
     doubling level is pi^2 / (A C) times the ``figure`` of its ``spectral_grid``,
-    the first at stride 2 on the second's grid. Each waist stops at its own
-    level; the first one left unconverged raises ConvergenceError at the end.
+    the first at stride 2 on the second's grid. A key's waists share its
+    figure, which converges once; a waist's rate is pref (pi^2 / (A C) figure).
+    An unconverged key raises ConvergenceError at its first waist.
     """
     check_rayleigh(geom, crystal.length_L)
-    g, walk_off, unconverged = geometry_factors(geom), numerics.walk_off_enabled, {}
+    g, walk_off = geometry_factors(geom), numerics.walk_off_enabled
     pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]  # one waist: no numpy
                    for x in (rate_prefactor(geom, crystal), math.pi**2 / (g.A * g.C)))
+    setting = (geom, crystal, filters, numerics.dispersion_mode)
     for key, idx in figure_keys(g, walk_off, C).items():
-        n, (lev, p) = 2 * numerics.rate_resolution - 1, ([v[j] for j in idx] for v in (level, pref))
-        grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-        fig = grid.figure(key, walk_off, stride=2)
-        prev, rate = [v * fig for v in lev], [math.nan] * len(idx)  # NaN until the waist converges
-        while any(map(math.isnan, rate)):
+        n, j = 2 * numerics.rate_resolution - 1, idx[0]
+        prev = spectral_grid(n, *setting).figure(key, walk_off, stride=2)
+        while True:
             if n > MAX_RATE_RESOLUTION:
-                unconverged.update((j, a * e) for j, r, a, e in zip(idx, rate, p, prev) if r != r)
+                raise ConvergenceError(
+                    "pair-rate integral did not converge under grid doubling at waist %d" % j,
+                    estimates=(pref[j] * (level[j] * prev),),
+                )
+            fig = spectral_grid(n, *setting).figure(key, walk_off)
+            if abs(fig - prev) <= _RATE_TOL * max(abs(fig), abs(prev)):
                 break
-            grid = spectral_grid(n, geom, crystal, filters, numerics.dispersion_mode)
-            fig = grid.figure(key, walk_off)
-            cur = [v * fig for v in lev]
-            rate = [a * c if math.isnan(r) and abs(c - e) <= _RATE_TOL * max(abs(c), abs(e)) else r
-                    for r, a, c, e in zip(rate, p, cur, prev)]
-            prev, n = cur, 2 * n - 1
-        yield key, idx, rate
-    if unconverged:
-        j = min(unconverged)
-        raise ConvergenceError(
-            "pair-rate integral did not converge under grid doubling at waist %d" % j,
-            estimates=(float(unconverged[j]),),
-        )
+            prev, n = fig, 2 * n - 1
+        yield key, idx, [pref[k] * (level[k] * fig) for k in idx]
 
 
 def pair_rate(geom, crystal, filters, numerics=Numerics()):
@@ -185,7 +179,6 @@ def _arm(geom, which):
 
 # z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...
 _FIRST_MAX_M = 6
-_SERIES_PHASE = 3.0  # max|q| L/2 up to which z moments are a series (few-ulp cancellation)
 
 
 class _ModeSumKernel:
@@ -207,16 +200,16 @@ class _ModeSumKernel:
     product of G_0..G_m with M[m..0]. env is exp(-H z^2) with walk-off and 1
     without, as in ``walk_off_integral``. All of it is real arithmetic: the
     nodes are symmetric and env even, so M[j] = i^(j mod 2) R[j] with R real
-    (``_z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
+    (``jsa.z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
     of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). Both arms
     share W = W0s and A, C, D and H (see ``_arm``). ``terms`` (SpectralTerms
     on a 2-D detuning grid) supplies the phase mismatch and the pump factors,
     and holds R in ``z_moments`` for the last key (D/(2C), H), all of the
     geometry R depends on: every waist of a degenerate pair without walk-off
-    has the key (0.0, 0.0). Up to a phase max|q| L/2 of _SERIES_PHASE, R is a
-    power series in q L/2 over waist-free node moments, else cos and sin of
-    q z (``_z_moments``). Both arms share the last waist's kernel, held on the
-    singles grid (``mode_kernel``), its order-0 ``term`` and per-angle rows G.
+    has the key (0.0, 0.0). ``jsa.z_moments``, whose row 0 at q = dk_z is
+    ``walk_off_integral``, takes R as a series or from cos and sin of q z by
+    the phase. Both arms share the last waist's kernel, held on the singles
+    grid (``mode_kernel``), its order-0 ``term`` and per-angle rows G.
     """
 
     def __init__(self, geom, terms, walk_off):
@@ -235,37 +228,6 @@ class _ModeSumKernel:
         if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
             pair = terms.z_moments = (key, {})
         self.moments, self._hermite, self._terms = pair[1], {}, {}  # rows by angle; terms
-
-    def _z_moments(self, n_z, J):
-        """R[j] = Re or Im M[j] (j even or odd), j <= J, on n_z nodes."""
-        L = self.terms.length_L
-        z, env = z_nodes(n_z, L, self.H)
-        R = np.empty((J + 1, self.q.size))
-        if self.phase <= _SERIES_PHASE:
-            # M[j] = sum_p (i Q)^p / p! mu[j + p] of mu[k] = sum_z w_z env t^k, 0 for odd k
-            P, omitted = 0, self.phase  # through the first omitted term <= 1e-17
-            while omitted > 1e-17:
-                P, omitted = P + 1, omitted * self.phase / (P + 2)
-            mu = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)  # of t^(2k)
-            sign = [(-1) ** (p // 2) / math.factorial(p) for p in range(P + 1)]
-            A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1)) // 2] * sign
-            V, Q = np.ones((P + 1, self.q.size)), self.q * (L / 2.0)
-            for p in range(1, P + 1):  # V[p] = Q^p
-                np.multiply(V[p - 1], Q, out=V[p])
-            np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])  # the terms of p = j (mod 2),
-            np.matmul(A[1::2, 1::2], V[1::2], out=R[1::2])  # signed (-1)^floor(p/2)
-            return R
-        P = env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1)
-        # the nodes are antisymmetric (z[-1 - k] = -z[k], an odd-n middle node
-        # of 0.0) and t^j has parity (-1)^j, so the nodes pair up:
-        # even j take 2 cos(q z), odd j 2 sin(q z), over z > 0 only
-        half = n_z // 2
-        zq = np.outer(z[n_z - half:], self.q)
-        P2 = 2.0 * P[n_z - half:].T
-        np.matmul(P2[0::2], np.cos(zq), out=R[0::2])
-        R[0::2] += P[half:n_z - half, 0::2].sum(axis=0)[:, None]
-        np.matmul(P2[1::2], np.sin(zq), out=R[1::2])
-        return R
 
     @staticmethod
     def _tier(m):
@@ -290,7 +252,8 @@ class _ModeSumKernel:
         n_z = self.z_order(m) if n_z is None else n_z
         R = self.moments.get(n_z)
         if R is None or R.shape[0] <= m:
-            R = self.moments[n_z] = self._z_moments(n_z, self._tier(m))
+            R = self.moments[n_z] = z_moments(self.q, n_z, self.terms.length_L, self.H,
+                                              self._tier(m))
         g, (theta, sign), W = self.g, arm, self.geom.W0s
         G = self._hermite.get(theta, (1.0,))
         if len(G) <= m:  # a longer list replaces the held one, never extends it

@@ -15,7 +15,7 @@ import numpy as np
 from .config import Numerics
 from .errors import UnsatisfiableConditionError
 from .jsa import _tie_curvature, purity_waist, spectral_grid
-from .metrics import (compute_metrics, heralding_margin, heralding_rates, jsa_purity, pair_rate,
+from .metrics import (compute_metrics, heralding_margin, heralding_rates, jsa_purity,
                       pair_rates_by_key)
 
 # the Gaussian-model convention that ties the collection waist to the pump
@@ -157,7 +157,8 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
 
     Stage 1 maximizes the pair rate over the pump waist by golden-section
     search over _WAIST_BOUNDS, tying the collection waist to the
-    separability condition under _TIE_ALPHA. Stage 2 evaluates the
+    separability condition under _TIE_ALPHA and keying every waist on the
+    tie's C, as ``rate_vs_pump_waist`` does. Stage 2 evaluates the
     closed-form collection waist at the optimum under
     ``numerics.alpha_convention``. Stage 3 scans the collection waist over
     [0.5, 1.2] times the closed-form value on a grid of _SCAN_POINTS points,
@@ -174,9 +175,14 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     bisection takes the exact eta of ``heralding_rates``.
     """
 
+    C = _tie_curvature(geom_template, crystal, _TIE_ALPHA)
+
     def tied_rate(W0p):
         geom = _tied(W0p, geom_template, crystal)
-        return -math.inf if geom is None else pair_rate(geom, crystal, filters, numerics)
+        if geom is None:
+            return -math.inf
+        [(_, _, [rate])] = pair_rates_by_key(geom, crystal, filters, numerics, C)
+        return rate
 
     W0p_star, _ = golden_section_maximize(tied_rate, *_WAIST_BOUNDS, tol=0.25e-6)
     W0s_closed_form = purity_waist(W0p_star, geom_template, crystal, numerics.alpha_convention)

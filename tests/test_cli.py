@@ -724,7 +724,7 @@ class TestConsoleScript:
         assert {key: rate_summary[key] for key in counts} == counts
         counts = {
             "sweep.golden_section_maximize.evals": 20,
-            "metrics.pair_rate.calls": 33,
+            "metrics.pair_rate.calls": 13,
             # the 2 reports' ladders; heralding_margin drives the 11 coarse
             # points' ladders without singles_rate
             "metrics.singles_rate.calls": 4,

@@ -235,9 +235,11 @@ class TestWalkOffIntegral:
     @pytest.mark.parametrize("L", [100e-6, 450e-6])
     def test_rule_matches_quadrature(self, L, a2):
         # the library rule needs about max|dk_z| L / 2 + 7 nodes, so the
-        # 5 mm crystal (2,500 nodes at dk_z = 1e6) stays on the oracle above
+        # 5 mm crystal (2,500 nodes at dk_z = 1e6) stays on the oracle above;
+        # the phase is above the series cap, so the z sum takes cos and sin
         H = 4.0 * a2 / L**2
         dk_z = np.concatenate(([0.0], np.logspace(0, 6)))
+        assert np.max(dk_z) * L / 2.0 > jsa._SERIES_PHASE
         got = walk_off_integral(dk_z, H, L)
         want = np.array([_quad_walk_off(k, H, L) for k in dk_z])
         assert got.dtype == float and got.shape == dk_z.shape
@@ -245,9 +247,11 @@ class TestWalkOffIntegral:
 
     @pytest.mark.parametrize("n", [101, 201])
     def test_rule_matches_faddeeva_on_grids(self, degenerate, nondegenerate, n):
+        # the shipped grids' phase is under the series cap: the z sum is the series
         for cfg in (degenerate, nondegenerate):
             grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
             H, L = geometry_factors(cfg.geom).H, cfg.crystal.length_L
+            assert np.max(np.abs(grid.dkz)) * L / 2.0 <= jsa._SERIES_PHASE
             got = walk_off_integral(grid.dkz, H, L)
             want = _faddeeva_walk_off(grid.dkz, H, L)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -362,16 +366,18 @@ class TestSpectralGrids:
 
     def test_shape_slot_holds_the_last_key(self, nondegenerate):
         # the figures of one key build one read-only shape, which the next
-        # key replaces; the slot is keyed on C, and on H with walk-off
+        # key replaces with its figures; the slot is keyed on C, and on H
+        # with walk-off
         cfg = nondegenerate
         grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         g = geometry_factors(cfg.geom)
-        grid.figure(g, False)
-        key, first = grid._shape_slot
-        assert key == (g.C, None)
+        rate = grid.figure(g, False)
+        key, first, figures = grid._figure_slot
+        assert key == (g.C, None) and figures == {(None, 1): rate}
         grid.figure(geometry_factors(replace(cfg.geom)), False, "amplitude")
-        assert grid._shape_slot[1] is first
+        assert grid._figure_slot[1] is first and grid._figure_slot[2] is figures
+        assert len(figures) == 2
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0] = 0.0
@@ -379,13 +385,24 @@ class TestSpectralGrids:
         for geom, walk_off in ((narrow, False), (narrow, True), (cfg.geom, True)):
             f = geometry_factors(geom)
             grid.figure(f, walk_off)
-            key, psi = grid._shape_slot
-            assert key == (f.C, f.H if walk_off else None)
+            key, psi, figures = grid._figure_slot
+            assert key == (f.C, f.H if walk_off else None) and len(figures) == 1
             assert psi is not first and not psi.flags.writeable
             scale = math.pi / math.sqrt(f.A * f.C)
             want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
             assert np.array_equal(psi * scale, want)
             first = psi
+        # the figures never change over keys and rounds
+        factors = [
+            geometry_factors(replace(cfg.geom, W0s=(1.0 + 0.01 * k) * cfg.geom.W0s))
+            for k in range(19)
+        ]
+        seen = {}
+        for _ in range(2):
+            for k, f in enumerate(factors):
+                figures = (grid.figure(f, False), grid.figure(f, False, "amplitude"))
+                assert seen.setdefault(k, figures) == figures
+                assert grid._figure_slot[0] == (f.C, None)
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_runs_geometry_factors_once(self, degenerate, walk_off, monkeypatch):
@@ -483,7 +500,7 @@ class TestSpectralGrids:
             assert grid.w_s.size == n and built_for(grid, cfg), n
 
     def test_interleaved_figure_is_its_own_key(self, nondegenerate, monkeypatch):
-        # while one key's shape or memo is being stored, another key's
+        # while one key's figure slot is being stored, another key's
         # figures are asked for on the same grid, as another thread could;
         # each call must return its own key's figure, and so must the next ones
         cfg = nondegenerate
@@ -513,23 +530,6 @@ class TestSpectralGrids:
             for d in (None, "amplitude"):
                 assert grid.figure(f, False, d) == want[f, d]
 
-    def test_figure_memo_never_exceeds_its_bound(self, degenerate):
-        # every new key adds one entry until _FIGURE_KEYS, and the key past
-        # the bound starts a fresh memo; the figures never change
-        cfg = degenerate
-        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        factors = [
-            geometry_factors(replace(cfg.geom, W0s=(1.0 + 0.01 * k) * cfg.geom.W0s))
-            for k in range(jsa._FIGURE_KEYS + 3)
-        ]
-        first = {}
-        for rounds in range(2):
-            for k, f in enumerate(factors):
-                figures = (grid.figure(f, False), grid.figure(f, False, "amplitude"))
-                assert first.setdefault(k, figures) == figures
-                assert (f.C, None) in grid._figures
-                step = rounds * len(factors) + k
-                assert len(grid._figures) == step % jsa._FIGURE_KEYS + 1
 
 class TestJsaGrid:
     def test_normalization(self, degenerate):

@@ -217,8 +217,7 @@ class TestPairRate:
         # held on the singles grid, and the walk-off ones replace them with
         # their own key's; on nondegenerate every waist has its own moments
         # and two arm angles. Each waist's kernel is held on the singles
-        # grid and shared by its two arms while another thread replaces it;
-        # the two tied waists share one figure-memo entry per grid.
+        # grid and shared by its two arms while another thread replaces it.
         # The threads start with only a fresh 201-point grid held, so they
         # take the first rate level from its even points concurrently
         cfg = request.getfixturevalue(name)
@@ -257,9 +256,6 @@ class TestPairRate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
         assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact") is fine
-        for n in (101, 201):
-            grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
-            assert len(grid._figures) <= jsa._FIGURE_KEYS
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -321,7 +317,7 @@ class TestFigureMemo:
     def test_figures_match_the_written_out_formulas(self, name, walk_off, request, monkeypatch):
         # at two untied waists and at two tied waists of one C (and, with
         # walk-off, two H), evaluated in turn on one slot so that the second
-        # tied waist meets the first one's memo: every figure matches the
+        # tied waist meets the first one's slot: every figure matches the
         # written-out formulas, and equals the figure of a cold slot bitwise
         cfg = request.getfixturevalue(name)
         numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
@@ -608,7 +604,7 @@ class TestModeSumKernel:
         for n_z in (7, 8, 21, 22):
             z, env = z_nodes(n_z, L, kern.H)
             E = np.exp(1j * np.outer(kern.q, z))
-            got = kern._z_moments(n_z, J)
+            got = jsa.z_moments(kern.q, n_z, L, kern.H, J)
             want = E @ (env[:, None] * (2.0 * z[:, None] / L) ** np.arange(J + 1))
             want = np.where(np.arange(J + 1) % 2, want.imag, want.real).T
             diff = np.max(np.abs(got - want))
@@ -620,9 +616,10 @@ class TestModeSumKernel:
         # the series cap, so the moments take cos and sin of q z
         geom, crystal, filters = long_crystal_design(degenerate, 5e-3)
         kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
-        assert kern.phase > metrics._SERIES_PHASE
+        assert kern.phase > jsa._SERIES_PHASE
         for n_z in (kern.z_order(6), kern.z_order(6) + 1, 30):
-            got, want = kern._z_moments(n_z, 6), full_exponential_moments(kern, n_z, 6)
+            got = jsa.z_moments(kern.q, n_z, crystal.length_L, kern.H, 6)
+            want = full_exponential_moments(kern, n_z, 6)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n_z
 
     @pytest.mark.parametrize("walk_off", [False, True])
@@ -631,12 +628,13 @@ class TestModeSumKernel:
         # where the series cancels most; both paths agree on every row to 1e-14
         geom, crystal, filters = long_crystal_design(degenerate, 1.5e-3)
         kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
-        assert 2.5 < kern.phase <= metrics._SERIES_PHASE
+        assert 2.5 < kern.phase <= jsa._SERIES_PHASE
+        L = crystal.length_L
         for J in (6, 12, 24):
             n_z = kern.z_order(J)
-            series = kern._z_moments(n_z, J)
-            monkeypatch.setattr(metrics, "_SERIES_PHASE", -1.0)
-            cos_sin = kern._z_moments(n_z, J)
+            series = jsa.z_moments(kern.q, n_z, L, kern.H, J)
+            monkeypatch.setattr(jsa, "_SERIES_PHASE", -1.0)
+            cos_sin = jsa.z_moments(kern.q, n_z, L, kern.H, J)
             monkeypatch.undo()
             rows = np.max(np.abs(series - cos_sin), axis=1) / np.max(np.abs(cos_sin), axis=1)
             assert np.all(rows <= 1e-14), (J, rows.max())
@@ -656,14 +654,14 @@ class TestModeSumKernel:
                                 cfg.filters, cfg.numerics.dispersion_mode)
             for scale in (0.5, 1.0, 2.0):
                 geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
-                assert _ModeSumKernel(geom, grid, False).phase <= metrics._SERIES_PHASE, path
+                assert _ModeSumKernel(geom, grid, False).phase <= jsa._SERIES_PHASE, path
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
         cfg = nondegenerate
         geom, crystal = cfg.geom, cfg.crystal
         kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, cfg.filters, "exact"), walk_off)
-        R = kern._z_moments(kern.z_order(6), 6)
+        R = jsa.z_moments(kern.q, kern.z_order(6), crystal.length_L, kern.H, 6)
         assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
         for which in ("signal", "idler"):
             for m in range(8):
@@ -744,13 +742,13 @@ class TestModeSumKernel:
         # key (0.0, 0.0), so the moments are computed once per z order
         cfg = degenerate
         calls = []
-        nodes = metrics.z_nodes
+        nodes = jsa.z_nodes
 
         def counted(n, L, H):
             calls.append(n)
             return nodes(n, L, H)
 
-        monkeypatch.setattr(metrics, "z_nodes", counted)
+        monkeypatch.setattr(jsa, "z_nodes", counted)
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         sweep.optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert 0 < len(calls) <= 8

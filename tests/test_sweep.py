@@ -160,6 +160,20 @@ class TestRateVsPumpWaist:
             assert len(result.rows) == tied.W0p.size
             assert shapes.count(201) == len(purities) == keys
             assert purities == [(201, 201)] * keys
+        # optimize's stage 1 keys its golden-section waists on the tie's C too
+        stage1 = []
+        golden = sweep.golden_section_maximize
+
+        def counted_golden(*args, **kwargs):
+            found = golden(*args, **kwargs)
+            stage1.append(shapes.count(201))
+            return found
+
+        monkeypatch.setattr(sweep, "golden_section_maximize", counted_golden)
+        shapes.clear()
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        sweep.optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        assert stage1 == [1]
 
     @pytest.mark.parametrize("walk_off, steps", [(False, 40), (True, 8)])
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
