@@ -306,7 +306,8 @@ def z_moments(q, n_z, L, H, J):
         mu = env @ (2.0 * z[:, None] / L) ** np.arange(0, J + P + 1, 2)  # of t^(2k)
         sign = [(-1) ** (p // 2) / math.factorial(p) for p in range(P + 1)]
         A = mu[np.add.outer(np.arange(J + 1), np.arange(P + 1)) // 2] * sign
-        V, Q = np.ones((P + 1, q.size)), q * (L / 2.0)
+        V, Q = np.empty((P + 1, q.size)), q * (L / 2.0)
+        V[0] = 1.0
         for p in range(1, P + 1):  # V[p] = Q^p
             np.multiply(V[p - 1], Q, out=V[p])
         np.matmul(A[0::2, 0::2], V[0::2], out=R[0::2])  # the terms of p = j (mod 2),
@@ -353,7 +354,8 @@ class SpectralTerms:
     ``amplitude`` scales it by the waists' pi / sqrt(A C). Held
     read-only: dk_y, dk_z, -dk_y^2 and, from its first use, each of
     ``pump_envelope`` and ``sinc_envelope``, L sinc(dk_z L / 2) times the pump
-    envelope. ``z_moments`` and ``mode_kernel`` hold the mode-sum kernel's pairs.
+    envelope. ``z_moments`` holds the (key, {n_z: R}) pair the mode-sum kernels
+    share; no kernel is held, so no reference cycle keeps the terms alive.
     """
 
     def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
@@ -368,7 +370,7 @@ class SpectralTerms:
         self.length_L = crystal.length_L
         self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
         self.negdky2 = _read_only(-self.dky**2)
-        self.z_moments = self.mode_kernel = (None, None)
+        self.z_moments = (None, None)
 
     def _pump_envelope(self):
         Omega_s, Omega_i, Bp = self._pump

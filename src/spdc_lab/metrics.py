@@ -168,21 +168,12 @@ def _scaled_hermite(m, u, c, G=(1.0,)):
     return G[: m + 1]
 
 
-def _arm(geom, which):
-    """(theta, sign) of the arm carrying the mode ladder."""
-    if which == "signal":
-        return geom.theta_s, +1.0
-    if which == "idler":
-        return geom.theta_i, -1.0
-    raise ValueError("which must be 'signal' or 'idler'")
-
-
 # z orders cover Hermite orders up to _FIRST_MAX_M, then 2 _FIRST_MAX_M, ...
 _FIRST_MAX_M = 6
 
 
 class _ModeSumKernel:
-    """Shared state of the Hermite-Gauss projections of one geometry.
+    """Hermite-Gauss projections of one arm (``which``) of one geometry.
 
     The overlap with collection mode (n, m) factorizes into x, y and z
     integrals times the pump spectral envelope. The x and y integrals are
@@ -201,18 +192,25 @@ class _ModeSumKernel:
     without, as in ``walk_off_integral``. All of it is real arithmetic: the
     nodes are symmetric and env even, so M[j] = i^(j mod 2) R[j] with R real
     (``jsa.z_moments``), and G_k(i s; c) = i^k G_k(s; -c) leaves the y-z overlap
-    of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). Both arms
-    share W = W0s and A, C, D and H (see ``_arm``). ``terms`` (SpectralTerms
-    on a 2-D detuning grid) supplies the phase mismatch and the pump factors,
-    and holds R in ``z_moments`` for the last key (D/(2C), H), all of the
-    geometry R depends on: every waist of a degenerate pair without walk-off
-    has the key (0.0, 0.0). ``jsa.z_moments``, whose row 0 at q = dk_z is
-    ``walk_off_integral``, takes R as a series or from cos and sin of q z by
-    the phase. Both arms share the last waist's kernel, held on the singles
-    grid (``mode_kernel``), its order-0 ``term`` and per-angle rows G.
+    of order m as i^(m mod 2) r_m with r_m real (``yz_integral``). The arm sets
+    theta and sign: (theta_s, +1) for the signal, (theta_i, -1) for the idler;
+    both arms have W = W0s and A, C, D and H. ``terms`` (SpectralTerms on a 2-D
+    detuning grid) supplies the phase mismatch and the pump factors, and holds
+    R in ``z_moments`` for the last key (D/(2C), H), all of the geometry R
+    depends on: every waist of a degenerate pair without walk-off has the key
+    (0.0, 0.0), and the two arms of a waist share it. ``jsa.z_moments``, whose
+    row 0 at q = dk_z is ``walk_off_integral``, takes R as a series or from
+    cos and sin of q z by the phase. The kernel holds its arm's rows G; the
+    terms hold no kernel, so a kernel lives as long as its caller keeps it.
     """
 
-    def __init__(self, geom, terms, walk_off):
+    def __init__(self, geom, terms, walk_off, which):
+        if which == "signal":
+            theta, sign = geom.theta_s, +1.0
+        elif which == "idler":
+            theta, sign = geom.theta_i, -1.0
+        else:
+            raise ValueError("which must be 'signal' or 'idler'")
         self.geom, self.terms = geom, terms
         self.g = g = geometry_factors(geom)
         self.shape = terms.dky.shape
@@ -223,11 +221,15 @@ class _ModeSumKernel:
         self.H = g.H if walk_off else 0.0  # walk-off envelope exp(-H z^2)
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
         self.spread = self.H * terms.length_L**2 / 4.0
+        W = geom.W0s
+        self.a2 = 2.0 * math.cos(theta) ** 2 / W**2  # y curvature of the arm's mode
+        beta = math.sqrt(2.0) * (sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)) / W
+        self.bL = beta * terms.length_L  # (2 beta z)^j = bL^j t^j
         key = (g.D / (2.0 * g.C), self.H)  # all of the geometry R depends on
         pair = terms.z_moments
         if pair[0] != key:  # (key, {n_z: R}) is read and replaced as one pair
             pair = terms.z_moments = (key, {})
-        self.moments, self._hermite, self._terms = pair[1], {}, {}  # rows by angle; terms
+        self.moments, self.G = pair[1], (1.0,)
 
     @staticmethod
     def _tier(m):
@@ -246,7 +248,7 @@ class _ModeSumKernel:
         c = 1.0 - 2.0 / (self.g.A * self.geom.W0s**2)
         return math.sqrt(math.pi / self.g.A) * _scaled_hermite(n, 0.0, c)[n]
 
-    def yz_integral(self, m, arm, n_z=None):
+    def yz_integral(self, m, n_z=None):
         """r_m of the y-z overlap i^(m mod 2) r_m of Hermite order m on the
         grid, at ``z_order(m)`` nodes or, for an order check, at ``n_z`` nodes."""
         n_z = self.z_order(m) if n_z is None else n_z
@@ -254,51 +256,41 @@ class _ModeSumKernel:
         if R is None or R.shape[0] <= m:
             R = self.moments[n_z] = z_moments(self.q, n_z, self.terms.length_L, self.H,
                                               self._tier(m))
-        g, (theta, sign), W = self.g, arm, self.geom.W0s
-        G = self._hermite.get(theta, (1.0,))
-        if len(G) <= m:  # a longer list replaces the held one, never extends it
-            a2 = 2.0 * math.cos(theta) ** 2 / W**2
+        g, a2, G = self.g, self.a2, self.G
+        if len(G) <= m:
             s = (math.sqrt(a2) / (2.0 * g.C)) * self.dky
-            G = self._hermite[theta] = _scaled_hermite(m, s, a2 / g.C - 1.0, G)
-        beta = math.sqrt(2.0) * (sign * math.sin(theta) - math.cos(theta) * g.D / (2.0 * g.C)) / W
-        bL = beta * self.terms.length_L  # (2 beta z)^j = bL^j t^j
+            G = self.G = _scaled_hermite(m, s, a2 / g.C - 1.0, G)
         # i^k from G_k times i^((m-k) mod 2) from R[m-k] is i^(m mod 2) sign[k]
-        coef = [(-1) ** ((k + 1 - m % 2) // 2) * math.comb(m, k) * bL ** (m - k)
+        coef = [(-1) ** ((k + 1 - m % 2) // 2) * math.comb(m, k) * self.bL ** (m - k)
                 for k in range(m + 1)]
         GR = np.empty((m + 1, self.q.size))
         for k in range(m + 1):
             np.multiply(G[k], R[m - k], out=GR[k])
         return self.yz_pref * (np.array(coef) @ GR)
 
-    def term(self, m, arm, n_z=None):
-        """Singles term d_m per order, node count and arm; order 0 is both arms'."""
-        key = (m, self.z_order(m) if n_z is None else n_z, arm if m else None)
-        if key not in self._terms:
-            yz = self.gp * self.yz_integral(m, arm, key[1])
-            density = self.terms.weight * (yz**2).reshape(self.shape)
-            self._terms[key] = self.terms.integrate(density) / (2**m * math.factorial(m))
-        return self._terms[key]
+    def term(self, m, n_z=None):
+        """Singles term d_m of order m, at ``z_order(m)`` nodes or ``n_z``."""
+        yz = self.gp * self.yz_integral(m, n_z)
+        density = self.terms.weight * (yz**2).reshape(self.shape)
+        return self.terms.integrate(density) / (2**m * math.factorial(m))
 
 
 def _singles_shells(which, geom, crystal, filters, numerics):
     """The mode sum of ``singles_rate``: yields (running rate, finish) after
     each shell, through the one meeting the tail criterion, where finish() runs
-    the z-order check on that shell and returns its SinglesResult."""
+    the z-order check on that shell and returns its SinglesResult. The ladder
+    builds its own kernel on the slot's singles grid and drops it when it ends."""
     _one_waist(geom)
-    arm = _arm(geom, which)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
     grid = spectral_grid(
         numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
     )
-    key, (held, kernel) = (geom.W0p, geom.W0s, numerics.walk_off_enabled), grid.mode_kernel
-    if held != key:  # (key, kernel) of the last waist is read and replaced as one pair
-        kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled)
-        grid.mode_kernel = (key, kernel)
+    kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled, which)
 
     def finish(shell, contrib, total):
         n_z = kernel.z_order(shell)
-        raised = kernel.term(shell, arm, n_z + _Z_RAISE)
+        raised = kernel.term(shell, n_z + _Z_RAISE)
         z_change = _check_z_order(d_m[shell], raised, "mode-sum shell %d" % shell)
         tail = contrib / total if total > 0 else 0.0
         return SinglesResult(pref * total, shell, tail, n_z, z_change)
@@ -307,7 +299,7 @@ def _singles_shells(which, geom, crystal, filters, numerics):
     c_n, d_m, total, shell = [], [], 0.0, 0
     while True:
         c_n.append(kernel.x_integral(shell) ** 2 / (2**shell * math.factorial(shell)))
-        d_m.append(kernel.term(shell, arm))
+        d_m.append(kernel.term(shell))
         contrib = sum(c * d for c, d in zip(c_n, reversed(d_m)))
         total += contrib
         yield pref * total, partial(finish, shell, contrib, total)
@@ -330,8 +322,8 @@ def singles_rate(which, geom, crystal, filters, numerics=Numerics()):
     normalization divides the squared fundamental normalization by
     2^(n+m) n! m!. The last shell's y-z term is evaluated again at _Z_RAISE
     more z nodes, and a relative change beyond _Z_TOL raises
-    ConvergenceError. Both arms share the kernel that the ``spectral_grid``
-    slot's singles grid holds for the waist. Array waists raise ValueError.
+    ConvergenceError. Each call builds its own kernel on the ``spectral_grid``
+    slot's singles grid. Array waists raise ValueError.
     """
     *_, (_, finish) = _singles_shells(which, geom, crystal, filters, numerics)
     return finish()

@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import json
 import math
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +36,6 @@ from spdc_lab.jsa import (
     z_nodes,
 )
 from spdc_lab.metrics import (
-    _arm,
     _ModeSumKernel,
     compute_metrics,
     heralding_efficiency,
@@ -216,8 +217,8 @@ class TestPairRate:
         # the kernels of the waists without walk-off share the z moments
         # held on the singles grid, and the walk-off ones replace them with
         # their own key's; on nondegenerate every waist has its own moments
-        # and two arm angles. Each waist's kernel is held on the singles
-        # grid and shared by its two arms while another thread replaces it.
+        # and two arm angles. Each arm builds its own kernel on the singles
+        # grid while another thread replaces the grid's moments.
         # The threads start with only a fresh 201-point grid held, so they
         # take the first rate level from its even points concurrently
         cfg = request.getfixturevalue(name)
@@ -439,9 +440,8 @@ def one_point_overlap(n, m, Om_s, Om_i, geom, crystal, which="signal", walk_off=
     pair, on a one-point mode-sum kernel: i^(m mod 2) times the real product
     of the pump envelope and the x and y-z integrals."""
     terms = SpectralTerms(np.array([[Om_s]]), np.array([[Om_i]]), geom, crystal, "exact")
-    kern = _ModeSumKernel(geom, terms, walk_off)
-    arm = _arm(geom, which)
-    real = kern.gp[0] * kern.x_integral(n) * kern.yz_integral(m, arm)[0]
+    kern = _ModeSumKernel(geom, terms, walk_off, which)
+    real = kern.gp[0] * kern.x_integral(n) * kern.yz_integral(m)[0]
     return complex(real * 1j ** (m % 2))
 
 
@@ -510,12 +510,12 @@ def yz_loop_oracle(geom, crystal, dk, which, walk_off, m, n_y=80, n_z=64):
     return out
 
 
-def assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off):
-    # the kernel returns the real r_m of the overlap i^(m mod 2) r_m
+def assert_kernel_matches_oracle(terms, geom, crystal, dk, walk_off):
+    # each arm's kernel on ``terms`` returns the real r_m of the overlap i^(m mod 2) r_m
     for which in ("signal", "idler"):
-        arm = _arm(geom, which)
+        kern = _ModeSumKernel(geom, terms, walk_off, which)
         for m in range(9):
-            got = 1j ** (m % 2) * kern.yz_integral(m, arm)
+            got = 1j ** (m % 2) * kern.yz_integral(m)
             want = yz_loop_oracle(geom, crystal, dk, which, walk_off, m)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (which, m)
 
@@ -557,20 +557,19 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         OS, OI = detuning_mesh(geom, filters, 15, 13)
-        kern = _ModeSumKernel(geom, SpectralTerms(OS, OI, geom, crystal, "exact"), walk_off)
+        terms = SpectralTerms(OS, OI, geom, crystal, "exact")
         dk = phase_mismatch_exact(OS, OI, geom, crystal)
-        assert_kernel_matches_oracle(kern, geom, crystal, dk, walk_off)
+        assert_kernel_matches_oracle(terms, geom, crystal, dk, walk_off)
 
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_kernel_follows_linear_dispersion(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         grid = SpectralGrid(15, geom, crystal, filters, "linear")
-        kern = _ModeSumKernel(geom, grid, False)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         ngv = central_inverse_group_velocities(geom, crystal)
         dk = phase_mismatch_linear(OS, OI, ngv, (geom.theta_s, geom.theta_i))
-        assert_kernel_matches_oracle(kern, geom, crystal, dk, False)
+        assert_kernel_matches_oracle(grid, geom, crystal, dk, False)
 
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_x_integral_against_gauss_hermite(self, which_cfg, request):
@@ -578,7 +577,7 @@ class TestModeSumKernel:
         geom = cfg.geom
         g = geometry_factors(geom)
         grid = SpectralGrid(15, geom, cfg.crystal, cfg.filters, "exact")
-        kern = _ModeSumKernel(geom, grid, False)
+        kern = _ModeSumKernel(geom, grid, False, "signal")
         t, w = hermgauss(40)
         for n in range(9):
             got = kern.x_integral(n)
@@ -594,12 +593,12 @@ class TestModeSumKernel:
     def test_z_moments_match_full_exponential(self, which_cfg, walk_off, request):
         # the kernel pairs z with -z and evaluates cos and sin on z > 0; the
         # reference evaluates exp(i q z) on every node. Row j of the moments
-        # both arms share is Re M[j] for even j and Im M[j] for odd j, with
+        # both arms' kernels share is Re M[j] for even j and Im M[j] for odd j, with
         # t = 2z/L the scaled node
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
         grid = SpectralGrid(101, geom, crystal, cfg.filters, "exact")
-        kern = _ModeSumKernel(geom, grid, walk_off)
+        kern = _ModeSumKernel(geom, grid, walk_off, "signal")
         L, J = crystal.length_L, 6
         for n_z in (7, 8, 21, 22):
             z, env = z_nodes(n_z, L, kern.H)
@@ -615,7 +614,8 @@ class TestModeSumKernel:
         # a 5 mm crystal with twice the filter windows puts max|q| L/2 above
         # the series cap, so the moments take cos and sin of q z
         geom, crystal, filters = long_crystal_design(degenerate, 5e-3)
-        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off,
+                              "signal")
         assert kern.phase > jsa._SERIES_PHASE
         for n_z in (kern.z_order(6), kern.z_order(6) + 1, 30):
             got = jsa.z_moments(kern.q, n_z, crystal.length_L, kern.H, 6)
@@ -627,7 +627,8 @@ class TestModeSumKernel:
         # a 1.5 mm crystal: max|q| L/2 of about 2.8, just under the cap,
         # where the series cancels most; both paths agree on every row to 1e-14
         geom, crystal, filters = long_crystal_design(degenerate, 1.5e-3)
-        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off)
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off,
+                              "signal")
         assert 2.5 < kern.phase <= jsa._SERIES_PHASE
         L = crystal.length_L
         for J in (6, 12, 24):
@@ -654,18 +655,19 @@ class TestModeSumKernel:
                                 cfg.filters, cfg.numerics.dispersion_mode)
             for scale in (0.5, 1.0, 2.0):
                 geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
-                assert _ModeSumKernel(geom, grid, False).phase <= jsa._SERIES_PHASE, path
+                assert _ModeSumKernel(geom, grid, False, "signal").phase <= jsa._SERIES_PHASE, path
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
         cfg = nondegenerate
         geom, crystal = cfg.geom, cfg.crystal
-        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, cfg.filters, "exact"), walk_off)
-        R = jsa.z_moments(kern.q, kern.z_order(6), crystal.length_L, kern.H, 6)
-        assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
+        grid = SpectralGrid(31, geom, crystal, cfg.filters, "exact")
         for which in ("signal", "idler"):
+            kern = _ModeSumKernel(geom, grid, walk_off, which)
+            R = jsa.z_moments(kern.q, kern.z_order(6), crystal.length_L, kern.H, 6)
+            assert R.dtype == np.float64 and R.shape == (7, 31 * 31) and R.flags.c_contiguous
             for m in range(8):
-                assert kern.yz_integral(m, _arm(geom, which)).dtype == np.float64
+                assert kern.yz_integral(m).dtype == np.float64
 
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
@@ -675,14 +677,14 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
         OS, OI = detuning_mesh(geom, cfg.filters, 9, 7)
-        kern = _ModeSumKernel(geom, SpectralTerms(OS, OI, geom, crystal, "exact"), walk_off)
+        terms = SpectralTerms(OS, OI, geom, crystal, "exact")
         g_p = np.exp(-((OS + OI) ** 2) / (4.0 * geom.pump_bandwidth_Bp**2))
         x = math.sqrt(math.pi / geometry_factors(geom).A)
         dk = phase_mismatch_exact(OS, OI, geom, crystal)
         for which in ("signal", "idler"):
-            arm = _arm(geom, which)
+            kern = _ModeSumKernel(geom, terms, walk_off, which)
             for m in range(6):
-                real = kern.gp * kern.x_integral(0) * kern.yz_integral(m, arm)
+                real = kern.gp * kern.x_integral(0) * kern.yz_integral(m)
                 assert real.dtype == np.float64, (which, m)
                 got = 1j ** (m % 2) * real.reshape(OS.shape)
                 want = g_p * x * yz_loop_oracle(geom, crystal, dk, which, walk_off, m).reshape(OS.shape)
@@ -701,17 +703,17 @@ class TestModeSumKernel:
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         narrow = replace(geom, W0s=0.8 * geom.W0s)
         grid = SpectralGrid(31, geom, crystal, filters, "exact")
-        first = _ModeSumKernel(geom, grid, walk_off)
+        first = _ModeSumKernel(geom, grid, walk_off, "signal")
         for m in range(9):
-            first.yz_integral(m, _arm(geom, "signal"))
-        second = _ModeSumKernel(narrow, grid, walk_off)
-        assert (second.moments is first.moments) == shared
-        assert grid.z_moments[1] is second.moments
-        fresh = _ModeSumKernel(narrow, SpectralGrid(31, geom, crystal, filters, "exact"), walk_off)
+            first.yz_integral(m)
+        fresh_grid = SpectralGrid(31, geom, crystal, filters, "exact")
         for which in ("signal", "idler"):
-            arm = _arm(narrow, which)
+            second = _ModeSumKernel(narrow, grid, walk_off, which)
+            assert (second.moments is first.moments) == shared
+            assert grid.z_moments[1] is second.moments
+            fresh = _ModeSumKernel(narrow, fresh_grid, walk_off, which)
             for m in range(9):
-                assert np.array_equal(second.yz_integral(m, arm), fresh.yz_integral(m, arm)), m
+                assert np.array_equal(second.yz_integral(m), fresh.yz_integral(m)), m
 
     def test_interleaved_kernel_keeps_its_own_moments(self, degenerate, monkeypatch):
         # while one kernel stores its key's moments on the grid, a kernel with
@@ -719,23 +721,24 @@ class TestModeSumKernel:
         # must hold and use its own key's moments
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        grid = SpectralGrid(31, geom, crystal, filters, "exact")
-        nested = []
+        for which in ("signal", "idler"):
+            grid = SpectralGrid(31, geom, crystal, filters, "exact")
+            nested = []
 
-        def interleaved(self, name, value):
-            object.__setattr__(self, name, value)
-            if name == "z_moments" and not nested:
-                nested.append(_ModeSumKernel(geom, self, True))
+            def interleaved(self, name, value):
+                object.__setattr__(self, name, value)
+                if name == "z_moments" and not nested:
+                    nested.append(_ModeSumKernel(geom, self, True, which))
 
-        monkeypatch.setattr(SpectralGrid, "__setattr__", interleaved)
-        kern = _ModeSumKernel(geom, grid, False)
-        assert kern.moments is not nested[0].moments
-        for got, walk_off in ((kern, False), (nested[0], True)):
-            fresh = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"), walk_off)
-            for which in ("signal", "idler"):
-                arm = _arm(geom, which)
+            monkeypatch.setattr(SpectralGrid, "__setattr__", interleaved)
+            kern = _ModeSumKernel(geom, grid, False, which)
+            monkeypatch.undo()
+            assert kern.moments is not nested[0].moments
+            for got, walk_off in ((kern, False), (nested[0], True)):
+                fresh = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"),
+                                       walk_off, which)
                 for m in range(9):
-                    assert np.array_equal(got.yz_integral(m, arm), fresh.yz_integral(m, arm)), m
+                    assert np.array_equal(got.yz_integral(m), fresh.yz_integral(m)), (which, m)
 
     def test_optimize_computes_few_z_moments(self, degenerate, monkeypatch):
         # every geometry of a degenerate optimize without walk-off has the
@@ -757,10 +760,11 @@ class TestModeSumKernel:
     def test_overlap_finite_at_the_order_ceiling(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
-        kern = _ModeSumKernel(geom, SpectralGrid(31, geom, cfg.crystal, cfg.filters, "exact"), True)
+        grid = SpectralGrid(31, geom, cfg.crystal, cfg.filters, "exact")
         m = _INT_RANGES["truncation_max_order"][1]
         for which in ("signal", "idler"):
-            assert np.all(np.isfinite(kern.yz_integral(m, _arm(geom, which)))), which
+            kern = _ModeSumKernel(geom, grid, True, which)
+            assert np.all(np.isfinite(kern.yz_integral(m))), which
 
     def test_too_low_z_order_raises(self, nondegenerate, monkeypatch):
         cfg = nondegenerate
@@ -776,7 +780,8 @@ class TestModeSumKernel:
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         # the kernel singles_rate builds on the slot grid at resolution 31
-        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False)
+        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False,
+                              "signal")
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
         assert kern.z_order(metrics._FIRST_MAX_M + 1) > first
@@ -786,10 +791,9 @@ class TestModeSumKernel:
         assert deep.z_order == kern.z_order(deep.max_shell) > first
         assert 0.0 <= deep.z_change <= metrics._Z_TOL
         # a term does not depend on the orders requested before it
-        arm = _arm(geom, "signal")
-        kern.yz_integral(deep.max_shell, arm)
-        fresh = _ModeSumKernel(geom, kern.terms, False)
-        assert np.array_equal(fresh.yz_integral(3, arm), kern.yz_integral(3, arm))
+        kern.yz_integral(deep.max_shell)
+        fresh = _ModeSumKernel(geom, kern.terms, False, "signal")
+        assert np.array_equal(fresh.yz_integral(3), kern.yz_integral(3))
 
     def test_singles_rate_after_the_slot_moves(self, degenerate, nondegenerate):
         cfg = nondegenerate
@@ -802,6 +806,25 @@ class TestModeSumKernel:
         spectral_grid(31, d.geom, d.crystal, d.filters, "exact")
         for which, want in zip(("signal", "idler"), own):
             assert singles_rate(which, geom, crystal, filters, numerics) == want
+
+    def test_a_new_setting_frees_the_old_grids_without_the_collector(self, degenerate,
+                                                                       monkeypatch):
+        # no kernel sits in a reference cycle with its grid, so a new spectral
+        # setting frees the last one's grids as soon as it replaces the slot,
+        # with the cyclic collector off
+        cfg = degenerate
+        monkeypatch.setattr(jsa, "_slot", (None, {}))
+        earlier = []
+        gc.disable()
+        try:
+            for scale in (1.0, 0.8, 1.25):
+                geom = replace(cfg.geom, pump_bandwidth_Bp=scale * cfg.geom.pump_bandwidth_Bp)
+                compute_metrics(geom, cfg.crystal, cfg.filters, cfg.numerics)
+                alive = [ref() for ref in earlier if ref() is not None]
+                assert not alive, [grid.w_s.size for grid in alive]
+                earlier += [weakref.ref(grid) for grid in jsa._slot[1].values()]
+        finally:
+            gc.enable()
 
 
 class TestSinglesRate:
@@ -842,33 +865,6 @@ class TestHeralding:
     def test_invalid_singles(self):
         with pytest.raises(ValueError):
             heralding_efficiency(1.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("walk_off", [False, True])
-    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
-    def test_arms_share_one_kernel_as_singles_on_an_emptied_slot(self, name, walk_off, request,
-                                                                 monkeypatch):
-        # both arms of heralding_rates read one kernel, held on the singles
-        # grid for the waist; each arm alone on an emptied slot builds its
-        # own, and the results agree bit for bit
-        cfg = request.getfixturevalue(name)
-        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
-        args = (cfg.geom, cfg.crystal, cfg.filters, numerics)
-        built = []
-
-        class Counted(_ModeSumKernel):
-            def __init__(self, *a):
-                built.append(a[0])
-                super().__init__(*a)
-
-        monkeypatch.setattr(metrics, "_ModeSumKernel", Counted)
-        monkeypatch.setattr(jsa, "_slot", (None, {}))
-        _, res_s, res_i, _ = heralding_rates(*args)
-        assert len(built) == 1
-        alone = []
-        for which in ("signal", "idler"):
-            monkeypatch.setattr(jsa, "_slot", (None, {}))
-            alone.append(singles_rate(which, *args))
-        assert [res_s, res_i] == alone and len(built) == 3
 
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.2])
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
