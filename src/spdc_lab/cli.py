@@ -37,7 +37,6 @@ from .sweep import (
     rate_vs_pump_waist,
     write_sweep_csv,
 )
-from .units import rad_to_deg
 
 COMMANDS = (
     "metrics",
@@ -60,12 +59,6 @@ def _write_json(doc, path):
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def _report_to_doc(report, resolved):
-    doc = report.to_dict()
-    doc["config"] = resolved
-    return doc
 
 
 def build_parser():
@@ -131,7 +124,7 @@ def _run(args):
         report = compute_metrics(
             cfg.geom, cfg.crystal, cfg.filters, numerics, settings_snapshot=resolved
         )
-        _write_json(_report_to_doc(report, resolved), os.path.join(out, "metrics_report.json"))
+        _write_json(dict(report.to_dict(), config=resolved), os.path.join(out, "metrics_report.json"))
         with open(os.path.join(out, "metrics_summary.csv"), "w") as fh:
             fh.write("R,Rs,Ri,eta,purity\n")
             fh.write(
@@ -215,11 +208,11 @@ def _run(args):
             "cut_angle_deg": resolved["crystal"]["cut_angle_deg"],
             "theta_s_deg": resolved["collection"]["theta_s_deg"],
             "theta_i_deg": resolved["collection"]["theta_i_deg"],
-            "external_full_angle_deg": rad_to_deg(
+            "external_full_angle_deg": math.degrees(
                 external_angle(geom.theta_s, geom.signal.central_wavelength, crystal)
                 + external_angle(geom.theta_i, geom.idler.central_wavelength, crystal)
             ),
-            "pump_walk_off_deg": rad_to_deg(
+            "pump_walk_off_deg": math.degrees(
                 walk_off_angle(
                     crystal.cut_angle_theta, geom.pump.central_wavelength, crystal
                 )

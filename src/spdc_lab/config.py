@@ -22,11 +22,7 @@ from .filters import FilterBank, FilterSpec
 from .jsa import ALPHA_CONVENTIONS, BeamGeometry, MAX_EMISSION_ANGLE
 from .units import (
     FREQUENCY_CONVENTIONS,
-    deg_to_rad,
-    nm_to_m,
-    rad_to_deg,
     thz_to_rad_per_s,
-    um_to_m,
     wavelength_to_angular_frequency,
 )
 
@@ -190,14 +186,14 @@ def load_config(path):
     numerics = Numerics(**_section(raw, "numerics", required=False))
     convention = numerics.frequency_convention
 
-    lam_p = nm_to_m(_positive(pump, "pump", "wavelength_nm"))
+    lam_p = _positive(pump, "pump", "wavelength_nm") * 1e-9
     B_p = thz_to_rad_per_s(
         _bounded(pump, "pump", "bandwidth_thz", BANDWIDTH_RANGE_THZ, "THz"), convention
     )
     power_mW = _positive(pump, "pump", "power_mW", 1.0)
-    W0p = um_to_m(_bounded(pump, "pump", "waist_um", WAIST_RANGE_UM, "um"))
+    W0p = _bounded(pump, "pump", "waist_um", WAIST_RANGE_UM, "um") * 1e-6
 
-    lam_s = nm_to_m(_positive(coll, "collection", "signal_wavelength_nm"))
+    lam_s = _positive(coll, "collection", "signal_wavelength_nm") * 1e-9
     degenerate = coll.get("degenerate", False)
     if not isinstance(degenerate, bool):
         raise ConfigError("collection.degenerate: must be true or false")
@@ -208,7 +204,7 @@ def load_config(path):
             "for this pump (the signal must be longer than the pump wavelength)"
         )
     if "idler_wavelength_nm" in coll:
-        lam_i = nm_to_m(_positive(coll, "collection", "idler_wavelength_nm"))
+        lam_i = _positive(coll, "collection", "idler_wavelength_nm") * 1e-9
         if degenerate and abs(lam_s / lam_i - 1.0) > 1e-6:
             raise ConfigError("collection.degenerate: true, but the idler differs from the signal")
     else:
@@ -228,19 +224,19 @@ def load_config(path):
     hw_i = thz_to_rad_per_s(
         _positive(filt, "filters", "idler_halfwidth_thz", 5.0), convention
     )
-    W0s = um_to_m(_bounded(coll, "collection", "waist_um", WAIST_RANGE_UM, "um"))
-    cut_detuning = deg_to_rad(_positive(coll, "collection", "cut_detuning_deg"))
+    W0s = _bounded(coll, "collection", "waist_um", WAIST_RANGE_UM, "um") * 1e-6
+    cut_detuning = math.radians(_positive(coll, "collection", "cut_detuning_deg"))
 
     if "name" not in cry:
         raise ConfigError("crystal.name: missing required field")
     name = cry["name"]
     if not isinstance(name, str):
         raise ConfigError("crystal.name: must be a string")
-    length_L = um_to_m(_positive(cry, "crystal", "length_um"))
+    length_L = _positive(cry, "crystal", "length_um") * 1e-6
     azimuth_deg = cry.get("azimuth_phi_deg", 0.0)
     if not _finite(azimuth_deg):
         raise ConfigError("crystal.azimuth_phi_deg: must be a finite number")
-    azimuth = deg_to_rad(float(azimuth_deg))
+    azimuth = math.radians(float(azimuth_deg))
     # provisional cut angle; replaced once the collinear angle is known
     try:
         crystal = load_crystal(name, length_L, math.pi / 6.0, azimuth)
@@ -274,7 +270,7 @@ def load_config(path):
         raise ConfigError(
             "collection.cut_detuning_deg: gives a %.2f deg cut and emission angles %.4f, %.4f "
             "rad; the cut must stay below 90 deg and the angles below %g rad (small-angle "
-            "regime)" % (rad_to_deg(theta_c + cut_detuning), theta_s, theta_i, MAX_EMISSION_ANGLE)
+            "regime)" % (math.degrees(theta_c + cut_detuning), theta_s, theta_i, MAX_EMISSION_ANGLE)
         )
     crystal = replace(crystal, cut_angle_theta=theta_c + cut_detuning)
 
@@ -321,9 +317,9 @@ def load_config(path):
         "crystal": {
             "name": crystal.name,
             "length_um": length_L * 1e6,
-            "azimuth_phi_deg": rad_to_deg(azimuth),
-            "collinear_cut_angle_deg": rad_to_deg(theta_c),
-            "cut_angle_deg": rad_to_deg(crystal.cut_angle_theta),
+            "azimuth_phi_deg": math.degrees(azimuth),
+            "collinear_cut_angle_deg": math.degrees(theta_c),
+            "cut_angle_deg": math.degrees(crystal.cut_angle_theta),
             "d11_pm_per_V": crystal.d11,
             "d31_pm_per_V": crystal.d31,
         },
@@ -338,9 +334,9 @@ def load_config(path):
             "signal_wavelength_nm": lam_s * 1e9,
             "idler_wavelength_nm": lam_i * 1e9,
             "waist_um": W0s * 1e6,
-            "cut_detuning_deg": rad_to_deg(cut_detuning),
-            "theta_s_deg": rad_to_deg(theta_s),
-            "theta_i_deg": rad_to_deg(theta_i),
+            "cut_detuning_deg": math.degrees(cut_detuning),
+            "theta_s_deg": math.degrees(theta_s),
+            "theta_i_deg": math.degrees(theta_i),
         },
         "filters": {
             "signal_halfwidth_rad_per_s": hw_s,

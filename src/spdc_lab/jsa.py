@@ -465,12 +465,11 @@ class SpectralGrid(SpectralTerms):
         if (decompose, stride) not in figures:
             if decompose is not None:
                 figures[decompose, stride] = purity(psi, decompose)
-            elif stride == 1:
-                figures[decompose, stride] = self.integrate(self.weight * psi**2)
             else:
-                density = self.weight[::2, ::2] * psi[::2, ::2] ** 2
-                w_s, w_i = _trapezoid(self.Om_s[::2]), _trapezoid(self.Om_i[::2])
-                figures[decompose, stride] = float(w_s @ density @ w_i)
+                s = slice(None, None, stride)
+                w_s, w_i = (self._w_s, self._w_i) if stride == 1 else (
+                    _trapezoid(self.Om_s[s]), _trapezoid(self.Om_i[s]))
+                figures[decompose, stride] = float(w_s @ (self.weight[s, s] * psi[s, s] ** 2) @ w_i)
         return figures[decompose, stride]
 
     def integrate(self, density):

@@ -14,6 +14,7 @@ All rates are reported per milliwatt of pump power.
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -357,15 +358,14 @@ def heralding_margin(geom, crystal, filters, numerics, P):
     It then runs the z-order check on each arm's newest shell and stops."""
     R = pair_rate(geom, crystal, filters, numerics)
     arms = [_singles_shells(w, geom, crystal, filters, numerics) for w in ("signal", "idler")]
-    shells = [next(arm) for arm in arms]
-    while (bound := R / math.sqrt(shells[0][0] * shells[1][0]) - P) >= 0:
-        newer = [next(arm, None) for arm in arms]
-        if newer == [None, None]:
-            return heralding_efficiency(R, *(finish().rate for _, finish in shells)) - P
+    shells = (None, None)
+    for newer in zip_longest(*arms):  # an arm whose ladder has ended keeps its last shell
         shells = [new or old for new, old in zip(newer, shells)]
-    for _, finish in shells:
-        finish()
-    return bound
+        if (bound := R / math.sqrt(shells[0][0] * shells[1][0]) - P) < 0:
+            for _, finish in shells:
+                finish()
+            return bound
+    return heralding_efficiency(R, *(finish().rate for _, finish in shells)) - P
 
 
 def jsa_purity(geom, crystal, filters, numerics):

@@ -1,9 +1,9 @@
 """Unit conversions at the interface boundary.
 
 All internal math uses SI: meters, rad/s, rad/m, seconds, watts. Interfaces
-accept nm, um, degrees, THz, mW and convert here. "THz" inputs are ambiguous
-between angular (1e12 rad/s) and ordinary (2*pi*1e12 rad/s) frequency; the
-``frequency_convention`` switch makes the choice explicit.
+accept nm, um, degrees, THz, mW, and ``config`` converts them. "THz" inputs are
+ambiguous between angular (1e12 rad/s) and ordinary (2*pi*1e12 rad/s)
+frequency; the ``frequency_convention`` switch makes the choice explicit.
 """
 
 import math
@@ -15,22 +15,6 @@ epsilon_0 = 8.8541878188e-12
 TWO_PI = 2.0 * math.pi
 
 FREQUENCY_CONVENTIONS = ("angular", "ordinary")
-
-
-def nm_to_m(x):
-    return x * 1e-9
-
-
-def um_to_m(x):
-    return x * 1e-6
-
-
-def deg_to_rad(x):
-    return math.radians(x)
-
-
-def rad_to_deg(x):
-    return math.degrees(x)
 
 
 def thz_to_rad_per_s(x, convention):

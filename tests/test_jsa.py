@@ -330,8 +330,8 @@ class TestSpectralGrids:
     def test_stride_two_sum_is_the_fresh_grid_sum(self, name, walk_off, request, monkeypatch):
         # the 201-point grid's even rows and columns are the grid built at 101
         # points, so its trapezoid sum at stride 2 must be the 101-point rate
-        # sum bit for bit at two waists; with walk-off, both grids' max|dk_z|
-        # give walk_off_integral one z order
+        # sum bit for bit at two waists, and at stride 1 the sum is integrate's;
+        # with walk-off, both grids' max|dk_z| give walk_off_integral one z order
         cfg = request.getfixturevalue(name)
         setting = (cfg.geom, cfg.crystal, cfg.filters, "exact")
         monkeypatch.setattr(jsa, "_slot", (None, {}))
@@ -344,6 +344,7 @@ class TestSpectralGrids:
             phases = [float(np.max(np.abs(g.dkz))) * L / 2.0 for g in (fine, fresh)]
             assert len({jsa.z_order(0, q, f.H * L**2 / 4.0) for q in phases}) == 1
             full = fine.figure(f, walk_off)
+            assert full == fine.integrate(fine.weight * fine.shape(f, walk_off) ** 2)
             assert fine.figure(f, walk_off, stride=2) == fresh.figure(f, walk_off) != full
             assert fine.figure(f, walk_off) == full
 

@@ -887,6 +887,48 @@ class TestHeralding:
             rs, ri = (ladder[min(k, len(ladder) - 1)][0] for ladder in ladders)
             assert R / math.sqrt(rs * ri) >= eta
 
+    @pytest.mark.parametrize(
+        "name, scale", [("degenerate", 0.8), ("nondegenerate", 0.8), ("nondegenerate", 1.0)]
+    )
+    def test_certified_margin_is_the_first_negative_partial_bound(
+        self, name, scale, request, monkeypatch
+    ):
+        # P just above eta: the margin is R / sqrt(rs ri) - P at the first
+        # shell k where that is negative, an arm whose ladder has ended keeping
+        # its last rate (at 0.8 W0s on nondegenerate one ladder is a shell
+        # shorter); P below eta: heralding_rates' eta - P. Either way each
+        # arm's newest finish() runs once, and no other
+        cfg = request.getfixturevalue(name)
+        geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
+        args = (geom, cfg.crystal, cfg.filters, cfg.numerics)
+        R, *_, eta = heralding_rates(*args)
+        ladders = [list(metrics._singles_shells(w, *args)) for w in ("signal", "idler")]
+        P = eta + 1e-6
+        for k in range(max(map(len, ladders))):
+            newest = [min(k, len(ladder) - 1) for ladder in ladders]
+            rs, ri = (ladder[j][0] for ladder, j in zip(ladders, newest))
+            if (bound := R / math.sqrt(rs * ri) - P) < 0:
+                break
+        assert bound < 0
+        last = [len(ladder) - 1 for ladder in ladders]
+
+        shells, finished = metrics._singles_shells, []
+
+        def counted(which, *rest):
+            for j, (rate, finish) in enumerate(shells(which, *rest)):
+                def counted_finish(j=j, finish=finish):
+                    finished.append((which, j))
+                    return finish()
+                yield rate, counted_finish
+
+        monkeypatch.setattr(metrics, "_singles_shells", counted)
+        assert heralding_margin(*args, P) == bound
+        assert finished == [("signal", newest[0]), ("idler", newest[1])]
+        finished.clear()
+        P = eta - 0.01
+        assert heralding_margin(*args, P) == eta - P
+        assert finished == [("signal", last[0]), ("idler", last[1])]
+
     @pytest.mark.parametrize("P", [0.0, 0.5, 0.97])
     def test_uncertified_margin_is_exact(self, degenerate, P):
         # eta = 0.98233 is above each P, so no partial bound drops below P

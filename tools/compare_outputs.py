@@ -1,0 +1,217 @@
+"""Check that two source trees write byte-identical CLI outputs.
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--perfbench-seeds 0 1]
+
+Each tree runs ``spdc_lab.cli.main`` in process, in a fresh interpreter with
+``PYTHONPATH=<tree>/src`` and one BLAS thread, over one matrix of 84 runs:
+
+- all six commands on both shipped configs, plus ``--walk-off`` for
+  ``metrics``, ``sweep-rate``, ``sweep-ratio`` and ``optimize`` (20 runs);
+- ``metrics``, ``sweep-rate``, ``optimize`` and ``dispersion-report`` on the
+  perfbench designs ``designs.draw(0, 8)`` and ``designs.draw(1, 8)``
+  (64 runs).
+
+``--perfbench-seeds`` adds every task of the perfbench workloads on those
+seeds, at the ``run_seconds`` of BENCHMARK.json. Design configs are written
+once, with perfbench's ``designs.to_config``, and read by both trees; the
+shipped configs are each tree's own.
+
+It prints the exit codes and stderr that differ, the count of byte-identical
+files and, for each JSON or CSV field that differs, the largest relative
+change and the run that shows it. It exits 0 only when every run has the same
+exit code and stderr on both trees and every file is byte-identical.
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import designs  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SHIPPED = ("degenerate_810", "nondegenerate_850_609")
+COMMANDS = ("metrics", "jsa", "sweep-rate", "sweep-ratio", "optimize", "dispersion-report")
+WALK_OFF = ("metrics", "sweep-rate", "sweep-ratio", "optimize")
+DESIGN_COMMANDS = ("metrics", "sweep-rate", "optimize", "dispersion-report")
+ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+# the child: run every (name, config, argv) in process, record exit code and stderr
+RUNNER = r"""
+import contextlib, io, json, os, sys
+import spdc_lab.cli as cli
+from spdc_lab.config import shipped_config_path
+src, plan, out = sys.argv[1:4]
+if os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))) != src:
+    sys.exit("spdc_lab was imported from %s, not from %s" % (cli.__file__, src))
+with open(plan) as fh:
+    runs = json.load(fh)
+results = {}
+for name, config, argv in runs:
+    if config.startswith("shipped:"):
+        config = shipped_config_path(config[len("shipped:"):])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], "--config", config, "--out", os.path.join(out, name)] + argv[1:])
+    results[name] = {"exit": code, "stderr": err.getvalue()}
+with open(os.path.join(out, "_runs.json"), "w") as fh:
+    json.dump(results, fh, indent=1, sort_keys=True)
+"""
+
+
+def matrix(workdir, perfbench_seeds=()):
+    """[(run name, config, argv without --config and --out)]: the 84-run
+    matrix, then every perfbench task of ``perfbench_seeds``."""
+    runs = []
+    for cfg in SHIPPED:
+        for command in COMMANDS:
+            runs.append(("%s/%s" % (cfg, command), "shipped:" + cfg, [command]))
+        for command in WALK_OFF:
+            runs.append(("%s/%s-walk-off" % (cfg, command), "shipped:" + cfg, [command, "--walk-off"]))
+    for seed in (0, 1):
+        paths = designs.write_configs(designs.draw(seed, 8), os.path.join(workdir, "draw%d" % seed))
+        for j, path in enumerate(paths):
+            for command in DESIGN_COMMANDS:
+                runs.append(("draw%d-%d/%s" % (seed, j, command), path, [command]))
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    for seed in perfbench_seeds:
+        for name, workload in sorted(WORKLOADS.items()):
+            n = workload.task_count(seconds)
+            tag = "%s-seed%d" % (name, seed)
+            paths = designs.write_configs(designs.draw(seed, n), os.path.join(workdir, tag))
+            for j, path in enumerate(paths):
+                argv = workload.argv(j, path, None)
+                runs.append(("%s/t%03d" % (tag, j), path, [argv[0]] + argv[5:]))
+    return runs
+
+
+def run_tree(tree, plan, out):
+    src = os.path.join(os.path.abspath(tree), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
+    cwd = os.path.dirname(plan)  # so that no package in the caller's directory shadows src
+    subprocess.run([sys.executable, "-c", RUNNER, src, plan, out], env=env, cwd=cwd, check=True)
+    with open(os.path.join(out, "_runs.json")) as fh:
+        return json.load(fh)
+
+
+def files(out):
+    found = set()
+    for base, _, names in os.walk(out):
+        found.update(os.path.relpath(os.path.join(base, n), out) for n in names)
+    found.discard("_runs.json")
+    return found
+
+
+def _flatten(doc, path=""):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _flatten(v, "%s.%s" % (path, k) if path else k)
+    elif isinstance(doc, list):
+        for j, v in enumerate(doc):
+            yield from _flatten(v, "%s[%d]" % (path, j))
+    else:
+        yield path, doc
+
+
+def _csv_fields(text):
+    header, *rows = (line.split(",") for line in text.splitlines())
+    for j, row in enumerate(rows):
+        for k, value in zip(header, row):
+            yield "%s[%d]" % (k, j), value
+
+
+def _number(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def relative_change(a, b):
+    """|a - b| / max(|a|, |b|) of two numbers, inf for other values that differ."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None or isinstance(a, bool) or isinstance(b, bool):
+        return 0.0 if a == b else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def field_changes(path, old, new):
+    """{field: relative change} of the fields that differ in one JSON or CSV file."""
+    if path.endswith(".json"):
+        a, b = (dict(_flatten(json.loads(t))) for t in (old, new))
+    elif path.endswith(".csv"):
+        a, b = (dict(_csv_fields(t.decode())) for t in (old, new))
+    else:
+        return {"<bytes>": math.inf}
+    changes = {}
+    for field in a.keys() | b.keys():
+        if field not in a or field not in b:
+            changes[field] = math.inf
+        elif (rel := relative_change(a[field], b[field])) > 0:
+            changes[field] = rel
+    return changes
+
+
+def compare(parent_out, change_out, parent_runs, change_runs):
+    """Print the differences; returns True when there are none."""
+    same = True
+    for name in sorted(parent_runs.keys() | change_runs.keys()):
+        a, b = parent_runs.get(name), change_runs.get(name)
+        if a != b:
+            same = False
+            print("run %s: parent %r, change %r" % (name, a, b))
+    exits = [r["exit"] for r in parent_runs.values()]
+    print("%d runs; exit codes %s" % (len(exits), {c: exits.count(c) for c in sorted(set(exits))}))
+    ours, theirs = files(parent_out), files(change_out)
+    for path in sorted(ours ^ theirs):
+        same = False
+        print("only in %s: %s" % ("parent" if path in ours else "change", path))
+    identical, worst = 0, {}
+    for path in sorted(ours & theirs):
+        with open(os.path.join(parent_out, path), "rb") as fa, open(os.path.join(change_out, path), "rb") as fb:
+            old, new = fa.read(), fb.read()
+        if old == new:
+            identical += 1
+            continue
+        same = False
+        kind = os.path.basename(path)
+        for field, rel in field_changes(path, old, new).items():
+            # CSV rows fold into their column: the field is the file kind and column
+            key = (kind, field.split("[")[0] if path.endswith(".csv") else field)
+            if rel > worst.get(key, (-1.0, None))[0]:
+                worst[key] = (rel, os.path.dirname(path))
+    print("%d of %d files byte-identical" % (identical, len(ours | theirs)))
+    for (kind, field), (rel, run) in sorted(worst.items()):
+        print("  %s %s: largest relative change %.3g (%s)" % (kind, field, rel, run))
+    return same
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_tree")
+    parser.add_argument("change_tree")
+    parser.add_argument("--perfbench-seeds", type=int, nargs="*", default=())
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as workdir:
+        plan = os.path.join(workdir, "plan.json")
+        with open(plan, "w") as fh:
+            json.dump(matrix(workdir, args.perfbench_seeds), fh)
+        outs, runs = [], []
+        for side, tree in (("parent", args.parent_tree), ("change", args.change_tree)):
+            outs.append(os.path.join(workdir, side))
+            runs.append(run_tree(tree, plan, outs[-1]))
+        return 0 if compare(*outs, *runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
