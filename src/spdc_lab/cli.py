@@ -73,7 +73,7 @@ def build_parser():
         "--grid-resolution", type=int, default=None, help="override numerics.grid_resolution"
     )
     parser.add_argument(
-        "--walk-off", action="store_true", help="enable the longitudinal walk-off envelope"
+        "--walk-off", action="store_true", help="enable the collection-tilt envelope exp(-H z^2)"
     )
     parser.add_argument(
         "--alpha-convention",

@@ -8,8 +8,10 @@ to the rate prefactor handled in :mod:`spdc_lab.metrics`,
 
 where A, C (and D, F, H) collect the transverse Gaussian-beam overlap of the
 three modes, dk_y and dk_z are the transverse/longitudinal phase mismatches,
-and Phi_z is L sinc(dk_z L / 2) or, with the pump walk-off envelope exp(-H z^2),
+and Phi_z is L sinc(dk_z L / 2) or, with the envelope exp(-H z^2) of ``--walk-off``,
 ``walk_off_integral``, row 0 of the mode sum's ``z_moments`` (:mod:`spdc_lab.metrics`).
+H = F - D^2 / (4 C) comes from the tilt of the collection modes at the emission
+angles: the pump's Poynting walk-off does not enter the overlap.
 
 ``purity_waist`` solves in closed form for the collection waist that makes
 the amplitude separable in the Gaussian model of the joint intensity: with the
@@ -90,12 +92,6 @@ class BeamGeometry:
         return self.modes[2]
 
 
-def _square(w):
-    # libm pow, as Python's w**2 is: numpy's array w**2, w * w, can differ in
-    # the last bit; a float keeps Python's w**2, as a numpy call costs microseconds
-    return np.float_power(w, 2) if isinstance(w, np.ndarray) else w**2
-
-
 def _one_waist(geom):
     for name in ("W0p", "W0s"):
         if np.ndim(getattr(geom, name)):
@@ -107,20 +103,20 @@ def check_rayleigh(geom, length_L):
 
     The thin-beam factorization used throughout assumes z_r = pi W0^2 /
     lambda >> L; enforce z_r > 10 L with a warning per waist and mode. The
-    per-waist loop runs only when some waist's z_r is below that bound or
-    within a relative 1e-9 of it: z_r grows with the squared waist, so the
-    smallest square of each mode's waists decides.
+    per-waist loop runs only when some waist's z_r is at or below 10 L: z_r
+    grows with the squared waist, so the smallest square of each mode's
+    waists decides. Both square a waist as w * w, and so agree bit for bit.
     """
-    bound = 10.0 * length_L * (1.0 + 1e-9)
     squares = (
-        np.square(w).min(initial=math.inf) if isinstance(w, np.ndarray) else w * w
+        (w * w).min(initial=math.inf) if isinstance(w, np.ndarray) else w * w
         for w in (geom.W0p, geom.W0s, geom.W0s)
     )
-    if all(math.pi * w2 / mode.central_wavelength > bound for w2, mode in zip(squares, geom.modes)):
+    if all(math.pi * w2 / mode.central_wavelength > 10.0 * length_L
+           for w2, mode in zip(squares, geom.modes)):
         return
     for waists in np.broadcast(geom.W0p, geom.W0s, geom.W0s):  # waist by waist
         for w0, mode in zip(waists, geom.modes):
-            z_r = math.pi * float(w0) ** 2 / mode.central_wavelength
+            z_r = math.pi * float(w0 * w0) / mode.central_wavelength
             if z_r <= 10.0 * length_L:
                 warnings.warn(
                     "%s Rayleigh range %.2e m is not >> crystal length %.2e m"
@@ -178,14 +174,14 @@ class JsaGrid:
 
 
 def geometry_factors(geom):
-    """Transverse-overlap curvatures A, C, D, F and the walk-off factor H."""
-    wp2, ws2 = _square(geom.W0p), _square(geom.W0s)
+    """Transverse-overlap curvatures A, C, D, F and the collection-tilt factor H."""
+    wp2, ws2 = geom.W0p * geom.W0p, geom.W0s * geom.W0s
     ts, ti = geom.theta_s, geom.theta_i
     A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / ws2
     C = 1.0 / wp2 + math.cos(ts) ** 2 / ws2 + math.cos(ti) ** 2 / ws2
     D = math.sin(2 * ts) / ws2 - math.sin(2 * ti) / ws2
     F = math.sin(ts) ** 2 / ws2 + math.sin(ti) ** 2 / ws2
-    H = F - _square(D) / (4.0 * C)
+    H = F - D * D / (4.0 * C)
     return GeometryFactors(A, C, D, F, (np.maximum if isinstance(H, np.ndarray) else max)(H, 0.0))
 
 
@@ -416,10 +412,12 @@ class SpectralGrid(SpectralTerms):
 
     Holds, read-only, the absolute axes ``w_s``, ``w_i``, the detuning axes
     ``Om_s``, ``Om_i`` and, from its first use by a rate, the filter weight
-    T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid. ``figure``
-    holds the shape and its scalars for the last C (and H), so a waist sweep
-    along the separability tie, keyed on the C that the tie fixes, builds Psi
-    and its purity once (once per H with walk-off), not at every waist.
+    T_s T_i T_p; ``integrate`` is the trapezoid rule on the grid, or on its
+    even rows and columns at ``stride`` 2, with both strides' axis weights
+    built with the grid. ``figure`` holds the shape and its scalars for the
+    last C (and H), so a waist sweep along the separability tie, keyed on the
+    C that the tie fixes, builds Psi and its purity once (once per H with
+    walk-off), not at every waist.
     """
 
     def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
@@ -432,7 +430,8 @@ class SpectralGrid(SpectralTerms):
         OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
         super().__init__(OS, OI, geom, crystal, dispersion_mode)
         self._filters = filters
-        self._w_s, self._w_i = _trapezoid(self.Om_s), _trapezoid(self.Om_i)
+        self._weights = {  # {stride: (signal, idler) axis weights}
+            k: (_trapezoid(self.Om_s[::k]), _trapezoid(self.Om_i[::k])) for k in (1, 2)}
         self._figure_slot = (None, None, {})
 
     @cached_property
@@ -467,13 +466,13 @@ class SpectralGrid(SpectralTerms):
                 figures[decompose, stride] = purity(psi, decompose)
             else:
                 s = slice(None, None, stride)
-                w_s, w_i = (self._w_s, self._w_i) if stride == 1 else (
-                    _trapezoid(self.Om_s[s]), _trapezoid(self.Om_i[s]))
-                figures[decompose, stride] = float(w_s @ (self.weight[s, s] * psi[s, s] ** 2) @ w_i)
+                figures[None, stride] = self.integrate(self.weight[s, s] * psi[s, s] ** 2, stride)
         return figures[decompose, stride]
 
-    def integrate(self, density):
-        return float(self._w_s @ density @ self._w_i)
+    def integrate(self, density, stride=1):
+        """The trapezoid sum of ``density`` on the grid's points at ``stride`` 1 or 2."""
+        w_s, w_i = self._weights[stride]
+        return float(w_s @ density @ w_i)
 
 
 def figure_keys(factors, walk_off, C=None):
@@ -574,7 +573,7 @@ def purity_waist(W0p, geom, crystal, alpha_convention):
     constant of the printed closed-form waist relation. An array W0p gets NaN
     where a waist has no solution; it raises only if none has one.
     """
-    radicand = _tie_curvature(geom, crystal, alpha_convention) - 1.0 / _square(W0p)
+    radicand = _tie_curvature(geom, crystal, alpha_convention) - 1.0 / (W0p * W0p)
     solvable = radicand > 0
     if not np.count_nonzero(solvable):
         raise UnsatisfiableConditionError(

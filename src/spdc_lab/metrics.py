@@ -26,7 +26,7 @@ from .dispersion import (
 )
 from .errors import ConsistencyError, ConvergenceError
 from .jsa import (
-    _Z_RAISE, _Z_TOL, _check_z_order, _one_waist, _square, check_rayleigh,
+    _Z_RAISE, _Z_TOL, _check_z_order, _one_waist, check_rayleigh,
     figure_keys, geometry_factors, spectral_grid, z_moments, z_order,
 )
 from .units import c, epsilon_0
@@ -96,7 +96,7 @@ def rate_prefactor(geom, crystal):
     P = 1e-3 W. Times the joint-density integral (units m^6 (rad/s)^2) it
     yields pairs per second per milliwatt, whatever the pump power.
     """
-    a_s, a_p = (2.0 / (math.pi * _square(w)) for w in (geom.W0s, geom.W0p))
+    a_s, a_p = (2.0 / (math.pi * (w * w)) for w in (geom.W0s, geom.W0p))
     return _waist_free_prefactor(*geom.modes, crystal, geom.pump_bandwidth_Bp) * (a_s * a_s * a_p)
 
 
@@ -219,7 +219,7 @@ class _ModeSumKernel:
         self.q = terms.dkz.ravel() - self.dky * (g.D / (2.0 * g.C))
         self.gp = terms.pump_envelope.ravel()
         self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(terms.negdky2.ravel() / (4.0 * g.C))
-        self.H = g.H if walk_off else 0.0  # walk-off envelope exp(-H z^2)
+        self.H = g.H if walk_off else 0.0  # collection-tilt envelope exp(-H z^2)
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
         self.spread = self.H * terms.length_L**2 / 4.0
         W = geom.W0s

@@ -40,6 +40,8 @@ not a number must match exactly.
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +156,22 @@ def test_report_matches_golden(tmp_path, config, command, flags, files):
         else:
             got = json.loads((out / written).read_text())
             assert_matches(got, json.loads(want_path.read_text()), golden)
+
+
+def test_compare_outputs_runs_every_golden_row(tmp_path):
+    # tools/compare_outputs.py is the byte-identity check of a change that must
+    # not move outputs: its matrix runs every (command, flags) row above on
+    # both shipped configs, so its verdict covers every file golden/ pins
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import compare_outputs\n"
+        "print(json.dumps(compare_outputs.matrix(%r)))\n"
+    ) % (str(Path(__file__).parents[1] / "tools"), str(tmp_path))
+    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for config in ("degenerate_810", "nondegenerate_850_609"):
+        ran = {(argv[0], tuple(argv[1:])) for _, cfg, argv in runs if cfg == "shipped:" + config}
+        missing = {(command, flags) for command, flags, _ in GOLDEN_RUNS} - ran
+        assert not missing, (config, sorted(missing))

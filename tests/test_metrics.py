@@ -18,10 +18,10 @@ from scipy.special import eval_hermite
 
 from spdc_lab import jsa, metrics, sweep
 from spdc_lab.config import (
-    _INT_RANGES, MAX_RATE_RESOLUTION, Numerics, load_config, shipped_config_path,
+    _INT_RANGES, MAX_RATE_RESOLUTION, WAIST_RANGE_UM, Numerics, load_config, shipped_config_path,
 )
 from spdc_lab.dispersion import effective_nonlinearity, index_extraordinary, index_ordinary
-from spdc_lab.errors import ConsistencyError, ConvergenceError
+from spdc_lab.errors import ConsistencyError, ConvergenceError, UnsatisfiableConditionError
 from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import (
     SpectralGrid,
@@ -31,6 +31,7 @@ from spdc_lab.jsa import (
     mode_function,
     phase_mismatch_exact,
     phase_mismatch_linear,
+    purity_waist,
     spectral_grid,
     walk_off_integral,
     z_nodes,
@@ -389,6 +390,31 @@ class TestWaistBatch:
                 assert all(isinstance(v, float) for v in singles)
                 assert isinstance(batch, np.ndarray) and batch.tolist() == singles, (kind, f)
         assert len(levels) == 2  # the "levels" waists stop at different levels
+
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_waist_layers_square_as_their_one_waist_calls(self, name, request):
+        # geometry_factors, rate_prefactor and purity_waist of K waists drawn
+        # log-uniform over the config's whole waist range equal K one-waist
+        # calls bit for bit; purity_waist's NaN entries are the waists whose
+        # one-waist call raises
+        cfg = request.getfixturevalue(name)
+        rng = np.random.default_rng(36)
+        W0p, W0s = 1e-6 * 10.0 ** rng.uniform(*np.log10(WAIST_RANGE_UM), size=(2, 2000))
+        geom = replace(cfg.geom, W0p=W0p, W0s=W0s)
+        ones = one_at_a_time(geom)
+        batch = geometry_factors(geom)
+        for k in "ACDFH":
+            assert getattr(batch, k).tolist() == [getattr(geometry_factors(g), k) for g in ones], k
+        assert rate_prefactor(geom, cfg.crystal).tolist() == \
+            [rate_prefactor(g, cfg.crystal) for g in ones]
+        waists = purity_waist(W0p, cfg.geom, cfg.crystal, "consistent").tolist()
+        assert 0 < np.isnan(waists).sum() < W0p.size
+        for w0p, want in zip(W0p.tolist(), waists):
+            if math.isnan(want):
+                with pytest.raises(UnsatisfiableConditionError):
+                    purity_waist(w0p, cfg.geom, cfg.crystal, "consistent")
+            else:
+                assert purity_waist(w0p, cfg.geom, cfg.crystal, "consistent") == want
 
     def test_batch_raises_at_its_first_unconverged_waist(self, degenerate, monkeypatch):
         # at rate_resolution 5 the waist W0s = 145 um converges on the 9-point

@@ -3,10 +3,12 @@
     python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--perfbench-seeds 0 1]
 
 Each tree runs ``spdc_lab.cli.main`` in process, in a fresh interpreter with
-``PYTHONPATH=<tree>/src`` and one BLAS thread, over one matrix of 84 runs:
+``PYTHONPATH=<tree>/src`` and one BLAS thread, over one matrix of 88 runs:
 
 - all six commands on both shipped configs, plus ``--walk-off`` for
-  ``metrics``, ``sweep-rate``, ``sweep-ratio`` and ``optimize`` (20 runs);
+  ``metrics``, ``sweep-rate``, ``sweep-ratio`` and ``optimize``,
+  ``metrics --grid-resolution 801`` and ``jsa --grid-resolution 64`` (24
+  runs), so every (command, flags) row of ``tests/test_golden.py`` runs;
 - ``metrics``, ``sweep-rate``, ``optimize`` and ``dispersion-report`` on the
   perfbench designs ``designs.draw(0, 8)`` and ``designs.draw(1, 8)``
   (64 runs).
@@ -39,7 +41,14 @@ from workloads import WORKLOADS  # noqa: E402
 
 SHIPPED = ("degenerate_810", "nondegenerate_850_609")
 COMMANDS = ("metrics", "jsa", "sweep-rate", "sweep-ratio", "optimize", "dispersion-report")
-WALK_OFF = ("metrics", "sweep-rate", "sweep-ratio", "optimize")
+FLAGGED = (  # argv of the flagged runs on the shipped configs
+    ("metrics", "--walk-off"),
+    ("sweep-rate", "--walk-off"),
+    ("sweep-ratio", "--walk-off"),
+    ("optimize", "--walk-off"),
+    ("metrics", "--grid-resolution", "801"),
+    ("jsa", "--grid-resolution", "64"),
+)
 DESIGN_COMMANDS = ("metrics", "sweep-rate", "optimize", "dispersion-report")
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -67,14 +76,15 @@ with open(os.path.join(out, "_runs.json"), "w") as fh:
 
 
 def matrix(workdir, perfbench_seeds=()):
-    """[(run name, config, argv without --config and --out)]: the 84-run
+    """[(run name, config, argv without --config and --out)]: the 88-run
     matrix, then every perfbench task of ``perfbench_seeds``."""
     runs = []
     for cfg in SHIPPED:
         for command in COMMANDS:
             runs.append(("%s/%s" % (cfg, command), "shipped:" + cfg, [command]))
-        for command in WALK_OFF:
-            runs.append(("%s/%s-walk-off" % (cfg, command), "shipped:" + cfg, [command, "--walk-off"]))
+        for argv in FLAGGED:
+            name = "-".join(a.lstrip("-") for a in argv)  # metrics-walk-off, jsa-grid-resolution-64
+            runs.append(("%s/%s" % (cfg, name), "shipped:" + cfg, list(argv)))
     for seed in (0, 1):
         paths = designs.write_configs(designs.draw(seed, 8), os.path.join(workdir, "draw%d" % seed))
         for j, path in enumerate(paths):
