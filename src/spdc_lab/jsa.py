@@ -24,7 +24,6 @@ that waist drives the cross coefficient delta_si to zero.
 import json
 import math
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -46,7 +45,6 @@ MAX_EMISSION_ANGLE = 0.1  # rad; the small-angle regime of the closed forms
 # the z order check redoes a quadrature at _Z_RAISE more nodes, to _Z_TOL
 _Z_RAISE, _Z_TOL = 8, 1e-6
 _SERIES_PHASE = 3.0  # max|q| L/2 up to which z moments are a series (few-ulp cancellation)
-_FigureKey = namedtuple("_FigureKey", "C H")  # what ``SpectralGrid.figure`` reads
 
 
 @dataclass(frozen=True)
@@ -382,22 +380,21 @@ class SpectralTerms:
         L = self.length_L
         return _read_only(L * np.sinc(self.dkz * L / 2.0 / math.pi) * self._pump_envelope())
 
-    def shape(self, factors, walk_off):
+    def shape(self, C, H):
         """Phi over its scalar pi / sqrt(A C): exp(-dk_y^2 / (4 C)) times
-        ``sinc_envelope`` or, with ``walk_off``, ``walk_off_integral`` (the
-        exp(-H z^2) envelope) times the pump envelope. Of ``factors`` (a waist's
-        GeometryFactors or a ``figure_keys`` key) it reads C, and H with walk-off."""
-        psi = np.exp(self.negdky2 / (4.0 * factors.C))
-        if walk_off:
-            psi *= walk_off_integral(self.dkz, factors.H, self.length_L) * self.pump_envelope
-        else:
+        ``sinc_envelope`` (H None: no walk-off) or ``walk_off_integral`` (the
+        exp(-H z^2) envelope) times the pump envelope."""
+        psi = np.exp(self.negdky2 / (4.0 * C))
+        if H is None:
             psi *= self.sinc_envelope
+        else:
+            psi *= walk_off_integral(self.dkz, H, self.length_L) * self.pump_envelope
         return psi
 
     def amplitude(self, geom, walk_off):
         """Phi for the waists of ``geom``: ``shape`` times pi / sqrt(A C)."""
         g = geometry_factors(geom)
-        return self.shape(g, walk_off) * (math.pi / math.sqrt(g.A * g.C))
+        return self.shape(g.C, g.H if walk_off else None) * (math.pi / math.sqrt(g.A * g.C))
 
 
 def _spectral_key(geom, crystal, filters, dispersion_mode):
@@ -442,12 +439,12 @@ class SpectralGrid(SpectralTerms):
         T_p = filter_transmission(np.add.outer(self.w_s, self.w_i), f.pump)
         return _read_only(T_s[:, None] * T_i[None, :] * T_p)
 
-    def figure(self, factors, walk_off, decompose=None, stride=1):
+    def figure(self, key, decompose=None, stride=1):
         """The trapezoid sum of weight Psi^2 (``decompose`` None) or
-        ``purity(Psi, decompose)`` of the ``shape`` Psi. One slot holds the
-        (key, Psi, figures) of the last key (C, and H with ``walk_off``), read
-        and replaced as one, with Psi read-only: the rate and the purity at
-        one key build Psi once, and another key replaces the slot.
+        ``purity(Psi, decompose)`` of Psi = ``shape(*key)``, for a
+        ``figure_keys`` key (C, H). One slot holds the (key, Psi, figures) of
+        the last key, read and replaced as one, with Psi read-only: the rate
+        and the purity at one key build Psi once, and another key replaces the slot.
 
         ``stride`` 2 takes the sum on the even rows and columns alone. Since
         linspace(lo, hi, 2 m - 1)[::2] is linspace(lo, hi, m), that is the sum
@@ -456,10 +453,9 @@ class SpectralGrid(SpectralTerms):
         series it gives on all points (it does on the shipped configs)."""
         if stride not in (1, 2) or (stride == 2 and decompose is not None):
             raise ValueError("stride is 1, or 2 for the trapezoid sum alone")
-        key = (factors.C, factors.H if walk_off else None)
         held, psi, figures = self._figure_slot
         if held != key:
-            psi, figures = _read_only(self.shape(factors, walk_off)), {}
+            psi, figures = _read_only(self.shape(*key)), {}
             self._figure_slot = (key, psi, figures)
         if (decompose, stride) not in figures:
             if decompose is not None:
@@ -476,14 +472,14 @@ class SpectralGrid(SpectralTerms):
 
 
 def figure_keys(factors, walk_off, C=None):
-    """{``figure`` key (C, and H with ``walk_off``): indices} of the waists of
-    ``factors``; a float ``C`` (``_tie_curvature``) replaces each waist's own."""
+    """{``figure`` key (C, H; H None without ``walk_off``): indices} of the
+    waists of ``factors``; a float ``C`` (``_tie_curvature``) replaces their own."""
     C = np.ravel(factors.C).tolist() if C is None else [C] * np.size(factors.C)
     H = np.ravel(factors.H).tolist() if walk_off else [None] * len(C)
     keys = {}
     for j, key in enumerate(zip(C, H)):
         keys.setdefault(key, []).append(j)
-    return {_FigureKey(*key): idx for key, idx in keys.items()}
+    return keys
 
 
 # (key, {resolution: SpectralGrid}) of the last spectral setting requested

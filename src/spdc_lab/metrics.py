@@ -117,7 +117,7 @@ def _waist_free_prefactor(pump, signal, idler, crystal, pump_bandwidth_Bp):
 
 def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     """Pair rates in pairs/(s mW), converged by grid doubling, key by key:
-    yields (key, waist indices, rates) for each key of ``figure_keys(g, walk_off, C)``.
+    yields (key, waist indices, rates) for each key of ``figure_keys``.
 
     The joint density is integrated over the rectangle of the signal and
     idler filter windows (the sum-frequency variable is bounded by the pump
@@ -130,20 +130,20 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     An unconverged key raises ConvergenceError at its first waist.
     """
     check_rayleigh(geom, crystal.length_L)
-    g, walk_off = geometry_factors(geom), numerics.walk_off_enabled
+    g = geometry_factors(geom)
     pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]  # one waist: no numpy
                    for x in (rate_prefactor(geom, crystal), math.pi**2 / (g.A * g.C)))
     setting = (geom, crystal, filters, numerics.dispersion_mode)
-    for key, idx in figure_keys(g, walk_off, C).items():
+    for key, idx in figure_keys(g, numerics.walk_off_enabled, C).items():
         n, j = 2 * numerics.rate_resolution - 1, idx[0]
-        prev = spectral_grid(n, *setting).figure(key, walk_off, stride=2)
+        prev = spectral_grid(n, *setting).figure(key, stride=2)
         while True:
             if n > MAX_RATE_RESOLUTION:
                 raise ConvergenceError(
                     "pair-rate integral did not converge under grid doubling at waist %d" % j,
                     estimates=(pref[j] * (level[j] * prev),),
                 )
-            fig = spectral_grid(n, *setting).figure(key, walk_off)
+            fig = spectral_grid(n, *setting).figure(key)
             if abs(fig - prev) <= _RATE_TOL * max(abs(fig), abs(prev)):
                 break
             prev, n = fig, 2 * n - 1
@@ -379,7 +379,7 @@ def jsa_purity(geom, crystal, filters, numerics):
     waists, g = np.broadcast(geom.W0p, geom.W0s), geometry_factors(geom)
     purity = np.empty(waists.size)
     for key, idx in figure_keys(g, numerics.walk_off_enabled).items():
-        purity[idx] = grid.figure(key, numerics.walk_off_enabled, numerics.decompose)
+        purity[idx] = grid.figure(key, numerics.decompose)
     return purity if waists.ndim else float(purity[0])
 
 

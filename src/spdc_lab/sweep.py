@@ -140,7 +140,7 @@ def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics
     R, P = np.empty(geom.W0p.size), np.empty(geom.W0p.size)
     C = _tie_curvature(geom, crystal, _TIE_ALPHA)
     for key, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics, C):
-        R[idx], P[idx] = rates, grid.figure(key, numerics.walk_off_enabled, numerics.decompose)
+        R[idx], P[idx] = rates, grid.figure(key, numerics.decompose)
     return _sweep(geom.W0p.tolist(), R.tolist(), None, P.tolist())
 
 

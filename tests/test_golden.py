@@ -1,5 +1,6 @@
-"""Golden outputs: each ``GOLDEN_RUNS`` row is rerun through the CLI on both
-shipped configurations and its outputs compared field by field.
+"""Golden outputs: each row of ``golden/runs.json`` (a command, its flags and
+{file written: golden name}) is rerun through the CLI on both shipped
+configurations and its outputs compared field by field.
 
 Each golden file under ``golden/<config>/`` was produced from the repository
 root, with BLAS pinned to one thread, by
@@ -8,24 +9,9 @@ root, with BLAS pinned to one thread, by
         python -m spdc_lab.cli <command> \\
         --config src/spdc_lab/data/configs/<config>.json --out <dir> [flags]
 
-with <command> and [flags] from its row; the row maps each file written to
-<dir> to its golden name:
-
-- ``metrics``: metrics_report.json, metrics_summary.csv
-- ``metrics --walk-off``: metrics_report.json -> metrics_walk_off_report.json,
-  metrics_summary.csv -> metrics_walk_off_summary.csv
-- ``metrics --grid-resolution 801``: metrics_report.json ->
-  metrics_grid801_report.json, metrics_summary.csv -> metrics_grid801_summary.csv
-- ``optimize``: optimization.json
-- ``optimize --walk-off``: optimization.json -> optimization_walk_off.json
-- ``sweep-rate``: sweep_rate.csv, sweep_rate.json
-- ``sweep-rate --walk-off``: sweep_rate.csv -> sweep_rate_walk_off.csv,
-  sweep_rate.json -> sweep_rate_walk_off.json
-- ``sweep-ratio``: sweep_ratio.csv, sweep_ratio.json
-- ``sweep-ratio --walk-off``: sweep_ratio.csv -> sweep_ratio_walk_off.csv,
-  sweep_ratio.json -> sweep_ratio_walk_off.json
-- ``dispersion-report``: dispersion_report.csv, dispersion_report.json
-- ``jsa --grid-resolution 64``: jsa_grid.json -> jsa_grid_64.json
+with <command> and [flags] from its row, and the files written to <dir>
+renamed as the row maps them. ``tools/regen_golden.py OUT_DIR`` runs every
+row this way and names the files that differ from ``golden/``.
 
 The ``jsa`` CSV dump has no golden file: it is 3.3 MB at the default 201
 points, and it holds the amplitude of the JSON dump.
@@ -54,49 +40,10 @@ FLOAT_REL = 1e-9
 REL_BY_KEY = {"tail_estimate": 1e-6}
 EXACT_KEYS = ("config", "settings")
 
-# (command, extra flags, {file written: golden file})
+# (command, extra flags, {file written: golden file}) of each golden row
 GOLDEN_RUNS = [
-    (
-        "metrics",
-        (),
-        {"metrics_report.json": "metrics_report.json", "metrics_summary.csv": "metrics_summary.csv"},
-    ),
-    (
-        "metrics",
-        ("--walk-off",),
-        {
-            "metrics_report.json": "metrics_walk_off_report.json",
-            "metrics_summary.csv": "metrics_walk_off_summary.csv",
-        },
-    ),
-    (
-        "metrics",
-        ("--grid-resolution", "801"),
-        {
-            "metrics_report.json": "metrics_grid801_report.json",
-            "metrics_summary.csv": "metrics_grid801_summary.csv",
-        },
-    ),
-    ("optimize", (), {"optimization.json": "optimization.json"}),
-    ("optimize", ("--walk-off",), {"optimization.json": "optimization_walk_off.json"}),
-    ("sweep-rate", (), {"sweep_rate.csv": "sweep_rate.csv", "sweep_rate.json": "sweep_rate.json"}),
-    (
-        "sweep-rate",
-        ("--walk-off",),
-        {"sweep_rate.csv": "sweep_rate_walk_off.csv", "sweep_rate.json": "sweep_rate_walk_off.json"},
-    ),
-    ("sweep-ratio", (), {"sweep_ratio.csv": "sweep_ratio.csv", "sweep_ratio.json": "sweep_ratio.json"}),
-    (
-        "sweep-ratio",
-        ("--walk-off",),
-        {"sweep_ratio.csv": "sweep_ratio_walk_off.csv", "sweep_ratio.json": "sweep_ratio_walk_off.json"},
-    ),
-    (
-        "dispersion-report",
-        (),
-        {"dispersion_report.csv": "dispersion_report.csv", "dispersion_report.json": "dispersion_report.json"},
-    ),
-    ("jsa", ("--grid-resolution", "64"), {"jsa_grid.json": "jsa_grid_64.json"}),
+    (row["command"], tuple(row["flags"]), row["files"])
+    for row in json.loads((GOLDEN / "runs.json").read_text())
 ]
 
 
@@ -158,20 +105,37 @@ def test_report_matches_golden(tmp_path, config, command, flags, files):
             assert_matches(got, json.loads(want_path.read_text()), golden)
 
 
-def test_compare_outputs_runs_every_golden_row(tmp_path):
-    # tools/compare_outputs.py is the byte-identity check of a change that must
-    # not move outputs: its matrix runs every (command, flags) row above on
-    # both shipped configs, so its verdict covers every file golden/ pins
+def test_field_changes_lists_every_field_that_differs():
+    # tools/compare_outputs.py (and tools/regen_golden.py on top of it) lists
+    # each field of a file that differs with its relative move; a change that
+    # keeps the number, or that only an empty dict or list shows, is a move
+    # of its own (inf). It runs in a child, since the tool imports perfbench.
+    inf = math.inf
+    cases = [
+        ("a.json", {"n": 7, "x": 1.0}, {"n": 7.0, "x": 2.0}, {"n": inf, "x": 0.5}),
+        ("a.json", {"n": 7.0}, {"n": 7}, {"n": inf}),
+        ("a.json", {"a": {}}, {"a": []}, {"a": inf}),
+        ("a.json", {"a": [], "b": 1}, {"b": 1}, {"a": inf}),
+        ("a.json", {"b": 1}, {"b": 1, "a": {}}, {"a": inf}),
+        ("a.json", {"a": [1.0]}, {"a": []}, {"a[0]": inf, "a": inf}),
+        ("a.json", {"a": {"b": 1}}, {"a": {}}, {"a.b": inf, "a": inf}),
+        ("a.json", {"x": inf, "y": 1.0}, {"x": 1.0, "y": 1.0}, {"x": inf}),
+        ("a.json", {"x": 0.0, "y": math.nan}, {"x": -0.0, "y": math.nan}, {"x": inf}),
+        ("a.csv", "R,P\n7,0.5\n", "R,P\n7.0,0.25\n", {"R[0]": inf, "P[0]": 0.5}),
+    ]
+    docs = [
+        (path, *(doc if path.endswith(".csv") else json.dumps(doc) for doc in (old, new)))
+        for path, old, new, _ in cases
+    ]
     script = (
         "import json, sys\n"
         "sys.path.insert(0, %r)\n"
         "import compare_outputs\n"
-        "print(json.dumps(compare_outputs.matrix(%r)))\n"
-    ) % (str(Path(__file__).parents[1] / "tools"), str(tmp_path))
-    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True)
+        "docs = json.loads(sys.stdin.read())\n"
+        "print(json.dumps([compare_outputs.field_changes(p, a.encode(), b.encode())"
+        " for p, a, b in docs]))\n"
+    ) % str(Path(__file__).parents[1] / "tools")
+    proc = subprocess.run([sys.executable, "-B", "-c", script], input=json.dumps(docs),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    for config in ("degenerate_810", "nondegenerate_850_609"):
-        ran = {(argv[0], tuple(argv[1:])) for _, cfg, argv in runs if cfg == "shipped:" + config}
-        missing = {(command, flags) for command, flags, _ in GOLDEN_RUNS} - ran
-        assert not missing, (config, sorted(missing))
+    assert json.loads(proc.stdout) == [want for *_, want in cases]

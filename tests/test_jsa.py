@@ -40,6 +40,12 @@ def built_for(grid, cfg):
     return np.array_equal(grid.w_s, np.linspace(*cfg.filters.signal.support, grid.w_s.size))
 
 
+def key_of(geom, walk_off):
+    """The ``figure`` key of a one-waist geometry, as ``figure_keys`` gives it."""
+    (key,) = jsa.figure_keys(geometry_factors(geom), walk_off)
+    return key
+
+
 def collinear(geom):
     return replace(geom, theta_s=0.0, theta_i=0.0)
 
@@ -343,20 +349,21 @@ class TestSpectralGrids:
             f = geometry_factors(geom)
             phases = [float(np.max(np.abs(g.dkz))) * L / 2.0 for g in (fine, fresh)]
             assert len({jsa.z_order(0, q, f.H * L**2 / 4.0) for q in phases}) == 1
-            full = fine.figure(f, walk_off)
-            assert full == fine.integrate(fine.weight * fine.shape(f, walk_off) ** 2)
-            even = fine.weight[::2, ::2] * fine.shape(f, walk_off)[::2, ::2] ** 2
-            assert fine.figure(f, walk_off, stride=2) == fine.integrate(even, 2)
-            assert fine.figure(f, walk_off, stride=2) == fresh.figure(f, walk_off) != full
-            assert fine.figure(f, walk_off) == full
+            key = key_of(geom, walk_off)
+            full = fine.figure(key)
+            assert full == fine.integrate(fine.weight * fine.shape(*key) ** 2)
+            even = fine.weight[::2, ::2] * fine.shape(*key)[::2, ::2] ** 2
+            assert fine.figure(key, stride=2) == fine.integrate(even, 2)
+            assert fine.figure(key, stride=2) == fresh.figure(key) != full
+            assert fine.figure(key) == full
 
     def test_stride_is_the_rate_sum_alone(self, degenerate):
         cfg = degenerate
         grid = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact")
-        f = geometry_factors(cfg.geom)
+        key = key_of(cfg.geom, False)
         for stride, decompose in ((2, "amplitude"), (3, None), (0, None)):
             with pytest.raises(ValueError):
-                grid.figure(f, False, decompose, stride)
+                grid.figure(key, decompose, stride)
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
@@ -375,10 +382,10 @@ class TestSpectralGrids:
         grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         g = geometry_factors(cfg.geom)
-        rate = grid.figure(g, False)
+        rate = grid.figure((g.C, None))
         key, first, figures = grid._figure_slot
         assert key == (g.C, None) and figures == {(None, 1): rate}
-        grid.figure(geometry_factors(replace(cfg.geom)), False, "amplitude")
+        grid.figure(key_of(replace(cfg.geom), False), "amplitude")
         assert grid._figure_slot[1] is first and grid._figure_slot[2] is figures
         assert len(figures) == 2
         assert not first.flags.writeable
@@ -387,7 +394,7 @@ class TestSpectralGrids:
         narrow = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         for geom, walk_off in ((narrow, False), (narrow, True), (cfg.geom, True)):
             f = geometry_factors(geom)
-            grid.figure(f, walk_off)
+            grid.figure(key_of(geom, walk_off))
             key, psi, figures = grid._figure_slot
             assert key == (f.C, f.H if walk_off else None) and len(figures) == 1
             assert psi is not first and not psi.flags.writeable
@@ -396,16 +403,16 @@ class TestSpectralGrids:
             assert np.array_equal(psi * scale, want)
             first = psi
         # the figures never change over keys and rounds
-        factors = [
-            geometry_factors(replace(cfg.geom, W0s=(1.0 + 0.01 * k) * cfg.geom.W0s))
+        keys = [
+            key_of(replace(cfg.geom, W0s=(1.0 + 0.01 * k) * cfg.geom.W0s), False)
             for k in range(19)
         ]
         seen = {}
         for _ in range(2):
-            for k, f in enumerate(factors):
-                figures = (grid.figure(f, False), grid.figure(f, False, "amplitude"))
+            for k, key in enumerate(keys):
+                figures = (grid.figure(key), grid.figure(key, "amplitude"))
                 assert seen.setdefault(k, figures) == figures
-                assert grid._figure_slot[0] == (f.C, None)
+                assert grid._figure_slot[0] == key
 
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_runs_geometry_factors_once(self, degenerate, walk_off, monkeypatch):
@@ -509,11 +516,11 @@ class TestSpectralGrids:
         cfg = nondegenerate
         grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
         wide, narrow = (
-            geometry_factors(g) for g in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s))
+            key_of(g, False) for g in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s))
         )
         fresh = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
         want = {
-            (f, d): fresh.figure(f, False, d) for f in (wide, narrow) for d in (None, "amplitude")
+            (k, d): fresh.figure(k, d) for k in (wide, narrow) for d in (None, "amplitude")
         }
         assert want[wide, None] != want[narrow, None]
         nested = []
@@ -523,15 +530,15 @@ class TestSpectralGrids:
             if len(nested) < 2:
                 k = len(nested)
                 nested.append(None)
-                nested[k] = self.figure(narrow, False), self.figure(narrow, False, "amplitude")
+                nested[k] = self.figure(narrow), self.figure(narrow, "amplitude")
 
         monkeypatch.setattr(SpectralGrid, "__setattr__", interleaved)
-        assert grid.figure(wide, False) == want[wide, None]
-        assert grid.figure(wide, False, "amplitude") == want[wide, "amplitude"]
+        assert grid.figure(wide) == want[wide, None]
+        assert grid.figure(wide, "amplitude") == want[wide, "amplitude"]
         assert nested == [(want[narrow, None], want[narrow, "amplitude"])] * 2
-        for f in (wide, narrow, narrow, wide):
+        for k in (wide, narrow, narrow, wide):
             for d in (None, "amplitude"):
-                assert grid.figure(f, False, d) == want[f, d]
+                assert grid.figure(k, d) == want[k, d]
 
 
 class TestJsaGrid:

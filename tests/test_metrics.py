@@ -197,9 +197,9 @@ class TestPairRate:
         shapes = []
         shape = SpectralTerms.shape
 
-        def counted(self, factors, walk_off):
-            shapes.append((self.dky.shape, factors.C))
-            return shape(self, factors, walk_off)
+        def counted(self, C, H):
+            shapes.append((self.dky.shape, C))
+            return shape(self, C, H)
 
         monkeypatch.setattr(SpectralTerms, "shape", counted)
         monkeypatch.setattr(jsa, "_slot", (None, {}))
@@ -339,6 +339,28 @@ class TestFigureMemo:
         for geom, got in zip(geoms, warm):
             want = written_out_figures(geom, cfg, numerics)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_tied_pair_of_one_c_has_one_purity_and_rate_shape(self, name, request, monkeypatch):
+        # without walk-off the shape reads C alone, so two waist pairs of one
+        # C have one purity, and R = K u v^2 / (A C) S(C) with u = 1 / W0p^2,
+        # v = 1 / W0s^2 and K waist-free: C alone is a sufficient figure key.
+        # Each waist starts from a cold slot, so neither reads the other's figures.
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=False)
+        pair = tied_pair_sharing_c(cfg)
+        assert len({geometry_factors(geom).C for geom in pair}) == 1
+        assert len({geometry_factors(geom).A for geom in pair}) == 2
+        purities, scaled = [], []
+        for geom in pair:
+            g, u, v = geometry_factors(geom), 1.0 / geom.W0p**2, 1.0 / geom.W0s**2
+            monkeypatch.setattr(jsa, "_slot", (None, {}))
+            scaled.append(pair_rate(geom, cfg.crystal, cfg.filters, numerics)
+                          / (u * v * v / (g.A * g.C)))
+            monkeypatch.setattr(jsa, "_slot", (None, {}))
+            purities.append(jsa_purity(geom, cfg.crystal, cfg.filters, numerics))
+        assert purities[0] == purities[1]
+        assert scaled[0] == pytest.approx(scaled[1], rel=1e-14, abs=0)
 
 
 def waist_batches(cfg):

@@ -135,9 +135,9 @@ class TestRateVsPumpWaist:
         shapes, purities = [], []
         shape, purity = jsa.SpectralTerms.shape, jsa.purity
 
-        def counted_shape(self, factors, walk_off):
+        def counted_shape(self, C, H):
             shapes.append(self.dky.shape[0])
-            return shape(self, factors, walk_off)
+            return shape(self, C, H)
 
         def counted_purity(matrix, decompose):
             purities.append(matrix.shape)

@@ -5,10 +5,9 @@
 Each tree runs ``spdc_lab.cli.main`` in process, in a fresh interpreter with
 ``PYTHONPATH=<tree>/src`` and one BLAS thread, over one matrix of 88 runs:
 
-- all six commands on both shipped configs, plus ``--walk-off`` for
-  ``metrics``, ``sweep-rate``, ``sweep-ratio`` and ``optimize``,
-  ``metrics --grid-resolution 801`` and ``jsa --grid-resolution 64`` (24
-  runs), so every (command, flags) row of ``tests/test_golden.py`` runs;
+- on both shipped configs, every row of ``tests/golden/runs.json`` (the
+  golden runs of ``tests/test_golden.py``) and the default-resolution
+  ``jsa``, which has no golden file (24 runs);
 - ``metrics``, ``sweep-rate``, ``optimize`` and ``dispersion-report`` on the
   perfbench designs ``designs.draw(0, 8)`` and ``designs.draw(1, 8)``
   (64 runs).
@@ -19,15 +18,17 @@ once, with perfbench's ``designs.to_config``, and read by both trees; the
 shipped configs are each tree's own.
 
 It prints the exit codes and stderr that differ, the count of byte-identical
-files and, for each JSON or CSV field that differs, the largest relative
-change and the run that shows it. It exits 0 only when every run has the same
-exit code and stderr on both trees and every file is byte-identical.
+files and, for each JSON or CSV field that differs (``largest_moves``), the
+largest relative change and the run that shows it. It exits 0 only when every
+run has the same exit code and stderr on both trees and every file is
+byte-identical.
 """
 
 import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,16 +40,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import designs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 SHIPPED = ("degenerate_810", "nondegenerate_850_609")
-COMMANDS = ("metrics", "jsa", "sweep-rate", "sweep-ratio", "optimize", "dispersion-report")
-FLAGGED = (  # argv of the flagged runs on the shipped configs
-    ("metrics", "--walk-off"),
-    ("sweep-rate", "--walk-off"),
-    ("sweep-ratio", "--walk-off"),
-    ("optimize", "--walk-off"),
-    ("metrics", "--grid-resolution", "801"),
-    ("jsa", "--grid-resolution", "64"),
-)
 DESIGN_COMMANDS = ("metrics", "sweep-rate", "optimize", "dispersion-report")
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -75,16 +68,25 @@ with open(os.path.join(out, "_runs.json"), "w") as fh:
 """
 
 
+def golden_runs():
+    """[(run name, config, argv, {file written: golden name})] of every row
+    of ``tests/golden/runs.json`` on both shipped configs."""
+    with open(os.path.join(GOLDEN, "runs.json")) as fh:
+        rows = json.load(fh)
+    runs = []
+    for cfg in SHIPPED:
+        for row in rows:
+            argv = [row["command"], *row["flags"]]
+            name = "-".join(a.lstrip("-") for a in argv)  # metrics-walk-off, jsa-grid-resolution-64
+            runs.append(("%s/%s" % (cfg, name), "shipped:" + cfg, argv, row["files"]))
+    return runs
+
+
 def matrix(workdir, perfbench_seeds=()):
     """[(run name, config, argv without --config and --out)]: the 88-run
     matrix, then every perfbench task of ``perfbench_seeds``."""
-    runs = []
-    for cfg in SHIPPED:
-        for command in COMMANDS:
-            runs.append(("%s/%s" % (cfg, command), "shipped:" + cfg, [command]))
-        for argv in FLAGGED:
-            name = "-".join(a.lstrip("-") for a in argv)  # metrics-walk-off, jsa-grid-resolution-64
-            runs.append(("%s/%s" % (cfg, name), "shipped:" + cfg, list(argv)))
+    runs = [run[:3] for run in golden_runs()]
+    runs += [("%s/jsa" % cfg, "shipped:" + cfg, ["jsa"]) for cfg in SHIPPED]  # no golden file
     for seed in (0, 1):
         paths = designs.write_configs(designs.draw(seed, 8), os.path.join(workdir, "draw%d" % seed))
         for j, path in enumerate(paths):
@@ -121,10 +123,12 @@ def files(out):
 
 
 def _flatten(doc, path=""):
-    if isinstance(doc, dict):
+    # an empty dict or list is a field of its own, so that one that appears,
+    # vanishes or changes type is listed
+    if isinstance(doc, dict) and doc:
         for k, v in doc.items():
             yield from _flatten(v, "%s.%s" % (path, k) if path else k)
-    elif isinstance(doc, list):
+    elif isinstance(doc, list) and doc:
         for j, v in enumerate(doc):
             yield from _flatten(v, "%s[%d]" % (path, j))
     else:
@@ -146,12 +150,17 @@ def _number(value):
 
 
 def relative_change(a, b):
-    """|a - b| / max(|a|, |b|) of two numbers, inf for other values that differ."""
+    """|a - b| / max(|a|, |b|) of two numbers of one type, inf for other values
+    that differ: an int that becomes a float, one number written another way
+    (0.0 and -0.0, or "7" and "7.0" in a CSV cell) and an infinity or NaN
+    against a number."""
     x, y = _number(a), _number(b)
-    if x is None or y is None or isinstance(a, bool) or isinstance(b, bool):
-        return 0.0 if a == b else math.inf
-    if x == y or (math.isnan(x) and math.isnan(y)):
+    if type(a) is not type(b) or x is None or y is None or isinstance(a, bool):
+        return 0.0 if type(a) is type(b) and a == b else math.inf
+    if repr(a) == repr(b):  # NaN included
         return 0.0
+    if x == y or not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
     return abs(x - y) / max(abs(x), abs(y))
 
 
@@ -170,6 +179,17 @@ def field_changes(path, old, new):
         elif (rel := relative_change(a[field], b[field])) > 0:
             changes[field] = rel
     return changes
+
+
+def largest_moves(path, old, new):
+    """{field: largest relative change} of one JSON or CSV file, with list
+    indices and CSV rows folded: amplitude_re[3][5] and R[3] (row 3 of
+    column R) count as amplitude_re[*][*] and R[*]."""
+    moves = {}
+    for field, rel in field_changes(path, old, new).items():
+        field = re.sub(r"\[\d+\]", "[*]", field)
+        moves[field] = max(rel, moves.get(field, 0.0))
+    return moves
 
 
 def compare(parent_out, change_out, parent_runs, change_runs):
@@ -195,9 +215,8 @@ def compare(parent_out, change_out, parent_runs, change_runs):
             continue
         same = False
         kind = os.path.basename(path)
-        for field, rel in field_changes(path, old, new).items():
-            # CSV rows fold into their column: the field is the file kind and column
-            key = (kind, field.split("[")[0] if path.endswith(".csv") else field)
+        for field, rel in largest_moves(path, old, new).items():
+            key = (kind, field)
             if rel > worst.get(key, (-1.0, None))[0]:
                 worst[key] = (rel, os.path.dirname(path))
     print("%d of %d files byte-identical" % (identical, len(ours | theirs)))
