@@ -164,11 +164,11 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     [0.5, 1.2] times the closed-form value on a grid of _SCAN_POINTS points,
     maximizing the purity (with local quadratic refinement), and locates the
     efficiency/purity crossing by bisection from _ETA_COARSE_POINTS evenly
-    spaced points of that grid. It takes the purity at those coarse points,
-    then only at the other grid points between the coarse maximum's two
-    coarse neighbours, and maximizes over that window. That is the maximum of
-    all _SCAN_POINTS purities whenever the sampled purity has one peak over
-    the scan, as stage 1 assumes of the pair rate.
+    spaced points of that grid. It takes the purity at each coarse point and
+    then its sign of eta - P, and climbs from the first coarse maximum one
+    grid point at a time while the purity rises strictly. That ends at the
+    maximum of all _SCAN_POINTS purities whenever the sampled purity has one
+    peak over the scan, as stage 1 assumes of the pair rate.
 
     The coarse points read the sign of eta - P from ``heralding_margin``, which
     stops summing singles shells once the partial sums prove eta < P; the
@@ -195,17 +195,24 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
     def purity_at(W0s):
         return jsa_purity(at_waist(W0s), crystal, filters, numerics)
 
-    # the coarse points first, then the other scan points between the coarse
-    # maximum's two coarse neighbours (-inf elsewhere); that maximum is the
-    # first, so only a scan edge can hold the window's argmax at the window's
-    # edge, and the argmax's two neighbours lie in the window
+    # each coarse purity, then its eta - P, whose pair rate reads the shape that
+    # purity left in the grid's figure slot; then a climb from the first coarse
+    # maximum while the purity rises strictly, to the peak and both its neighbours
     stride = (_SCAN_POINTS - 1) // (_ETA_COARSE_POINTS - 1)
     purities = np.full(_SCAN_POINTS, -math.inf)
-    purities[::stride] = purity_at(scan[::stride])
-    top = stride * int(np.argmax(purities[::stride]))
-    window = [k for k in range(_SCAN_POINTS)[max(top - stride, 0):top + stride + 1] if k % stride]
-    purities[window] = purity_at(scan[window])
-    k = int(np.argmax(purities))
+    diffs = []
+    for j in range(0, _SCAN_POINTS, stride):
+        geom = at_waist(scan[j])
+        purities[j] = jsa_purity(geom, crystal, filters, numerics)
+        diffs.append(heralding_margin(geom, crystal, filters, numerics, purities[j]))
+    k = stride * int(np.argmax(purities[::stride]))
+    for step in (-1, 1):
+        while 0 <= k + step < _SCAN_POINTS:
+            if purities[k + step] == -math.inf:
+                purities[k + step] = purity_at(scan[k + step])
+            if purities[k + step] <= purities[k]:
+                break
+            k += step
     if 0 < k < _SCAN_POINTS - 1:
         # quadratic refinement through the three points around the maximum
         y0, y1, y2 = purities[k - 1], purities[k], purities[k + 1]
@@ -217,8 +224,6 @@ def optimize(geom_template, crystal, filters, numerics=Numerics()):
         W0s_purity_star = scan[k]
 
     coarse = scan[::stride]
-    diffs = [heralding_margin(at_waist(w), crystal, filters, numerics, p)
-             for w, p in zip(coarse, purities[::stride])]
     W0s_intersection = None
     for j in range(len(coarse) - 1):
         if diffs[j] == 0.0:

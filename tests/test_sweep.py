@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -300,6 +301,18 @@ def _design_config(design, tmp_path):
     return load_config(path)
 
 
+def _perfbench_config(seed, j, tmp_path):
+    """The config of design ``j`` of the benchmark's 3-task optimize batch on
+    ``seed``, written by perfbench's own ``designs.to_config``."""
+    spec = importlib.util.spec_from_file_location(
+        "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
+    designs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(designs)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(designs.to_config(designs.draw(seed, 3)[j])))
+    return load_config(path)
+
+
 @pytest.fixture(scope="module")
 def result(degenerate):
     cfg = degenerate
@@ -328,24 +341,46 @@ class TestOptimize:
         assert "at_W0s_intersection" not in result.metrics
 
     def test_coarse_scan_reads_the_scan_purities(self, degenerate, monkeypatch):
-        # the 11 coarse eta - P points are every 12th of the 121 scan points,
-        # whose purities the scan already has: one call for the 11 coarse
-        # waists, one for the at most 22 other waists between the coarse
-        # maximum's two coarse neighbours and one for each of the 2 report
-        # purities
+        # the 11 coarse eta - P points are every 12th of the 121 scan points:
+        # each takes one purity and then its margin at that purity; the climb
+        # from the first coarse maximum takes at most |k - top| + 2 other scan
+        # purities, k the maximum's index, and each of the 2 reports one
         cfg = degenerate
         calls = []
-        purity = metrics.jsa_purity
+        purity, margin = metrics.jsa_purity, sweep.heralding_margin
 
         def counted(geom, *args):
-            calls.append(np.atleast_1d(geom.W0s))
-            return purity(geom, *args)
+            P = purity(geom, *args)
+            calls.append(("P", geom.W0s, P))
+            return P
+
+        def counted_margin(geom, crystal, filters, numerics, P):
+            calls.append(("margin", geom.W0s, P))
+            return margin(geom, crystal, filters, numerics, P)
 
         monkeypatch.setattr(sweep, "jsa_purity", counted)
         monkeypatch.setattr(metrics, "jsa_purity", counted)
-        optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
-        assert [w.size for w in calls[:1] + calls[2:]] == [11, 1, 1] and len(calls) == 4
-        assert 0 < calls[1].size <= 22 and not np.isin(calls[1], calls[0]).any()
+        monkeypatch.setattr(sweep, "heralding_margin", counted_margin)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
+        cf = got.W0s_closed_form
+        scan = np.linspace(0.5 * cf, 1.2 * cf, sweep._SCAN_POINTS)
+        stride = (sweep._SCAN_POINTS - 1) // (sweep._ETA_COARSE_POINTS - 1)
+        assert all(np.ndim(w) == 0 for _, w, _ in calls)
+        coarse, climb, reports = calls[:22], calls[22:-2], calls[-2:]
+        assert [kind for kind, _, _ in coarse] == ["P", "margin"] * 11
+        assert [w for _, w, _ in coarse] == np.repeat(scan[::stride], 2).tolist()
+        assert all(coarse[j][2] == coarse[j + 1][2] for j in range(0, 22, 2))
+        purities = np.full(sweep._SCAN_POINTS, -math.inf)
+        purities[::stride] = [p for _, _, p in coarse[::2]]
+        top = stride * int(np.argmax(purities[::stride]))
+        index = [int(np.flatnonzero(scan == w)[0]) for _, w, _ in climb]
+        # the climb takes each of its waists once, and none of the coarse ones
+        assert all(kind == "P" for kind, _, _ in climb) and len(set(index)) == len(index)
+        assert all(j % stride for j in index)
+        purities[index] = [p for _, _, p in climb]
+        k = int(np.argmax(purities))
+        assert 0 < len(climb) <= abs(k - top) + 2
+        assert [(kind, w) for kind, w, _ in reports] == [("P", cf), ("P", got.W0s_purity_star)]
 
     def test_crossing_search_bisects_between_coarse_points(self, result, degenerate, monkeypatch):
         # eta is stubbed as the SVD purity plus a line through W_x, so eta - P
@@ -384,39 +419,99 @@ class TestOptimize:
         got = optimize(cfg.geom, cfg.crystal, cfg.filters, numerics)
         assert got.W0s_purity_star == _exhaustive_purity_star(got, cfg, numerics)
 
-    @pytest.mark.parametrize("design", BOX_DESIGNS, ids=range(len(BOX_DESIGNS)))
+    @pytest.mark.parametrize(
+        "design",
+        [pytest.param(d, id=str(j)) for j, d in enumerate(BOX_DESIGNS)]
+        + [pytest.param((seed, j), id="seed%d-%d" % (seed, j)) for seed in (0, 1) for j in range(3)],
+    )
     def test_purity_star_matches_exhaustive_scan_in_design_box(self, design, tmp_path):
         # designs inside the box the benchmark draws from, away from the
-        # shipped ones: crystal length, cut detuning, filters and signal
-        cfg = _design_config(design, tmp_path)
+        # shipped ones: crystal length, cut detuning, filters and signal; and
+        # the designs of the benchmark's optimize batches on seeds 0 and 1
+        if isinstance(design[0], str):
+            cfg = _design_config(design, tmp_path)
+        else:
+            cfg = _perfbench_config(*design, tmp_path)
         got = optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert got.W0s_purity_star == _exhaustive_purity_star(got, cfg, cfg.numerics)
 
+    @pytest.mark.parametrize("walk_off", [False, True])
+    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
+    def test_stage3_builds_one_shape_per_figure_key(self, name, walk_off, request, monkeypatch):
+        # from stage 3's first purity to its first report, each (grid, figure
+        # key) shape is built once: a coarse margin's pair rate reads the shape
+        # its purity has just left in the purity grid's figure slot, so the
+        # purity grid builds one shape per stage-3 purity
+        cfg = request.getfixturevalue(name)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        shape, purity, report = jsa.SpectralTerms.shape, sweep.jsa_purity, sweep.compute_metrics
+        stage3, built, purities = [False], [], []
+
+        def counted_shape(self, C, H):
+            if stage3[0]:
+                built.append((self.dky.shape[0], C, H))
+            return shape(self, C, H)
+
+        def counted_purity(geom, *args):
+            stage3[0] = True
+            purities.append(geom.W0s)
+            return purity(geom, *args)
+
+        def first_report(*args):
+            stage3[0] = False
+            return report(*args)
+
+        monkeypatch.setattr(jsa.SpectralTerms, "shape", counted_shape)
+        monkeypatch.setattr(sweep, "jsa_purity", counted_purity)
+        monkeypatch.setattr(sweep, "compute_metrics", first_report)
+        got = optimize(cfg.geom, cfg.crystal, cfg.filters, numerics)
+        assert got.W0s_intersection is None
+        assert len(built) == len(set(built))
+        assert [n for n, _, _ in built].count(numerics.grid_resolution) == len(purities)
+        assert 13 <= len(purities) <= 17
+
     @pytest.mark.parametrize(
-        "peak, window",
-        [(-5.0, 11), (0.4, 11), (17.9, 22), (30.37, 22), (60.0, 22), (119.6, 11), (125.0, 11)],
+        "peak, climb",
+        [(-5.0, [1]), (0.4, [1]), (17.9, [11, *range(13, 20)]), (30.37, [*range(35, 28, -1)]),
+         (60.0, [59, 61]), (119.6, [119]), (125.0, [119])],
         ids=["beyond_low_edge", "at_low_edge", "near_coarse_midpoint", "between_coarse_points",
              "on_coarse_point", "at_high_edge", "beyond_high_edge"],
     )
-    def test_stubbed_purity_maximum_anywhere_in_scan(self, result, degenerate, monkeypatch, peak, window):
+    def test_stubbed_purity_maximum_anywhere_in_scan(self, result, degenerate, monkeypatch, peak, climb):
         # a parabola in W0s peaking at scan index ``peak``, flat enough that
         # eta stays below it, so no crossing search runs; stages 1 and 2 do
-        # not read the purity, so the scan is the one of ``result``
+        # not read the purity, so the scan is the one of ``result``. Each
+        # coarse waist takes its purity, then its margin; the climb from the
+        # first coarse maximum top then takes the scan indices ``climb``, at
+        # most |k - top| + 2 of them for the maximum's index k (fewer at an edge)
         cfg = degenerate
         cf = result.W0s_closed_form
         scan = np.linspace(0.5 * cf, 1.2 * cf, sweep._SCAN_POINTS)
+        stride = (sweep._SCAN_POINTS - 1) // (sweep._ETA_COARSE_POINTS - 1)
         at = scan[0] + peak * (scan[1] - scan[0])
-        calls = []
+        calls, margin = [], sweep.heralding_margin
+
+        def parabola(W0s):
+            return 1.0 - 1e-4 * ((W0s - at) / cf) ** 2
 
         def stub(geom, *args):
-            calls.append(np.size(geom.W0s))
-            return 1.0 - 1e-4 * ((geom.W0s - at) / cf) ** 2
+            calls.append(("P", int(np.flatnonzero(scan == geom.W0s)[0])))
+            return parabola(geom.W0s)
+
+        def counted_margin(geom, *args):
+            calls.append(("margin", int(np.flatnonzero(scan == geom.W0s)[0])))
+            return margin(geom, *args)
 
         monkeypatch.setattr(sweep, "jsa_purity", stub)
+        monkeypatch.setattr(sweep, "heralding_margin", counted_margin)
         got = optimize(cfg.geom, cfg.crystal, cfg.filters)
         assert got.W0s_closed_form == cf
-        assert calls == [11, window]
-        assert got.W0s_purity_star == _refined_purity_star(scan, stub(replace(cfg.geom, W0s=scan)))
+        coarse = [(kind, j) for j in range(0, sweep._SCAN_POINTS, stride) for kind in ("P", "margin")]
+        assert calls == coarse + [("P", j) for j in climb]
+        purities = parabola(scan)
+        top, k = stride * int(np.argmax(purities[::stride])), int(np.argmax(purities))
+        assert len(climb) <= abs(k - top) + 2
+        assert got.W0s_purity_star == _refined_purity_star(scan, purities)
         assert got.W0s_intersection is None
 
     @pytest.mark.xfail(
