@@ -13,6 +13,7 @@ error, 3 I/O error.
 import argparse
 import ctypes
 import functools
+import gc
 import json
 import math
 import numbers
@@ -277,5 +278,15 @@ def _emit_error(args, exc):
         pass
 
 
+def run(argv=None):
+    """Entry of ``python -m spdc_lab.cli`` and the ``spdc-lab`` script: main(),
+    then a frozen heap, which the final collections at exit skip. Atexit
+    handlers and the stdio flush still run; finalizers of frozen cyclic
+    garbage do not. A process that goes on working calls ``main``."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

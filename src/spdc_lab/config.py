@@ -8,10 +8,11 @@ every output for auditability.
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
-from importlib import resources
 
 from .dispersion import (
+    DATA_DIR,
     OpticalMode,
     collinear_cut_angle,
     emission_angles,
@@ -120,7 +121,7 @@ class RunConfig:
 def shipped_config_path(name):
     """Absolute path of a packaged example configuration."""
     fname = name if name.endswith(".json") else name + ".json"
-    return str(resources.files("spdc_lab").joinpath("data", "configs", fname))
+    return os.path.join(DATA_DIR, "configs", fname)
 
 
 def _finite(value):

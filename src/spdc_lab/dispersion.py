@@ -15,7 +15,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from .errors import (
 from .units import TWO_PI, c, wavelength_to_angular_frequency
 
 CRYSTAL_DIR_ENV = "SPDC_LAB_CRYSTAL_DIR"
+# the packaged datasets and example configurations
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 ROLES = ("pump", "signal", "idler")
 POLARIZATIONS = ("ordinary", "extraordinary")
@@ -134,7 +135,7 @@ def load_crystal(name, length_L, cut_angle_theta, azimuth_phi=0.0):
     override = os.environ.get(CRYSTAL_DIR_ENV)
     path = os.path.join(override, fname) if override else ""
     if not os.path.isfile(path):
-        path = str(resources.files("spdc_lab").joinpath("data", fname))
+        path = os.path.join(DATA_DIR, fname)
     with open(path) as fh:
         try:
             raw = json.load(fh)

@@ -1,7 +1,10 @@
 import csv
+import gc
 import json
 import math
+import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -661,6 +664,59 @@ class TestCrystalLookup:
         assert summaries[0] == summaries[1]
 
 
+ENTRY_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
+    **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+)
+
+
+def written(out):
+    """{file name: bytes} of every file in the directory ``out``."""
+    if not os.path.isdir(out):
+        return {}
+    return {name: (Path(out) / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def with_out(argv, out):
+    return [out if a == "OUT" else a for a in argv]
+
+
+@pytest.fixture(scope="module")
+def entry_reference(tmp_path_factory):
+    """{name: argv} of the entry-route runs, "OUT" standing for each run's
+    own output directory (always the last argument), and {name: (exit code,
+    files written)} of ``main()`` called on each in one process, at one BLAS
+    thread."""
+    base = tmp_path_factory.mktemp("entry")
+    config = shipped_config_path("degenerate_810")
+    bad = base / "bad.json"
+    bad.write_text("{not json")
+    (base / "blocker").write_text("")
+    cases = {
+        "metrics": ["metrics", "--config", config, "--out", "OUT"],
+        "jsa": ["jsa", "--grid-resolution", "64", "--config", config, "--out", "OUT"],
+        "dispersion-report": ["dispersion-report", "--config", config, "--out", "OUT"],
+        "bad-config": ["metrics", "--config", str(bad), "--out", "OUT"],
+        "unwritable-out": ["metrics", "--config", config, "--out", str(base / "blocker" / "sub")],
+    }
+    argvs = [with_out(argv, str(base / name)) for name, argv in cases.items()]
+    script = (
+        "import json, sys\n"
+        "from spdc_lab.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], env=ENTRY_ENV, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    reference = {name: (code, written(argv[-1])) for name, code, argv in zip(cases, codes, argvs)}
+    assert codes == [0, 0, 0, 2, 3]
+    assert "error.json" in reference["bad-config"][1]
+    return cases, reference
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         config = cheap_config(tmp_path)
@@ -684,6 +740,33 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (out / "dispersion_report.json").exists()
+
+    def test_run_freezes_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 3)
+        monkeypatch.setattr(cli, "gc", SimpleNamespace(freeze=lambda: calls.append("freeze")))
+        assert cli.run(["metrics"]) == 3
+        assert calls == [["metrics"], "freeze"]
+
+    @pytest.mark.parametrize("route", ["-m", "console script"])
+    def test_entry_route_writes_what_main_writes(self, entry_reference, tmp_path, route):
+        # each run is a fresh process that exits through run(), which freezes
+        # the heap first: its files, error.json and exit codes must be those
+        # of main() called in process
+        cases, reference = entry_reference
+        if route == "-m":
+            head = [sys.executable, "-m", "spdc_lab.cli"]
+        else:  # the wrapper an installer writes for [project.scripts]
+            pyproject = (Path(cli.__file__).parents[2] / "pyproject.toml").read_text()
+            module, func = re.search(r'^spdc-lab = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+            head = [sys.executable, "-c", "import sys; from %s import %s; sys.exit(%s())" % (
+                module, func, func)]
+        got = {}
+        for name, argv in cases.items():
+            argv = with_out(argv, str(tmp_path / name))
+            proc = subprocess.run(head + argv, env=ENTRY_ENV, capture_output=True, text=True)
+            got[name] = (proc.returncode, written(argv[-1]))
+        assert got == reference
 
     def test_perfbench_tracer_counts_metrics_layers(self, tmp_path):
         # perfbench/tracer.py wraps package functions by name and binds their
@@ -759,6 +842,25 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_importlib_resources(self):
+        # the packaged data are found next to the modules: without a site
+        # hook that imports it anyway, importlib.resources pulls in pathlib,
+        # zipfile, tempfile, shutil and urllib.parse at every start
+        path = [str(Path(cli.__file__).parents[1])] + sys.path
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys; sys.path[:] = %r; import spdc_lab.cli; "
+                "print('importlib.resources' in sys.modules)" % path,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_walk_off_run_loads_no_scipy(self, tmp_path):
         # the walk-off envelope is integrated by the package's own z rule
@@ -846,6 +948,15 @@ class TestHeapPolicy:
         assert mallopt == []
         assert run_cli("dispersion-report", cheap_config(tmp_path), tmp_path / "d") == 0
         assert len(mallopt) == 2
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        # only run(), the process entry, freezes the heap: main() is called
+        # many times in one process, and frozen objects are never collected
+        config = cheap_config(tmp_path)
+        before = gc.get_freeze_count(), gc.isenabled()
+        for command in ("metrics", "jsa", "dispersion-report"):
+            assert run_cli(command, config, tmp_path / command) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
     def test_new_spectral_setting_reuses_freed_heap(self, tmp_path):
