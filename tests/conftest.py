@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -30,6 +32,30 @@ def degenerate_with(tmp_path):
         raw[section][key] = value
         path = tmp_path / "degenerate_with.json"
         path.write_text(json.dumps(raw))
+        return load_config(path)
+
+    return load
+
+
+@pytest.fixture(scope="session")
+def perfbench_designs():
+    """perfbench's own ``designs`` module, read from ``perfbench/designs.py``
+    without putting that directory on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
+    designs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(designs)
+    return designs
+
+
+@pytest.fixture
+def perfbench_config(perfbench_designs, tmp_path):
+    """``perfbench_config(seed, n, j)``: the config of design ``j`` of the
+    benchmark's ``designs.draw(seed, n)``, written by ``designs.to_config``."""
+
+    def load(seed, n, j):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(perfbench_designs.to_config(perfbench_designs.draw(seed, n)[j])))
         return load_config(path)
 
     return load

@@ -1,6 +1,7 @@
 """Golden outputs: each row of ``golden/runs.json`` (a command, its flags and
 {file written: golden name}) is rerun through the CLI on both shipped
-configurations and its outputs compared field by field.
+configurations, and no field of its outputs may move past the golden
+tolerance, the table in ``tools/compare_outputs.py``.
 
 Each golden file under ``golden/<config>/`` was produced from the repository
 root, with BLAS pinned to one thread, by
@@ -11,22 +12,15 @@ root, with BLAS pinned to one thread, by
 
 with <command> and [flags] from its row, and the files written to <dir>
 renamed as the row maps them. ``tools/regen_golden.py OUT_DIR`` runs every
-row this way and names the files that differ from ``golden/``.
+row this way and prints the moves of the files that differ from ``golden/``.
 
 The ``jsa`` CSV dump has no golden file: it is 3.3 MB at the default 201
 points, and it holds the amplitude of the JSON dump.
-
-Floats agree to 1e-9 relative, also inside lists, ``tail_estimate`` (a
-ratio of the last mode-sum shell to the total) to 1e-6; ints, bools, None,
-list lengths and the echoed configuration must match exactly. CSV files
-compare cell by cell, with empty cells in the same places; a cell that is
-not a number must match exactly.
 """
 
-import csv
+import importlib
 import json
 import math
-import subprocess
 import sys
 from pathlib import Path
 
@@ -35,81 +29,29 @@ import pytest
 from spdc_lab.cli import main
 from spdc_lab.config import shipped_config_path
 
-GOLDEN = Path(__file__).parent / "golden"
-FLOAT_REL = 1e-9
-REL_BY_KEY = {"tail_estimate": 1e-6}
-EXACT_KEYS = ("config", "settings")
+sys.path.insert(0, str(Path(__file__).parents[1] / "tools"))
+import compare_outputs  # noqa: E402
 
-# (command, extra flags, {file written: golden file}) of each golden row
-GOLDEN_RUNS = [
-    (row["command"], tuple(row["flags"]), row["files"])
-    for row in json.loads((GOLDEN / "runs.json").read_text())
-]
+# (config, argv, {file written: golden name}) of every golden run
+RUNS = [(name.partition("/")[0], argv, files) for name, _, argv, files in compare_outputs.golden_runs()]
 
 
-def assert_matches(got, want, where, rel=FLOAT_REL):
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key, value in want.items():
-            sub = "%s.%s" % (where, key)
-            if key in EXACT_KEYS:
-                assert json.dumps(got[key], sort_keys=True) == json.dumps(
-                    value, sort_keys=True
-                ), sub
-            else:
-                assert_matches(got[key], value, sub, REL_BY_KEY.get(key, FLOAT_REL))
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for j, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, "%s[%d]" % (where, j), rel)
-    elif isinstance(want, float):
-        assert isinstance(got, float), where
-        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0), (where, got, want)
-    else:
-        assert type(got) is type(want) and got == want, (where, got, want)
-
-
-def assert_csv_matches(got_path, want_path):
-    with open(got_path) as fh:
-        got = list(csv.reader(fh))
-    with open(want_path) as fh:
-        want = list(csv.reader(fh))
-    assert got[0] == want[0] and len(got) == len(want)
-    for row, (got_row, want_row) in enumerate(zip(got[1:], want[1:])):
-        assert [cell == "" for cell in got_row] == [cell == "" for cell in want_row], row
-        for col, (g, w) in enumerate(zip(got_row, want_row)):
-            where = "%s[%d][%s]" % (want_path.name, row, got[0][col])
-            try:
-                want_value = float(w)
-            except ValueError:  # an empty or text cell, such as a role name
-                assert g == w, where
-                continue
-            assert_matches(float(g), want_value, where)
-
-
-@pytest.mark.parametrize("config", ["degenerate_810", "nondegenerate_850_609"])
-@pytest.mark.parametrize(
-    "command, flags, files",
-    GOLDEN_RUNS,
-    ids=["%s-%s" % (c, next(iter(files.values()))) for c, _, files in GOLDEN_RUNS],
-)
-def test_report_matches_golden(tmp_path, config, command, flags, files):
-    out = tmp_path / command
-    assert main([command, "--config", shipped_config_path(config), "--out", str(out), *flags]) == 0
+@pytest.mark.parametrize("config, argv, files", RUNS,
+                         ids=["%s-%s-%s" % (a[0], next(iter(f.values())), c) for c, a, f in RUNS])
+def test_report_matches_golden(tmp_path, config, argv, files):
+    assert main([argv[0], "--config", shipped_config_path(config), "--out", str(tmp_path)] + argv[1:]) == 0
     for written, golden in files.items():
-        want_path = GOLDEN / config / golden
-        if golden.endswith(".csv"):
-            assert_csv_matches(out / written, want_path)
-        else:
-            got = json.loads((out / written).read_text())
-            assert_matches(got, json.loads(want_path.read_text()), golden)
+        old = Path(compare_outputs.GOLDEN, config, golden).read_bytes()
+        assert compare_outputs.beyond_tolerance(golden, old, (tmp_path / written).read_bytes()) == {}, golden
+
+
+def _encode(path, doc):
+    return (doc if path.endswith(".csv") else json.dumps(doc)).encode()
 
 
 def test_field_changes_lists_every_field_that_differs():
-    # tools/compare_outputs.py (and tools/regen_golden.py on top of it) lists
-    # each field of a file that differs with its relative move; a change that
-    # keeps the number, or that only an empty dict or list shows, is a move
-    # of its own (inf). It runs in a child, since the tool imports perfbench.
+    # each field that differs, with its relative move; a change that keeps the
+    # number, or that only an empty dict or list shows, moves by inf
     inf = math.inf
     cases = [
         ("a.json", {"n": 7, "x": 1.0}, {"n": 7.0, "x": 2.0}, {"n": inf, "x": 0.5}),
@@ -123,19 +65,37 @@ def test_field_changes_lists_every_field_that_differs():
         ("a.json", {"x": 0.0, "y": math.nan}, {"x": -0.0, "y": math.nan}, {"x": inf}),
         ("a.csv", "R,P\n7,0.5\n", "R,P\n7.0,0.25\n", {"R[0]": inf, "P[0]": 0.5}),
     ]
-    docs = [
-        (path, *(doc if path.endswith(".csv") else json.dumps(doc) for doc in (old, new)))
-        for path, old, new, _ in cases
+    for path, old, new, want in cases:
+        got = compare_outputs.field_changes(path, _encode(path, old), _encode(path, new))
+        assert {field: move[0] for field, move in got.items()} == want, (old, new)
+
+
+def test_beyond_tolerance_flags_every_move_the_golden_test_fails_on():
+    cases = [
+        ("a.json", {"x": 1.0}, {"x": 1.0 + 2e-9}, {"x"}),
+        ("a.json", {"x": [1.0]}, {"x": [1.0 + 5e-10]}, set()),
+        ("a.json", {"m": {"tail_estimate": 1e-4}}, {"m": {"tail_estimate": 1.0000005e-4}}, set()),
+        ("a.json", {"tail_estimate": 1e-4}, {"tail_estimate": 1.000002e-4}, {"tail_estimate"}),
+        ("a.json", {"m": {"max_shell": 5}}, {"m": {"max_shell": 6}}, {"m.max_shell"}),
+        ("a.json", {"max_shell": 5}, {"max_shell": 4}, {"max_shell"}),
+        ("a.json", {"n": 10**12}, {"n": 10**12 + 1}, {"n"}),
+        ("a.json", {"converged": True}, {"converged": False}, {"converged"}),
+        ("a.json", {"x": None}, {"x": 1.0}, {"x"}),
+        ("a.json", {"x": [1.0, 2.0]}, {"x": [1.0]}, {"x[1]"}),
+        ("a.json", {"config": {"w": [310.0]}}, {"config": {"w": [310.0000000000003]}}, {"config.w[0]"}),
+        ("a.json", {"r": {"settings": [1.0]}}, {"r": {"settings": [1.000000000000001]}}, {"r.settings[0]"}),
+        ("a.csv", "R,P\n1.0,x\n", "R,P\n1.0000000001,x\n", set()),
+        ("a.csv", "R,P\n1.0,x\n", "R,P\n1.0,y\n", {"P[0]"}),
+        ("a.csv", "R,P\n1.0,\n", "R,P\n1.0,0.5\n", {"P[0]"}),
+        ("a.csv", "R,P\n1.0,0.5\n", "P,R\n0.5,1.0\n", {"<columns>"}),
     ]
-    script = (
-        "import json, sys\n"
-        "sys.path.insert(0, %r)\n"
-        "import compare_outputs\n"
-        "docs = json.loads(sys.stdin.read())\n"
-        "print(json.dumps([compare_outputs.field_changes(p, a.encode(), b.encode())"
-        " for p, a, b in docs]))\n"
-    ) % str(Path(__file__).parents[1] / "tools")
-    proc = subprocess.run([sys.executable, "-B", "-c", script], input=json.dumps(docs),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [want for *_, want in cases]
+    for path, old, new, want in cases:
+        got = compare_outputs.beyond_tolerance(path, _encode(path, old), _encode(path, new))
+        assert set(got) == want, (old, new)
+
+
+def test_importing_the_tool_loads_no_perfbench_module(monkeypatch):
+    for module in ("compare_outputs", "designs", "workloads"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    importlib.import_module("compare_outputs")
+    assert "designs" not in sys.modules and "workloads" not in sys.modules

@@ -1,5 +1,4 @@
 import gc
-import importlib.util
 import json
 import math
 import sys
@@ -7,7 +6,6 @@ import threading
 import warnings
 import weakref
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,13 +338,19 @@ class TestFigureMemo:
             want = written_out_figures(geom, cfg, numerics)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
-    def test_tied_pair_of_one_c_has_one_purity_and_rate_shape(self, name, request, monkeypatch):
+    @pytest.mark.parametrize("design", ["degenerate", "nondegenerate", *range(8)],
+                             ids=lambda d: d if isinstance(d, str) else "seed0-%d" % d)
+    def test_tied_pair_of_one_c_has_one_purity_and_rate_shape(self, design, request, monkeypatch,
+                                                              perfbench_config):
         # without walk-off the shape reads C alone, so two waist pairs of one
         # C have one purity, and R = K u v^2 / (A C) S(C) with u = 1 / W0p^2,
         # v = 1 / W0s^2 and K waist-free: C alone is a sufficient figure key.
-        # Each waist starts from a cold slot, so neither reads the other's figures.
-        cfg = request.getfixturevalue(name)
+        # Each waist starts from a cold slot, so neither reads the other's
+        # figures. Designs 0-7 are those of the benchmark's designs.draw(0, 8).
+        if isinstance(design, str):
+            cfg = request.getfixturevalue(design)
+        else:
+            cfg = perfbench_config(0, 8, design)
         numerics = replace(cfg.numerics, walk_off_enabled=False)
         pair = tied_pair_sharing_c(cfg)
         assert len({geometry_factors(geom).C for geom in pair}) == 1
@@ -688,13 +692,10 @@ class TestModeSumKernel:
             rows = np.max(np.abs(series - cos_sin), axis=1) / np.max(np.abs(cos_sin), axis=1)
             assert np.all(rows <= 1e-14), (J, rows.max())
 
-    def test_shipped_and_benchmark_designs_take_the_series(self, tmp_path):
+    def test_shipped_and_benchmark_designs_take_the_series(self, tmp_path, perfbench_designs):
         # max|q| L/2 of every shipped and perfbench seed-0 design on its
         # singles grid, at its own waists and at half and twice its W0s
-        spec = importlib.util.spec_from_file_location(
-            "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
-        designs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(designs)
+        designs = perfbench_designs
         paths = [shipped_config_path(name) for name in ("degenerate_810", "nondegenerate_850_609")]
         paths += designs.write_configs(designs.draw(0, 16), str(tmp_path))
         for path in paths:

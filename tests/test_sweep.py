@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -301,18 +300,6 @@ def _design_config(design, tmp_path):
     return load_config(path)
 
 
-def _perfbench_config(seed, j, tmp_path):
-    """The config of design ``j`` of the benchmark's 3-task optimize batch on
-    ``seed``, written by perfbench's own ``designs.to_config``."""
-    spec = importlib.util.spec_from_file_location(
-        "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
-    designs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(designs)
-    path = tmp_path / "design.json"
-    path.write_text(json.dumps(designs.to_config(designs.draw(seed, 3)[j])))
-    return load_config(path)
-
-
 @pytest.fixture(scope="module")
 def result(degenerate):
     cfg = degenerate
@@ -424,14 +411,14 @@ class TestOptimize:
         [pytest.param(d, id=str(j)) for j, d in enumerate(BOX_DESIGNS)]
         + [pytest.param((seed, j), id="seed%d-%d" % (seed, j)) for seed in (0, 1) for j in range(3)],
     )
-    def test_purity_star_matches_exhaustive_scan_in_design_box(self, design, tmp_path):
+    def test_purity_star_matches_exhaustive_scan_in_design_box(self, design, tmp_path, perfbench_config):
         # designs inside the box the benchmark draws from, away from the
         # shipped ones: crystal length, cut detuning, filters and signal; and
         # the designs of the benchmark's optimize batches on seeds 0 and 1
         if isinstance(design[0], str):
             cfg = _design_config(design, tmp_path)
         else:
-            cfg = _perfbench_config(*design, tmp_path)
+            cfg = perfbench_config(design[0], 3, design[1])
         got = optimize(cfg.geom, cfg.crystal, cfg.filters, cfg.numerics)
         assert got.W0s_purity_star == _exhaustive_purity_star(got, cfg, cfg.numerics)
 

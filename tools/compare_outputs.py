@@ -18,10 +18,12 @@ once, with perfbench's ``designs.to_config``, and read by both trees; the
 shipped configs are each tree's own.
 
 It prints the exit codes and stderr that differ, the count of byte-identical
-files and, for each JSON or CSV field that differs (``largest_moves``), the
-largest relative change and the run that shows it. It exits 0 only when every
-run has the same exit code and stderr on both trees and every file is
-byte-identical.
+files and one Markdown table (``print_moves``): for each JSON or CSV field
+that differs, with list indices and CSV rows folded (``largest_moves``), the
+file that shows its largest relative move, the old and new values there and
+the golden tolerance, which ``tests/test_golden.py`` reads from here. It
+exits 0 only when every run has the same exit code and stderr on both trees
+and every file is byte-identical.
 """
 
 import argparse
@@ -34,16 +36,17 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.dont_write_bytecode = True  # leave perfbench/ as it is
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import designs  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
-
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 SHIPPED = ("degenerate_810", "nondegenerate_850_609")
 DESIGN_COMMANDS = ("metrics", "sweep-rate", "optimize", "dispersion-report")
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+# The golden tolerance (``tolerance``): the relative move a float or CSV number
+# cell may make, by its field's last key (None: any other key). Any other
+# value, and every leaf under an EXACT_KEYS key, must not move.
+REL_TOLERANCE = {None: 1e-9, "tail_estimate": 1e-6}  # tail: last mode-sum shell / total
+EXACT_KEYS = {"config", "settings"}
+ABSENT = "(absent)"  # the value of a field in a file that lacks it
 
 # the child: run every (name, config, argv) in process, record exit code and stderr
 RUNNER = r"""
@@ -85,6 +88,11 @@ def golden_runs():
 def matrix(workdir, perfbench_seeds=()):
     """[(run name, config, argv without --config and --out)]: the 88-run
     matrix, then every perfbench task of ``perfbench_seeds``."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import designs
+    from workloads import WORKLOADS
+
     runs = [run[:3] for run in golden_runs()]
     runs += [("%s/jsa" % cfg, "shipped:" + cfg, ["jsa"]) for cfg in SHIPPED]  # no golden file
     for seed in (0, 1):
@@ -105,7 +113,12 @@ def matrix(workdir, perfbench_seeds=()):
     return runs
 
 
-def run_tree(tree, plan, out):
+def run_tree(tree, runs, out):
+    """Run every (name, config, argv) of ``runs`` on ``tree``, writing under
+    ``out``; returns {name: {"exit": code, "stderr": text}}."""
+    plan = out + "_plan.json"
+    with open(plan, "w") as fh:
+        json.dump(runs, fh)
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
     cwd = os.path.dirname(plan)  # so that no package in the caller's directory shadows src
@@ -137,6 +150,7 @@ def _flatten(doc, path=""):
 
 def _csv_fields(text):
     header, *rows = (line.split(",") for line in text.splitlines())
+    yield "<columns>", ",".join(header)
     for j, row in enumerate(rows):
         for k, value in zip(header, row):
             yield "%s[%d]" % (k, j), value
@@ -165,31 +179,60 @@ def relative_change(a, b):
 
 
 def field_changes(path, old, new):
-    """{field: relative change} of the fields that differ in one JSON or CSV file."""
+    """{field: (relative change, old value, new value)} of the fields that
+    differ in one JSON or CSV file. A field that one side lacks reads ABSENT
+    there and moves by inf."""
     if path.endswith(".json"):
         a, b = (dict(_flatten(json.loads(t))) for t in (old, new))
     elif path.endswith(".csv"):
         a, b = (dict(_csv_fields(t.decode())) for t in (old, new))
     else:
-        return {"<bytes>": math.inf}
+        return {"<bytes>": (math.inf, ABSENT, ABSENT)}
     changes = {}
     for field in a.keys() | b.keys():
-        if field not in a or field not in b:
-            changes[field] = math.inf
-        elif (rel := relative_change(a[field], b[field])) > 0:
-            changes[field] = rel
+        x, y = a.get(field, ABSENT), b.get(field, ABSENT)
+        rel = relative_change(x, y) if field in a and field in b else math.inf
+        if rel > 0:
+            changes[field] = (rel, x, y)
     return changes
 
 
-def largest_moves(path, old, new):
-    """{field: largest relative change} of one JSON or CSV file, with list
-    indices and CSV rows folded: amplitude_re[3][5] and R[3] (row 3 of
-    column R) count as amplitude_re[*][*] and R[*]."""
-    moves = {}
-    for field, rel in field_changes(path, old, new).items():
-        field = re.sub(r"\[\d+\]", "[*]", field)
-        moves[field] = max(rel, moves.get(field, 0.0))
-    return moves
+def tolerance(path, field, value):
+    """The relative move the golden test accepts in ``field`` of a file
+    where its old value is ``value``."""
+    keys = re.sub(r"\[[\d*]+\]", "", field).split(".")
+    if EXACT_KEYS.intersection(keys) or not (isinstance(value, float) or path.endswith(".csv")):
+        return 0.0
+    return REL_TOLERANCE.get(keys[-1], REL_TOLERANCE[None])
+
+
+def beyond_tolerance(path, old, new):
+    """The ``field_changes`` of one golden file that are past their
+    ``tolerance``: empty when the golden test accepts ``new`` for ``old``."""
+    return {field: move for field, move in field_changes(path, old, new).items()
+            if move[0] > tolerance(path, field, move[1])}
+
+
+def largest_moves(worst, group, path, old, new):
+    """Keep in ``worst`` {(group, field): (path, move)} the largest of the
+    ``field_changes`` of one file, with list indices and CSV rows folded:
+    amplitude_re[3][5] and R[3] (row 3 of column R) count as
+    amplitude_re[*][*] and R[*]."""
+    for field, move in field_changes(path, old, new).items():
+        key = (group, re.sub(r"\[\d+\]", "[*]", field))
+        if key not in worst or move[0] > worst[key][1][0]:
+            worst[key] = (path, move)
+
+
+def print_moves(worst):
+    """Print the moves that ``largest_moves`` kept as one Markdown table,
+    with the golden tolerance of each field."""
+    print("| file | field | old | new | relative move | tolerance |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for (_, field), (path, (rel, a, b)) in sorted(worst.items()):
+        old, new = (v if isinstance(v, str) else json.dumps(v) for v in (a, b))
+        tol = tolerance(path, field, a)
+        print("| %s | `%s` | %s | %s | %.3g | %g |" % (path, field, old, new, rel, tol))
 
 
 def compare(parent_out, change_out, parent_runs, change_runs):
@@ -214,14 +257,9 @@ def compare(parent_out, change_out, parent_runs, change_runs):
             identical += 1
             continue
         same = False
-        kind = os.path.basename(path)
-        for field, rel in largest_moves(path, old, new).items():
-            key = (kind, field)
-            if rel > worst.get(key, (-1.0, None))[0]:
-                worst[key] = (rel, os.path.dirname(path))
+        largest_moves(worst, os.path.basename(path), path, old, new)
     print("%d of %d files byte-identical" % (identical, len(ours | theirs)))
-    for (kind, field), (rel, run) in sorted(worst.items()):
-        print("  %s %s: largest relative change %.3g (%s)" % (kind, field, rel, run))
+    print_moves(worst)
     return same
 
 
@@ -232,9 +270,7 @@ def main(argv=None):
     parser.add_argument("--perfbench-seeds", type=int, nargs="*", default=())
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as workdir:
-        plan = os.path.join(workdir, "plan.json")
-        with open(plan, "w") as fh:
-            json.dump(matrix(workdir, args.perfbench_seeds), fh)
+        plan = matrix(workdir, args.perfbench_seeds)
         outs, runs = [], []
         for side, tree in (("parent", args.parent_tree), ("change", args.change_tree)):
             outs.append(os.path.join(workdir, side))
