@@ -122,9 +122,7 @@ def _run(args):
     os.makedirs(out, exist_ok=True)
 
     if args.command == "metrics":
-        report = compute_metrics(
-            cfg.geom, cfg.crystal, cfg.filters, numerics, settings_snapshot=resolved
-        )
+        report = compute_metrics(cfg.geom, cfg.crystal, cfg.filters, numerics)
         _write_json(dict(report.to_dict(), config=resolved), os.path.join(out, "metrics_report.json"))
         with open(os.path.join(out, "metrics_summary.csv"), "w") as fh:
             fh.write("R,Rs,Ri,eta,purity\n")

@@ -51,7 +51,7 @@ class SinglesResult:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """The three figures of merit plus everything needed to reproduce them."""
+    """The three figures of merit, the singles rates and the mode-sum truncation."""
 
     pair_rate_R: float
     singles_rate_s: float
@@ -59,7 +59,6 @@ class MetricsReport:
     heralding_eta: float
     purity_P: float
     mode_sum_truncation: tuple
-    settings_snapshot: dict
 
     def __post_init__(self):
         if not 0.0 < self.heralding_eta <= 1.0 + 1e-9:
@@ -82,7 +81,6 @@ class MetricsReport:
                 "max_shell": self.mode_sum_truncation[0],
                 "tail_estimate": self.mode_sum_truncation[1],
             },
-            "settings": self.settings_snapshot,
         }
 
 
@@ -383,7 +381,7 @@ def jsa_purity(geom, crystal, filters, numerics):
     return purity if waists.ndim else float(purity[0])
 
 
-def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapshot=None):
+def compute_metrics(geom, crystal, filters, numerics=Numerics()):
     """Assemble the full report: R, Rs, Ri, eta, purity."""
     R, res_s, res_i, eta = heralding_rates(geom, crystal, filters, numerics)
     return MetricsReport(
@@ -396,5 +394,4 @@ def compute_metrics(geom, crystal, filters, numerics=Numerics(), settings_snapsh
             max(res_s.max_shell, res_i.max_shell),
             max(res_s.tail_estimate, res_i.tail_estimate),
         ),
-        settings_snapshot=settings_snapshot or {},
     )

@@ -83,7 +83,7 @@ def test_beyond_tolerance_flags_every_move_the_golden_test_fails_on():
         ("a.json", {"x": None}, {"x": 1.0}, {"x"}),
         ("a.json", {"x": [1.0, 2.0]}, {"x": [1.0]}, {"x[1]"}),
         ("a.json", {"config": {"w": [310.0]}}, {"config": {"w": [310.0000000000003]}}, {"config.w[0]"}),
-        ("a.json", {"r": {"settings": [1.0]}}, {"r": {"settings": [1.000000000000001]}}, {"r.settings[0]"}),
+        ("a.json", {"r": {"config": [1.0]}}, {"r": {"config": [1.000000000000001]}}, {"r.config[0]"}),
         ("a.csv", "R,P\n1.0,x\n", "R,P\n1.0000000001,x\n", set()),
         ("a.csv", "R,P\n1.0,x\n", "R,P\n1.0,y\n", {"P[0]"}),
         ("a.csv", "R,P\n1.0,\n", "R,P\n1.0,0.5\n", {"P[0]"}),

@@ -45,7 +45,7 @@ ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_N
 # cell may make, by its field's last key (None: any other key). Any other
 # value, and every leaf under an EXACT_KEYS key, must not move.
 REL_TOLERANCE = {None: 1e-9, "tail_estimate": 1e-6}  # tail: last mode-sum shell / total
-EXACT_KEYS = {"config", "settings"}
+EXACT_KEYS = {"config"}
 ABSENT = "(absent)"  # the value of a field in a file that lacks it
 
 # the child: run every (name, config, argv) in process, record exit code and stderr
