@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,15 +38,25 @@ def degenerate_with(tmp_path):
     return load
 
 
-@pytest.fixture(scope="session")
-def perfbench_designs():
+def load_perfbench_designs():
     """perfbench's own ``designs`` module, read from ``perfbench/designs.py``
-    without putting that directory on the import path."""
+    without putting that directory on the import path or writing its
+    bytecode there."""
     spec = importlib.util.spec_from_file_location(
         "designs", Path(__file__).parents[1] / "perfbench" / "designs.py")
     designs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(designs)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(designs)
+    finally:
+        sys.dont_write_bytecode = dont_write
     return designs
+
+
+@pytest.fixture(scope="session")
+def perfbench_designs():
+    """``load_perfbench_designs()``, once per session."""
+    return load_perfbench_designs()
 
 
 @pytest.fixture

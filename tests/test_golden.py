@@ -94,6 +94,24 @@ def test_beyond_tolerance_flags_every_move_the_golden_test_fails_on():
         assert set(got) == want, (old, new)
 
 
+def test_loading_perfbench_designs_writes_no_bytecode(monkeypatch):
+    # bytecode cached beside perfbench/designs.py would land in the
+    # benchmark's directory, whatever PYTHONDONTWRITEBYTECODE says
+    from conftest import load_perfbench_designs
+
+    seen, exec_module = [], importlib.machinery.SourceFileLoader.exec_module
+
+    def record(loader, module):
+        seen.append(sys.dont_write_bytecode)
+        exec_module(loader, module)
+
+    monkeypatch.setattr(importlib.machinery.SourceFileLoader, "exec_module", record)
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    load_perfbench_designs()
+    assert seen == [True]
+    assert sys.dont_write_bytecode is False
+
+
 def test_importing_the_tool_loads_no_perfbench_module(monkeypatch):
     for module in ("compare_outputs", "designs", "workloads"):
         monkeypatch.delitem(sys.modules, module, raising=False)

@@ -1113,3 +1113,131 @@ class TestComputeMetrics:
             "purity_P",
             "mode_sum_truncation",
         }
+
+
+def figures(report):
+    return (report.pair_rate_R, report.singles_rate_s, report.singles_rate_i,
+            report.heralding_eta, report.purity_P)
+
+
+# both shipped configs with and without walk-off, and the benchmark's seed-0
+# designs (odd ones nondegenerate) without it
+INVARIANT_DESIGNS = [
+    pytest.param(name, walk_off, id=name + ("-walk-off" if walk_off else ""))
+    for name in ("degenerate_810", "nondegenerate_850_609") for walk_off in (False, True)
+] + [pytest.param("seed0-%d" % j, False, id="seed0-%d" % j) for j in range(8)]
+NONDEGENERATE_DESIGNS = INVARIANT_DESIGNS[2:4] + INVARIANT_DESIGNS[5::2]  # odd j: designs.FAMILIES
+# On these designs a THz value divided by 2 pi comes back one ulp off its
+# angular rad/s, and a filter window one ulp narrower or wider gains or loses
+# its edge samples: |w - center| <= half_width is decided by rounding on an
+# axis that spans center -/+ half_width. R moves by about 0.5%.
+EDGE_ROUNDING = pytest.mark.xfail(
+    reason="a one-ulp filter half-width adds or drops the window's edge samples",
+    raises=AssertionError, strict=True)
+ORDINARY_DESIGNS = [
+    pytest.param(*p.values, id=p.id, marks=EDGE_ROUNDING) if p.id in ("seed0-0", "seed0-1", "seed0-2")
+    else p for p in INVARIANT_DESIGNS]
+
+
+@pytest.fixture(scope="module")
+def design_run(perfbench_designs, tmp_path_factory):
+    """``design_run(name, walk_off, edit=None)``: (config, MetricsReport) of a
+    shipped config or of ``seed0-j``, design j of the benchmark's
+    ``designs.draw(0, 8)``, after ``edit(raw, resolved)`` changed its JSON
+    document ``raw`` in place; ``resolved`` is the unedited config's."""
+    path = tmp_path_factory.mktemp("invariants") / "design.json"
+    draw = perfbench_designs.draw(0, 8)
+
+    def load(raw):
+        path.write_text(json.dumps(raw))
+        return load_config(path)
+
+    def run(name, walk_off, edit=None):
+        if name.startswith("seed0-"):
+            raw = perfbench_designs.to_config(draw[int(name[len("seed0-"):])])
+        else:
+            with open(shipped_config_path(name)) as fh:
+                raw = json.load(fh)
+        if edit is not None:
+            edit(raw, load(raw).resolved)
+        cfg = load(raw)
+        numerics = replace(cfg.numerics, walk_off_enabled=walk_off)
+        return cfg, compute_metrics(cfg.geom, cfg.crystal, cfg.filters, numerics)
+
+    return run
+
+
+def relabel(raw, resolved):
+    """Swap signal and idler: the signal at the old idler wavelength, the
+    idler at the old signal's and the two filter half-widths exchanged, the
+    pump filter kept."""
+    coll, filt = raw["collection"], raw["filters"]
+    raw["pump"].setdefault("filter_halfwidth_thz", 2.0 * filt["signal_halfwidth_thz"])
+    coll["signal_wavelength_nm"] = resolved["collection"]["idler_wavelength_nm"]
+    coll["idler_wavelength_nm"] = resolved["collection"]["signal_wavelength_nm"]
+    filt["signal_halfwidth_thz"], filt["idler_halfwidth_thz"] = (
+        filt["idler_halfwidth_thz"], filt["signal_halfwidth_thz"])
+
+
+def ordinary_frequencies(raw, resolved):
+    """The same rad/s under ``frequency_convention: ordinary``: every THz
+    value divided by 2 pi."""
+    raw.setdefault("numerics", {})["frequency_convention"] = "ordinary"
+    for section in (raw["pump"], raw["filters"]):
+        for key in section:
+            if key.endswith("_thz"):
+                section[key] /= 2.0 * math.pi
+
+
+def set_field(section, key, value):
+    def edit(raw, resolved):
+        raw[section][key] = value
+    return edit
+
+
+class TestMetamorphicInvariants:
+    """Exact symmetries of the physics. Each holds whatever quadrature
+    computes the figures, so none reads a golden value."""
+
+    @pytest.mark.parametrize("name, walk_off", NONDEGENERATE_DESIGNS)
+    def test_signal_idler_relabeling(self, design_run, name, walk_off):
+        cfg, base = design_run(name, walk_off)
+        swapped_cfg, swapped = design_run(name, walk_off, relabel)
+        assert swapped_cfg.geom.signal.central_wavelength == pytest.approx(
+            cfg.geom.idler.central_wavelength, rel=1e-13)
+        assert abs(cfg.geom.signal.central_wavelength / cfg.geom.idler.central_wavelength - 1) > 0.1
+        assert swapped_cfg.geom.theta_s == pytest.approx(cfg.geom.theta_i, rel=1e-13)
+        R, Rs, Ri, eta, P = figures(base)
+        assert figures(swapped) == pytest.approx((R, Ri, Rs, eta, P), rel=1e-13, abs=0)
+
+    def test_relabeled_optimize(self, design_run):
+        # stage 3 amplifies a purity change of 1e-16 about 1e5 times
+        cfgs = [design_run("nondegenerate_850_609", False, edit)[0] for edit in (None, relabel)]
+        base, swapped = (sweep.optimize(c.geom, c.crystal, c.filters, c.numerics) for c in cfgs)
+        assert swapped.W0p_star == pytest.approx(base.W0p_star, rel=1e-9, abs=0)
+        assert swapped.W0s_purity_star == pytest.approx(base.W0s_purity_star, rel=1e-9, abs=0)
+        assert (swapped.W0s_intersection is None) == (base.W0s_intersection is None)
+
+    @pytest.mark.parametrize("name, walk_off", ORDINARY_DESIGNS)
+    def test_ordinary_frequency_convention(self, design_run, name, walk_off):
+        _, base = design_run(name, walk_off)
+        _, ordinary = design_run(name, walk_off, ordinary_frequencies)
+        assert figures(ordinary) == figures(base)
+
+    @pytest.mark.parametrize("name, walk_off", INVARIANT_DESIGNS)
+    def test_filter_transmission_scales_rates_by_its_square(self, design_run, name, walk_off):
+        _, base = design_run(name, walk_off)
+        _, lossy = design_run(name, walk_off, set_field("filters", "transmission", 0.5))
+        R, Rs, Ri, eta, P = figures(base)
+        assert figures(lossy) == (0.25 * R, 0.25 * Rs, 0.25 * Ri, eta, P)
+
+    @pytest.mark.parametrize("name, walk_off", INVARIANT_DESIGNS)
+    def test_crystal_azimuth_scales_rates_by_one_factor(self, design_run, name, walk_off):
+        _, base = design_run(name, walk_off)
+        _, turned = design_run(name, walk_off, set_field("crystal", "azimuth_phi_deg", 30.0))
+        R, Rs, Ri, eta, P = figures(base)
+        factor = turned.pair_rate_R / R
+        assert factor != pytest.approx(1.0)
+        assert (turned.singles_rate_s / Rs, turned.singles_rate_i / Ri) == pytest.approx(
+            (factor, factor), rel=1e-13, abs=0)
+        assert (turned.heralding_eta, turned.purity_P) == pytest.approx((eta, P), rel=1e-13, abs=0)
