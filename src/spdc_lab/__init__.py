@@ -16,8 +16,7 @@ _EXPORTS = {
     " TotalInternalReflectionError UnsatisfiableConditionError WavelengthWindowError",
     "filters": "FilterBank FilterSpec filter_transmission",
     "jsa": "BeamGeometry GeometryFactors JsaGrid SINC_GAUSS_ALPHA SpectralGrid geometry_factors"
-    " jsa_grid mode_function phase_mismatch_exact phase_mismatch_linear purity_waist spectral_grid"
-    " walk_off_integral",
+    " jsa_grid mode_function phase_mismatch_exact purity_waist spectral_grid walk_off_integral",
     "metrics": "MetricsReport SinglesResult compute_metrics heralding_efficiency heralding_rates"
     " pair_rate rate_prefactor singles_rate",
     "schmidt": "SchmidtSpectrum purity schmidt_purity",

@@ -230,9 +230,6 @@ def _run(args):
             "config": resolved,
         }
         _write_json(doc, os.path.join(out, "dispersion_report.json"))
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown command %r" % (args.command,))
     return 0
 
 

@@ -28,7 +28,7 @@ from .units import (
 )
 
 _ENUMS = {
-    "dispersion_mode": ("exact", "linear"),
+    "dispersion_mode": ("exact",),  # kept so that configs that list it load
     "alpha_convention": ALPHA_CONVENTIONS,
     "decompose": ("amplitude", "intensity"),
     "frequency_convention": FREQUENCY_CONVENTIONS,

@@ -203,31 +203,6 @@ def phase_mismatch_exact(Omega_s, Omega_i, geom, crystal):
     return dky, dkz
 
 
-def phase_mismatch_linear(Omega_s, Omega_i, inverse_group_velocities, angles):
-    """(dk_y, dk_z) linearized in the detunings.
-
-    ``inverse_group_velocities`` is (N_s, N_i, N_p) in s/m at the central
-    frequencies; ``angles`` is (theta_s, theta_i). The zero-order terms
-    cancel by construction of the central phase matching.
-    """
-    N_s, N_i, N_p = inverse_group_velocities
-    theta_s, theta_i = angles
-    Omega_s = np.asarray(Omega_s, dtype=float)
-    Omega_i = np.asarray(Omega_i, dtype=float)
-    dky = N_s * Omega_s * np.sin(theta_s) - N_i * Omega_i * np.sin(theta_i)
-    dkz = (
-        N_p * (Omega_s + Omega_i)
-        - N_s * Omega_s * np.cos(theta_s)
-        - N_i * Omega_i * np.cos(theta_i)
-    )
-    return dky, dkz
-
-
-def central_inverse_group_velocities(geom, crystal):
-    """(N_s, N_i, N_p) at the central frequencies; pump at the cut angle."""
-    return _inverse_group_velocities(*geom.modes, crystal)
-
-
 @lru_cache(maxsize=8)
 def _inverse_group_velocities(pump, signal, idler, crystal):
     # waist-free: held per mode set and crystal
@@ -341,7 +316,7 @@ class SpectralTerms:
     """The waist-independent factors of Phi at the detunings (Omega_s,
     Omega_i), any two arrays that broadcast.
 
-    The phase mismatch dk_y, dk_z (in ``dispersion_mode``), the pump envelope
+    The phase mismatch dk_y, dk_z (``phase_mismatch_exact``), the pump envelope
     exp(-(Omega_s + Omega_i)^2 / (4 B_p^2)) and L sinc(dk_z L / 2) depend on
     the crystal, the modes, the emission angles and B_p but not on the
     waists. ``shape`` applies a geometry's C (and H) to them, and
@@ -352,14 +327,8 @@ class SpectralTerms:
     share; no kernel is held, so no reference cycle keeps the terms alive.
     """
 
-    def __init__(self, Omega_s, Omega_i, geom, crystal, dispersion_mode):
-        if dispersion_mode == "exact":
-            dky, dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
-        elif dispersion_mode == "linear":
-            ngv = central_inverse_group_velocities(geom, crystal)
-            dky, dkz = phase_mismatch_linear(Omega_s, Omega_i, ngv, (geom.theta_s, geom.theta_i))
-        else:
-            raise ValueError("dispersion_mode must be 'exact' or 'linear'")
+    def __init__(self, Omega_s, Omega_i, geom, crystal):
+        dky, dkz = phase_mismatch_exact(Omega_s, Omega_i, geom, crystal)
         self.dky, self.dkz = _read_only(dky), _read_only(dkz)
         self.length_L = crystal.length_L
         self._pump = (Omega_s, Omega_i, geom.pump_bandwidth_Bp)
@@ -392,15 +361,17 @@ class SpectralTerms:
         return psi
 
     def amplitude(self, geom, walk_off):
-        """Phi for the waists of ``geom``: ``shape`` times pi / sqrt(A C)."""
+        """Phi for the one waist of ``geom``: ``shape`` at its ``figure_keys``
+        key times pi / sqrt(A C)."""
         g = geometry_factors(geom)
-        return self.shape(g.C, g.H if walk_off else None) * (math.pi / math.sqrt(g.A * g.C))
+        (key,) = figure_keys(g, walk_off)
+        return self.shape(*key) * (math.pi / math.sqrt(g.A * g.C))
 
 
-def _spectral_key(geom, crystal, filters, dispersion_mode):
+def _spectral_key(geom, crystal, filters):
     # everything a SpectralGrid depends on besides its resolution
     beams = (geom.modes, geom.theta_s, geom.theta_i, geom.pump_bandwidth_Bp)
-    return beams + (crystal, filters, dispersion_mode)
+    return beams + (crystal, filters)
 
 
 class SpectralGrid(SpectralTerms):
@@ -417,7 +388,7 @@ class SpectralGrid(SpectralTerms):
     walk-off), not at every waist.
     """
 
-    def __init__(self, resolution, geom, crystal, filters, dispersion_mode):
+    def __init__(self, resolution, geom, crystal, filters):
         self.w_s = _read_only(np.linspace(*filters.signal.support, resolution))
         self.w_i = _read_only(np.linspace(*filters.idler.support, resolution))
         self.Om_s = _read_only(self.w_s - geom.signal.central_angular_frequency)
@@ -425,7 +396,7 @@ class SpectralGrid(SpectralTerms):
         # sparse axes: the signal and idler wave numbers are evaluated once
         # per axis point, and only the sums fill the grid
         OS, OI = np.meshgrid(self.Om_s, self.Om_i, indexing="ij", sparse=True)
-        super().__init__(OS, OI, geom, crystal, dispersion_mode)
+        super().__init__(OS, OI, geom, crystal)
         self._filters = filters
         self._weights = {  # {stride: (signal, idler) axis weights}
             k: (_trapezoid(self.Om_s[::k]), _trapezoid(self.Om_i[::k])) for k in (1, 2)}
@@ -486,7 +457,7 @@ def figure_keys(factors, walk_off, C=None):
 _slot = (None, {})
 
 
-def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
+def spectral_grid(resolution, geom, crystal, filters):
     """The SpectralGrid at ``resolution`` for this setting (``_spectral_key``:
     everything but the waists), held in one module slot with the setting's
     other resolutions. Another setting replaces the slot before its grid is
@@ -494,38 +465,36 @@ def spectral_grid(resolution, geom, crystal, filters, dispersion_mode):
     on another thread may rebuild a grid but never gets another setting's.
     """
     global _slot
-    key = _spectral_key(geom, crystal, filters, dispersion_mode)
+    key = _spectral_key(geom, crystal, filters)
     held, grids = _slot
     if held != key:
         grids = {}
         _slot = (key, grids)
     if resolution not in grids:
-        grids[resolution] = SpectralGrid(resolution, geom, crystal, filters, dispersion_mode)
+        grids[resolution] = SpectralGrid(resolution, geom, crystal, filters)
     return grids[resolution]
 
 
-def mode_function(Omega_s, Omega_i, geom, crystal, dispersion_mode="exact", walk_off=False):
+def mode_function(Omega_s, Omega_i, geom, crystal, *, walk_off=False):
     """Closed-form joint spectral amplitude Phi(Omega_s, Omega_i).
 
     With ``walk_off`` False the longitudinal factor is L sinc(dk_z L / 2);
     enabling it adds the exp(-H z^2) envelope (``walk_off_integral``).
     """
-    terms = SpectralTerms(Omega_s, Omega_i, geom, crystal, dispersion_mode)
+    terms = SpectralTerms(Omega_s, Omega_i, geom, crystal)
     return terms.amplitude(geom, walk_off)
 
 
 def jsa_grid(geom, crystal, filters, numerics):
     """Sample the amplitude on a uniform grid spanning the signal and idler
     windows of the FilterBank ``filters`` (no transmission applied), at the
-    ``grid_resolution``, ``dispersion_mode`` and ``walk_off_enabled`` of
+    ``grid_resolution`` and ``walk_off_enabled`` of
     the Numerics ``numerics``. The grid is built for this call and not
     held in the ``spectral_grid`` slot. Array waists raise ValueError.
     """
     _one_waist(geom)
     check_rayleigh(geom, crystal.length_L)
-    grid = SpectralGrid(
-        numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
-    )
+    grid = SpectralGrid(numerics.grid_resolution, geom, crystal, filters)
     amp = grid.amplitude(geom, numerics.walk_off_enabled)
     return JsaGrid(
         omega_s_samples=grid.w_s,
@@ -539,7 +508,7 @@ def _tie_curvature(geom, crystal, alpha_convention):
     """``purity_waist``'s C*, the curvature C of every waist the tie sets."""
     if alpha_convention not in ALPHA_CONVENTIONS:
         raise ValueError("alpha_convention must be one of %s" % (ALPHA_CONVENTIONS,))
-    N_s, N_i, N_p = central_inverse_group_velocities(geom, crystal)
+    N_s, N_i, N_p = _inverse_group_velocities(*geom.modes, crystal)
     ts, ti = geom.theta_s, geom.theta_i
     u, v = N_s * math.sin(ts), N_i * math.sin(ti)
     a, b = N_p - N_s * math.cos(ts), N_p - N_i * math.cos(ti)

@@ -131,7 +131,7 @@ def pair_rates_by_key(geom, crystal, filters, numerics, C=None):
     g = geometry_factors(geom)
     pref, level = (x.ravel().tolist() if isinstance(x, np.ndarray) else [x]  # one waist: no numpy
                    for x in (rate_prefactor(geom, crystal), math.pi**2 / (g.A * g.C)))
-    setting = (geom, crystal, filters, numerics.dispersion_mode)
+    setting = (geom, crystal, filters)
     for key, idx in figure_keys(g, numerics.walk_off_enabled, C).items():
         n, j = 2 * numerics.rate_resolution - 1, idx[0]
         prev = spectral_grid(n, *setting).figure(key, stride=2)
@@ -217,7 +217,8 @@ class _ModeSumKernel:
         self.q = terms.dkz.ravel() - self.dky * (g.D / (2.0 * g.C))
         self.gp = terms.pump_envelope.ravel()
         self.yz_pref = math.sqrt(math.pi / g.C) * np.exp(terms.negdky2.ravel() / (4.0 * g.C))
-        self.H = g.H if walk_off else 0.0  # collection-tilt envelope exp(-H z^2)
+        ((_, H),) = figure_keys(g, walk_off)
+        self.H = H or 0.0  # collection-tilt envelope exp(-H z^2); key H None: 1
         self.phase = float(np.max(np.abs(self.q), initial=0.0)) * terms.length_L / 2.0
         self.spread = self.H * terms.length_L**2 / 4.0
         W = geom.W0s
@@ -282,9 +283,7 @@ def _singles_shells(which, geom, crystal, filters, numerics):
     _one_waist(geom)
     check_rayleigh(geom, crystal.length_L)
     pref = rate_prefactor(geom, crystal)
-    grid = spectral_grid(
-        numerics.singles_resolution, geom, crystal, filters, numerics.dispersion_mode
-    )
+    grid = spectral_grid(numerics.singles_resolution, geom, crystal, filters)
     kernel = _ModeSumKernel(geom, grid, numerics.walk_off_enabled, which)
 
     def finish(shell, contrib, total):
@@ -371,9 +370,7 @@ def jsa_purity(geom, crystal, filters, numerics):
     ``jsa_grid`` samples: the ``figure`` of its shape on the slot grid, once
     per key of ``figure_keys``."""
     check_rayleigh(geom, crystal.length_L)
-    grid = spectral_grid(
-        numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode
-    )
+    grid = spectral_grid(numerics.grid_resolution, geom, crystal, filters)
     waists, g = np.broadcast(geom.W0p, geom.W0s), geometry_factors(geom)
     purity = np.empty(waists.size)
     for key, idx in figure_keys(g, numerics.walk_off_enabled).items():

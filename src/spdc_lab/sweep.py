@@ -136,7 +136,7 @@ def rate_vs_pump_waist(waist_range, steps, geom_base, crystal, filters, numerics
         raise UnsatisfiableConditionError(
             "separability condition unsatisfiable over the whole waist range"
         )
-    grid = spectral_grid(numerics.grid_resolution, geom, crystal, filters, numerics.dispersion_mode)
+    grid = spectral_grid(numerics.grid_resolution, geom, crystal, filters)
     R, P = np.empty(geom.W0p.size), np.empty(geom.W0p.size)
     C = _tie_curvature(geom, crystal, _TIE_ALPHA)
     for key, idx, rates in pair_rates_by_key(geom, crystal, filters, numerics, C):

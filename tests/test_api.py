@@ -57,7 +57,6 @@ PUBLIC_NAMES = [
     "optimize",
     "pair_rate",
     "phase_mismatch_exact",
-    "phase_mismatch_linear",
     "purity",
     "purity_waist",
     "rate_prefactor",
@@ -76,6 +75,12 @@ def test_public_surface():
     # a name added or removed here is an API change: record it in the
     # changelog and the README's library quickstart
     assert sorted(spdc_lab.__all__) == PUBLIC_NAMES
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    listed = dir(spdc_lab)
+    assert listed == sorted(listed)
+    assert set(PUBLIC_NAMES + SUBMODULES + ["__version__"]) <= set(listed)
 
 
 def test_star_import_binds_no_module():

@@ -148,6 +148,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="pump.waist_um"):
             load_config(dump(doc, tmp_path))
 
+    def test_missing_crystal_name(self, tmp_path):
+        doc = read_shipped("degenerate_810")
+        del doc["crystal"]["name"]
+        with pytest.raises(ConfigError, match="^crystal.name: missing required field$"):
+            load_config(dump(doc, tmp_path))
+
     def test_negative_value(self, tmp_path):
         doc = read_shipped("degenerate_810")
         doc["pump"]["waist_um"] = -5.0
@@ -164,6 +170,12 @@ class TestLoadConfig:
         doc = read_shipped("degenerate_810")
         doc["numerics"]["dispersion_mode"] = "quadratic"
         with pytest.raises(ConfigError, match="numerics.dispersion_mode"):
+            load_config(dump(doc, tmp_path))
+
+    def test_exact_is_the_only_dispersion_mode(self, tmp_path):
+        doc = read_shipped("degenerate_810")
+        doc["numerics"]["dispersion_mode"] = "linear"
+        with pytest.raises(ConfigError, match="^numerics.dispersion_mode: must be one of exact$"):
             load_config(dump(doc, tmp_path))
 
     def test_grid_resolution_floor(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -421,6 +422,22 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             OpticalMode("probe", "ordinary", 810e-9)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: constant_crystal(cut=0.0), "cut_angle_theta must lie in"),
+        (lambda: constant_crystal(cut=math.pi / 2), "cut_angle_theta must lie in"),
+        (lambda: replace(constant_crystal(), validity_window=(2000e-9, 200e-9)),
+         "validity window must satisfy"),
+        (lambda: constant_crystal(n_e=0.9), "n <= 1 inside the window"),
+        (lambda: OpticalMode("signal", "circular", 810e-9), "polarization must be one of"),
+        (lambda: OpticalMode("signal", "ordinary", 0.0), "central_wavelength must be positive"),
+        (lambda: emission_angles(-1e-3, 810e-9, 810e-9, constant_crystal()),
+         "cut_detuning must be nonnegative"),
+    ], ids=["cut-0", "cut-pi/2", "inverted-window", "n-below-1", "polarization",
+            "wavelength", "negative-detuning"])
+    def test_rejected_input_names_its_check(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestUnits:
     def test_constants_match_scipy(self):
@@ -429,3 +446,7 @@ class TestUnits:
         # golden files
         assert units.c == scipy.constants.c
         assert units.epsilon_0 == scipy.constants.epsilon_0
+
+    def test_unknown_frequency_convention(self):
+        with pytest.raises(ValueError, match="unknown frequency convention: 'hertz'"):
+            units.thz_to_rad_per_s(1.0, "hertz")

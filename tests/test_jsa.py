@@ -24,8 +24,6 @@ from spdc_lab.jsa import (
     jsa_grid,
     mode_function,
     phase_mismatch_exact,
-    phase_mismatch_linear,
-    central_inverse_group_velocities,
     purity_waist,
     spectral_grid,
     walk_off_integral,
@@ -167,34 +165,6 @@ class TestPhaseMismatch:
             assert abs(float(dky)) < 1.0
             assert abs(float(dkz)) < 1.0
 
-    def test_linear_is_linear(self, degenerate):
-        cfg = degenerate
-        ngv = central_inverse_group_velocities(cfg.geom, cfg.crystal)
-        angles = (cfg.geom.theta_s, cfg.geom.theta_i)
-        y1, z1 = phase_mismatch_linear(1e12, -2e12, ngv, angles)
-        y2, z2 = phase_mismatch_linear(2e12, -4e12, ngv, angles)
-        assert float(y2) == pytest.approx(2 * float(y1), rel=1e-12)
-        assert float(z2) == pytest.approx(2 * float(z1), rel=1e-12)
-        y0, z0 = phase_mismatch_linear(0.0, 0.0, ngv, angles)
-        assert float(y0) == 0.0 and float(z0) == 0.0
-
-    def test_linear_matches_exact_over_window(self, degenerate):
-        # first-order expansion agrees with full dispersion to < 1% of the
-        # mismatch scale across the filter window
-        cfg = degenerate
-        Om = np.linspace(-5e12, 5e12, 41)
-        OS, OI = np.meshgrid(Om, Om, indexing="ij")
-        y_ex, z_ex = phase_mismatch_exact(OS, OI, cfg.geom, cfg.crystal)
-        ngv = central_inverse_group_velocities(cfg.geom, cfg.crystal)
-        y_li, z_li = phase_mismatch_linear(
-            OS, OI, ngv, (cfg.geom.theta_s, cfg.geom.theta_i)
-        )
-        z0 = float(phase_mismatch_exact(0.0, 0.0, cfg.geom, cfg.crystal)[1])
-        scale_z = np.max(np.abs(z_ex - z0))
-        scale_y = np.max(np.abs(y_ex))
-        assert np.max(np.abs((z_ex - z0) - z_li)) < 0.01 * scale_z
-        assert np.max(np.abs(y_ex - y_li)) < 0.01 * scale_y
-
 
 # a^2 = H L^2 / 4 on both sides of the oracle's sinc threshold
 _A2 = [0.0, 1e-14, _FADDEEVA_SINC_A2 * (1 - 1e-6), _FADDEEVA_SINC_A2 * (1 + 1e-6)] + [
@@ -255,7 +225,7 @@ class TestWalkOffIntegral:
     def test_rule_matches_faddeeva_on_grids(self, degenerate, nondegenerate, n):
         # the shipped grids' phase is under the series cap: the z sum is the series
         for cfg in (degenerate, nondegenerate):
-            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters)
             H, L = geometry_factors(cfg.geom).H, cfg.crystal.length_L
             assert np.max(np.abs(grid.dkz)) * L / 2.0 <= jsa._SERIES_PHASE
             got = walk_off_integral(grid.dkz, H, L)
@@ -275,7 +245,7 @@ class TestWalkOffIntegral:
         cfg, n = degenerate, 201
         tracemalloc.start()
         try:
-            SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact").amplitude(
+            SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters).amplitude(
                 cfg.geom, walk_off=True
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -307,29 +277,24 @@ class TestModeFunction:
         j, k = np.unravel_index(np.argmax(np.abs(grid.amplitude)), grid.amplitude.shape)
         assert abs(j - 50) <= 1 and abs(k - 50) <= 1
 
-    def test_dispersion_modes_agree_near_center(self, degenerate):
+    def test_walk_off_is_keyword_only(self, degenerate):
+        # a positional fifth argument, the dispersion model it used to be,
+        # must not turn walk-off on
         cfg = degenerate
-        Om = np.linspace(-2e12, 2e12, 21)
-        OS, OI = np.meshgrid(Om, Om, indexing="ij")
-        a = np.abs(mode_function(OS, OI, cfg.geom, cfg.crystal, "exact"))
-        b = np.abs(mode_function(OS, OI, cfg.geom, cfg.crystal, "linear"))
-        assert np.max(np.abs(a - b)) < 0.01 * np.max(a)
-
-    def test_bad_dispersion_mode(self, degenerate):
-        with pytest.raises(ValueError):
-            mode_function(0.0, 0.0, degenerate.geom, degenerate.crystal, "cubic")
+        with pytest.raises(TypeError):
+            mode_function(0.0, 0.0, cfg.geom, cfg.crystal, "exact")
 
 
 class TestSpectralGrids:
     def test_one_grid_per_resolution_across_waists(self, degenerate):
         cfg = degenerate
-        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters)
         wider = replace(cfg.geom, W0p=2 * cfg.geom.W0p, W0s=1e-4)
-        assert spectral_grid(101, wider, cfg.crystal, cfg.filters, "exact") is grid
-        fine = spectral_grid(201, wider, cfg.crystal, cfg.filters, "exact")
+        assert spectral_grid(101, wider, cfg.crystal, cfg.filters) is grid
+        fine = spectral_grid(201, wider, cfg.crystal, cfg.filters)
         assert fine.dky.shape == (201, 201)
-        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact") is fine
-        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact") is grid
+        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters) is fine
+        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters) is grid
 
     @pytest.mark.parametrize("walk_off", [False, True])
     @pytest.mark.parametrize("name", ["degenerate", "nondegenerate"])
@@ -339,7 +304,7 @@ class TestSpectralGrids:
         # sum bit for bit at two waists, and at either stride the sum is integrate's;
         # with walk-off, both grids' max|dk_z| give walk_off_integral one z order
         cfg = request.getfixturevalue(name)
-        setting = (cfg.geom, cfg.crystal, cfg.filters, "exact")
+        setting = (cfg.geom, cfg.crystal, cfg.filters)
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         fine, fresh = spectral_grid(201, *setting), spectral_grid(101, *setting)
         for k in ("dky", "dkz", "weight", "sinc_envelope", "pump_envelope"):
@@ -359,7 +324,7 @@ class TestSpectralGrids:
 
     def test_stride_is_the_rate_sum_alone(self, degenerate):
         cfg = degenerate
-        grid = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters)
         key = key_of(cfg.geom, False)
         for stride, decompose in ((2, "amplitude"), (3, None), (0, None)):
             with pytest.raises(ValueError):
@@ -368,7 +333,7 @@ class TestSpectralGrids:
     @pytest.mark.parametrize("walk_off", [False, True])
     def test_amplitude_is_mode_function(self, nondegenerate, walk_off):
         cfg = nondegenerate
-        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters)
         geom = replace(cfg.geom, W0s=0.8 * cfg.geom.W0s)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         want = mode_function(OS, OI, geom, cfg.crystal, walk_off=walk_off)
@@ -379,7 +344,7 @@ class TestSpectralGrids:
         # key replaces with its figures; the slot is keyed on C, and on H
         # with walk-off
         cfg = nondegenerate
-        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters)
         OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
         g = geometry_factors(cfg.geom)
         rate = grid.figure((g.C, None))
@@ -418,7 +383,7 @@ class TestSpectralGrids:
     def test_amplitude_runs_geometry_factors_once(self, degenerate, walk_off, monkeypatch):
         # one call per request: a miss evaluates on the factors of its key
         cfg = degenerate
-        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, cfg.geom, cfg.crystal, cfg.filters)
         calls = []
 
         def counted(geom):
@@ -434,14 +399,14 @@ class TestSpectralGrids:
     @pytest.mark.parametrize("n", [101, 201])
     def test_integrate_is_nested_trapezoid(self, degenerate, nondegenerate, n):
         for cfg in (degenerate, nondegenerate):
-            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            grid = SpectralGrid(n, cfg.geom, cfg.crystal, cfg.filters)
             density = grid.weight * grid.amplitude(cfg.geom, False) ** 2
             want = np.trapezoid(np.trapezoid(density, grid.Om_i, axis=1), grid.Om_s)
             assert grid.integrate(density) == pytest.approx(want, rel=1e-13)
 
     def test_held_arrays_are_read_only(self, degenerate):
         cfg = degenerate
-        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters)
         assert grid.pump_envelope is grid.pump_envelope
         assert grid.sinc_envelope is grid.sinc_envelope
         assert jsa._legendre(9) is jsa._legendre(9)
@@ -458,7 +423,7 @@ class TestSpectralGrids:
         # an amplitude without walk-off reads the product alone; walk-off
         # (and the mode sum) read the envelope, which is then held
         cfg = degenerate
-        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters)
         grid.amplitude(cfg.geom, False)
         assert "sinc_envelope" in vars(grid) and "pump_envelope" not in vars(grid)
         grid.amplitude(cfg.geom, True)
@@ -467,22 +432,18 @@ class TestSpectralGrids:
     def test_another_spectral_setting_gets_a_fresh_grid(self, degenerate):
         # only the waists may differ between requests that share a grid
         cfg = degenerate
-        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters)
         tilted = replace(cfg.geom, theta_s=1.01 * cfg.geom.theta_s)
         narrow = replace(
             cfg.filters, pump=replace(cfg.filters.pump, half_width=cfg.filters.pump.half_width / 2)
         )
-        for geom, filters, mode in (
-            (tilted, cfg.filters, "exact"),
-            (cfg.geom, narrow, "exact"),
-            (cfg.geom, cfg.filters, "linear"),
-        ):
-            other = spectral_grid(101, geom, cfg.crystal, filters, mode)
-            want = SpectralGrid(101, geom, cfg.crystal, filters, mode)
+        for geom, filters in ((tilted, cfg.filters), (cfg.geom, narrow)):
+            other = spectral_grid(101, geom, cfg.crystal, filters)
+            want = SpectralGrid(101, geom, cfg.crystal, filters)
             assert other is not grid
             for name in ("dky", "dkz", "weight"):
                 assert np.array_equal(getattr(other, name), getattr(want, name)), name
-        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters, "exact") is not grid
+        assert spectral_grid(101, cfg.geom, cfg.crystal, cfg.filters) is not grid
 
     @pytest.mark.parametrize("asks_next", ["degenerate", "nondegenerate"])
     def test_interleaved_request_never_crosses_settings(
@@ -494,19 +455,19 @@ class TestSpectralGrids:
         monkeypatch.setattr(jsa, "_slot", (None, {}))
         init, nested = SpectralGrid.__init__, []
 
-        def interleaved(self, resolution, geom, crystal, filters, dispersion_mode):
+        def interleaved(self, resolution, geom, crystal, filters):
             if filters is degenerate.filters and not nested:
                 b = nondegenerate
-                nested.append(spectral_grid(15, b.geom, b.crystal, b.filters, "exact"))
-            init(self, resolution, geom, crystal, filters, dispersion_mode)
+                nested.append(spectral_grid(15, b.geom, b.crystal, b.filters))
+            init(self, resolution, geom, crystal, filters)
 
         monkeypatch.setattr(SpectralGrid, "__init__", interleaved)
         a = degenerate
-        assert built_for(spectral_grid(31, a.geom, a.crystal, a.filters, "exact"), a)
+        assert built_for(spectral_grid(31, a.geom, a.crystal, a.filters), a)
         assert built_for(nested[0], nondegenerate)
         cfg = request.getfixturevalue(asks_next)
         for n in (15, 31):
-            grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters, "exact")
+            grid = spectral_grid(n, cfg.geom, cfg.crystal, cfg.filters)
             assert grid.w_s.size == n and built_for(grid, cfg), n
 
     def test_interleaved_figure_is_its_own_key(self, nondegenerate, monkeypatch):
@@ -514,11 +475,11 @@ class TestSpectralGrids:
         # figures are asked for on the same grid, as another thread could;
         # each call must return its own key's figure, and so must the next ones
         cfg = nondegenerate
-        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters)
         wide, narrow = (
             key_of(g, False) for g in (cfg.geom, replace(cfg.geom, W0s=0.8 * cfg.geom.W0s))
         )
-        fresh = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        fresh = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters)
         want = {
             (k, d): fresh.figure(k, d) for k in (wide, narrow) for d in (None, "amplitude")
         }
@@ -565,7 +526,7 @@ class TestJsaGrid:
         monkeypatch.setattr(jsa, "filter_transmission", counting)
         jsa_grid(cfg.geom, cfg.crystal, cfg.filters, Numerics(grid_resolution=101))
         assert calls == []
-        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, cfg.geom, cfg.crystal, cfg.filters)
         assert calls == []
         assert grid.weight is grid.weight
         assert calls == [cfg.filters.signal, cfg.filters.idler, cfg.filters.pump]
@@ -821,6 +782,17 @@ class TestBeamGeometry:
             replace(geom, theta_s=0.2)
         with pytest.raises(ValueError):
             replace(geom, pump_bandwidth_Bp=-1.0)
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda g: replace(g, modes=g.modes[::-1]), "modes must be the"),
+        (lambda g: JsaGrid(np.arange(3.0), np.arange(2.0), np.ones((2, 3)), 1.0),
+         "amplitude shape does not match"),
+        (lambda g: JsaGrid(np.arange(3.0), np.arange(2.0), np.zeros((3, 2)), 1.0),
+         "vanishing joint amplitude"),
+    ], ids=["modes-out-of-order", "mismatched-axes", "zero-amplitude"])
+    def test_rejected_input_names_its_check(self, degenerate, build, match):
+        with pytest.raises(ValueError, match=match):
+            build(degenerate.geom)
 
     def test_role_accessors(self, degenerate):
         geom = degenerate.geom

@@ -24,11 +24,9 @@ from spdc_lab.filters import FilterBank, FilterSpec, filter_transmission
 from spdc_lab.jsa import (
     SpectralGrid,
     SpectralTerms,
-    central_inverse_group_velocities,
     geometry_factors,
     mode_function,
     phase_mismatch_exact,
-    phase_mismatch_linear,
     purity_waist,
     spectral_grid,
     walk_off_integral,
@@ -244,7 +242,7 @@ class TestPairRate:
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
         monkeypatch.setattr(jsa, "_slot", (None, {}))
-        fine = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact")
+        fine = spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -255,7 +253,7 @@ class TestPairRate:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
-        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters, "exact") is fine
+        assert spectral_grid(201, cfg.geom, cfg.crystal, cfg.filters) is fine
 
     def test_nonconvergence_raises(self, degenerate, monkeypatch):
         cfg = degenerate
@@ -297,7 +295,7 @@ def written_out_figures(geom, cfg, numerics):
     grid, and the purity is schmidt.purity of Phi itself."""
     f, prev, n = cfg.filters, None, numerics.rate_resolution
     while n <= MAX_RATE_RESOLUTION:
-        grid = SpectralGrid(n, geom, cfg.crystal, f, numerics.dispersion_mode)
+        grid = SpectralGrid(n, geom, cfg.crystal, f)
         T = (filter_transmission(grid.w_s, f.signal)[:, None]
              * filter_transmission(grid.w_i, f.idler)[None, :]
              * filter_transmission(np.add.outer(grid.w_s, grid.w_i), f.pump))
@@ -306,7 +304,7 @@ def written_out_figures(geom, cfg, numerics):
         if prev is not None and abs(cur - prev) <= metrics._RATE_TOL * max(cur, prev):
             break
         prev, n = cur, 2 * n - 1
-    grid = SpectralGrid(numerics.grid_resolution, geom, cfg.crystal, f, numerics.dispersion_mode)
+    grid = SpectralGrid(numerics.grid_resolution, geom, cfg.crystal, f)
     amp = written_out_amplitude(grid, geom, cfg.crystal, numerics.walk_off_enabled)
     return rate_prefactor(geom, cfg.crystal) * cur, purity(amp, numerics.decompose)
 
@@ -491,7 +489,7 @@ def one_point_overlap(n, m, Om_s, Om_i, geom, crystal, which="signal", walk_off=
     """Overlap with the (n, m) Hermite-Gauss mode of one arm at one detuning
     pair, on a one-point mode-sum kernel: i^(m mod 2) times the real product
     of the pump envelope and the x and y-z integrals."""
-    terms = SpectralTerms(np.array([[Om_s]]), np.array([[Om_i]]), geom, crystal, "exact")
+    terms = SpectralTerms(np.array([[Om_s]]), np.array([[Om_i]]), geom, crystal)
     kern = _ModeSumKernel(geom, terms, walk_off, which)
     real = kern.gp[0] * kern.x_integral(n) * kern.yz_integral(m)[0]
     return complex(real * 1j ** (m % 2))
@@ -609,26 +607,16 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         OS, OI = detuning_mesh(geom, filters, 15, 13)
-        terms = SpectralTerms(OS, OI, geom, crystal, "exact")
+        terms = SpectralTerms(OS, OI, geom, crystal)
         dk = phase_mismatch_exact(OS, OI, geom, crystal)
         assert_kernel_matches_oracle(terms, geom, crystal, dk, walk_off)
-
-    @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
-    def test_kernel_follows_linear_dispersion(self, which_cfg, request):
-        cfg = request.getfixturevalue(which_cfg)
-        geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
-        grid = SpectralGrid(15, geom, crystal, filters, "linear")
-        OS, OI = np.meshgrid(grid.Om_s, grid.Om_i, indexing="ij")
-        ngv = central_inverse_group_velocities(geom, crystal)
-        dk = phase_mismatch_linear(OS, OI, ngv, (geom.theta_s, geom.theta_i))
-        assert_kernel_matches_oracle(grid, geom, crystal, dk, False)
 
     @pytest.mark.parametrize("which_cfg", ["degenerate", "nondegenerate"])
     def test_x_integral_against_gauss_hermite(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
         g = geometry_factors(geom)
-        grid = SpectralGrid(15, geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(15, geom, cfg.crystal, cfg.filters)
         kern = _ModeSumKernel(geom, grid, False, "signal")
         t, w = hermgauss(40)
         for n in range(9):
@@ -649,7 +637,7 @@ class TestModeSumKernel:
         # t = 2z/L the scaled node
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
-        grid = SpectralGrid(101, geom, crystal, cfg.filters, "exact")
+        grid = SpectralGrid(101, geom, crystal, cfg.filters)
         kern = _ModeSumKernel(geom, grid, walk_off, "signal")
         L, J = crystal.length_L, 6
         for n_z in (7, 8, 21, 22):
@@ -666,7 +654,7 @@ class TestModeSumKernel:
         # a 5 mm crystal with twice the filter windows puts max|q| L/2 above
         # the series cap, so the moments take cos and sin of q z
         geom, crystal, filters = long_crystal_design(degenerate, 5e-3)
-        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off,
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters), walk_off,
                               "signal")
         assert kern.phase > jsa._SERIES_PHASE
         for n_z in (kern.z_order(6), kern.z_order(6) + 1, 30):
@@ -679,7 +667,7 @@ class TestModeSumKernel:
         # a 1.5 mm crystal: max|q| L/2 of about 2.8, just under the cap,
         # where the series cancels most; both paths agree on every row to 1e-14
         geom, crystal, filters = long_crystal_design(degenerate, 1.5e-3)
-        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters, "exact"), walk_off,
+        kern = _ModeSumKernel(geom, SpectralGrid(101, geom, crystal, filters), walk_off,
                               "signal")
         assert 2.5 < kern.phase <= jsa._SERIES_PHASE
         L = crystal.length_L
@@ -701,7 +689,7 @@ class TestModeSumKernel:
         for path in paths:
             cfg = load_config(path)
             grid = SpectralGrid(cfg.numerics.singles_resolution, cfg.geom, cfg.crystal,
-                                cfg.filters, cfg.numerics.dispersion_mode)
+                                cfg.filters)
             for scale in (0.5, 1.0, 2.0):
                 geom = replace(cfg.geom, W0s=scale * cfg.geom.W0s)
                 assert _ModeSumKernel(geom, grid, False, "signal").phase <= jsa._SERIES_PHASE, path
@@ -710,7 +698,7 @@ class TestModeSumKernel:
     def test_moments_and_overlaps_are_real(self, nondegenerate, walk_off):
         cfg = nondegenerate
         geom, crystal = cfg.geom, cfg.crystal
-        grid = SpectralGrid(31, geom, crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, geom, crystal, cfg.filters)
         for which in ("signal", "idler"):
             kern = _ModeSumKernel(geom, grid, walk_off, which)
             R = jsa.z_moments(kern.q, kern.z_order(6), crystal.length_L, kern.H, 6)
@@ -726,7 +714,7 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal = cfg.geom, cfg.crystal
         OS, OI = detuning_mesh(geom, cfg.filters, 9, 7)
-        terms = SpectralTerms(OS, OI, geom, crystal, "exact")
+        terms = SpectralTerms(OS, OI, geom, crystal)
         g_p = np.exp(-((OS + OI) ** 2) / (4.0 * geom.pump_bandwidth_Bp**2))
         x = math.sqrt(math.pi / geometry_factors(geom).A)
         dk = phase_mismatch_exact(OS, OI, geom, crystal)
@@ -751,11 +739,11 @@ class TestModeSumKernel:
         cfg = request.getfixturevalue(which_cfg)
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         narrow = replace(geom, W0s=0.8 * geom.W0s)
-        grid = SpectralGrid(31, geom, crystal, filters, "exact")
+        grid = SpectralGrid(31, geom, crystal, filters)
         first = _ModeSumKernel(geom, grid, walk_off, "signal")
         for m in range(9):
             first.yz_integral(m)
-        fresh_grid = SpectralGrid(31, geom, crystal, filters, "exact")
+        fresh_grid = SpectralGrid(31, geom, crystal, filters)
         for which in ("signal", "idler"):
             second = _ModeSumKernel(narrow, grid, walk_off, which)
             assert (second.moments is first.moments) == shared
@@ -771,7 +759,7 @@ class TestModeSumKernel:
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         for which in ("signal", "idler"):
-            grid = SpectralGrid(31, geom, crystal, filters, "exact")
+            grid = SpectralGrid(31, geom, crystal, filters)
             nested = []
 
             def interleaved(self, name, value):
@@ -784,7 +772,7 @@ class TestModeSumKernel:
             monkeypatch.undo()
             assert kern.moments is not nested[0].moments
             for got, walk_off in ((kern, False), (nested[0], True)):
-                fresh = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters, "exact"),
+                fresh = _ModeSumKernel(geom, SpectralGrid(31, geom, crystal, filters),
                                        walk_off, which)
                 for m in range(9):
                     assert np.array_equal(got.yz_integral(m), fresh.yz_integral(m)), (which, m)
@@ -809,7 +797,7 @@ class TestModeSumKernel:
     def test_overlap_finite_at_the_order_ceiling(self, which_cfg, request):
         cfg = request.getfixturevalue(which_cfg)
         geom = cfg.geom
-        grid = SpectralGrid(31, geom, cfg.crystal, cfg.filters, "exact")
+        grid = SpectralGrid(31, geom, cfg.crystal, cfg.filters)
         m = _INT_RANGES["truncation_max_order"][1]
         for which in ("signal", "idler"):
             kern = _ModeSumKernel(geom, grid, True, which)
@@ -829,7 +817,7 @@ class TestModeSumKernel:
         cfg = degenerate
         geom, crystal, filters = cfg.geom, cfg.crystal, cfg.filters
         # the kernel singles_rate builds on the slot grid at resolution 31
-        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters, "exact"), False,
+        kern = _ModeSumKernel(geom, spectral_grid(31, geom, crystal, filters), False,
                               "signal")
         first = kern.z_order(0)
         assert kern.z_order(metrics._FIRST_MAX_M) == first
@@ -852,7 +840,7 @@ class TestModeSumKernel:
         # the slot moves to another setting and back: the kernels rebuilt on
         # the new grid give the same rates
         d = degenerate
-        spectral_grid(31, d.geom, d.crystal, d.filters, "exact")
+        spectral_grid(31, d.geom, d.crystal, d.filters)
         for which, want in zip(("signal", "idler"), own):
             assert singles_rate(which, geom, crystal, filters, numerics) == want
 
@@ -1092,6 +1080,15 @@ class TestComputeMetrics:
         )
         assert 0 < report.heralding_eta <= 1
         assert 0 < report.purity_P <= 1
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("heralding_eta", 1.01, "heralding efficiency must lie in"),
+        ("pair_rate_R", 20.0, "pair rate exceeds"),
+        ("purity_P", 1.01, "purity must lie in"),
+    ])
+    def test_rejected_report_names_its_check(self, report, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(report, **{field: value})
 
     @pytest.mark.parametrize("power_mW", [1e-300, 7, 1e300])
     def test_extreme_pump_power(self, degenerate_with, report, power_mW):

@@ -10,7 +10,7 @@ from spdc_lab.config import Numerics
 from spdc_lab.errors import SpdcLabError
 from spdc_lab.jsa import JsaGrid, jsa_grid
 from spdc_lab import schmidt
-from spdc_lab.schmidt import purity, schmidt_purity
+from spdc_lab.schmidt import SchmidtSpectrum, purity, schmidt_purity
 
 
 def gaussian_grid(ds, di, dsi, n=201, span=6.0):
@@ -91,6 +91,15 @@ class TestIntensityDecomposition:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("lambdas, P, match", [
+        ([0.6, 0.3], 0.45, "must sum to 1"),
+        ([1.5, -0.5], 1.0, "must be nonnegative"),
+        ([1.0, 0.0], 1.01, "purity must lie in"),
+    ], ids=["sum", "negative", "purity"])
+    def test_rejected_spectrum_names_its_check(self, lambdas, P, match):
+        with pytest.raises(ValueError, match=match):
+            SchmidtSpectrum(np.array(lambdas), P, 1.0 / P)
+
     def test_zero_matrix(self):
         with pytest.raises(SpdcLabError, match="vanishing"):
             schmidt_purity(np.zeros((8, 8)), "amplitude")

@@ -578,6 +578,16 @@ class TestCoarseMargin:
         }
 
 
+class TestSweepRow:
+    @pytest.mark.parametrize("R, eta, match", [
+        (math.inf, None, "R must be finite"),
+        (1.0, 1.01, "eta must lie in"),
+    ], ids=["non-finite-R", "eta-above-1"])
+    def test_rejected_row_names_its_check(self, R, eta, match):
+        with pytest.raises(ValueError, match=match):
+            SweepRow(swept_value=3e-4, R=R, eta=eta, purity=None)
+
+
 class TestCsv:
     def test_blank_columns(self, tmp_path):
         rows = [
